@@ -9,7 +9,9 @@ stream is partitioned.
 
 BN layers are recalibrated in forward order, each one seeing activations
 computed with the already-finalized statistics of earlier layers, which
-keeps the per-layer result exactly partition-independent.
+keeps the per-layer result exactly partition-independent. The float64
+forward pass runs layer by layer over all calibration batches, so each
+affine map is applied once per batch.
 """
 
 from __future__ import annotations
@@ -57,22 +59,6 @@ class PooledStats:
         self.update(batch.mean(axis=0), batch.var(axis=0), batch.shape[0])
 
 
-def _pre_bn_activation(ckpt: WeightCheckpoint, batch: np.ndarray, layer: int) -> np.ndarray:
-    """Eval-mode forward up to (and including) the affine map of `layer`."""
-    arch = ckpt.arch
-    act, _ = ACTIVATIONS[arch.activation]
-    z = np.asarray(batch, dtype=np.float64)
-    for l in range(layer + 1):
-        a = z @ ckpt.weights[l].T.astype(np.float64) + ckpt.biases[l].astype(np.float64)
-        if l == layer:
-            return a
-        if arch.has_bn(l):
-            st = ckpt.bn[l]
-            a = st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS) + st.beta
-        z = act(a)
-    raise AssertionError("unreachable")
-
-
 def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
                 calib_fraction: float = 1.0) -> WeightCheckpoint:
     """Return a copy of `ckpt` with BN running statistics recomputed.
@@ -93,14 +79,28 @@ def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
         return out
     n_use = max(1, int(round(calib_fraction * data.features.shape[0])))
     features = data.features[:n_use]
-    for layer in sorted(out.bn):
-        stats = PooledStats.zeros(out.arch.layer_dims[layer + 1])
-        for start in range(0, n_use, batch_size):
-            acts = _pre_bn_activation(out, features[start:start + batch_size], layer)
-            stats.update_from_batch(acts)
-        st = out.bn[layer]
-        st.running_mean = stats.mean
-        st.running_var = stats.var
-        st.count = stats.count
+    arch = out.arch
+    act, _ = ACTIVATIONS[arch.activation]
+    # Layer-0 batches are views of the features; batches are replaced in
+    # place, so one layer's float64 activations are held at a time.
+    zs = [features[start:start + batch_size] for start in range(0, n_use, batch_size)]
+    for l in range(max(out.bn) + 1):
+        w = out.weights[l].T.astype(np.float64)
+        b = out.biases[l].astype(np.float64)
+        for i, z in enumerate(zs):
+            zs[i] = z.astype(np.float64, copy=False) @ w + b
+        st = out.bn[l] if arch.has_bn(l) else None
+        if st is not None:
+            stats = PooledStats.zeros(arch.layer_dims[l + 1])
+            for a in zs:
+                stats.update_from_batch(a)
+            st.running_mean = stats.mean
+            st.running_var = stats.var
+            st.count = stats.count
+        for i, a in enumerate(zs):
+            if st is not None:
+                a = (st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS)
+                     + st.beta)
+            zs[i] = act(a)
     assert BN_MOMENTUM == 0.1  # EMA resumes at the documented momentum
     return out

@@ -2,66 +2,47 @@
 
 The schema is closed — unknown sections or keys are rejected so a typo'd
 config fails loudly instead of silently using a default. Values are plain
-scalars or comma-separated lists; booleans are 0/1.
+scalars or comma-separated lists; booleans are 0/1. A key left out takes
+the default of the dataclass field it sets (`RunConfig`, `DataConfig`,
+`TrainHyper`, `FlowConfig`, `ArchitectureSpec`); the defaults are stated
+there and nowhere else.
 
-Schema (defaults in parentheses):
+Keys by section (choices after a colon):
 
-    [run]        task (iris) | mnist | blobs; out_dir (run); seed (0)
-    [data]       test_fraction (0.2); limit (0 = all);
-                 mnist_train_images/mnist_train_labels/
-                 mnist_test_images/mnist_test_labels (paths);
-                 blobs_classes (3); blobs_per_class (50); blobs_dim (4);
-                 blobs_spread (1.0)
-    [arch]       layer_dims (4,16,3); activation (relu); bn (per hidden
-                 layer, e.g. 0,0 — single value broadcasts)
-    [population] size (50); base_seed (100); optimizer (adam);
-                 learning_rate (1e-3); weight_decay (0); batch_size (16);
-                 epochs (100); init (kaiming)
-    [canonicalize] mode (rebasin) | off; reference_index (0); max_iter (100)
-    [pca]        mode (off) | standard | incremental | dual;
-                 latent_dim (0 = min(n-1, 99)); micro_batch (16);
-                 exact_eigen (0); batch_rows (16)
-    [flow]       hidden_dim (256); time_embed_dim (4); dropout (0.1);
-                 noise_scale (0.001); source_std (0.01);
-                 time_distribution (uniform) | beta; time_beta (2,5);
-                 iterations (30000); batch_size (8); learning_rate (5e-4);
-                 weight_decay (1e-5); beta1 (0.9); beta2 (0.95);
-                 lr_min (1e-6); integration_steps (100)
-    [generate]   count (50); recalibrate_bn (1); calib_fraction (1.0)
-    [metrics]    iou (1); distances (1)
+    [run]        task: iris | mnist | blobs; out_dir; seed
+    [data]       test_fraction; limit (0 = all); mnist_train_images,
+                 mnist_train_labels, mnist_test_images, mnist_test_labels
+                 (paths); blobs_classes; blobs_per_class; blobs_dim;
+                 blobs_spread
+    [arch]       layer_dims; activation; bn (one 0/1 flag per hidden layer;
+                 a single value broadcasts)
+    [population] size; base_seed; optimizer: adam | adamw | sgd;
+                 learning_rate; weight_decay; batch_size; epochs;
+                 init: kaiming | xavier | normal | uniform | kaiming_zero_bias
+    [canonicalize] mode: rebasin | off; reference_index; max_iter
+    [pca]        mode: off | standard | incremental | dual;
+                 latent_dim (0 = min(n-1, 99)); micro_batch; exact_eigen;
+                 batch_rows
+    [flow]       hidden_dim; time_embed_dim; dropout; noise_scale;
+                 source_std; time_distribution: uniform | beta; time_beta;
+                 iterations; batch_size; learning_rate; weight_decay; beta1;
+                 beta2; lr_min; integration_steps
+    [generate]   count; recalibrate_bn; calib_fraction
+    [metrics]    iou; distances
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .flow import FlowConfig
-from .nn_core import INIT_SCHEMES, ArchitectureSpec, TrainHyper
+from .flow import TIME_DISTRIBUTIONS, FlowConfig
+from .nn_core import INIT_SCHEMES, OPTIMIZERS, ArchitectureSpec, TrainHyper
 
 TASKS = ("iris", "mnist", "blobs")
 CANON_MODES = ("off", "rebasin")
 PCA_MODES = ("off", "standard", "incremental", "dual")
-
-_SCHEMA = {
-    "run": {"task", "out_dir", "seed"},
-    "data": {"test_fraction", "limit",
-             "mnist_train_images", "mnist_train_labels",
-             "mnist_test_images", "mnist_test_labels",
-             "blobs_classes", "blobs_per_class", "blobs_dim", "blobs_spread"},
-    "arch": {"layer_dims", "activation", "bn"},
-    "population": {"size", "base_seed", "optimizer", "learning_rate",
-                   "weight_decay", "batch_size", "epochs", "init"},
-    "canonicalize": {"mode", "reference_index", "max_iter"},
-    "pca": {"mode", "latent_dim", "micro_batch", "exact_eigen", "batch_rows"},
-    "flow": {"hidden_dim", "time_embed_dim", "dropout", "noise_scale",
-             "source_std", "time_distribution", "time_beta", "iterations",
-             "batch_size", "learning_rate", "weight_decay", "beta1", "beta2",
-             "lr_min", "integration_steps"},
-    "generate": {"count", "recalibrate_bn", "calib_fraction"},
-    "metrics": {"iou", "distances"},
-}
 
 
 @dataclass(frozen=True)
@@ -85,7 +66,7 @@ class RunConfig:
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     arch: ArchitectureSpec = field(
-        default_factory=lambda: ArchitectureSpec((4, 16, 3), "relu"))
+        default_factory=lambda: ArchitectureSpec((4, 16, 3)))
     population_size: int = 50
     base_seed: int = 100
     train_hyper: TrainHyper = field(default_factory=TrainHyper)
@@ -141,6 +122,75 @@ def _choice(options):
     return conv
 
 
+def _same_names(cls, *skip) -> dict:
+    return {f.name: (cls, f.name) for f in fields(cls) if f.name not in skip}
+
+
+def _run_fields(**keys) -> dict:
+    return {key: (RunConfig, name) for key, name in keys.items()}
+
+
+# [section] key -> (dataclass, field the key sets). A key's parser follows
+# the field's annotation, or its choices below.
+_KEYS = {
+    "run": _run_fields(task="task", out_dir="out_dir", seed="seed"),
+    "data": _same_names(DataConfig),
+    "population": {**_run_fields(size="population_size", base_seed="base_seed",
+                                 init="init_scheme"),
+                   **_same_names(TrainHyper, "seed")},
+    "canonicalize": _run_fields(mode="canonicalize_mode",
+                                reference_index="reference_index",
+                                max_iter="canonicalize_max_iter"),
+    "pca": _run_fields(mode="pca_mode", latent_dim="latent_dim",
+                       micro_batch="pca_micro_batch",
+                       exact_eigen="pca_exact_eigen", batch_rows="pca_batch_rows"),
+    "flow": _same_names(FlowConfig, "input_dim", "betas"),
+    "generate": _run_fields(count="generate_count", recalibrate_bn="recalibrate_bn",
+                            calib_fraction="calib_fraction"),
+    "metrics": _run_fields(iou="metrics_iou", distances="metrics_distances"),
+}
+_CHOICES = {"task": TASKS, "optimizer": OPTIMIZERS, "init_scheme": INIT_SCHEMES,
+            "canonicalize_mode": CANON_MODES, "pca_mode": PCA_MODES,
+            "time_distribution": TIME_DISTRIBUTIONS}
+_PARSERS = {"bool": _bool, "int": int, "float": float, "str": str,
+            "tuple": _float_list}
+
+_SCHEMA = {section: set(keys) for section, keys in _KEYS.items()}
+_SCHEMA["arch"] = {"layer_dims", "activation", "bn"}
+_SCHEMA["flow"] |= {"beta1", "beta2"}
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _parser(cls, name):
+    if name in _CHOICES:
+        return _choice(_CHOICES[name])
+    return _PARSERS[next(f.type for f in fields(cls) if f.name == name)]
+
+
+def _parse_arch(section) -> ArchitectureSpec:
+    default = RunConfig().arch
+    layer_dims = _get(section, "layer_dims", _int_list, default.layer_dims)
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ConfigError(f"invalid layer_dims {layer_dims}")
+    n_hidden = len(layer_dims) - 2
+    bn = _get(section, "bn", _int_list, None)
+    if bn is not None:
+        if len(bn) == 1:
+            bn = bn * n_hidden
+        if len(bn) != n_hidden or any(v not in (0, 1) for v in bn):
+            raise ConfigError(f"bn must give one 0/1 flag per hidden layer, got {bn}")
+        bn = tuple(bool(v) for v in bn)
+    try:
+        return ArchitectureSpec(layer_dims,
+                                _get(section, "activation", str, default.activation),
+                                bn)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid architecture: {exc}") from exc
+
+
 def parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -161,98 +211,22 @@ def parse_config(path) -> RunConfig:
     def sec(name):
         return parser[name] if parser.has_section(name) else {}
 
-    run = sec("run")
-    data_s = sec("data")
-    arch_s = sec("arch")
-    pop = sec("population")
-    canon = sec("canonicalize")
-    pca = sec("pca")
-    flow_s = sec("flow")
-    gen = sec("generate")
-    met = sec("metrics")
+    kwargs = {RunConfig: {}, DataConfig: {}, TrainHyper: {}, FlowConfig: {}}
+    for name, keys in _KEYS.items():
+        section = sec(name)
+        for key, (cls, fname) in keys.items():
+            if key in section:
+                kwargs[cls][fname] = _get(section, key, _parser(cls, fname), None)
 
-    data = DataConfig(
-        test_fraction=_get(data_s, "test_fraction", float, 0.2),
-        limit=_get(data_s, "limit", int, 0),
-        mnist_train_images=_get(data_s, "mnist_train_images", str, ""),
-        mnist_train_labels=_get(data_s, "mnist_train_labels", str, ""),
-        mnist_test_images=_get(data_s, "mnist_test_images", str, ""),
-        mnist_test_labels=_get(data_s, "mnist_test_labels", str, ""),
-        blobs_classes=_get(data_s, "blobs_classes", int, 3),
-        blobs_per_class=_get(data_s, "blobs_per_class", int, 50),
-        blobs_dim=_get(data_s, "blobs_dim", int, 4),
-        blobs_spread=_get(data_s, "blobs_spread", float, 1.0),
-    )
+    flow = {k: v for k, v in _defaults(FlowConfig).items() if k != "input_dim"}
+    flow.update(kwargs[FlowConfig])
+    beta1, beta2 = flow["betas"]
+    flow["betas"] = (_get(sec("flow"), "beta1", float, beta1),
+                     _get(sec("flow"), "beta2", float, beta2))
 
-    layer_dims = _get(arch_s, "layer_dims", _int_list, (4, 16, 3))
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError(f"invalid layer_dims {layer_dims}")
-    n_hidden = len(layer_dims) - 2
-    bn = _get(arch_s, "bn", _int_list, (0,) * max(n_hidden, 1))
-    if len(bn) == 1:
-        bn = bn * n_hidden
-    if len(bn) != n_hidden or any(v not in (0, 1) for v in bn):
-        raise ConfigError(f"bn must give one 0/1 flag per hidden layer, got {bn}")
-    try:
-        arch = ArchitectureSpec(layer_dims,
-                                _get(arch_s, "activation", str, "relu"),
-                                tuple(bool(v) for v in bn))
-    except Exception as exc:
-        raise ConfigError(f"invalid architecture: {exc}") from exc
-
-    hyper = TrainHyper(
-        optimizer=_get(pop, "optimizer", _choice(("adam", "adamw", "sgd")), "adam"),
-        learning_rate=_get(pop, "learning_rate", float, 1e-3),
-        weight_decay=_get(pop, "weight_decay", float, 0.0),
-        batch_size=_get(pop, "batch_size", int, 16),
-        epochs=_get(pop, "epochs", int, 100),
-    )
-    init_scheme = _get(pop, "init", _choice(INIT_SCHEMES), "kaiming")
-
-    flow_kwargs = {
-        "hidden_dim": _get(flow_s, "hidden_dim", int, 256),
-        "time_embed_dim": _get(flow_s, "time_embed_dim", int, 4),
-        "dropout": _get(flow_s, "dropout", float, 0.1),
-        "noise_scale": _get(flow_s, "noise_scale", float, 0.001),
-        "source_std": _get(flow_s, "source_std", float, 0.01),
-        "time_distribution": _get(flow_s, "time_distribution",
-                                  _choice(("uniform", "beta")), "uniform"),
-        "time_beta": _get(flow_s, "time_beta", _float_list, (2.0, 5.0)),
-        "iterations": _get(flow_s, "iterations", int, 30000),
-        "batch_size": _get(flow_s, "batch_size", int, 8),
-        "learning_rate": _get(flow_s, "learning_rate", float, 5e-4),
-        "weight_decay": _get(flow_s, "weight_decay", float, 1e-5),
-        "betas": (_get(flow_s, "beta1", float, 0.9),
-                  _get(flow_s, "beta2", float, 0.95)),
-        "lr_min": _get(flow_s, "lr_min", float, 1e-6),
-        "integration_steps": _get(flow_s, "integration_steps", int, 100),
-    }
-
-    cfg = RunConfig(
-        task=_get(run, "task", _choice(TASKS), "iris"),
-        out_dir=_get(run, "out_dir", str, "run"),
-        seed=_get(run, "seed", int, 0),
-        data=data,
-        arch=arch,
-        population_size=_get(pop, "size", int, 50),
-        base_seed=_get(pop, "base_seed", int, 100),
-        train_hyper=hyper,
-        init_scheme=init_scheme,
-        canonicalize_mode=_get(canon, "mode", _choice(CANON_MODES), "rebasin"),
-        reference_index=_get(canon, "reference_index", int, 0),
-        canonicalize_max_iter=_get(canon, "max_iter", int, 100),
-        pca_mode=_get(pca, "mode", _choice(PCA_MODES), "off"),
-        latent_dim=_get(pca, "latent_dim", int, 0),
-        pca_micro_batch=_get(pca, "micro_batch", int, 16),
-        pca_exact_eigen=_get(pca, "exact_eigen", _bool, False),
-        pca_batch_rows=_get(pca, "batch_rows", int, 16),
-        flow=flow_kwargs,
-        generate_count=_get(gen, "count", int, 50),
-        recalibrate_bn=_get(gen, "recalibrate_bn", _bool, True),
-        calib_fraction=_get(gen, "calib_fraction", float, 1.0),
-        metrics_iou=_get(met, "iou", _bool, True),
-        metrics_distances=_get(met, "distances", _bool, True),
-    )
+    data = DataConfig(**kwargs[DataConfig])
+    cfg = RunConfig(**kwargs[RunConfig], data=data, arch=_parse_arch(sec("arch")),
+                    train_hyper=TrainHyper(**kwargs[TrainHyper]), flow=flow)
     if cfg.population_size < 1:
         raise ConfigError("population size must be >= 1")
     if cfg.generate_count < 0:

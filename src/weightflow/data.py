@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._iris_data import IRIS_ROWS
+from .checkpoint_io import _read_exact
 from .errors import ArgumentError, DataError
 from .rng import make_rng
 
@@ -80,15 +81,6 @@ def load_iris(test_fraction: float = 0.2, seed: int = 0):
     )
 
 
-def _read_exact(f, count, path, what):
-    data = f.read(count)
-    if len(data) != count:
-        raise DataError(
-            f"{path}: truncated while reading {what} at byte offset {f.tell() - len(data)}"
-        )
-    return data
-
-
 def load_idx(images_path, labels_path, limit: int | None = None) -> LabeledDataset:
     """Read an IDX image/label file pair (big-endian MNIST format).
 
@@ -130,13 +122,3 @@ def make_blobs(num_classes: int = 3, per_class: int = 50, d: int = 4,
         features[block] = centers[c] + rng.normal(0.0, spread, size=(per_class, d))
         labels[block] = c
     return _stratified_split(features, labels, test_fraction, seed)
-
-
-def export_csv(data: LabeledDataset, path) -> None:
-    """Debug CSV: header row, features then label, comma separated."""
-    d = data.features.shape[1]
-    header = ",".join(f"f{i}" for i in range(d)) + ",label"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for row, lab in zip(data.features, data.labels):
-            f.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")

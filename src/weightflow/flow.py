@@ -1,12 +1,12 @@
 """Flow matching over flat weight vectors (or PCA latents).
 
 The vector field is a time-conditioned MLP: a scalar time is embedded by a
-two-layer GELU MLP, concatenated with the state (and an optional class
-embedding), and passed through a trunk of [d_h, d_h/2, d_h] hidden layers
-with LayerNorm, GELU, and dropout, ending in an affine map back to the
-state dimension. Training regresses the field onto straight-line
-displacements between Gaussian source draws and population vectors;
-sampling integrates the learned field with fixed-step RK4.
+two-layer GELU MLP, concatenated with the state, and passed through a trunk
+of [d_h, d_h/2, d_h] hidden layers with LayerNorm, GELU, and dropout, ending
+in an affine map back to the state dimension. Training regresses the field
+onto straight-line displacements between Gaussian source draws and
+population vectors; sampling integrates the learned field with fixed-step
+RK4.
 
 All parameters and arithmetic are float64 internally so analytic gradients
 can be checked against central finite differences; serialization stores
@@ -15,19 +15,22 @@ float32.
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .activations import gelu, gelu_grad
-from .errors import ArgumentError, ConfigError, IntegrationError, TrainingDivergedError
+from .checkpoint_io import _expect_end, _read_exact, _read_header, _read_text
+from .errors import (ArgumentError, ConfigError, DataError, IntegrationError,
+                     TrainingDivergedError)
+from .nn_core import _Adam
 from .rng import make_rng
 
 LN_EPS = 1e-5
 FLOW_MAGIC = b"DWFF"
 FLOW_VERSION = 1
+TIME_DISTRIBUTIONS = ("uniform", "beta")
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,13 @@ class FlowConfig:
     betas: tuple = (0.9, 0.95)
     lr_min: float = 1e-6
     integration_steps: int = 100
-    num_classes: int = 0             # 0 = unconditional
 
     def __post_init__(self):
         if self.noise_scale <= 0 or self.source_std <= 0:
             raise ConfigError("noise_scale and source_std must be > 0")
         if self.iterations < 1 or self.integration_steps < 1:
             raise ConfigError("iterations and integration_steps must be >= 1")
-        if self.time_distribution not in ("uniform", "beta"):
+        if self.time_distribution not in TIME_DISTRIBUTIONS:
             raise ConfigError(f"unknown time distribution {self.time_distribution!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
@@ -64,13 +66,8 @@ class FlowConfig:
         return (self.hidden_dim, self.hidden_dim // 2, self.hidden_dim)
 
     @property
-    def conditional(self) -> bool:
-        return self.num_classes > 0
-
-    @property
     def trunk_input_dim(self) -> int:
-        extra = self.time_embed_dim * (2 if self.conditional else 1)
-        return self.input_dim + extra
+        return self.input_dim + self.time_embed_dim
 
 
 def _param_layout(cfg: FlowConfig):
@@ -80,12 +77,6 @@ def _param_layout(cfg: FlowConfig):
         ("time.w1", (dt, 1)), ("time.b1", (dt,)),
         ("time.w2", (dt, dt)), ("time.b2", (dt,)),
     ]
-    if cfg.conditional:
-        layout += [
-            ("cls.table", (cfg.num_classes, dt)),
-            ("cls.w1", (dt, dt)), ("cls.b1", (dt,)),
-            ("cls.w2", (dt, dt)), ("cls.b2", (dt,)),
-        ]
     d_in = cfg.trunk_input_dim
     for i, d_out in enumerate(cfg.trunk_dims):
         layout += [
@@ -103,22 +94,15 @@ class FlowModel:
     params: dict                      # name -> float64 array
     loss_history: list = field(default_factory=list, repr=False)
 
-    def copy(self) -> "FlowModel":
-        return FlowModel(self.config, {k: v.copy() for k, v in self.params.items()},
-                         list(self.loss_history))
-
 
 def init_flow_model(cfg: FlowConfig, seed: int = 0) -> FlowModel:
     rng = make_rng(seed, "flow-init")
     params = {}
     for name, shape in _param_layout(cfg):
-        if name == "cls.table":
-            params[name] = 0.02 * rng.standard_normal(shape)
-        elif name.startswith(("trunk.ln_g",)):
+        kind = name.split(".")[-1]
+        if kind.startswith("ln_g"):
             params[name] = np.ones(shape)
-        elif name.startswith(("trunk.ln_b",)):
-            params[name] = np.zeros(shape)
-        elif name.endswith((".b1", ".b2")) or name.split(".")[-1].startswith("b"):
+        elif kind.startswith(("ln_b", "b")):
             params[name] = np.zeros(shape)
         else:  # weight matrices: He-style fan-in scaling
             fan_in = shape[1]
@@ -126,29 +110,27 @@ def init_flow_model(cfg: FlowConfig, seed: int = 0) -> FlowModel:
     return FlowModel(cfg, params)
 
 
-def _embed_mlp_forward(p, prefix, x):
-    h1 = x @ p[f"{prefix}.w1"].T + p[f"{prefix}.b1"]
+def _time_embed_forward(p, t):
+    h1 = t @ p["time.w1"].T + p["time.b1"]
     a1 = gelu(h1)
-    out = a1 @ p[f"{prefix}.w2"].T + p[f"{prefix}.b2"]
-    return out, (x, h1, a1)
+    out = a1 @ p["time.w2"].T + p["time.b2"]
+    return out, (t, h1, a1)
 
 
-def _embed_mlp_backward(p, prefix, cache, d_out, grads):
-    x, h1, a1 = cache
-    grads[f"{prefix}.w2"] += d_out.T @ a1
-    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
-    da1 = d_out @ p[f"{prefix}.w2"]
+def _time_embed_backward(p, cache, d_out, grads):
+    t, h1, a1 = cache
+    grads["time.w2"] += d_out.T @ a1
+    grads["time.b2"] += d_out.sum(axis=0)
+    da1 = d_out @ p["time.w2"]
     dh1 = da1 * gelu_grad(h1)
-    grads[f"{prefix}.w1"] += dh1.T @ x
-    grads[f"{prefix}.b1"] += dh1.sum(axis=0)
-    return dh1 @ p[f"{prefix}.w1"]
+    grads["time.w1"] += dh1.T @ t
+    grads["time.b1"] += dh1.sum(axis=0)
 
 
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
-                 class_ids: np.ndarray | None = None,
                  dropout_masks: list | None = None,
                  want_cache: bool = False):
-    """Evaluate the vector field v(x, t[, class]).
+    """Evaluate the vector field v(x, t).
 
     `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
     training mode; None means deterministic evaluation.
@@ -161,17 +143,9 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
-    if cfg.conditional != (class_ids is not None):
-        raise ArgumentError("class_ids required iff the model is conditional")
 
-    t_emb, t_cache = _embed_mlp_forward(p, "time", t)
-    parts = [x, t_emb]
-    c_cache = None
-    if cfg.conditional:
-        table_rows = p["cls.table"][class_ids]
-        c_emb, c_cache = _embed_mlp_forward(p, "cls", table_rows)
-        parts.append(c_emb)
-    h = np.concatenate(parts, axis=1)
+    t_emb, t_cache = _time_embed_forward(p, t)
+    h = np.concatenate([x, t_emb], axis=1)
 
     trunk_caches = []
     for i in range(len(cfg.trunk_dims)):
@@ -191,7 +165,7 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
     v = h @ p["out.w"].T + p["out.b"]
     if not want_cache:
         return v
-    return v, (x, t, t_cache, c_cache, class_ids, trunk_caches, h)
+    return v, (t_cache, trunk_caches, h)
 
 
 def flow_backward(model: FlowModel, cache, dv: np.ndarray,
@@ -199,7 +173,7 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
     """Parameter gradients given upstream dL/dv."""
     cfg = model.config
     p = model.params
-    x, t, t_cache, c_cache, class_ids, trunk_caches, last_h = cache
+    t_cache, trunk_caches, last_h = cache
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
 
     grads["out.w"] += dv.T @ last_h
@@ -224,19 +198,12 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
         grads[f"trunk.b{i}"] += dpre.sum(axis=0)
         dh = dpre @ p[f"trunk.w{i}"]
 
-    d = cfg.input_dim
-    dt_emb = dh[:, d:d + cfg.time_embed_dim]
-    _embed_mlp_backward(p, "time", t_cache, dt_emb, grads)
-    if cfg.conditional:
-        dc_emb = dh[:, d + cfg.time_embed_dim:]
-        d_table_rows = _embed_mlp_backward(p, "cls", c_cache, dc_emb, grads)
-        np.add.at(grads["cls.table"], class_ids, d_table_rows)
+    _time_embed_backward(p, t_cache, dh[:, cfg.input_dim:], grads)
     return grads
 
 
 def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                       t: np.ndarray, eps: np.ndarray,
-                      class_ids: np.ndarray | None = None,
                       dropout_masks: list | None = None):
     """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients.
 
@@ -245,7 +212,7 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     t_col = t.reshape(-1, 1)
     x_t = (1.0 - t_col) * x0 + t_col * x1 + eps
     u = x1 - x0
-    v, cache = flow_forward(model, x_t, t, class_ids, dropout_masks, want_cache=True)
+    v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True)
     diff = v - u
     loss = float(np.mean(diff * diff))
     dv = 2.0 * diff / diff.size
@@ -253,34 +220,11 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     return loss, grads
 
 
-class _AdamW:
-    def __init__(self, cfg: FlowConfig):
-        self.cfg = cfg
-        self.m = {}
-        self.v = {}
-        self.t = 0
-
-    def lr_at(self, step: int) -> float:
-        cfg = self.cfg
-        frac = step / max(1, cfg.iterations)
-        return cfg.lr_min + 0.5 * (cfg.learning_rate - cfg.lr_min) * (
-            1.0 + np.cos(np.pi * min(1.0, frac)))
-
-    def step(self, params: dict, grads: dict):
-        cfg = self.cfg
-        b1, b2 = cfg.betas
-        self.t += 1
-        lr = self.lr_at(self.t - 1)
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
-            p -= lr * (mhat / (np.sqrt(vhat) + 1e-8) + cfg.weight_decay * p)
+def _cosine_lr(cfg: FlowConfig, step: int) -> float:
+    """Learning rate of optimizer step `step` (0-based): cosine decay to lr_min."""
+    frac = step / max(1, cfg.iterations)
+    return cfg.lr_min + 0.5 * (cfg.learning_rate - cfg.lr_min) * (
+        1.0 + np.cos(np.pi * min(1.0, frac)))
 
 
 def _sample_time(cfg: FlowConfig, rng, size: int) -> np.ndarray:
@@ -297,8 +241,8 @@ def _dropout_masks(cfg: FlowConfig, rng, batch: int):
     return [rng.binomial(1, keep, size=(batch, d)) / keep for d in cfg.trunk_dims]
 
 
-def fm_training_step(model: FlowModel, optimizer: _AdamW, x1: np.ndarray,
-                     rngs: dict, class_ids: np.ndarray | None = None) -> float:
+def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
+                     rngs: dict) -> float:
     """One optimizer step on a batch of target vectors; returns the loss."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
@@ -308,16 +252,16 @@ def fm_training_step(model: FlowModel, optimizer: _AdamW, x1: np.ndarray,
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
     masks = _dropout_masks(cfg, rngs["dropout"], b)
-    loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, class_ids, masks)
+    loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, masks)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
-    optimizer.step(model.params, grads)
+    optimizer.step([grads[name] for name in model.params],
+                   _cosine_lr(cfg, optimizer.t))
     return loss
 
 
-def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0,
-               labels: np.ndarray | None = None) -> FlowModel:
+def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowModel:
     """Train the vector field on a population of flat vectors.
 
     Deterministic given seed. The returned model is in evaluation mode
@@ -329,17 +273,10 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0,
     if population.shape[1] != cfg.input_dim:
         raise ArgumentError(
             f"population dim {population.shape[1]} != config input_dim {cfg.input_dim}")
-    if cfg.conditional:
-        if labels is None:
-            raise ArgumentError("conditional config requires labels")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (population.shape[0],):
-            raise ArgumentError("labels must align with population rows")
-        if labels.min() < 0 or labels.max() >= cfg.num_classes:
-            raise ArgumentError("label out of range")
 
     model = init_flow_model(cfg, seed)
-    optimizer = _AdamW(cfg)
+    optimizer = _Adam(list(model.params.values()), cfg.betas,
+                      cfg.weight_decay, decoupled=True)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -350,8 +287,7 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0,
     n = population.shape[0]
     for _ in range(cfg.iterations):
         idx = rngs["batch"].integers(0, n, size=min(cfg.batch_size, n))
-        cls = labels[idx] if cfg.conditional else None
-        loss = fm_training_step(model, optimizer, population[idx], rngs, cls)
+        loss = fm_training_step(model, optimizer, population[idx], rngs)
         model.loss_history.append(loss)
     return model
 
@@ -375,24 +311,18 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
     return x
 
 
-def sample(model: FlowModel, count: int, seed: int = 0,
-           class_id: int | None = None) -> np.ndarray:
+def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` vectors by integrating the field from Gaussian noise."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
-    if cfg.conditional and class_id is None:
-        raise ArgumentError("class_id required for a conditional model")
     if count == 0:
         return np.zeros((0, cfg.input_dim))
     rng = make_rng(seed, "sample")
     x0 = rng.normal(0.0, cfg.source_std, size=(count, cfg.input_dim))
-    cls = None
-    if cfg.conditional:
-        cls = np.full(count, class_id, dtype=np.int64)
 
     def field(x, t):
-        return flow_forward(model, x, np.full(x.shape[0], t), cls)
+        return flow_forward(model, x, np.full(x.shape[0], t))
 
     return rk4_integrate(field, x0, cfg.integration_steps)
 
@@ -402,33 +332,27 @@ def sample(model: FlowModel, count: int, seed: int = 0,
 # layout order.
 
 
+# FlowConfig field type -> parser of the value text written by _config_block.
+_FROM_TEXT = {"int": int, "float": float, "str": lambda v: v.strip("'\""),
+              "tuple": lambda v: tuple(float(x) for x in v.split(","))}
+
+
 def _config_block(cfg: FlowConfig) -> str:
-    lines = []
-    for key in ("input_dim", "hidden_dim", "time_embed_dim", "dropout",
-                "noise_scale", "source_std", "time_distribution", "iterations",
-                "batch_size", "learning_rate", "weight_decay", "lr_min",
-                "integration_steps", "num_classes"):
-        lines.append(f"{key}={getattr(cfg, key)!r}")
-    lines.append(f"time_beta={cfg.time_beta[0]!r},{cfg.time_beta[1]!r}")
-    lines.append(f"betas={cfg.betas[0]!r},{cfg.betas[1]!r}")
+    """One key=value line per FlowConfig field, scalars first, then pairs."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    lines = [f"{k}={v!r}" for k, v in values.items() if not isinstance(v, tuple)]
+    lines += [f"{k}=" + ",".join(repr(x) for x in v)
+              for k, v in values.items() if isinstance(v, tuple)]
     return "\n".join(lines) + "\n"
 
 
 def _parse_config_block(text: str) -> FlowConfig:
-    kv = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        kv[key] = val
-    ints = ("input_dim", "hidden_dim", "time_embed_dim", "iterations",
-            "batch_size", "integration_steps", "num_classes")
-    floats = ("dropout", "noise_scale", "source_std", "learning_rate",
-              "weight_decay", "lr_min")
-    kwargs = {k: int(kv[k]) for k in ints}
-    kwargs.update({k: float(kv[k]) for k in floats})
-    kwargs["time_distribution"] = kv["time_distribution"].strip("'\"")
-    kwargs["time_beta"] = tuple(float(v) for v in kv["time_beta"].split(","))
-    kwargs["betas"] = tuple(float(v) for v in kv["betas"].split(","))
-    return FlowConfig(**kwargs)
+    try:
+        kv = dict(line.split("=", 1) for line in text.strip().splitlines())
+        return FlowConfig(**{f.name: _FROM_TEXT[f.type](kv[f.name])
+                             for f in fields(FlowConfig)})
+    except (KeyError, ValueError, TypeError, ConfigError) as exc:
+        raise DataError(f"malformed flow config block: {exc}") from exc
 
 
 def save_flow(model: FlowModel, path) -> None:
@@ -444,18 +368,11 @@ def save_flow(model: FlowModel, path) -> None:
 
 def load_flow(path) -> FlowModel:
     with open(path, "rb") as f:
-        if f.read(4) != FLOW_MAGIC:
-            raise ArgumentError(f"{path}: not a DWFF file")
-        version, = struct.unpack("<I", f.read(4))
-        if version != FLOW_VERSION:
-            raise ArgumentError(f"{path}: unsupported version {version}")
-        blob_len, = struct.unpack("<I", f.read(4))
-        cfg = _parse_config_block(f.read(blob_len).decode("utf-8"))
+        _read_header(f, path, FLOW_MAGIC, FLOW_VERSION)
+        cfg = _parse_config_block(_read_text(f, path, "config block"))
         params = {}
         for name, shape in _param_layout(cfg):
-            count = int(np.prod(shape))
-            raw = f.read(4 * count)
-            if len(raw) != 4 * count:
-                raise ArgumentError(f"{path}: truncated tensor {name}")
+            raw = _read_exact(f, 4 * int(np.prod(shape)), path, f"tensor {name}")
             params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        _expect_end(f, path)
     return FlowModel(cfg, params)

@@ -10,7 +10,7 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ArchitectureSpec:
     layer_dims: tuple
     activation: str = "relu"
     bn_layers: tuple = None  # per hidden layer; defaults to all-False
-    attention: AttentionSpec | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -296,6 +295,9 @@ def _backward(ckpt: WeightCheckpoint, caches, logits, labels, mode: str):
     return grads_w, grads_b, grads_bn
 
 
+OPTIMIZERS = ("adam", "adamw", "sgd")
+
+
 @dataclass(frozen=True)
 class TrainHyper:
     optimizer: str = "adam"
@@ -306,7 +308,7 @@ class TrainHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "adamw", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
@@ -315,22 +317,27 @@ class TrainHyper:
 
 
 class _Adam:
-    def __init__(self, params, lr, weight_decay, decoupled):
+    """Adam over a list of arrays, updated in place; the caller passes each
+    step's learning rate. Weight decay is added to the gradient (Adam) or,
+    with `decoupled`, to the update (AdamW). Used by both the population
+    networks and the flow model."""
+
+    def __init__(self, params, betas, weight_decay, decoupled):
         self.params = params
-        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = 1e-8
         self.wd = weight_decay
         self.decoupled = decoupled
-        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grads, lr):
         self.t += 1
         b1t = 1 - self.b1 ** self.t
         b2t = 1 - self.b2 ** self.t
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            g = g.astype(p.dtype)
+            g = g.astype(p.dtype, copy=False)
             if self.wd and not self.decoupled:
                 g = g + self.wd * p
             self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
@@ -338,20 +345,19 @@ class _Adam:
             update = (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
             if self.wd and self.decoupled:
                 update = update + self.wd * p
-            p -= (self.lr * update).astype(p.dtype)
+            p -= (lr * update).astype(p.dtype, copy=False)
 
 
 class _SGD:
-    def __init__(self, params, lr, weight_decay):
+    def __init__(self, params, weight_decay):
         self.params = params
-        self.lr = lr
         self.wd = weight_decay
 
-    def step(self, grads):
+    def step(self, grads, lr):
         for p, g in zip(self.params, grads):
             if self.wd:
                 g = g + self.wd * p
-            p -= (self.lr * g).astype(p.dtype)
+            p -= (lr * g).astype(p.dtype)
 
 
 def _trainable_tensors(ckpt: WeightCheckpoint):
@@ -385,9 +391,9 @@ def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
     ckpt = init_weights(arch, init_scheme, seed=hyper.seed)
     params = _trainable_tensors(ckpt)
     if hyper.optimizer == "sgd":
-        opt = _SGD(params, hyper.learning_rate, hyper.weight_decay)
+        opt = _SGD(params, hyper.weight_decay)
     else:
-        opt = _Adam(params, hyper.learning_rate, hyper.weight_decay,
+        opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
                     decoupled=(hyper.optimizer == "adamw"))
 
     rng = make_rng(hyper.seed, "shuffle")
@@ -404,7 +410,7 @@ def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
             gw, gb, gbn = _backward(ckpt, caches, logits, y[idx], "train")
-            opt.step(_gather_grads(ckpt, gw, gb, gbn))
+            opt.step(_gather_grads(ckpt, gw, gb, gbn), hyper.learning_rate)
 
     eval_data = holdout if holdout is not None else data
     ckpt.metric = evaluate(ckpt, eval_data).accuracy

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint_io import _expect_end, _read_exact, _read_header
 from .errors import ArgumentError, ShapeError
 from .rng import make_rng
 
@@ -237,13 +238,12 @@ def save_pca(model: PcaModel, path) -> None:
 
 def load_pca(path) -> PcaModel:
     with open(path, "rb") as f:
-        if f.read(4) != PCA_MAGIC:
-            raise ArgumentError(f"{path}: not a DWFP file")
-        version, n, d, k = struct.unpack("<IQQQ", f.read(28))
-        if version != PCA_VERSION:
-            raise ArgumentError(f"{path}: unsupported version {version}")
-        mean = np.frombuffer(f.read(8 * d), dtype="<f8")
-        comps = np.frombuffer(f.read(8 * d * k), dtype="<f8").reshape(d, k, order="F")
-        eig = np.frombuffer(f.read(8 * k), dtype="<f8")
+        _read_header(f, path, PCA_MAGIC, PCA_VERSION)
+        n, d, k = struct.unpack("<QQQ", _read_exact(f, 24, path, "shape"))
+        mean = np.frombuffer(_read_exact(f, 8 * d, path, "mean"), dtype="<f8")
+        comps = np.frombuffer(_read_exact(f, 8 * d * k, path, "components"),
+                              dtype="<f8").reshape(d, k, order="F")
+        eig = np.frombuffer(_read_exact(f, 8 * k, path, "eigenvalues"), dtype="<f8")
+        _expect_end(f, path)
     return PcaModel(mean=mean.copy(), components=comps.copy(),
                     eigenvalues=eig.copy(), n_samples=n)

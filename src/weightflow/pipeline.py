@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pca as pca_mod
 from .bn_recalib import recalibrate
-from .canonicalize import weight_match
+from .canonicalize import canonicalize_population
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import load_idx, load_iris, make_blobs
@@ -152,19 +152,19 @@ def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
                        "canonicalize", "make-population")
     _, test = load_task_data(cfg)
     pop = load_population(pop_dir)
-    ref = pop[cfg.reference_index]
+    if cfg.canonicalize_mode == "off":
+        aligned_pop = pop
+    else:
+        aligned_pop = canonicalize_population(pop, cfg.reference_index,
+                                              cfg.canonicalize_max_iter)
     aligned_dir = os.path.join(out_dir, "aligned")
     os.makedirs(aligned_dir, exist_ok=True)
     rows = [("stage", "canonicalize"), ("mode", cfg.canonicalize_mode),
             ("reference_index", cfg.reference_index),
             ("input.population", sha256_file(
                 os.path.join(out_dir, "population.manifest")))]
-    for i, ckpt in enumerate(pop):
+    for i, (ckpt, aligned) in enumerate(zip(pop, aligned_pop)):
         acc_before = evaluate(ckpt, test).accuracy
-        if i == cfg.reference_index or cfg.canonicalize_mode == "off":
-            aligned = ckpt.copy()
-        else:
-            aligned = weight_match(ckpt, ref, cfg.canonicalize_max_iter).aligned
         acc_after = evaluate(aligned, test).accuracy
         name = f"ckpt_{i:04d}.dwfc"
         path = os.path.join(aligned_dir, name)
@@ -288,7 +288,8 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
         if os.path.isdir(gen_dir) else []
     generated = [load_checkpoint(os.path.join(gen_dir, n)) for n in gen_names]
 
-    orig_acc = np.array([evaluate(c, test).accuracy for c in originals])
+    orig_evals = [evaluate(c, test) for c in originals]
+    orig_acc = np.array([r.accuracy for r in orig_evals])
     rows = [("stage", "evaluate"),
             ("input.generate", sha256_file(gen_manifest)),
             ("original_count", len(originals)),
@@ -297,22 +298,21 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
             ("original_accuracy_std", f"{orig_acc.std():.6f}")]
 
     if generated:
-        gen_acc = np.array([evaluate(c, test).accuracy for c in generated])
+        gen_evals = [evaluate(c, test) for c in generated]
+        gen_acc = np.array([r.accuracy for r in gen_evals])
         rows += [("generated_accuracy_mean", f"{gen_acc.mean():.6f}"),
                  ("generated_accuracy_std", f"{gen_acc.std():.6f}")]
         if cfg.metrics_iou:
-            orig_sets = [wrong_set(evaluate(c, test).predictions, test.labels)
-                         for c in originals]
-            gen_sets = [wrong_set(evaluate(c, test).predictions, test.labels)
-                        for c in generated]
+            orig_sets = [wrong_set(r.predictions, test.labels) for r in orig_evals]
+            gen_sets = [wrong_set(r.predictions, test.labels) for r in gen_evals]
             result = max_iou(gen_sets, orig_sets)
             rows += [("max_iou_mean", f"{result.mean:.6f}"),
                      ("max_iou_std", f"{result.std:.6f}")]
             for i, (v, a) in enumerate(zip(result.per_query, gen_acc)):
                 rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
         if cfg.metrics_distances:
-            dd = distribution_distances(_population_matrix(originals),
-                                        _population_matrix(generated))
+            gen_matrix = _population_matrix(generated)
+            dd = distribution_distances(_population_matrix(originals), gen_matrix)
             rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
                      ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
                      ("cosine", f"{dd.cosine:.6f}"),
@@ -321,7 +321,7 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
                      ("nn_std", f"{dd.nn_std:.6f}")]
             if len(generated) > 1:
                 rows.append(("generated_min_pairwise_l2",
-                             f"{_min_pairwise_l2(generated):.6e}"))
+                             f"{_min_pairwise_l2(gen_matrix):.6e}"))
     else:
         rows.append(("note", "no generated networks; diversity metrics skipped"))
     path = os.path.join(out_dir, "metrics.txt")
@@ -329,11 +329,10 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
     return path
 
 
-def _min_pairwise_l2(generated) -> float:
-    m = _population_matrix(generated)
-    d = np.linalg.norm(m[:, None, :] - m[None, :, :], axis=-1)
-    iu = np.triu_indices(len(generated), k=1)
-    return float(d[iu].min())
+def _min_pairwise_l2(m: np.ndarray) -> float:
+    """Smallest L2 distance between two rows of m, one row at a time."""
+    return float(min(np.linalg.norm(m[i] - m[i + 1:], axis=1).min()
+                     for i in range(len(m) - 1)))
 
 
 def stage_report(cfg: RunConfig, out_dir) -> str:

@@ -27,3 +27,15 @@ def tiny_population(blobs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# Slice ends that cut a binary file short, and None for one appended byte.
+DAMAGE = [0, 3, 6, 10, 30, 40, 213, -1, None]
+
+
+@pytest.fixture(params=DAMAGE,
+                ids=lambda end: "append" if end is None else f"cut{end}")
+def damage(request):
+    """Maps a file's bytes to a truncated or over-long copy."""
+    end = request.param
+    return lambda blob: blob + b"\0" if end is None else blob[:end]

@@ -65,3 +65,11 @@ class TestErrors:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+    def test_damaged(self, tmp_path, damage):
+        arch = ArchitectureSpec((4, 8, 8, 3), "relu", (True, True))
+        path = tmp_path / "d.dwfc"
+        save_checkpoint(init_weights(arch, seed=0), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError):
+            load_checkpoint(path)

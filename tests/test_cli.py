@@ -1,11 +1,14 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from weightflow.cli import main
-from weightflow.config import parse_config
+from weightflow.config import DataConfig, RunConfig, parse_config
 from weightflow.errors import ConfigError
+from weightflow.flow import FlowConfig
+from weightflow.nn_core import TrainHyper
 from weightflow.pipeline import read_manifest
 
 QUICK = """\
@@ -49,6 +52,17 @@ class TestConfig:
         assert cfg.population_size == 50
         assert cfg.flow["hidden_dim"] == 256
 
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\ntask = iris\n")
+        cfg = parse_config(p)
+        for parsed, default in ((cfg, RunConfig()), (cfg.data, DataConfig()),
+                                (cfg.train_hyper, TrainHyper())):
+            for f in fields(default):
+                if f.name != "flow":  # FlowConfig kwargs, checked below
+                    assert getattr(parsed, f.name) == getattr(default, f.name), f.name
+        assert cfg.flow_config(7) == FlowConfig(input_dim=7)
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[run]\ntask = iris\nbogus = 1\n")
@@ -90,6 +104,18 @@ class TestExitCodes:
         assert main(["train-flow", "--config", cfg_path]) == 3
         err = capsys.readouterr().err
         assert "missing upstream artifact" in err and "train-flow" in err
+
+    @pytest.mark.parametrize("artifact,stage", [("pca.dwfp", "train-flow"),
+                                                ("flow.dwff", "generate")])
+    def test_truncated_artifact_is_3(self, tmp_path, capsys, artifact, stage):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUICK.format(out=out) + "\n[pca]\nmode = standard\n")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        path = out / artifact
+        path.write_bytes(path.read_bytes()[:30])
+        assert main([stage, "--config", str(cfg_path)]) == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_success_is_0(self, quick_cfg):
         cfg_path, _ = quick_cfg

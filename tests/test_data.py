@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow.data import (LabeledDataset, export_csv, load_idx, load_iris,
-                             make_blobs)
+from weightflow.data import LabeledDataset, load_idx, load_iris, make_blobs
 from weightflow.errors import ArgumentError, DataError
 
 
@@ -139,10 +138,3 @@ class TestDataset:
         feats = np.array([[np.nan, 1.0]], dtype=np.float32)
         with pytest.raises(ArgumentError):
             LabeledDataset(feats, np.zeros(1, dtype=np.int64))
-
-    def test_csv_export(self, tmp_path, blobs):
-        path = tmp_path / "out.csv"
-        export_csv(blobs[1], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f0,f1,f2,f3,label"
-        assert len(lines) == len(blobs[1]) + 1

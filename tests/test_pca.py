@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow.errors import ArgumentError, ShapeError
+from weightflow.errors import ArgumentError, DataError, ShapeError
 from weightflow.pca import (default_latent_dim, fit_dual, fit_incremental,
                             fit_standard, inverse_transform, load_pca,
                             save_pca, transform)
@@ -160,7 +160,14 @@ class TestSerialization:
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bad.dwfp"
         path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(ArgumentError):
+        with pytest.raises(DataError):
+            load_pca(path)
+
+    def test_damaged(self, tmp_path, rng, damage):
+        path = tmp_path / "d.dwfp"
+        save_pca(fit_standard(rng.normal(size=(12, 20)), 5), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError):
             load_pca(path)
 
     def test_deterministic_bytes(self, tmp_path, rng):
