@@ -1,6 +1,6 @@
 """Permutation-symmetry resolution.
 
-Contains an exact O(n^3) Hungarian solver with lexicographic tie-breaking,
+Contains scipy's exact linear assignment solver with lexicographic tie-breaking,
 generic permutation application driven by an explicit per-tensor axis map,
 coordinate-descent weight matching against a reference checkpoint, and
 two-level (inter-head / intra-head) alignment for toy attention blocks.
@@ -11,9 +11,13 @@ new[i] = old[p[i]].
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
+import scipy
 
 from .errors import ArgumentError, ShapeError
 from .nn_core import ArchitectureSpec, AttentionWeights, WeightCheckpoint
@@ -26,85 +30,33 @@ _TIE_TOL = 1e-9
 # Linear assignment
 
 
-def _hungarian_min(cost: np.ndarray):
-    """Shortest-augmenting-path Hungarian method on a square cost matrix.
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's linear_sum_assignment, from its compiled module when there is one.
 
-    Returns (row_to_col, u, v) where u, v are optimal dual potentials.
+    That module needs only numpy; importing scipy.optimize would also import
+    scipy.sparse, linalg and spatial, at 0.2 s and 21 MB of resident memory.
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row (1-based) matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            masked = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        row_to_col[p[j] - 1] = j - 1
-    return row_to_col, u[1:], v[1:]
+    optimize_dir = os.path.join(scipy.__path__[0], "optimize")
+    spec = machinery.PathFinder.find_spec("_lsap", [optimize_dir])
+    if spec is None or not isinstance(spec.loader, machinery.ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
 
 
 def _lap_max_value(score: np.ndarray) -> float:
-    perm, _, _ = _hungarian_min(-score)
-    return float(score[np.arange(len(perm)), perm].sum())
-
-
-def _lex_smallest_optimal(score: np.ndarray, optimum: float) -> np.ndarray:
-    """Lexicographically smallest permutation attaining the LAP optimum."""
-    n = score.shape[0]
-    tol = _TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
-    rows = list(range(n))
-    cols = list(range(n))
-    perm = np.empty(n, dtype=np.int64)
-    prefix = 0.0
-    for i in rows:
-        for j in cols:
-            rest_rows = [r for r in rows if r > i]
-            rest_cols = [c for c in cols if c != j]
-            cand = prefix + score[i, j]
-            if rest_rows:
-                cand += _lap_max_value(score[np.ix_(rest_rows, rest_cols)])
-            if cand >= optimum - tol:
-                perm[i] = j
-                prefix += score[i, j]
-                cols.remove(j)
-                break
-        else:  # numerically unreachable; fall back to best column
-            j = cols[0]
-            perm[i] = j
-            prefix += score[i, j]
-            cols.remove(j)
-    return perm
+    rows, cols = _linear_sum_assignment()(score, maximize=True)
+    return float(score[rows, cols].sum())
 
 
 def solve_lap_max(score: np.ndarray) -> np.ndarray:
     """Permutation pi maximizing sum_i score[i, pi[i]], exact.
 
-    Ties are broken toward the lexicographically smallest permutation.
+    Ties are broken toward the lexicographically smallest permutation: row
+    by row, take the first column that still admits an optimal completion.
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
@@ -114,15 +66,22 @@ def solve_lap_max(score: np.ndarray) -> np.ndarray:
     if not np.isfinite(score).all():
         raise ArgumentError("score contains non-finite entries")
     n = score.shape[0]
-    perm, u, v = _hungarian_min(-score)
-    value = float(score[np.arange(n), perm].sum())
-    # Optimum is unique iff the tight-edge graph admits exactly one perfect
-    # matching; a cheap sufficient condition is one tight edge per row.
-    slack = (-score) - u[:, None] - v[None, :]
-    tol = _TIE_TOL * max(1.0, np.abs(score).max())
-    if (slack <= tol).sum(axis=1).max() == 1:
-        return perm
-    return _lex_smallest_optimal(score, value)
+    optimum = _lap_max_value(score)
+    tol = _TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
+    cols = list(range(n))
+    perm = np.empty(n, dtype=np.int64)
+    prefix = 0.0
+    for i in range(n):
+        for j in cols:
+            rest = score[np.ix_(range(i + 1, n), [c for c in cols if c != j])]
+            if prefix + score[i, j] + _lap_max_value(rest) >= optimum - tol:
+                break
+        else:  # numerically unreachable; fall back to the first free column
+            j = cols[0]
+        perm[i] = j
+        prefix += score[i, j]
+        cols.remove(j)
+    return perm
 
 
 def solve_lap_min(cost: np.ndarray) -> np.ndarray:
@@ -159,10 +118,6 @@ class PermutationAssignment:
     def identity(cls, arch: ArchitectureSpec) -> "PermutationAssignment":
         return cls(tuple(np.arange(arch.layer_dims[l + 1])
                          for l in range(arch.num_hidden)))
-
-    def inverse(self) -> "PermutationAssignment":
-        return PermutationAssignment(tuple(invert_permutation(p)
-                                           for p in self.layer_perms))
 
     def is_identity(self) -> bool:
         return all((p == np.arange(len(p))).all() for p in self.layer_perms)
@@ -369,12 +324,6 @@ class AttentionAssignment:
         intra = tuple(self.intra[later.inter[i]][later.intra[i]]
                       for i in range(len(self.inter)))
         return AttentionAssignment(inter, intra)
-
-    def inverse(self) -> "AttentionAssignment":
-        inv_inter = invert_permutation(self.inter)
-        intra = tuple(invert_permutation(self.intra[inv_inter[i]])
-                      for i in range(len(self.inter)))
-        return AttentionAssignment(inv_inter, intra)
 
 
 def apply_attention_assignment(attn: AttentionWeights,

@@ -16,8 +16,8 @@ import sys
 from dataclasses import replace
 
 from .config import parse_config
-from .errors import (ConfigError, DataError, IntegrationError, NumericError,
-                     ShapeError, TrainingDivergedError, WeightFlowError)
+from .errors import (ConfigError, IntegrationError, NumericError,
+                     TrainingDivergedError, WeightFlowError)
 from .pipeline import STAGES, run_pipeline
 
 EXIT_CONFIG = 2
@@ -25,13 +25,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def exit_code(exc: WeightFlowError) -> int:
+def exit_code(exc: Exception) -> int:
+    """Exit status for an error main catches: config 2, numeric 4, else 3."""
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, (NumericError, TrainingDivergedError, IntegrationError)):
         return EXIT_NUMERIC
-    if isinstance(exc, (DataError, ShapeError)):
-        return EXIT_DATA
     return EXIT_DATA
 
 
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
         if result:
             print(result)
         return 0
-    except WeightFlowError as exc:
+    except (WeightFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
 

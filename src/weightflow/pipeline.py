@@ -108,6 +108,14 @@ def load_population(pop_dir):
     return pop
 
 
+def _fresh_output_dir(path) -> None:
+    """Create a stage's output directory, dropping checkpoints of earlier runs."""
+    os.makedirs(path, exist_ok=True)
+    for name in os.listdir(path):
+        if name.endswith(".dwfc"):
+            os.remove(os.path.join(path, name))
+
+
 def _source_dir(cfg: RunConfig, out_dir, stage: str):
     """Aligned population when canonicalization is on, else raw."""
     if cfg.canonicalize_mode != "off":
@@ -127,7 +135,7 @@ def stage_make_population(cfg: RunConfig, out_dir) -> str:
     """Train one network per seed; write DWFC files plus manifest."""
     train, test = load_task_data(cfg)
     pop_dir = os.path.join(out_dir, "population")
-    os.makedirs(pop_dir, exist_ok=True)
+    _fresh_output_dir(pop_dir)
     rows = [("stage", "make-population"), ("task", cfg.task),
             ("count", cfg.population_size)]
     for i in range(cfg.population_size):
@@ -158,7 +166,7 @@ def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
         aligned_pop = canonicalize_population(pop, cfg.reference_index,
                                               cfg.canonicalize_max_iter)
     aligned_dir = os.path.join(out_dir, "aligned")
-    os.makedirs(aligned_dir, exist_ok=True)
+    _fresh_output_dir(aligned_dir)
     rows = [("stage", "canonicalize"), ("mode", cfg.canonicalize_mode),
             ("reference_index", cfg.reference_index),
             ("input.population", sha256_file(
@@ -250,7 +258,7 @@ def stage_generate(cfg: RunConfig, out_dir) -> str:
     model = load_flow(flow_path)
     train, test = load_task_data(cfg)
     gen_dir = os.path.join(out_dir, "generated")
-    os.makedirs(gen_dir, exist_ok=True)
+    _fresh_output_dir(gen_dir)
     rows = [("stage", "generate"), ("count", cfg.generate_count),
             ("input.flow", sha256_file(flow_path))]
     vectors = sample(model, cfg.generate_count, seed=cfg.seed)

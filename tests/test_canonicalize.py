@@ -1,3 +1,4 @@
+import importlib.machinery
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightflow import canonicalize
 from weightflow.canonicalize import (apply_attention_assignment,
                                      apply_permutation, canonicalize_population,
                                      invert_permutation, random_assignment,
@@ -55,6 +57,37 @@ class TestLap:
         # all optima equal; lexicographically smallest assignment expected
         p = solve_lap_max(np.zeros((4, 4)))
         assert p.tolist() == [0, 1, 2, 3]
+
+    def test_tie_break_dead_units(self):
+        # Small integer scores tie often; zeroed rows and columns stand for
+        # dead ReLU units. The first optimum in itertools.permutations order
+        # is the lexicographically smallest one.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            score = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            score[rng.random(n) < 0.3, :] = 0.0
+            score[:, rng.random(n) < 0.3] = 0.0
+            perms = np.array(list(itertools.permutations(range(n))))
+            totals = score[np.arange(n), perms].sum(axis=1)
+            expected = perms[int(np.argmax(totals))]
+            assert solve_lap_max(score).tolist() == expected.tolist(), score
+
+    def test_solver_loader_fallback(self, monkeypatch, rng):
+        # Without a compiled scipy/optimize/_lsap module the loader falls back
+        # to the public scipy.optimize import; both solve alike.
+        from scipy.optimize import linear_sum_assignment
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder, "find_spec",
+            lambda name, path=None, target=None:
+                None if name == "_lsap" else find_spec(name, path, target))
+        fallback = canonicalize._linear_sum_assignment.__wrapped__()
+        assert fallback is linear_sum_assignment
+        score = rng.normal(size=(8, 8))
+        for a, b in zip(fallback(score, maximize=True),
+                        canonicalize._linear_sum_assignment()(score, maximize=True)):
+            assert np.array_equal(a, b)
 
     def test_non_square_rejected(self):
         with pytest.raises(ArgumentError):

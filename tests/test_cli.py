@@ -117,6 +117,26 @@ class TestExitCodes:
         assert main([stage, "--config", str(cfg_path)]) == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_out_under_a_file_is_3(self, quick_cfg, tmp_path, capsys):
+        cfg_path, _ = quick_cfg
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        assert main(["make-population", "--config", cfg_path,
+                     "--out", str(blocker / "run")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_idx_file_is_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mnist.ini"
+        absent = tmp_path / "absent.idx"
+        cfg_path.write_text(
+            f"[run]\ntask = mnist\nout_dir = {tmp_path / 'run'}\n\n[data]\n"
+            + "".join(f"mnist_{part} = {absent}\n"
+                      for part in ("train_images", "train_labels",
+                                   "test_images", "test_labels")))
+        assert main(["make-population", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.idx" in err
+
     def test_success_is_0(self, quick_cfg):
         cfg_path, _ = quick_cfg
         assert main(["make-population", "--config", cfg_path]) == 0
@@ -174,6 +194,22 @@ class TestStages:
         assert main(["make-population", "--config", cfg_path]) == 0
         blob2 = open(os.path.join(out, "population", "ckpt_0000.dwfc"), "rb").read()
         assert blob1 == blob2
+
+    def test_smaller_rerun_drops_stale_checkpoints(self, quick_cfg):
+        cfg_path, out = quick_cfg
+        text = open(cfg_path).read()
+        big = text.replace("size = 3", "size = 6").replace("count = 2", "count = 6")
+        open(cfg_path, "w").write(big)
+        assert main(["run", "--config", cfg_path]) == 0
+        open(cfg_path, "w").write(text)  # size 3, count 2
+        assert main(["run", "--config", cfg_path]) == 0
+        for sub, n in (("population", 3), ("aligned", 3), ("generated", 2)):
+            names = [f for f in os.listdir(os.path.join(out, sub))
+                     if f.endswith(".dwfc")]
+            assert len(names) == n, sub
+        m = read_manifest(os.path.join(out, "metrics.txt"))
+        assert m["original_count"] == "3"
+        assert m["generated_count"] == "2"
 
     def test_seed_override_changes_samples(self, quick_cfg):
         cfg_path, out = quick_cfg
