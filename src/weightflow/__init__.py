@@ -24,7 +24,7 @@ from .metrics import (distribution_distances, iou, jensen_shannon, max_iou,
 from .nn_core import (ArchitectureSpec, AttentionSpec, BatchNormState,
                       EvalResult, TrainHyper, WeightCheckpoint, evaluate,
                       flatten, forward, init_weights, mha_forward,
-                      train_network, unflatten)
+                      train_network, train_population, unflatten)
 from .pca import (PcaModel, default_latent_dim, fit_dual, fit_incremental,
                   fit_standard, inverse_transform, load_pca, save_pca,
                   transform)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    weightflow <subcommand> --config cfg.ini [--out DIR] [--seed N] [--threads N]
+    weightflow <subcommand> --config cfg.ini [--out DIR] [--seed N]
 
 Subcommands run individual pipeline stages (`make-population`,
 `canonicalize`, `fit-pca`, `train-flow`, `generate`, `evaluate`, `report`)
@@ -34,17 +34,6 @@ def exit_code(exc: Exception) -> int:
     return EXIT_DATA
 
 
-def _set_threads(n: int) -> None:
-    """Best-effort cap on BLAS worker threads."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weightflow",
@@ -56,18 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides [run] out_dir)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the run seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS threads (best effort)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        _set_threads(args.threads)
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:

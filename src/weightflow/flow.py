@@ -196,9 +196,11 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
         )
         grads[f"trunk.w{i}"] += dpre.T @ h_in
         grads[f"trunk.b{i}"] += dpre.sum(axis=0)
-        dh = dpre @ p[f"trunk.w{i}"]
+        w = p[f"trunk.w{i}"]
+        # Layer 0's input is [x, t_emb]; only the t_emb columns need a gradient.
+        dh = dpre @ (w if i else w[:, cfg.input_dim:])
 
-    _time_embed_backward(p, t_cache, dh[:, cfg.input_dim:], grads)
+    _time_embed_backward(p, t_cache, dh, grads)
     return grads
 
 

@@ -6,10 +6,22 @@ canonical order: layers in forward order, each layer contributing W
 (row-major) then b, followed by gamma then beta for batch-normalized hidden
 layers. BN running statistics are sidecar state and never enter the flat
 vector.
+
+`train_population` trains N networks at once. Their parameters are the
+rows of one (N, P) float32 matrix in flat-vector order; per-layer W
+(N, d_out, d_in), b, gamma and beta (each (N, 1, d_out)) are views into
+it, and the gradients fill a second matrix with the same layout. BN
+running statistics are (N, 1, d) float64. Each minibatch is one stacked
+forward, backward and optimizer step for all members, and every member
+still follows its own seed's init and shuffles, so it equals a
+one-member run bit for bit. `forward`, `evaluate` and `train_network`
+run the same stacked code with N = 1: a checkpoint's own arrays
+broadcast as a one-member stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,35 +205,31 @@ def init_weights(arch: ArchitectureSpec, scheme: str = "kaiming", seed: int = 0,
     return WeightCheckpoint(arch=arch, weights=weights, biases=biases, bn=bn, seed=seed)
 
 
-def _forward_cached(ckpt: WeightCheckpoint, batch: np.ndarray, mode: str):
-    """Forward pass keeping per-layer intermediates for backprop.
+def _forward_cached(net: WeightCheckpoint, batch: np.ndarray, mode: str):
+    """Stacked forward pass keeping per-layer intermediates for backprop.
 
-    Returns (logits, caches). Train mode uses batch statistics in BN layers
-    and updates running stats by EMA with momentum 0.1.
+    `batch` is (N, B, d_in) and `net` holds N members' tensors in
+    `_param_views` shapes, or is one checkpoint, whose (d_out, d_in) and
+    (d,) arrays broadcast as a one-member stack. Returns (logits
+    (N, B, d_out), caches). Train mode uses each member's batch statistics
+    in BN layers and updates its running stats by EMA with momentum 0.1.
     """
-    arch = ckpt.arch
-    if batch.ndim != 2 or batch.shape[1] != arch.layer_dims[0]:
-        raise ShapeError(
-            f"batch has shape {batch.shape}, expected (n, {arch.layer_dims[0]})"
-        )
-    if mode not in ("train", "eval"):
-        raise ArgumentError(f"unknown mode {mode!r}")
+    arch = net.arch
     act, _ = ACTIVATIONS[arch.activation]
     z = batch.astype(np.float32)
     caches = []
     for l in range(arch.num_layers):
-        a = z @ ckpt.weights[l].T + ckpt.biases[l]
-        cache = {"z_in": z, "pre_bn": a}
+        a = np.matmul(z, net.weights[l].swapaxes(-1, -2)) + net.biases[l]
+        cache = {"z_in": z}
         if l < arch.num_hidden:
             if arch.has_bn(l):
-                st = ckpt.bn[l]
+                st = net.bn[l]
                 if mode == "train":
-                    mu = a.mean(axis=0, dtype=np.float64)
-                    var = a.astype(np.float64).var(axis=0)
-                    n = a.shape[0]
+                    mu = a.mean(axis=1, dtype=np.float64, keepdims=True)
+                    var = a.astype(np.float64).var(axis=1, keepdims=True)
                     st.running_mean[:] = (1 - BN_MOMENTUM) * st.running_mean + BN_MOMENTUM * mu
                     st.running_var[:] = (1 - BN_MOMENTUM) * st.running_var + BN_MOMENTUM * var
-                    st.count += n
+                    st.count += a.shape[1]
                 else:
                     mu = st.running_mean
                     var = st.running_var
@@ -239,8 +247,15 @@ def _forward_cached(ckpt: WeightCheckpoint, batch: np.ndarray, mode: str):
 
 def forward(ckpt: WeightCheckpoint, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Logits for a batch; eval mode is pure, train mode updates BN stats."""
-    logits, _ = _forward_cached(ckpt, batch, mode)
-    return logits
+    arch = ckpt.arch
+    if batch.ndim != 2 or batch.shape[1] != arch.layer_dims[0]:
+        raise ShapeError(
+            f"batch has shape {batch.shape}, expected (n, {arch.layer_dims[0]})"
+        )
+    if mode not in ("train", "eval"):
+        raise ArgumentError(f"unknown mode {mode!r}")
+    logits, _ = _forward_cached(ckpt, batch[None], mode)
+    return logits[0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -249,50 +264,45 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over the batch axis: a float for (B, C) logits,
+    one loss per member for stacked (N, B, C) logits."""
     shifted = logits.astype(np.float64) - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
-    return float(np.mean(log_z - shifted[np.arange(len(labels)), labels]))
+    picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+    return np.mean(log_z - picked, axis=-1)
 
 
-def _backward(ckpt: WeightCheckpoint, caches, logits, labels, mode: str):
-    """Gradients of mean cross-entropy w.r.t. all trainable tensors."""
-    arch = ckpt.arch
+def _backward(net: WeightCheckpoint, caches, logits, labels, grads) -> None:
+    """Stacked gradients of each member's mean cross-entropy, written in
+    place into `grads` (the `_param_views` of the gradient matrix)."""
+    arch = net.arch
+    grad_w, grad_b, grad_bn = grads
     _, act_grad = ACTIVATIONS[arch.activation]
-    n = logits.shape[0]
-    probs = _softmax(logits).astype(np.float32)
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
+    members, n = labels.shape
+    delta = _softmax(logits).astype(np.float32)
+    delta[np.arange(members)[:, None], np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads_w = [None] * arch.num_layers
-    grads_b = [None] * arch.num_layers
-    grads_bn = {}
     for l in reversed(range(arch.num_layers)):
         cache = caches[l]
         if l < arch.num_hidden:
             delta = delta * act_grad(cache["pre_act"])
             if arch.has_bn(l):
-                st = ckpt.bn[l]
                 xhat = cache["xhat"]
-                grads_bn[l] = (
-                    (delta * xhat).sum(axis=0),
-                    delta.sum(axis=0),
+                grad_gamma, grad_beta = grad_bn[l]
+                grad_gamma[:] = (delta * xhat).sum(axis=1, keepdims=True)
+                grad_beta[:] = delta.sum(axis=1, keepdims=True)
+                dxhat = delta * net.bn[l].gamma
+                delta = cache["inv_std"] * (
+                    dxhat
+                    - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
                 )
-                if mode == "train":
-                    dxhat = delta * st.gamma
-                    delta = cache["inv_std"] * (
-                        dxhat
-                        - dxhat.mean(axis=0)
-                        - xhat * (dxhat * xhat).mean(axis=0)
-                    )
-                else:
-                    delta = delta * st.gamma * cache["inv_std"]
-        grads_w[l] = delta.T @ cache["z_in"]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(delta.transpose(0, 2, 1), cache["z_in"], out=grad_w[l])
+        grad_b[l][:] = delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = delta @ ckpt.weights[l]
-    return grads_w, grads_b, grads_bn
+            delta = np.matmul(delta, net.weights[l])
 
 
 OPTIMIZERS = ("adam", "adamw", "sgd")
@@ -360,61 +370,98 @@ class _SGD:
             p -= (lr * g).astype(p.dtype)
 
 
-def _trainable_tensors(ckpt: WeightCheckpoint):
-    params = list(ckpt.weights) + list(ckpt.biases)
-    for l in sorted(ckpt.bn):
-        params.extend([ckpt.bn[l].gamma, ckpt.bn[l].beta])
-    return params
+def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
+    """Views into the rows of an (N, P) matrix in `flatten` order: per-layer
+    weights (N, d_out, d_in) and biases, and per BN layer (gamma, beta).
+    Vectors are (N, 1, d_out), so they broadcast over the batch axis."""
+    pos = 0
+
+    def take(*shape):
+        nonlocal pos
+        size = math.prod(shape)
+        view = mat[:, pos:pos + size].reshape(mat.shape[0], *shape)
+        pos += size
+        return view
+
+    weights, biases, bn = [], [], {}
+    for l in range(arch.num_layers):
+        d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
+        weights.append(take(d_out, d_in))
+        biases.append(take(1, d_out))
+        if arch.has_bn(l):
+            bn[l] = (take(1, d_out), take(1, d_out))
+    return weights, biases, bn
 
 
-def _gather_grads(ckpt, gw, gb, gbn):
-    grads = list(gw) + list(gb)
-    for l in sorted(ckpt.bn):
-        grads.extend(gbn[l])
-    return grads
+def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
+                     holdout=None,
+                     init_scheme: str = "kaiming") -> list[WeightCheckpoint]:
+    """Train one freshly initialized network per seed with mini-batch
+    cross-entropy, all members in one stacked pass per minibatch.
 
-
-def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
-                  holdout=None, init_scheme: str = "kaiming") -> WeightCheckpoint:
-    """Train a freshly initialized network with mini-batch cross-entropy.
-
-    Deterministic given hyper.seed (seeded init and per-epoch shuffles).
-    metric is set to held-out accuracy when `holdout` is given, else to
-    training accuracy.
+    hyper.seed is ignored; each member is deterministic given its seed
+    (seeded init and per-epoch shuffles) and equals a one-member run bit
+    for bit. metric is set to held-out accuracy when `holdout` is given,
+    else to training accuracy.
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty training dataset")
+    if len(seeds) == 0:
+        raise ArgumentError("train_population needs at least one seed")
     n_classes = arch.layer_dims[-1]
     if data.labels.min() < 0 or data.labels.max() >= n_classes:
         raise ArgumentError("labels out of range for output dimension")
 
-    ckpt = init_weights(arch, init_scheme, seed=hyper.seed)
-    params = _trainable_tensors(ckpt)
+    params = np.stack([flatten(init_weights(arch, init_scheme, seed=s))
+                       for s in seeds])
+    grads = np.empty_like(params)
+    weights, biases, gamma_beta = _param_views(params, arch)
+    bn = {l: BatchNormState(gamma, beta,
+                            np.zeros(gamma.shape), np.ones(gamma.shape))
+          for l, (gamma, beta) in gamma_beta.items()}
+    net = WeightCheckpoint(arch, weights, biases, bn)
+    grad_views = _param_views(grads, arch)
     if hyper.optimizer == "sgd":
-        opt = _SGD(params, hyper.weight_decay)
+        opt = _SGD([params], hyper.weight_decay)
     else:
-        opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
+        opt = _Adam([params], (0.9, 0.999), hyper.weight_decay,
                     decoupled=(hyper.optimizer == "adamw"))
 
-    rng = make_rng(hyper.seed, "shuffle")
+    rngs = [make_rng(s, "shuffle") for s in seeds]
     x, y = data.features, data.labels
     n = x.shape[0]
     for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            logits, caches = _forward_cached(ckpt, x[idx], "train")
-            loss = cross_entropy(logits, y[idx])
-            if not np.isfinite(loss):
+            idx = order[:, start:start + hyper.batch_size]
+            labels = y[idx]
+            logits, caches = _forward_cached(net, x[idx], "train")
+            finite = np.isfinite(cross_entropy(logits, labels))
+            if not finite.all():
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
+                    f"non-finite loss at epoch {epoch}, batch offset {start}, "
+                    f"seed {seeds[int(np.argmin(finite))]}"
                 )
-            gw, gb, gbn = _backward(ckpt, caches, logits, y[idx], "train")
-            opt.step(_gather_grads(ckpt, gw, gb, gbn), hyper.learning_rate)
+            _backward(net, caches, logits, labels, grad_views)
+            opt.step([grads], hyper.learning_rate)
 
     eval_data = holdout if holdout is not None else data
-    ckpt.metric = evaluate(ckpt, eval_data).accuracy
-    return ckpt
+    population = []
+    for i, seed in enumerate(seeds):
+        sidecar = {l: (st.running_mean[i, 0], st.running_var[i, 0], st.count)
+                   for l, st in bn.items()}
+        ckpt = unflatten(params[i], arch, sidecar)
+        ckpt.seed = seed
+        ckpt.metric = evaluate(ckpt, eval_data).accuracy
+        population.append(ckpt)
+    return population
+
+
+def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
+                  holdout=None, init_scheme: str = "kaiming") -> WeightCheckpoint:
+    """Train one network seeded by hyper.seed: a one-member `train_population`."""
+    return train_population(arch, data, hyper, [hyper.seed], holdout,
+                            init_scheme)[0]
 
 
 @dataclass

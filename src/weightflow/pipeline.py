@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .data import load_idx, load_iris, make_blobs
 from .errors import DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
-from .nn_core import evaluate, flatten, train_network, unflatten
+from .nn_core import evaluate, flatten, train_population, unflatten
 from .pca import default_latent_dim, load_pca
 
 # Published reference values, reported in stage outputs for context but
@@ -138,16 +137,15 @@ def stage_make_population(cfg: RunConfig, out_dir) -> str:
     _fresh_output_dir(pop_dir)
     rows = [("stage", "make-population"), ("task", cfg.task),
             ("count", cfg.population_size)]
-    for i in range(cfg.population_size):
-        seed = cfg.base_seed + i
-        hyper = replace(cfg.train_hyper, seed=seed)
-        ckpt = train_network(cfg.arch, train, hyper, holdout=test,
-                             init_scheme=cfg.init_scheme)
+    seeds = [cfg.base_seed + i for i in range(cfg.population_size)]
+    population = train_population(cfg.arch, train, cfg.train_hyper, seeds,
+                                  holdout=test, init_scheme=cfg.init_scheme)
+    for i, ckpt in enumerate(population):
         name = f"ckpt_{i:04d}.dwfc"
         path = os.path.join(pop_dir, name)
         save_checkpoint(ckpt, path)
         rows += [(f"file_{i:04d}", f"population/{name}"),
-                 (f"seed_{i:04d}", seed),
+                 (f"seed_{i:04d}", ckpt.seed),
                  (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}"),
                  (f"sha256_{i:04d}", sha256_file(path))]
     write_manifest(os.path.join(out_dir, "population.manifest"), rows)

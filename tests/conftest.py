@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weightflow.data import load_iris, make_blobs
-from weightflow.nn_core import ArchitectureSpec, TrainHyper, train_network
+from weightflow.nn_core import ArchitectureSpec, TrainHyper, train_population
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +20,8 @@ def tiny_population(blobs):
     """Four quickly trained [4,8,3] networks on blobs."""
     train, test = blobs
     arch = ArchitectureSpec((4, 8, 3), "relu")
-    return [train_network(arch, train, TrainHyper(epochs=15, seed=50 + i),
-                          holdout=test) for i in range(4)]
+    return train_population(arch, train, TrainHyper(epochs=15),
+                            [50 + i for i in range(4)], holdout=test)
 
 
 @pytest.fixture

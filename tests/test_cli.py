@@ -137,6 +137,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.idx" in err
 
+    def test_diverged_training_is_4(self, quick_cfg, capsys):
+        cfg_path, _ = quick_cfg
+        text = open(cfg_path).read()
+        open(cfg_path, "w").write(
+            text.replace("epochs = 10", "epochs = 10\nlearning_rate = 1e30"))
+        with np.errstate(all="ignore"):
+            assert main(["make-population", "--config", cfg_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch 0")
+        assert "seed 10" in err and "Traceback" not in err
+
+    def test_threads_flag_is_rejected(self, quick_cfg, capsys):
+        cfg_path, _ = quick_cfg
+        with pytest.raises(SystemExit) as exc:
+            main(["make-population", "--config", cfg_path, "--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     def test_success_is_0(self, quick_cfg):
         cfg_path, _ = quick_cfg
         assert main(["make-population", "--config", cfg_path]) == 0

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightflow.activations import ACTIVATIONS
 from weightflow.data import LabeledDataset, make_blobs
-from weightflow.errors import ArgumentError, ConfigError, ShapeError
-from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, TrainHyper,
-                                WeightCheckpoint, cross_entropy, evaluate,
-                                flatten, forward, init_weights, mha_forward,
-                                random_attention, train_network, unflatten)
+from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
+                               TrainingDivergedError)
+from weightflow.nn_core import (BN_EPS, BN_MOMENTUM, ArchitectureSpec,
+                                AttentionSpec, TrainHyper, WeightCheckpoint,
+                                _Adam, _SGD, cross_entropy, evaluate, flatten,
+                                forward, init_weights, mha_forward,
+                                random_attention, train_network,
+                                train_population, unflatten)
 from weightflow.rng import make_rng
 
 
@@ -202,6 +208,147 @@ class TestTrain:
                 assert loss <= prev + 1e-9
             prev = loss
         assert hyper.batch_size == len(train)
+
+
+def serial_reference(arch, data, hyper):
+    """One network trained by a plain 2-D loop: per-batch forward, backward
+    and a per-tensor optimizer step, in the arithmetic order the stacked
+    trainer must keep."""
+    ckpt = init_weights(arch, seed=hyper.seed)
+    act, act_grad = ACTIVATIONS[arch.activation]
+    params = ckpt.weights + ckpt.biases + [
+        t for l in sorted(ckpt.bn) for t in (ckpt.bn[l].gamma, ckpt.bn[l].beta)]
+    if hyper.optimizer == "sgd":
+        opt = _SGD(params, hyper.weight_decay)
+    else:
+        opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
+                    decoupled=hyper.optimizer == "adamw")
+    rng = make_rng(hyper.seed, "shuffle")
+    x, y = data.features, data.labels
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
+            z, caches = x[idx].astype(np.float32), []
+            for l in range(arch.num_layers):
+                z_in, a = z, z @ ckpt.weights[l].T + ckpt.biases[l]
+                xhat = inv_std = None
+                if arch.has_bn(l):
+                    st = ckpt.bn[l]
+                    mu = a.mean(axis=0, dtype=np.float64)
+                    var = a.astype(np.float64).var(axis=0)
+                    st.running_mean[:] = (1 - BN_MOMENTUM) * st.running_mean + BN_MOMENTUM * mu
+                    st.running_var[:] = (1 - BN_MOMENTUM) * st.running_var + BN_MOMENTUM * var
+                    st.count += len(idx)
+                    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+                    xhat = ((a - mu) * inv_std).astype(np.float32)
+                    a = st.gamma * xhat + st.beta
+                    inv_std = inv_std.astype(np.float32)
+                z = act(a) if l < arch.num_hidden else a
+                caches.append((z_in, a, xhat, inv_std))
+            shifted = z - z.max(axis=1, keepdims=True)
+            delta = (np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)).astype(np.float32)
+            delta[np.arange(len(idx)), y[idx]] -= 1.0
+            delta /= len(idx)
+            gw, gb, gbn = [None] * arch.num_layers, [None] * arch.num_layers, []
+            for l in reversed(range(arch.num_layers)):
+                z_in, pre_act, xhat, inv_std = caches[l]
+                if l < arch.num_hidden:
+                    delta = delta * act_grad(pre_act)
+                if arch.has_bn(l):
+                    gbn = [(delta * xhat).sum(axis=0), delta.sum(axis=0)] + gbn
+                    dxhat = delta * ckpt.bn[l].gamma
+                    delta = inv_std * (dxhat - dxhat.mean(axis=0)
+                                       - xhat * (dxhat * xhat).mean(axis=0))
+                gw[l], gb[l] = delta.T @ z_in, delta.sum(axis=0)
+                if l > 0:
+                    delta = delta @ ckpt.weights[l]
+            # Gradients are float32 like the parameters. GELU layers compute
+            # them in float64, so they are rounded before the step.
+            opt.step([g.astype(np.float32) for g in gw + gb + gbn],
+                     hyper.learning_rate)
+    return ckpt
+
+
+def assert_same_network(a, b):
+    """Bit-identical parameters and BN running statistics."""
+    assert np.array_equal(flatten(a), flatten(b))
+    assert sorted(a.bn) == sorted(b.bn)
+    for l, st in b.bn.items():
+        assert np.array_equal(a.bn[l].running_mean, st.running_mean)
+        assert np.array_equal(a.bn[l].running_var, st.running_var)
+        assert a.bn[l].count == st.count
+
+
+class TestTrainPopulation:
+    """A stacked population equals its members trained one at a time."""
+
+    SEEDS = (3, 4, 5)
+
+    def assert_matches_one_member_runs(self, arch, data, hyper, holdout=None):
+        pop = train_population(arch, data, hyper, self.SEEDS, holdout=holdout)
+        assert [c.seed for c in pop] == list(self.SEEDS)
+        if hyper.epochs:
+            assert not np.array_equal(flatten(pop[0]), flatten(pop[1]))
+        for seed, ckpt in zip(self.SEEDS, pop):
+            one = train_network(arch, data, replace(hyper, seed=seed),
+                                holdout=holdout)
+            assert_same_network(ckpt, one)
+            assert ckpt.metric == one.metric
+
+    @pytest.mark.parametrize("activation,bn,optimizer", [
+        ("relu", (True, True), "adam"), ("gelu", (False, True), "adamw"),
+        ("gelu", (False, False), "sgd")])
+    def test_matches_serial_reference(self, blobs, activation, bn, optimizer):
+        train, _ = blobs
+        arch = ArchitectureSpec((4, 8, 6, 3), activation, bn)
+        hyper = TrainHyper(optimizer=optimizer, weight_decay=1e-2,
+                           learning_rate=1e-2, batch_size=7, epochs=3)
+        pop = train_population(arch, train, hyper, self.SEEDS)
+        for seed, ckpt in zip(self.SEEDS, pop):
+            assert_same_network(
+                ckpt, serial_reference(arch, train, replace(hyper, seed=seed)))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("optimizer", ["adam", "adamw", "sgd"])
+    def test_optimizers(self, blobs, optimizer, weight_decay):
+        train, test = blobs
+        arch = ArchitectureSpec((4, 8, 6, 3), bn_layers=(True, False))
+        hyper = TrainHyper(optimizer=optimizer, weight_decay=weight_decay,
+                           learning_rate=1e-2, epochs=3)
+        self.assert_matches_one_member_runs(arch, train, hyper, holdout=test)
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize("bn", [(False, False), (True, True)])
+    def test_layouts(self, blobs, activation, bn):
+        train, _ = blobs
+        arch = ArchitectureSpec((4, 8, 6, 3), activation, bn)
+        self.assert_matches_one_member_runs(arch, train, TrainHyper(epochs=3))
+
+    @pytest.mark.parametrize("batch_size", [7, 1000])
+    def test_ragged_and_oversized_batches(self, blobs, batch_size):
+        train, test = blobs
+        assert len(train) % 7 and len(train) < 1000
+        arch = ArchitectureSpec((4, 8, 3), bn_layers=(True,))
+        hyper = TrainHyper(batch_size=batch_size, epochs=4)
+        self.assert_matches_one_member_runs(arch, train, hyper, holdout=test)
+
+    def test_zero_epochs(self, blobs):
+        train, _ = blobs
+        arch = ArchitectureSpec((4, 8, 3), bn_layers=(True,))
+        self.assert_matches_one_member_runs(arch, train, TrainHyper(epochs=0))
+
+    def test_divergence_names_seed(self, blobs):
+        train, _ = blobs
+        hyper = TrainHyper(learning_rate=1e30, epochs=2)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDivergedError, match=r"epoch 0, .*seed 3"):
+            train_population(ArchitectureSpec((4, 8, 3)), train, hyper, self.SEEDS)
+
+    def test_needs_a_seed(self, blobs):
+        train, _ = blobs
+        with pytest.raises(ArgumentError):
+            train_population(ArchitectureSpec((4, 8, 3)), train, TrainHyper(), [])
 
 
 class TestEvaluate:
