@@ -1,12 +1,20 @@
-"""Elementwise activations and their derivatives (exact erf-based GELU)."""
+"""Elementwise activations and their derivatives (exact erf-based GELU).
+
+They keep the input's dtype: float32 in, float32 out.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import erf
+import math
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+import numpy as np
+
+from ._scipy import compiled_scipy
+
+erf = compiled_scipy("special", "_special_ufuncs", "erf")
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def relu(x):
@@ -17,12 +25,19 @@ def relu_grad(x):
     return (x > 0.0).astype(x.dtype)
 
 
+def gelu_cdf(x):
+    """Standard normal cdf Phi(x); gelu(x) = x * Phi(x)."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return x * gelu_cdf(x)
 
 
-def gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu_grad(x, cdf=None):
+    """d gelu / dx; `cdf` is gelu_cdf(x) when the caller already has it."""
+    if cdf is None:
+        cdf = gelu_cdf(x)
     pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 

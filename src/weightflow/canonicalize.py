@@ -12,13 +12,11 @@ new[i] = old[p[i]].
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
-from importlib import machinery, util
 
 import numpy as np
-import scipy
 
+from ._scipy import compiled_scipy
 from .errors import ArgumentError, ShapeError
 from .nn_core import ArchitectureSpec, AttentionWeights, WeightCheckpoint
 from .rng import make_rng
@@ -32,19 +30,8 @@ _TIE_TOL = 1e-9
 
 @functools.cache
 def _linear_sum_assignment():
-    """scipy's linear_sum_assignment, from its compiled module when there is one.
-
-    That module needs only numpy; importing scipy.optimize would also import
-    scipy.sparse, linalg and spatial, at 0.2 s and 21 MB of resident memory.
-    """
-    optimize_dir = os.path.join(scipy.__path__[0], "optimize")
-    spec = machinery.PathFinder.find_spec("_lsap", [optimize_dir])
-    if spec is None or not isinstance(spec.loader, machinery.ExtensionFileLoader):
-        from scipy.optimize import linear_sum_assignment
-        return linear_sum_assignment
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.linear_sum_assignment
+    """scipy's linear_sum_assignment, without importing scipy.optimize."""
+    return compiled_scipy("optimize", "_lsap", "linear_sum_assignment")
 
 
 def _lap_max_value(score: np.ndarray) -> float:

@@ -10,6 +10,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique loads it on first call; load it at start-up
 
 from ._iris_data import IRIS_ROWS
 from .checkpoint_io import _read_exact

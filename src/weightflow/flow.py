@@ -11,16 +11,24 @@ RK4.
 All parameters and arithmetic are float64 internally so analytic gradients
 can be checked against central finite differences; serialization stores
 float32.
+
+The parameters live in one contiguous float64 buffer, `FlowModel.flat`, in
+`_param_layout` order; `FlowModel.params` maps each name to a view into it.
+`flow_backward` writes every gradient into the matching view of a flat
+gradient buffer of the same layout, so training takes one optimizer step
+over one array, reuses one gradient buffer for every step, and saving or
+loading the model is one conversion of the whole buffer.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .activations import gelu, gelu_grad
+from .activations import gelu, gelu_cdf, gelu_grad
 from .checkpoint_io import _expect_end, _read_exact, _read_header, _read_text
 from .errors import (ArgumentError, ConfigError, DataError, IntegrationError,
                      TrainingDivergedError)
@@ -88,26 +96,47 @@ def _param_layout(cfg: FlowConfig):
     return layout
 
 
+def _param_count(cfg: FlowConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _param_layout(cfg))
+
+
+def _views(buf: np.ndarray, cfg: FlowConfig) -> dict:
+    """name -> view into the flat buffer `buf`, in `_param_layout` order."""
+    views, pos = {}, 0
+    for name, shape in _param_layout(cfg):
+        size = math.prod(shape)
+        views[name] = buf[pos:pos + size].reshape(shape)
+        pos += size
+    return views
+
+
 @dataclass
 class FlowModel:
     config: FlowConfig
-    params: dict                      # name -> float64 array
+    flat: np.ndarray                  # every parameter, float64, layout order
     loss_history: list = field(default_factory=list, repr=False)
+    params: dict = field(init=False, repr=False)  # name -> view into flat
+
+    def __post_init__(self):
+        if self.flat.shape != (_param_count(self.config),):
+            raise ArgumentError(f"flat parameter buffer has shape {self.flat.shape}, "
+                                f"config needs ({_param_count(self.config)},)")
+        self.params = _views(self.flat, self.config)
 
 
 def init_flow_model(cfg: FlowConfig, seed: int = 0) -> FlowModel:
     rng = make_rng(seed, "flow-init")
-    params = {}
+    model = FlowModel(cfg, np.empty(_param_count(cfg)))
     for name, shape in _param_layout(cfg):
         kind = name.split(".")[-1]
         if kind.startswith("ln_g"):
-            params[name] = np.ones(shape)
+            model.params[name][...] = 1.0
         elif kind.startswith(("ln_b", "b")):
-            params[name] = np.zeros(shape)
+            model.params[name][...] = 0.0
         else:  # weight matrices: He-style fan-in scaling
             fan_in = shape[1]
-            params[name] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-    return FlowModel(cfg, params)
+            model.params[name][...] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+    return model
 
 
 def _time_embed_forward(p, t):
@@ -119,12 +148,12 @@ def _time_embed_forward(p, t):
 
 def _time_embed_backward(p, cache, d_out, grads):
     t, h1, a1 = cache
-    grads["time.w2"] += d_out.T @ a1
-    grads["time.b2"] += d_out.sum(axis=0)
+    np.matmul(d_out.T, a1, out=grads["time.w2"])
+    np.sum(d_out, axis=0, out=grads["time.b2"])
     da1 = d_out @ p["time.w2"]
     dh1 = da1 * gelu_grad(h1)
-    grads["time.w1"] += dh1.T @ t
-    grads["time.b1"] += dh1.sum(axis=0)
+    np.matmul(dh1.T, t, out=grads["time.w1"])
+    np.sum(dh1, axis=0, out=grads["time.b1"])
 
 
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
@@ -155,12 +184,13 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (pre - mu) * inv_std
         ln = p[f"trunk.ln_g{i}"] * xhat + p[f"trunk.ln_b{i}"]
-        act = gelu(ln)
+        cdf = gelu_cdf(ln)
+        act = ln * cdf                        # gelu(ln); cdf serves the backward
         if dropout_masks is not None:
             dropped = act * dropout_masks[i]
         else:
             dropped = act
-        trunk_caches.append((h, xhat, inv_std, ln, act))
+        trunk_caches.append((h, xhat, inv_std, ln, cdf))
         h = dropped
     v = h @ p["out.w"].T + p["out.b"]
     if not want_cache:
@@ -169,33 +199,38 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
 
 
 def flow_backward(model: FlowModel, cache, dv: np.ndarray,
-                  dropout_masks: list | None = None) -> dict:
-    """Parameter gradients given upstream dL/dv."""
+                  dropout_masks: list | None = None,
+                  out: np.ndarray | None = None) -> dict:
+    """Parameter gradients given upstream dL/dv: name -> view into the flat
+    gradient buffer `out` (same layout as `model.flat`; a new one when None),
+    every element of which is overwritten."""
     cfg = model.config
     p = model.params
     t_cache, trunk_caches, last_h = cache
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    if out is None:
+        out = np.empty_like(model.flat)
+    grads = _views(out, cfg)
 
-    grads["out.w"] += dv.T @ last_h
-    grads["out.b"] += dv.sum(axis=0)
+    np.matmul(dv.T, last_h, out=grads["out.w"])
+    np.sum(dv, axis=0, out=grads["out.b"])
     dh = dv @ p["out.w"]
     for i in reversed(range(len(cfg.trunk_dims))):
-        h_in, xhat, inv_std, ln, act = trunk_caches[i]
+        h_in, xhat, inv_std, ln, cdf = trunk_caches[i]
         if dropout_masks is not None:
             dact = dh * dropout_masks[i]
         else:
             dact = dh
-        dln = dact * gelu_grad(ln)
-        grads[f"trunk.ln_g{i}"] += (dln * xhat).sum(axis=0)
-        grads[f"trunk.ln_b{i}"] += dln.sum(axis=0)
+        dln = dact * gelu_grad(ln, cdf)
+        np.sum(dln * xhat, axis=0, out=grads[f"trunk.ln_g{i}"])
+        np.sum(dln, axis=0, out=grads[f"trunk.ln_b{i}"])
         dxhat = dln * p[f"trunk.ln_g{i}"]
         dpre = inv_std * (
             dxhat
             - dxhat.mean(axis=1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
         )
-        grads[f"trunk.w{i}"] += dpre.T @ h_in
-        grads[f"trunk.b{i}"] += dpre.sum(axis=0)
+        np.matmul(dpre.T, h_in, out=grads[f"trunk.w{i}"])
+        np.sum(dpre, axis=0, out=grads[f"trunk.b{i}"])
         w = p[f"trunk.w{i}"]
         # Layer 0's input is [x, t_emb]; only the t_emb columns need a gradient.
         dh = dpre @ (w if i else w[:, cfg.input_dim:])
@@ -206,8 +241,10 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
 
 def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                       t: np.ndarray, eps: np.ndarray,
-                      dropout_masks: list | None = None):
-    """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients.
+                      dropout_masks: list | None = None,
+                      out: np.ndarray | None = None):
+    """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients,
+    views into the flat gradient buffer `out` (a new one when None).
 
     x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0.
     """
@@ -218,7 +255,7 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     diff = v - u
     loss = float(np.mean(diff * diff))
     dv = 2.0 * diff / diff.size
-    grads = flow_backward(model, cache, dv, dropout_masks)
+    grads = flow_backward(model, cache, dv, dropout_masks, out)
     return loss, grads
 
 
@@ -244,8 +281,9 @@ def _dropout_masks(cfg: FlowConfig, rng, batch: int):
 
 
 def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
-                     rngs: dict) -> float:
-    """One optimizer step on a batch of target vectors; returns the loss."""
+                     rngs: dict, grad: np.ndarray) -> float:
+    """One optimizer step on a batch of target vectors; returns the loss.
+    `grad` is the flat gradient buffer, overwritten."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
@@ -254,12 +292,11 @@ def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
     masks = _dropout_masks(cfg, rngs["dropout"], b)
-    loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, masks)
+    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, grad)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
-    optimizer.step([grads[name] for name in model.params],
-                   _cosine_lr(cfg, optimizer.t))
+    optimizer.step([grad], _cosine_lr(cfg, optimizer.t))
     return loss
 
 
@@ -277,8 +314,8 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
             f"population dim {population.shape[1]} != config input_dim {cfg.input_dim}")
 
     model = init_flow_model(cfg, seed)
-    optimizer = _Adam(list(model.params.values()), cfg.betas,
-                      cfg.weight_decay, decoupled=True)
+    optimizer = _Adam([model.flat], cfg.betas, cfg.weight_decay, decoupled=True)
+    grad = np.empty_like(model.flat)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -287,10 +324,13 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
         "dropout": make_rng(seed, "flow-dropout"),
     }
     n = population.shape[0]
-    for _ in range(cfg.iterations):
-        idx = rngs["batch"].integers(0, n, size=min(cfg.batch_size, n))
-        loss = fm_training_step(model, optimizer, population[idx], rngs)
-        model.loss_history.append(loss)
+    # fm_training_step reports a non-finite loss; numpy's overflow warnings
+    # on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            idx = rngs["batch"].integers(0, n, size=min(cfg.batch_size, n))
+            loss = fm_training_step(model, optimizer, population[idx], rngs, grad)
+            model.loss_history.append(loss)
     return model
 
 
@@ -330,8 +370,8 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: magic DWFF, version, config text block, float32 tensors in
-# layout order.
+# Serialization: magic DWFF, version, config text block, the flat parameter
+# buffer as little-endian float32 (the tensors in layout order).
 
 
 # FlowConfig field type -> parser of the value text written by _config_block.
@@ -364,17 +404,14 @@ def save_flow(model: FlowModel, path) -> None:
         f.write(struct.pack("<I", FLOW_VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for name, _ in _param_layout(model.config):
-            f.write(model.params[name].astype("<f4").tobytes())
+        f.write(model.flat.astype("<f4").tobytes())
 
 
 def load_flow(path) -> FlowModel:
     with open(path, "rb") as f:
         _read_header(f, path, FLOW_MAGIC, FLOW_VERSION)
         cfg = _parse_config_block(_read_text(f, path, "config block"))
-        params = {}
-        for name, shape in _param_layout(cfg):
-            raw = _read_exact(f, 4 * int(np.prod(shape)), path, f"tensor {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        raw = _read_exact(f, 4 * _param_count(cfg), path, "parameters")
+        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         _expect_end(f, path)
-    return FlowModel(cfg, params)
+    return FlowModel(cfg, flat)

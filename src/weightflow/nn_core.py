@@ -326,36 +326,61 @@ class TrainHyper:
             raise ConfigError("batch_size >= 1 and epochs >= 0 required")
 
 
+ADAM_CHUNK = 32768
+
+
 class _Adam:
     """Adam over a list of arrays, updated in place; the caller passes each
     step's learning rate. Weight decay is added to the gradient (Adam) or,
     with `decoupled`, to the update (AdamW). Used by both the population
-    networks and the flow model."""
+    networks (one (N, P) matrix) and the flow model (one flat buffer).
+
+    Each array is updated ADAM_CHUNK elements at a time by in-place ufuncs
+    into two scratch buffers allocated here, so a step allocates nothing
+    and works within the CPU cache. The elementwise operations and their
+    order are those of the textbook per-tensor expression, so the result is
+    the same bit for bit."""
 
     def __init__(self, params, betas, weight_decay, decoupled):
-        self.params = params
         self.b1, self.b2 = betas
         self.eps = 1e-8
         self.wd = weight_decay
         self.decoupled = decoupled
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._flat = [np.reshape(p, -1, copy=False) for p in params]
+        self.m = [np.zeros_like(p) for p in self._flat]
+        self.v = [np.zeros_like(p) for p in self._flat]
         self.t = 0
+        size = min(ADAM_CHUNK, max(p.size for p in params))
+        self._scratch = {p.dtype: (np.empty(size, p.dtype), np.empty(size, p.dtype))
+                         for p in params}
 
     def step(self, grads, lr):
         self.t += 1
-        b1t = 1 - self.b1 ** self.t
-        b2t = 1 - self.b2 ** self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            g = g.astype(p.dtype, copy=False)
-            if self.wd and not self.decoupled:
-                g = g + self.wd * p
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
-            update = (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
-            if self.wd and self.decoupled:
-                update = update + self.wd * p
-            p -= (lr * update).astype(p.dtype, copy=False)
+        b1, b2, wd = self.b1, self.b2, self.wd
+        b1t = 1 - b1 ** self.t
+        b2t = 1 - b2 ** self.t
+        for p, g, m, v in zip(self._flat, grads, self.m, self.v):
+            g = np.reshape(g, -1).astype(p.dtype, copy=False)
+            scratch_a, scratch_b = self._scratch[p.dtype]
+            for s in range(0, p.size, ADAM_CHUNK):
+                pc, gc = p[s:s + ADAM_CHUNK], g[s:s + ADAM_CHUNK]
+                mc, vc = m[s:s + ADAM_CHUNK], v[s:s + ADAM_CHUNK]
+                a, b = scratch_a[:pc.size], scratch_b[:pc.size]
+                if wd and not self.decoupled:        # g = g + wd * p
+                    gc = np.add(gc, np.multiply(wd, pc, out=a), out=a)
+                # m = b1 * m + (1 - b1) * g
+                np.add(np.multiply(b1, mc, out=mc),
+                       np.multiply(1 - b1, gc, out=b), out=mc)
+                # v = b2 * v + (1 - b2) * g * g
+                np.multiply(np.multiply(1 - b2, gc, out=b), gc, out=b)
+                np.add(np.multiply(b2, vc, out=vc), b, out=vc)
+                # update = (m / b1t) / (sqrt(v / b2t) + eps)
+                np.add(np.sqrt(np.divide(vc, b2t, out=a), out=a), self.eps, out=a)
+                update = np.divide(np.divide(mc, b1t, out=b), a, out=b)
+                if wd and self.decoupled:            # update = update + wd * p
+                    np.add(update, np.multiply(wd, pc, out=a), out=update)
+                # p -= lr * update
+                pc -= np.multiply(lr, update, out=update)
 
 
 class _SGD:
@@ -430,20 +455,23 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     rngs = [make_rng(s, "shuffle") for s in seeds]
     x, y = data.features, data.labels
     n = x.shape[0]
-    for epoch in range(hyper.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, hyper.batch_size):
-            idx = order[:, start:start + hyper.batch_size]
-            labels = y[idx]
-            logits, caches = _forward_cached(net, x[idx], "train")
-            finite = np.isfinite(cross_entropy(logits, labels))
-            if not finite.all():
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}, "
-                    f"seed {seeds[int(np.argmin(finite))]}"
-                )
-            _backward(net, caches, logits, labels, grad_views)
-            opt.step([grads], hyper.learning_rate)
+    # A diverging member overflows before its loss turns non-finite; the
+    # loss check below reports that, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, hyper.batch_size):
+                idx = order[:, start:start + hyper.batch_size]
+                labels = y[idx]
+                logits, caches = _forward_cached(net, x[idx], "train")
+                finite = np.isfinite(cross_entropy(logits, labels))
+                if not finite.all():
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch offset {start}, "
+                        f"seed {seeds[int(np.argmin(finite))]}"
+                    )
+                _backward(net, caches, logits, labels, grad_views)
+                opt.step([grads], hyper.learning_rate)
 
     eval_data = holdout if holdout is not None else data
     population = []

@@ -10,6 +10,7 @@ pipelines reproduce exactly.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; load it at start-up
 
 # Fixed label -> integer mapping so stream derivation never depends on
 # Python hashing.

@@ -1,4 +1,5 @@
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -147,6 +148,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss at epoch 0")
         assert "seed 10" in err and "Traceback" not in err
+
+    def test_diverged_training_prints_only_the_error(self, quick_cfg, capsys):
+        cfg_path, _ = quick_cfg
+        text = open(cfg_path).read()
+        open(cfg_path, "w").write(
+            text.replace("epochs = 10", "epochs = 10\nlearning_rate = 1e30"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["make-population", "--config", cfg_path]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err == "error: non-finite loss at epoch 0, batch offset 16, seed 10\n"
 
     def test_threads_flag_is_rejected(self, quick_cfg, capsys):
         cfg_path, _ = quick_cfg

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from weightflow.errors import ArgumentError, DataError, IntegrationError
-from weightflow.flow import (FlowConfig, fm_loss_and_grads, flow_forward,
-                             init_flow_model, load_flow, rk4_integrate, sample,
-                             save_flow, train_flow, _param_layout)
+from weightflow.flow import (FlowConfig, FlowModel, fm_loss_and_grads,
+                             flow_forward, init_flow_model, load_flow,
+                             rk4_integrate, sample, save_flow, train_flow,
+                             _param_layout)
 
 TINY = FlowConfig(input_dim=4, hidden_dim=8, time_embed_dim=4, dropout=0.0,
                   iterations=50, batch_size=4)
@@ -74,6 +75,29 @@ class TestLoss:
                 worst = max(worst, abs(fd - an) / denom)
         assert worst <= 1e-4
 
+    def test_gradients_do_not_alias_across_calls(self, rng):
+        model = init_flow_model(TINY, seed=0)
+        x1, x0 = rng.normal(size=(3, 4)), rng.normal(0, 0.01, size=(3, 4))
+        t, eps = rng.uniform(size=3), np.zeros((3, 4))
+        _, first = fm_loss_and_grads(model, x1, x0, t, eps)
+        kept = {name: g.copy() for name, g in first.items()}
+        _, second = fm_loss_and_grads(model, -x1, x0, 1 - t, eps)
+        for name in first:
+            assert not np.shares_memory(first[name], second[name])
+            assert np.array_equal(first[name], kept[name])
+
+    def test_reused_buffer_matches_fresh_gradients(self, rng):
+        model = init_flow_model(TINY, seed=0)
+        buf = np.full_like(model.flat, np.nan)
+        for _ in range(2):
+            x1, x0 = rng.normal(size=(3, 4)), rng.normal(0, 0.01, size=(3, 4))
+            t, eps = rng.uniform(size=3), np.zeros((3, 4))
+            _, fresh = fm_loss_and_grads(model, x1, x0, t, eps)
+            _, reused = fm_loss_and_grads(model, x1, x0, t, eps, out=buf)
+            for name in fresh:
+                assert np.shares_memory(reused[name], buf)
+                assert np.array_equal(reused[name], fresh[name])
+
     def test_loss_decreases_10x(self):
         rng = np.random.default_rng(0)
         pop = rng.normal(0.0, 0.3, size=(100, 20))
@@ -105,6 +129,23 @@ class TestTrain:
     def test_dimension_mismatch(self):
         with pytest.raises(ArgumentError):
             train_flow(np.zeros((4, 7)), TINY, seed=0)
+
+
+    def test_params_are_views_of_one_buffer(self, tmp_path):
+        pop = np.random.default_rng(0).normal(size=(6, 4))
+        trained = train_flow(pop, TINY, seed=0)
+        save_flow(trained, tmp_path / "m.dwff")
+        for model in (init_flow_model(TINY, seed=0), trained,
+                      load_flow(tmp_path / "m.dwff")):
+            assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+            assert sum(p.size for p in model.params.values()) == model.flat.size
+            for p in model.params.values():
+                assert np.shares_memory(p, model.flat)
+
+
+    def test_wrong_buffer_size_rejected(self):
+        with pytest.raises(ArgumentError):
+            FlowModel(TINY, np.zeros(3))
 
 
 class TestRk4:
@@ -170,6 +211,13 @@ class TestSerialization:
             # float32 on disk
             assert np.array_equal(loaded.params[name],
                                   model.params[name].astype(np.float32))
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        pop = np.random.default_rng(0).normal(size=(6, 4))
+        p1, p2 = tmp_path / "a.dwff", tmp_path / "b.dwff"
+        save_flow(train_flow(pop, TINY, seed=0), p1)
+        save_flow(load_flow(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_sampling_agrees_after_reload(self, tmp_path):
         pop = np.random.default_rng(0).normal(size=(6, 4))

@@ -10,8 +10,8 @@ from weightflow.data import LabeledDataset, make_blobs
 from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
                                TrainingDivergedError)
 from weightflow.nn_core import (BN_EPS, BN_MOMENTUM, ArchitectureSpec,
-                                AttentionSpec, TrainHyper, WeightCheckpoint,
-                                _Adam, _SGD, cross_entropy, evaluate, flatten,
+                                ADAM_CHUNK, AttentionSpec, TrainHyper,
+                                WeightCheckpoint, _Adam, _SGD, cross_entropy, evaluate, flatten,
                                 forward, init_weights, mha_forward,
                                 random_attention, train_network,
                                 train_population, unflatten)
@@ -263,10 +263,7 @@ def serial_reference(arch, data, hyper):
                 gw[l], gb[l] = delta.T @ z_in, delta.sum(axis=0)
                 if l > 0:
                     delta = delta @ ckpt.weights[l]
-            # Gradients are float32 like the parameters. GELU layers compute
-            # them in float64, so they are rounded before the step.
-            opt.step([g.astype(np.float32) for g in gw + gb + gbn],
-                     hyper.learning_rate)
+            opt.step(gw + gb + gbn, hyper.learning_rate)
     return ckpt
 
 
@@ -401,6 +398,59 @@ class TestFlatten:
         arch = ArchitectureSpec((3, 5, 4, 2), bn_layers=(True, False))
         vec = make_rng(seed, "test").normal(size=arch.param_count()).astype(np.float32)
         assert np.array_equal(flatten(unflatten(vec, arch)), vec)
+
+
+def reference_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
+    """Textbook per-tensor Adam with whole-array temporaries, in the
+    operation order `_Adam` must keep."""
+    b1, b2 = betas
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (grads, lr) in enumerate(zip(grads_per_step, lrs), start=1):
+        b1t, b2t = 1 - b1 ** t, 1 - b2 ** t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if weight_decay and not decoupled:
+                g = g + weight_decay * p
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            update = (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
+            if weight_decay and decoupled:
+                update = update + weight_decay * p
+            p -= (lr * update).astype(p.dtype)
+
+
+class TestAdam:
+    @pytest.mark.parametrize("size", [1, ADAM_CHUNK - 1, ADAM_CHUNK,
+                                      ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_chunked_matches_per_tensor_reference(self, size, dtype, decoupled):
+        rng = np.random.default_rng(size)
+        shapes = [(size,), (3, 5)]
+        start = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads = [[rng.normal(size=s).astype(dtype) for s in shapes]
+                 for _ in range(4)]
+        # Python floats as in population training, numpy float64 as the
+        # flow's cosine schedule yields.
+        lrs = [1e-2, 3e-3, np.float64(1e-3), np.float64(7e-4)]
+        ref = [p.copy() for p in start]
+        reference_adam(ref, grads, lrs, (0.9, 0.95), 1e-2, decoupled)
+        params = [p.copy() for p in start]
+        opt = _Adam(params, (0.9, 0.95), 1e-2, decoupled)
+        for g, lr in zip(grads, lrs):
+            opt.step(g, lr)
+        for got, want in zip(params, ref):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_updates_the_callers_arrays(self):
+        p = np.ones((2, 3))
+        _Adam([p], (0.9, 0.999), 0.0, False).step([np.ones((2, 3))], 0.1)
+        assert np.all(p < 1.0)
+
+    def test_non_contiguous_param_rejected(self):
+        with pytest.raises(ValueError):
+            _Adam([np.ones((4, 4))[:, :2]], (0.9, 0.999), 0.0, False)
 
 
 class TestRng:
