@@ -25,9 +25,13 @@ def relu_grad(x):
     return (x > 0.0).astype(x.dtype)
 
 
-def gelu_cdf(x):
-    """Standard normal cdf Phi(x); gelu(x) = x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu_cdf(x, out=None):
+    """Standard normal cdf Phi(x), written into `out` when given;
+    gelu(x) = x * Phi(x)."""
+    out = np.multiply(x, _INV_SQRT2, out=out)
+    erf(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def gelu(x):

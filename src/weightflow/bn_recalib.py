@@ -12,6 +12,15 @@ computed with the already-finalized statistics of earlier layers, which
 keeps the per-layer result exactly partition-independent. The float64
 forward pass runs layer by layer over all calibration batches, so each
 affine map is applied once per batch.
+
+`recalibrate_members` does this for every member of a stacked net (the
+`nn_core._forward_cached` convention: `nn_core._param_views` tensors of N
+members), with each member's statistics pooled along the batch axis of
+(N, B, d) activation stacks; every member gets the same bits as on its
+own. `recalibrate` is its one-member case. One layer's float64 activations
+over the whole calibration set are held at a time, so a caller with many
+members takes them in blocks from `member_blocks`, each sized to hold at
+most RECALIB_BLOCK_BYTES of them.
 """
 
 from __future__ import annotations
@@ -23,7 +32,10 @@ import numpy as np
 
 from .activations import ACTIVATIONS
 from .errors import ArgumentError
-from .nn_core import BN_EPS, BN_MOMENTUM, WeightCheckpoint
+from .nn_core import BN_EPS, BN_MOMENTUM, ArchitectureSpec, WeightCheckpoint
+
+# Byte budget of one member block's float64 calibration activations.
+RECALIB_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -54,18 +66,29 @@ class PooledStats:
         self.mean = (n_prev * self.mean + n_k * batch_mean) / n_new
         self.count = n_new
 
-    def update_from_batch(self, batch: np.ndarray) -> None:
+    def update_from_batch(self, batch: np.ndarray, axis: int = 0) -> None:
+        """Fold in the samples of `batch` along `axis`."""
         batch = np.asarray(batch, dtype=np.float64)
-        self.update(batch.mean(axis=0), batch.var(axis=0), batch.shape[0])
+        self.update(batch.mean(axis=axis), batch.var(axis=axis), batch.shape[axis])
 
 
-def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
-                calib_fraction: float = 1.0) -> WeightCheckpoint:
-    """Return a copy of `ckpt` with BN running statistics recomputed.
+def member_blocks(n_members: int, arch: ArchitectureSpec, n_rows: int) -> list:
+    """Slices that split `n_members` members into blocks whose float64
+    activations of one layer over `n_rows` calibration rows fit in
+    RECALIB_BLOCK_BYTES (at least one member per block)."""
+    per_member = 8 * n_rows * max(arch.layer_dims[1:])
+    size = max(1, RECALIB_BLOCK_BYTES // per_member)
+    return [slice(s, min(s + size, n_members)) for s in range(0, n_members, size)]
+
+
+def recalibrate_members(net: WeightCheckpoint, data, batch_size: int = 64,
+                        calib_fraction: float = 1.0) -> None:
+    """Recompute, in place, the BN running statistics of every member of
+    the stacked net `net` over the first `calib_fraction` of `data`.
 
     Weights, gamma, and beta are untouched; only running mean/var/count
-    change. Momentum-based EMA behavior (0.1) resumes on the returned
-    checkpoint's future train-mode passes.
+    change. Momentum-based EMA behavior (0.1) resumes on future train-mode
+    passes.
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty calibration dataset")
@@ -73,29 +96,30 @@ def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
         raise ArgumentError("batch_size must be >= 1")
     if not 0.0 < calib_fraction <= 1.0:
         raise ArgumentError("calib_fraction must be in (0, 1]")
-    out = ckpt.copy()
-    if not out.bn:
+    if not net.bn:
         warnings.warn("checkpoint has no BN layers; recalibration is a no-op")
-        return out
+        return
     n_use = max(1, int(round(calib_fraction * data.features.shape[0])))
     features = data.features[:n_use]
-    arch = out.arch
+    arch = net.arch
     act, _ = ACTIVATIONS[arch.activation]
-    # Layer-0 batches are views of the features; batches are replaced in
-    # place, so one layer's float64 activations are held at a time.
-    zs = [features[start:start + batch_size] for start in range(0, n_use, batch_size)]
-    for l in range(max(out.bn) + 1):
-        w = out.weights[l].T.astype(np.float64)
-        b = out.biases[l].astype(np.float64)
+    # Layer-0 batches are (1, B, d) views of the features, broadcast over
+    # the members; batches are replaced in place, so one layer's float64
+    # activations (N, B, d) are held at a time.
+    zs = [features[None, start:start + batch_size]
+          for start in range(0, n_use, batch_size)]
+    for l in range(max(net.bn) + 1):
+        w = net.weights[l].swapaxes(-1, -2).astype(np.float64)
+        b = net.biases[l].astype(np.float64)
         for i, z in enumerate(zs):
             zs[i] = z.astype(np.float64, copy=False) @ w + b
-        st = out.bn[l] if arch.has_bn(l) else None
+        st = net.bn[l] if arch.has_bn(l) else None
         if st is not None:
             stats = PooledStats.zeros(arch.layer_dims[l + 1])
             for a in zs:
-                stats.update_from_batch(a)
-            st.running_mean = stats.mean
-            st.running_var = stats.var
+                stats.update_from_batch(a, axis=1)
+            st.running_mean = stats.mean.reshape(st.gamma.shape)
+            st.running_var = stats.var.reshape(st.gamma.shape)
             st.count = stats.count
         for i, a in enumerate(zs):
             if st is not None:
@@ -103,4 +127,12 @@ def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
                      + st.beta)
             zs[i] = act(a)
     assert BN_MOMENTUM == 0.1  # EMA resumes at the documented momentum
+
+
+def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
+                calib_fraction: float = 1.0) -> WeightCheckpoint:
+    """Return a copy of `ckpt` with BN running statistics recomputed: the
+    one-member case of `recalibrate_members`."""
+    out = ckpt.copy()
+    recalibrate_members(out, data, batch_size, calib_fraction)
     return out

@@ -224,6 +224,7 @@ def parse_config(path) -> RunConfig:
     flow["betas"] = (_get(sec("flow"), "beta1", float, beta1),
                      _get(sec("flow"), "beta2", float, beta2))
 
+    FlowConfig(input_dim=1, **flow)  # reject a bad [flow] before any stage runs
     data = DataConfig(**kwargs[DataConfig])
     cfg = RunConfig(**kwargs[RunConfig], data=data, arch=_parse_arch(sec("arch")),
                     train_hyper=TrainHyper(**kwargs[TrainHyper]), flow=flow)

@@ -18,6 +18,18 @@ The parameters live in one contiguous float64 buffer, `FlowModel.flat`, in
 gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one conversion of the whole buffer.
+
+`flow_forward` writes every trunk intermediate into a `FlowWorkspace`:
+float64 buffers of one batch size for the [x, t_emb] input and, per trunk
+layer, the pre-activation (then activation), xhat, LayerNorm output and
+GELU cdf, filled by in-place ufuncs and `matmul(..., out=)` in the
+operation order of the plain expressions, so the values are the same bit
+for bit. `sample` allocates one workspace for all of its RK4 field calls
+and `train_flow` one for all steps; a call without one gets a fresh one.
+Fresh arrays of this size go back to the operating system when freed and
+are page-faulted in again on the next call; reusing the buffers removes
+that system time. The returned velocity is always a new array, so RK4's
+stages never alias the workspace.
 """
 
 from __future__ import annotations
@@ -60,10 +72,24 @@ class FlowConfig:
     integration_steps: int = 100
 
     def __post_init__(self):
-        if self.noise_scale <= 0 or self.source_std <= 0:
-            raise ConfigError("noise_scale and source_std must be > 0")
-        if self.iterations < 1 or self.integration_steps < 1:
-            raise ConfigError("iterations and integration_steps must be >= 1")
+        if self.hidden_dim < 2 or self.time_embed_dim < 1:
+            raise ConfigError("hidden_dim must be >= 2 and time_embed_dim >= 1")
+        if self.iterations < 1 or self.integration_steps < 1 or self.batch_size < 1:
+            raise ConfigError("iterations, integration_steps and batch_size must be >= 1")
+        positive = {"learning_rate": self.learning_rate, "noise_scale": self.noise_scale,
+                    "source_std": self.source_std}
+        positive.update((f"time_beta[{i}]", v) for i, v in enumerate(self.time_beta))
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if len(self.time_beta) != 2:
+            raise ConfigError(f"time_beta needs 2 values, got {len(self.time_beta)}")
+        for name in ("lr_min", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
         if self.time_distribution not in TIME_DISTRIBUTIONS:
             raise ConfigError(f"unknown time distribution {self.time_distribution!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -156,13 +182,29 @@ def _time_embed_backward(p, cache, d_out, grads):
     np.sum(dh1, axis=0, out=grads["time.b1"])
 
 
+class FlowWorkspace:
+    """float64 buffers for every trunk intermediate of `flow_forward` at one
+    batch size: the [x, t_emb] input and, per trunk layer, the
+    pre-activation (overwritten by the activation), xhat, the LayerNorm
+    output and its GELU cdf."""
+
+    def __init__(self, cfg: FlowConfig, batch: int):
+        self.batch = batch
+        self.h0 = np.empty((batch, cfg.trunk_input_dim))
+        self.act, self.xhat, self.ln, self.cdf = (
+            [np.empty((batch, d)) for d in cfg.trunk_dims] for _ in range(4))
+
+
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
                  dropout_masks: list | None = None,
-                 want_cache: bool = False):
+                 want_cache: bool = False,
+                 workspace: FlowWorkspace | None = None):
     """Evaluate the vector field v(x, t).
 
     `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
-    training mode; None means deterministic evaluation.
+    training mode; None means deterministic evaluation. The trunk writes
+    into `workspace` (a new one when None), so the cache holds views of it
+    until its next forward; the returned velocity is a new array.
     """
     cfg = model.config
     p = model.params
@@ -172,27 +214,40 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
+    if workspace is None:
+        workspace = FlowWorkspace(cfg, x.shape[0])
+    elif workspace.batch != x.shape[0]:
+        raise ArgumentError(f"workspace holds batch {workspace.batch}, "
+                            f"x has {x.shape[0]} rows")
 
     t_emb, t_cache = _time_embed_forward(p, t)
-    h = np.concatenate([x, t_emb], axis=1)
+    h = workspace.h0
+    h[:, :cfg.input_dim] = x
+    h[:, cfg.input_dim:] = t_emb
 
     trunk_caches = []
-    for i in range(len(cfg.trunk_dims)):
-        pre = h @ p[f"trunk.w{i}"].T + p[f"trunk.b{i}"]
+    for i, width in enumerate(cfg.trunk_dims):
+        act, xhat = workspace.act[i], workspace.xhat[i]
+        ln, cdf = workspace.ln[i], workspace.cdf[i]
+        pre = np.matmul(h, p[f"trunk.w{i}"].T, out=act)
+        pre += p[f"trunk.b{i}"]
         mu = pre.mean(axis=1, keepdims=True)
-        var = pre.var(axis=1, keepdims=True)
+        centred = np.subtract(pre, mu, out=xhat)
+        # ndarray.var's own steps on the centred values; ln is scratch here.
+        var = np.add.reduce(np.multiply(centred, centred, out=ln),
+                            axis=1, keepdims=True) / width
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = (pre - mu) * inv_std
-        ln = p[f"trunk.ln_g{i}"] * xhat + p[f"trunk.ln_b{i}"]
-        cdf = gelu_cdf(ln)
-        act = ln * cdf                        # gelu(ln); cdf serves the backward
+        np.multiply(centred, inv_std, out=xhat)
+        np.multiply(p[f"trunk.ln_g{i}"], xhat, out=ln)
+        ln += p[f"trunk.ln_b{i}"]
+        gelu_cdf(ln, out=cdf)
+        np.multiply(ln, cdf, out=act)             # gelu(ln); cdf serves the backward
         if dropout_masks is not None:
-            dropped = act * dropout_masks[i]
-        else:
-            dropped = act
+            act *= dropout_masks[i]
         trunk_caches.append((h, xhat, inv_std, ln, cdf))
-        h = dropped
-    v = h @ p["out.w"].T + p["out.b"]
+        h = act
+    v = np.matmul(h, p["out.w"].T)
+    v += p["out.b"]
     if not want_cache:
         return v
     return v, (t_cache, trunk_caches, h)
@@ -242,16 +297,19 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
 def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                       t: np.ndarray, eps: np.ndarray,
                       dropout_masks: list | None = None,
-                      out: np.ndarray | None = None):
+                      out: np.ndarray | None = None,
+                      workspace: FlowWorkspace | None = None):
     """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients,
-    views into the flat gradient buffer `out` (a new one when None).
+    views into the flat gradient buffer `out` (a new one when None). The
+    forward runs in `workspace` (a new one when None).
 
     x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0.
     """
     t_col = t.reshape(-1, 1)
     x_t = (1.0 - t_col) * x0 + t_col * x1 + eps
     u = x1 - x0
-    v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True)
+    v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True,
+                            workspace=workspace)
     diff = v - u
     loss = float(np.mean(diff * diff))
     dv = 2.0 * diff / diff.size
@@ -281,9 +339,11 @@ def _dropout_masks(cfg: FlowConfig, rng, batch: int):
 
 
 def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
-                     rngs: dict, grad: np.ndarray) -> float:
+                     rngs: dict, grad: np.ndarray,
+                     workspace: FlowWorkspace | None = None) -> float:
     """One optimizer step on a batch of target vectors; returns the loss.
-    `grad` is the flat gradient buffer, overwritten."""
+    `grad` is the flat gradient buffer, overwritten; the forward runs in
+    `workspace` (a new one when None)."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
@@ -292,7 +352,7 @@ def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
     masks = _dropout_masks(cfg, rngs["dropout"], b)
-    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, grad)
+    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, grad, workspace)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
@@ -316,6 +376,9 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     model = init_flow_model(cfg, seed)
     optimizer = _Adam([model.flat], cfg.betas, cfg.weight_decay, decoupled=True)
     grad = np.empty_like(model.flat)
+    n = population.shape[0]
+    batch = min(cfg.batch_size, n)
+    workspace = FlowWorkspace(cfg, batch)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -323,13 +386,13 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
         "noise": make_rng(seed, "flow-noise"),
         "dropout": make_rng(seed, "flow-dropout"),
     }
-    n = population.shape[0]
     # fm_training_step reports a non-finite loss; numpy's overflow warnings
     # on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            idx = rngs["batch"].integers(0, n, size=min(cfg.batch_size, n))
-            loss = fm_training_step(model, optimizer, population[idx], rngs, grad)
+            idx = rngs["batch"].integers(0, n, size=batch)
+            loss = fm_training_step(model, optimizer, population[idx], rngs, grad,
+                                    workspace)
             model.loss_history.append(loss)
     return model
 
@@ -362,9 +425,10 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
         return np.zeros((0, cfg.input_dim))
     rng = make_rng(seed, "sample")
     x0 = rng.normal(0.0, cfg.source_std, size=(count, cfg.input_dim))
+    workspace = FlowWorkspace(cfg, count)
 
     def field(x, t):
-        return flow_forward(model, x, np.full(x.shape[0], t))
+        return flow_forward(model, x, np.full(x.shape[0], t), workspace=workspace)
 
     return rk4_integrate(field, x0, cfg.integration_steps)
 

@@ -59,11 +59,18 @@ def max_iou(queries, references, exclude_self: bool = False) -> MaxIouResult:
     return MaxIouResult(per_query, float(per_query.mean()), float(per_query.std()))
 
 
+# Quantile-grid points interpolated at a time by wasserstein_1d.
+W1_BLOCK = 1 << 16
+
+
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     """W1 between two scalar empirical distributions.
 
     Equal sizes reduce to the mean absolute difference of sorted samples;
-    unequal sizes integrate |F_a^-1 - F_b^-1| with linear interpolation.
+    unequal sizes integrate |F_a^-1 - F_b^-1| with linear interpolation on
+    the midpoints of 4 max(|a|, |b|) equal cells of [0, 1]. The grid and
+    both quantile functions are evaluated W1_BLOCK points at a time into one
+    array of |qa - qb|, whose mean is taken once.
     """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
@@ -71,11 +78,19 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
         raise ArgumentError("empty sample set")
     if a.size == b.size:
         return float(np.mean(np.abs(a - b)))
-    grid = np.linspace(0.0, 1.0, 4 * max(a.size, b.size), endpoint=False) + \
-        0.5 / (4 * max(a.size, b.size))
-    qa = np.interp(grid, (np.arange(a.size) + 0.5) / a.size, a)
-    qb = np.interp(grid, (np.arange(b.size) + 0.5) / b.size, b)
-    return float(np.mean(np.abs(qa - qb)))
+    n = 4 * max(a.size, b.size)
+    step, half = 1.0 / n, 0.5 / n     # grid k = k * step + half, as linspace
+    xa = (np.arange(a.size) + 0.5) / a.size
+    xb = (np.arange(b.size) + 0.5) / b.size
+    gap = np.empty(n)
+    for start in range(0, n, W1_BLOCK):
+        grid = np.arange(start, min(start + W1_BLOCK, n), dtype=np.float64)
+        grid *= step
+        grid += half
+        out = gap[start:start + grid.size]
+        np.subtract(np.interp(grid, xa, a), np.interp(grid, xb, b), out=out)
+        np.abs(out, out=out)
+    return float(np.mean(gap))
 
 
 def jensen_shannon(a: np.ndarray, b: np.ndarray, bins: int = 100) -> float:

@@ -418,6 +418,24 @@ def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
     return weights, biases, bn
 
 
+def stack_members(params: np.ndarray, arch: ArchitectureSpec) -> WeightCheckpoint:
+    """A stacked net over the rows of an (N, P) float32 matrix, as
+    `_forward_cached` takes it: `_param_views` tensors and fresh (N, 1, d)
+    float64 BN running statistics (zero mean, unit variance, count 0)."""
+    weights, biases, gamma_beta = _param_views(params, arch)
+    bn = {l: BatchNormState(gamma, beta, np.zeros(gamma.shape), np.ones(gamma.shape))
+          for l, (gamma, beta) in gamma_beta.items()}
+    return WeightCheckpoint(arch, weights, biases, bn)
+
+
+def unstack_member(params: np.ndarray, net: WeightCheckpoint, i: int) -> WeightCheckpoint:
+    """Member i of the stacked net `net` over `params`, as a checkpoint of
+    its own with that member's BN running statistics."""
+    sidecar = {l: (st.running_mean[i, 0], st.running_var[i, 0], st.count)
+               for l, st in net.bn.items()}
+    return unflatten(params[i], net.arch, sidecar)
+
+
 def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
                      holdout=None,
                      init_scheme: str = "kaiming") -> list[WeightCheckpoint]:
@@ -440,11 +458,7 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     params = np.stack([flatten(init_weights(arch, init_scheme, seed=s))
                        for s in seeds])
     grads = np.empty_like(params)
-    weights, biases, gamma_beta = _param_views(params, arch)
-    bn = {l: BatchNormState(gamma, beta,
-                            np.zeros(gamma.shape), np.ones(gamma.shape))
-          for l, (gamma, beta) in gamma_beta.items()}
-    net = WeightCheckpoint(arch, weights, biases, bn)
+    net = stack_members(params, arch)
     grad_views = _param_views(grads, arch)
     if hyper.optimizer == "sgd":
         opt = _SGD([params], hyper.weight_decay)
@@ -476,9 +490,7 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     eval_data = holdout if holdout is not None else data
     population = []
     for i, seed in enumerate(seeds):
-        sidecar = {l: (st.running_mean[i, 0], st.running_var[i, 0], st.count)
-                   for l, st in bn.items()}
-        ckpt = unflatten(params[i], arch, sidecar)
+        ckpt = unstack_member(params, net, i)
         ckpt.seed = seed
         ckpt.metric = evaluate(ckpt, eval_data).accuracy
         population.append(ckpt)
@@ -498,13 +510,23 @@ class EvalResult:
     predictions: np.ndarray
 
 
-def evaluate(ckpt: WeightCheckpoint, data) -> EvalResult:
-    """Eval-mode accuracy and argmax predictions."""
+def evaluate_members(net: WeightCheckpoint, data) -> list[EvalResult]:
+    """Eval-mode accuracy and argmax predictions of every member of a
+    stacked net, from one `_forward_cached` pass (one checkpoint is a
+    one-member stack)."""
     if data.features.shape[0] == 0:
         raise ArgumentError("empty dataset")
-    logits = forward(ckpt, data.features, "eval")
-    preds = logits.argmax(axis=1)
-    return EvalResult(accuracy=float(np.mean(preds == data.labels)), predictions=preds)
+    if data.features.shape[1] != net.arch.layer_dims[0]:
+        raise ShapeError(f"features have dim {data.features.shape[1]}, "
+                         f"expected {net.arch.layer_dims[0]}")
+    logits, _ = _forward_cached(net, data.features[None], "eval")
+    return [EvalResult(accuracy=float(np.mean(preds == data.labels)), predictions=preds)
+            for preds in logits.argmax(axis=-1)]
+
+
+def evaluate(ckpt: WeightCheckpoint, data) -> EvalResult:
+    """Eval-mode accuracy and argmax predictions."""
+    return evaluate_members(ckpt, data)[0]
 
 
 def flatten(ckpt: WeightCheckpoint) -> np.ndarray:

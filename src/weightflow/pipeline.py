@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import pca as pca_mod
-from .bn_recalib import recalibrate
+from .bn_recalib import member_blocks, recalibrate_members
 from .canonicalize import canonicalize_population
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import RunConfig
@@ -23,7 +23,8 @@ from .data import load_idx, load_iris, make_blobs
 from .errors import DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
-from .nn_core import evaluate, flatten, train_population, unflatten
+from .nn_core import (evaluate, evaluate_members, flatten, stack_members,
+                      train_population, unstack_member)
 from .pca import default_latent_dim, load_pca
 
 # Published reference values, reported in stage outputs for context but
@@ -265,18 +266,22 @@ def stage_generate(cfg: RunConfig, out_dir) -> str:
                             "generate", "fit-pca")
         vectors = pca_mod.inverse_transform(load_pca(pca_path), vectors)
         rows.append(("input.pca", sha256_file(pca_path)))
-    for i in range(cfg.generate_count):
-        ckpt = unflatten(vectors[i], cfg.arch)
-        if ckpt.bn and cfg.recalibrate_bn:
-            ckpt = recalibrate(ckpt, train, calib_fraction=cfg.calib_fraction)
-        ckpt.seed = cfg.seed
-        ckpt.metric = evaluate(ckpt, test).accuracy
-        name = f"gen_{i:04d}.dwfc"
-        path = os.path.join(gen_dir, name)
-        save_checkpoint(ckpt, path)
-        rows += [(f"file_{i:04d}", f"generated/{name}"),
-                 (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}"),
-                 (f"sha256_{i:04d}", sha256_file(path))]
+    params = vectors.astype(np.float32)
+    for block in member_blocks(len(params), cfg.arch, train.features.shape[0]):
+        net = stack_members(params[block], cfg.arch)
+        if net.bn and cfg.recalibrate_bn:
+            recalibrate_members(net, train, calib_fraction=cfg.calib_fraction)
+        for j, result in enumerate(evaluate_members(net, test)):
+            i = block.start + j
+            ckpt = unstack_member(params[block], net, j)
+            ckpt.seed = cfg.seed
+            ckpt.metric = result.accuracy
+            name = f"gen_{i:04d}.dwfc"
+            path = os.path.join(gen_dir, name)
+            save_checkpoint(ckpt, path)
+            rows += [(f"file_{i:04d}", f"generated/{name}"),
+                     (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}"),
+                     (f"sha256_{i:04d}", sha256_file(path))]
     write_manifest(os.path.join(out_dir, "generate.manifest"), rows)
     return gen_dir
 

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow.bn_recalib import PooledStats, recalibrate
+from weightflow import bn_recalib
+from weightflow.activations import ACTIVATIONS
+from weightflow.bn_recalib import (PooledStats, member_blocks, recalibrate,
+                                   recalibrate_members)
 from weightflow.data import LabeledDataset
 from weightflow.errors import ArgumentError
-from weightflow.nn_core import (ArchitectureSpec, flatten, forward,
-                                init_weights)
+from weightflow.nn_core import (BN_EPS, ArchitectureSpec, evaluate_members,
+                                flatten, forward, init_weights, stack_members,
+                                unflatten, unstack_member)
 
 
 def dataset(features):
@@ -117,3 +121,95 @@ class TestRecalibrate:
         assert half.bn[0].count == 20
         with pytest.raises(ArgumentError):
             recalibrate(ckpt, data, calib_fraction=0.0)
+
+
+def reference_recalibrate(ckpt, data, batch_size=64, calib_fraction=1.0):
+    """One checkpoint's BN recalibration written out on its own (B, d)
+    float64 batches."""
+    out = ckpt.copy()
+    n_use = max(1, int(round(calib_fraction * data.features.shape[0])))
+    act, _ = ACTIVATIONS[out.arch.activation]
+    features = data.features[:n_use]
+    zs = [features[s:s + batch_size] for s in range(0, n_use, batch_size)]
+    for l in range(max(out.bn) + 1):
+        w = out.weights[l].T.astype(np.float64)
+        b = out.biases[l].astype(np.float64)
+        zs = [z.astype(np.float64) @ w + b for z in zs]
+        st = out.bn[l] if out.arch.has_bn(l) else None
+        if st is not None:
+            stats = PooledStats.zeros(w.shape[1])
+            for a in zs:
+                stats.update(a.mean(axis=0), a.var(axis=0), a.shape[0])
+            st.running_mean, st.running_var, st.count = stats.mean, stats.var, stats.count
+            zs = [st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS)
+                  + st.beta for a in zs]
+        zs = [act(a) for a in zs]
+    return out
+
+
+class TestStackedRecalibration:
+    ARCHS = [ArchitectureSpec((4, 6, 5, 3), "relu", (True, True)),
+             ArchitectureSpec((4, 6, 5, 3), "gelu", (False, True))]
+    BLOCK = 4
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        """Budget for BLOCK members of the calibration sets below."""
+        def use(arch, n_rows):
+            per_member = 8 * n_rows * max(arch.layer_dims[1:])
+            monkeypatch.setattr(bn_recalib, "RECALIB_BLOCK_BYTES",
+                                self.BLOCK * per_member + per_member - 1)
+        return use
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=["relu-bn-bn", "gelu-bn-last"])
+    @pytest.mark.parametrize("members", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("batch_size,calib_fraction", [(7, 1.0), (64, 0.7)])
+    def test_blocks_match_per_member_reference(self, small_blocks, arch, members,
+                                               batch_size, calib_fraction):
+        gen = np.random.default_rng(members)
+        calib = dataset(gen.normal(0.5, 1.5, size=(45, 4)))
+        test = LabeledDataset(gen.normal(size=(23, 4)).astype(np.float32),
+                              gen.integers(0, 3, size=23))
+        params = gen.normal(0.0, 0.6, size=(members, arch.param_count())).astype(np.float32)
+        small_blocks(arch, calib.features.shape[0])
+        blocks = member_blocks(members, arch, calib.features.shape[0])
+        assert [b.stop - b.start for b in blocks][:-1] == [self.BLOCK] * (len(blocks) - 1)
+        assert blocks[-1].stop == members
+        seen = 0
+        for block in blocks:
+            net = stack_members(params[block], arch)
+            recalibrate_members(net, calib, batch_size, calib_fraction)
+            for j, result in enumerate(evaluate_members(net, test)):
+                i = block.start + j
+                got = unstack_member(params[block], net, j)
+                ref = reference_recalibrate(unflatten(params[i], arch), calib,
+                                            batch_size, calib_fraction)
+                for l, st in ref.bn.items():
+                    assert np.array_equal(got.bn[l].running_mean, st.running_mean)
+                    assert np.array_equal(got.bn[l].running_var, st.running_var)
+                    assert got.bn[l].count == st.count
+                preds = forward(ref, test.features, "eval").argmax(axis=1)
+                assert np.array_equal(result.predictions, preds)
+                assert result.accuracy == float(np.mean(preds == test.labels))
+                seen += 1
+        assert seen == members
+
+    def test_recalibrate_is_one_member_case(self, rng):
+        arch = self.ARCHS[0]
+        ckpt = init_weights(arch, seed=9)
+        data = dataset(rng.normal(size=(30, 4)))
+        ref = reference_recalibrate(ckpt, data, batch_size=8)
+        out = recalibrate(ckpt, data, batch_size=8)
+        for l, st in ref.bn.items():
+            assert out.bn[l].running_mean.shape == st.running_mean.shape
+            assert np.array_equal(out.bn[l].running_mean, st.running_mean)
+            assert np.array_equal(out.bn[l].running_var, st.running_var)
+
+    def test_block_budget_bounds_members(self):
+        arch = ArchitectureSpec((8, 16, 16, 3), "relu", (True, True))
+        blocks = member_blocks(400, arch, 480)
+        per_member = 8 * 480 * 16
+        assert all(0 < (b.stop - b.start) * per_member <= bn_recalib.RECALIB_BLOCK_BYTES
+                   for b in blocks)
+        assert member_blocks(0, arch, 480) == []
+        assert member_blocks(3, arch, 10 ** 9) == [slice(0, 1), slice(1, 2), slice(2, 3)]

@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 from dataclasses import fields
@@ -173,6 +174,48 @@ class TestExitCodes:
         assert main(["make-population", "--config", cfg_path]) == 0
 
 
+def _flow_keys(text: str, **keys) -> str:
+    """`text` with its [flow] section set to hidden_dim 16 plus `keys`."""
+    keys = {"hidden_dim": "16", **keys}
+    body = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    return text.replace("hidden_dim = 16\n", "").replace("[flow]\n", "[flow]\n" + body)
+
+
+class TestDegenerateFlowConfig:
+    @pytest.mark.parametrize("keys", [
+        {"hidden_dim": "0"}, {"hidden_dim": "1"}, {"time_embed_dim": "0"},
+        {"time_distribution": "beta", "time_beta": "0,1"},
+        {"batch_size": "0"}, {"learning_rate": "-1"}, {"learning_rate": "nan"},
+    ], ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys.items()))
+    def test_run_exits_2_without_traceback(self, quick_cfg, capsys, keys):
+        cfg_path, _ = quick_cfg
+        text = open(cfg_path).read()
+        open(cfg_path, "w").write(_flow_keys(text, **keys))
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_dim", 1), ("time_embed_dim", 0), ("batch_size", 0),
+        ("learning_rate", 0.0), ("learning_rate", math.inf),
+        ("noise_scale", math.nan), ("source_std", -1.0),
+        ("time_beta", (2.0, 0.0)), ("time_beta", (math.inf, 5.0)),
+        ("time_beta", (2.0,)), ("lr_min", -1e-6), ("lr_min", math.nan),
+        ("weight_decay", -1.0), ("weight_decay", math.inf),
+        ("betas", (1.0, 0.95)), ("betas", (0.9, -0.1)), ("betas", (0.9, math.nan)),
+    ])
+    def test_flow_config_rejects(self, field, value):
+        with pytest.raises(ConfigError):
+            FlowConfig(input_dim=4, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_dim", 2), ("time_embed_dim", 1), ("batch_size", 1),
+        ("lr_min", 0.0), ("weight_decay", 0.0), ("betas", (0.0, 0.0)),
+    ])
+    def test_flow_config_accepts_edges(self, field, value):
+        FlowConfig(input_dim=4, **{field: value})
+
+
 class TestStages:
     def test_make_population_manifest(self, quick_cfg):
         cfg_path, out = quick_cfg
@@ -241,6 +284,24 @@ class TestStages:
         m = read_manifest(os.path.join(out, "metrics.txt"))
         assert m["original_count"] == "3"
         assert m["generated_count"] == "2"
+
+    def test_generate_bytes_do_not_depend_on_member_blocks(self, tmp_path,
+                                                           monkeypatch):
+        from weightflow import bn_recalib
+        text = QUICK.replace("layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1") \
+                    .replace("count = 2", "count = 5")
+        runs = {}
+        for label, budget in (("one_block", 1 << 30), ("one_member_each", 1)):
+            monkeypatch.setattr(bn_recalib, "RECALIB_BLOCK_BYTES", budget)
+            out = tmp_path / label
+            cfg_path = tmp_path / f"{label}.ini"
+            cfg_path.write_text(text.format(out=out))
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            runs[label] = {name: (out / "generated" / name).read_bytes()
+                           for name in sorted(os.listdir(out / "generated"))}
+            runs[label]["manifest"] = (out / "generate.manifest").read_bytes()
+        assert len(runs["one_block"]) == 6
+        assert runs["one_block"] == runs["one_member_each"]
 
     def test_seed_override_changes_samples(self, quick_cfg):
         cfg_path, out = quick_cfg

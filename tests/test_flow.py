@@ -1,14 +1,47 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from weightflow.activations import erf, gelu
 from weightflow.errors import ArgumentError, DataError, IntegrationError
-from weightflow.flow import (FlowConfig, FlowModel, fm_loss_and_grads,
-                             flow_forward, init_flow_model, load_flow,
-                             rk4_integrate, sample, save_flow, train_flow,
+from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
+                             fm_loss_and_grads, flow_backward, flow_forward,
+                             init_flow_model, load_flow, rk4_integrate, sample,
+                             save_flow, train_flow, _dropout_masks,
                              _param_layout)
+from weightflow.rng import make_rng
 
 TINY = FlowConfig(input_dim=4, hidden_dim=8, time_embed_dim=4, dropout=0.0,
                   iterations=50, batch_size=4)
+
+
+def reference_forward(model, x, t, dropout_masks=None):
+    """The vector field written out with a new array per step; returns
+    (v, cache) in flow_backward's cache layout."""
+    p = model.params
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    h1 = t @ p["time.w1"].T + p["time.b1"]
+    a1 = gelu(h1)
+    t_emb = a1 @ p["time.w2"].T + p["time.b2"]
+    h = np.concatenate([x, t_emb], axis=1)
+    trunk_caches = []
+    for i in range(len(model.config.trunk_dims)):
+        pre = h @ p[f"trunk.w{i}"].T + p[f"trunk.b{i}"]
+        mu = pre.mean(axis=1, keepdims=True)
+        var = pre.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = (pre - mu) * inv_std
+        ln = p[f"trunk.ln_g{i}"] * xhat + p[f"trunk.ln_b{i}"]
+        cdf = 0.5 * (1.0 + erf(ln * (1.0 / math.sqrt(2.0))))
+        act = ln * cdf
+        dropped = act if dropout_masks is None else act * dropout_masks[i]
+        trunk_caches.append((h, xhat, inv_std, ln, cdf))
+        h = dropped
+    v = h @ p["out.w"].T + p["out.b"]
+    return v, ((t, h1, a1), trunk_caches, h)
 
 
 class TestForward:
@@ -24,6 +57,88 @@ class TestForward:
         t = rng.uniform(size=3)
         assert np.array_equal(flow_forward(model, x, t),
                               flow_forward(model, x, t))
+
+
+
+WIDE = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3, dropout=0.3)
+
+
+class TestWorkspace:
+    def test_eval_forward_matches_reference(self, rng):
+        model = init_flow_model(WIDE, seed=3)
+        x, t = rng.normal(size=(9, 6)), rng.uniform(size=9)
+        ref, _ = reference_forward(model, x, t)
+        assert np.array_equal(flow_forward(model, x, t), ref)
+        ws = FlowWorkspace(WIDE, 9)
+        assert np.array_equal(flow_forward(model, x, t, workspace=ws), ref)
+
+    def test_train_forward_and_gradients_match_reference(self, rng):
+        model = init_flow_model(WIDE, seed=4)
+        x1, x0 = rng.normal(size=(9, 6)), rng.normal(0, 0.01, size=(9, 6))
+        t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
+        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), 9)
+        x_t = (1.0 - t[:, None]) * x0 + t[:, None] * x1 + eps
+        v_ref, cache = reference_forward(model, x_t, t, masks)
+        assert np.array_equal(flow_forward(model, x_t, t, masks), v_ref)
+        diff = v_ref - (x1 - x0)
+        grads_ref = flow_backward(model, cache, 2.0 * diff / diff.size, masks)
+        ws = FlowWorkspace(WIDE, 9)
+        for workspace in (None, ws, ws):
+            loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, masks,
+                                            workspace=workspace)
+            assert loss == float(np.mean(diff * diff))
+            for name in grads_ref:
+                assert np.array_equal(grads[name], grads_ref[name]), name
+
+    def test_reused_workspace_matches_fresh(self, rng):
+        model = init_flow_model(WIDE, seed=5)
+        ws = FlowWorkspace(WIDE, 7)
+        x = rng.normal(size=(7, 6))
+        for t in (0.0, 0.35, 1.0, rng.uniform(size=7)):
+            t_col = np.broadcast_to(t, 7)
+            assert np.array_equal(flow_forward(model, x, t_col, workspace=ws),
+                                  flow_forward(model, x, t_col))
+
+    def test_velocities_do_not_alias(self, rng):
+        model = init_flow_model(WIDE, seed=6)
+        ws = FlowWorkspace(WIDE, 5)
+        buffers = [ws.h0] + ws.act + ws.xhat + ws.ln + ws.cdf
+        x = rng.normal(size=(5, 6))
+        v1 = flow_forward(model, x, np.full(5, 0.2), workspace=ws)
+        kept = v1.copy()
+        v2 = flow_forward(model, x, np.full(5, 0.7), workspace=ws)
+        assert not np.shares_memory(v1, v2)
+        assert not any(np.shares_memory(v, buf) for v in (v1, v2) for buf in buffers)
+        assert np.array_equal(v1, kept)
+
+    def test_batch_mismatch_rejected(self, rng):
+        model = init_flow_model(WIDE, seed=0)
+        with pytest.raises(ArgumentError, match="workspace"):
+            flow_forward(model, rng.normal(size=(4, 6)), np.zeros(4),
+                         workspace=FlowWorkspace(WIDE, 5))
+
+    def test_sample_matches_rk4_over_reference(self):
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
+                         integration_steps=7)
+        model = init_flow_model(cfg, seed=7)
+        x0 = make_rng(11, "sample").normal(0.0, cfg.source_std, size=(12, 6))
+        ref = rk4_integrate(
+            lambda x, t: reference_forward(model, x, np.full(x.shape[0], t))[0],
+            x0, cfg.integration_steps)
+        assert np.array_equal(sample(model, 12, seed=11), ref)
+
+    def test_sample_peak_memory_is_about_one_workspace(self):
+        cfg = FlowConfig(input_dim=24, hidden_dim=128, integration_steps=3)
+        model = init_flow_model(cfg, seed=0)
+        ws = FlowWorkspace(cfg, 400)
+        budget = 3 * sum(buf.nbytes for buf in [ws.h0] + ws.act + ws.xhat + ws.ln + ws.cdf)
+        tracemalloc.start()
+        try:
+            sample(model, 400, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)
 
 
 class TestLoss:

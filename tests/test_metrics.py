@@ -1,11 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightflow.errors import ArgumentError
-from weightflow.metrics import (distribution_distances, iou, jensen_shannon,
-                                max_iou, wasserstein_1d, wrong_set)
+from weightflow.metrics import (W1_BLOCK, distribution_distances, iou,
+                                jensen_shannon, max_iou, wasserstein_1d,
+                                wrong_set)
+
+
+def reference_wasserstein_1d(a, b):
+    """W1 with the whole quantile grid held at once."""
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    if a.size == b.size:
+        return float(np.mean(np.abs(a - b)))
+    n = 4 * max(a.size, b.size)
+    grid = np.linspace(0.0, 1.0, n, endpoint=False) + 0.5 / n
+    qa = np.interp(grid, (np.arange(a.size) + 0.5) / a.size, a)
+    qb = np.interp(grid, (np.arange(b.size) + 0.5) / b.size, b)
+    return float(np.mean(np.abs(qa - qb)))
 
 
 class TestWrongSet:
@@ -92,6 +108,25 @@ class TestWasserstein:
     def test_empty_rejected(self):
         with pytest.raises(ArgumentError):
             wasserstein_1d(np.array([]), np.array([1.0]))
+
+    @pytest.mark.parametrize("na,nb", [
+        (1, 5), (3, 7), (64, 64), (17, W1_BLOCK + 3), (W1_BLOCK // 4, 3),
+        (25 * 531, 400 * 531)])
+    def test_bit_equal_to_whole_grid(self, rng, na, nb):
+        a, b = rng.normal(size=na), rng.normal(0.3, 2.0, size=nb)
+        assert wasserstein_1d(a, b) == reference_wasserstein_1d(a, b)
+        assert wasserstein_1d(b, a) == reference_wasserstein_1d(b, a)
+
+    def test_peak_memory_at_generated_population_shapes(self, rng):
+        # 25 originals against 400 generated networks of 531 weights
+        a, b = rng.normal(size=(25, 531)), rng.normal(size=(400, 531))
+        tracemalloc.start()
+        try:
+            wasserstein_1d(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     @given(seed=st.integers(0, 1000), shift=st.floats(-5, 5))
     @settings(max_examples=40, deadline=None)
