@@ -11,7 +11,8 @@ from .canonicalize import (AttentionAssignment, PermutationAssignment,
                            canonicalize_population, permutation_spec,
                            solve_lap_max, solve_lap_min, transfusion_align,
                            weight_match)
-from .checkpoint_io import load_checkpoint, save_checkpoint
+from .checkpoint_io import (load_checkpoint, load_population, save_checkpoint,
+                            save_population)
 from .config import RunConfig, parse_config
 from .data import LabeledDataset, load_idx, load_iris, make_blobs
 from .errors import (ArgumentError, ConfigError, DataError, IntegrationError,

@@ -34,15 +34,18 @@ Keys by section (choices after a colon):
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .flow import TIME_DISTRIBUTIONS, FlowConfig
 from .nn_core import INIT_SCHEMES, OPTIMIZERS, ArchitectureSpec, TrainHyper
+from .pca import default_latent_dim
 
 TASKS = ("iris", "mnist", "blobs")
 CANON_MODES = ("off", "rebasin")
 PCA_MODES = ("off", "standard", "incremental", "dual")
+SEED_LIMIT = 2 ** 63  # seeds are stored as i64
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,16 @@ class DataConfig:
     blobs_per_class: int = 50
     blobs_dim: int = 4
     blobs_spread: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.limit < 0:
+            raise ConfigError(f"limit must be >= 0, got {self.limit}")
+        if self.blobs_classes < 2 or self.blobs_per_class < 2 or self.blobs_dim < 1:
+            raise ConfigError("blobs need classes >= 2, per_class >= 2 and dim >= 1")
+        if not (math.isfinite(self.blobs_spread) and self.blobs_spread > 0):
+            raise ConfigError(f"blobs_spread must be finite and > 0, got {self.blobs_spread}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,31 @@ class RunConfig:
     calib_fraction: float = 1.0
     metrics_iou: bool = True
     metrics_distances: bool = True
+
+    def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
+        if self.population_size < 1:
+            raise ConfigError("population size must be >= 1")
+        if not 0 <= self.base_seed <= SEED_LIMIT - self.population_size:
+            raise ConfigError("base_seed + size - 1 must be in [0, 2**63)")
+        if self.generate_count < 0:
+            raise ConfigError("generate count must be >= 0")
+        if not 0 <= self.reference_index < self.population_size:
+            raise ConfigError("reference_index out of population range")
+        if self.canonicalize_max_iter < 1:
+            raise ConfigError("canonicalize max_iter must be >= 1")
+        if min(self.pca_micro_batch, self.pca_batch_rows) < 1 or self.latent_dim < 0:
+            raise ConfigError("pca micro_batch and batch_rows must be >= 1, latent_dim >= 0")
+        k = self.latent_dim or default_latent_dim(self.population_size)
+        rank = min(self.population_size - 1, self.arch.param_count())
+        if self.pca_mode != "off" and not 1 <= k <= rank:
+            raise ConfigError(f"pca needs 1 <= latent_dim <= {rank} (size - 1 and "
+                              f"parameter count), got {k}")
+        if not 0.0 < self.calib_fraction <= 1.0:
+            raise ConfigError(f"calib_fraction must be in (0, 1], got {self.calib_fraction}")
+        if self.task == "mnist" and not self.data.mnist_train_images:
+            raise ConfigError("mnist task requires [data] mnist_* paths")
 
     def flow_config(self, input_dim: int) -> FlowConfig:
         return FlowConfig(input_dim=input_dim, **self.flow)
@@ -226,14 +264,5 @@ def parse_config(path) -> RunConfig:
 
     FlowConfig(input_dim=1, **flow)  # reject a bad [flow] before any stage runs
     data = DataConfig(**kwargs[DataConfig])
-    cfg = RunConfig(**kwargs[RunConfig], data=data, arch=_parse_arch(sec("arch")),
-                    train_hyper=TrainHyper(**kwargs[TrainHyper]), flow=flow)
-    if cfg.population_size < 1:
-        raise ConfigError("population size must be >= 1")
-    if cfg.generate_count < 0:
-        raise ConfigError("generate count must be >= 0")
-    if not 0 <= cfg.reference_index < cfg.population_size:
-        raise ConfigError("reference_index out of population range")
-    if cfg.task == "mnist" and not data.mnist_train_images:
-        raise ConfigError("mnist task requires [data] mnist_* paths")
-    return cfg
+    return RunConfig(**kwargs[RunConfig], data=data, arch=_parse_arch(sec("arch")),
+                     train_hyper=TrainHyper(**kwargs[TrainHyper]), flow=flow)

@@ -320,8 +320,10 @@ class TrainHyper:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size >= 1 and epochs >= 0 required")
 

@@ -4,8 +4,11 @@ generate -> evaluate -> report.
 Every stage is a pure function of (config, upstream artifacts, seed): given
 the same inputs it rewrites byte-identical outputs. Each stage emits a
 manifest (flat key=value text, no timestamps) that records the content hash
-of its inputs and outputs, so manifests chain into an audit trail.
-"""
+of its inputs and outputs, so manifests chain into an audit trail. A
+population is one DWFC file (`population.dwfc`, `aligned.dwfc`,
+`generated.dwfc`) written by one stage call; a stage checks every artifact
+it reads against the `sha256` row of the manifest written beside it, and
+stops with DataError on a mismatch."""
 
 from __future__ import annotations
 
@@ -17,10 +20,10 @@ import numpy as np
 from . import pca as pca_mod
 from .bn_recalib import member_blocks, recalibrate_members
 from .canonicalize import canonicalize_population
-from .checkpoint_io import load_checkpoint, save_checkpoint
+from .checkpoint_io import load_population, save_population
 from .config import RunConfig
 from .data import load_idx, load_iris, make_blobs
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
 from .nn_core import (evaluate, evaluate_members, flatten, stack_members,
@@ -73,58 +76,71 @@ def _require(path, stage: str, produced_by: str):
 
 
 def load_task_data(cfg: RunConfig):
-    """(train, test) datasets for the configured task; pure given config."""
+    """(train, test) datasets for the configured task; pure given config.
+    ConfigError if the network's input width is not the feature width or
+    its output width is below the class count."""
     d = cfg.data
-    limit = d.limit or None
     if cfg.task == "iris":
-        return load_iris(d.test_fraction, seed=cfg.seed)
-    if cfg.task == "blobs":
-        return make_blobs(d.blobs_classes, d.blobs_per_class, d.blobs_dim,
-                          d.blobs_spread, seed=cfg.seed,
-                          test_fraction=d.test_fraction)
-    train = load_idx(d.mnist_train_images, d.mnist_train_labels, limit)
-    test = load_idx(d.mnist_test_images, d.mnist_test_labels, limit)
+        train, test = load_iris(d.test_fraction, seed=cfg.seed)
+    elif cfg.task == "blobs":
+        train, test = make_blobs(d.blobs_classes, d.blobs_per_class, d.blobs_dim,
+                                 d.blobs_spread, seed=cfg.seed,
+                                 test_fraction=d.test_fraction)
+    else:
+        train = load_idx(d.mnist_train_images, d.mnist_train_labels, d.limit or None)
+        test = load_idx(d.mnist_test_images, d.mnist_test_labels, d.limit or None)
+    dims = cfg.arch.layer_dims
+    classes = max(train.num_classes, test.num_classes)
+    if dims[0] != train.features.shape[1] or dims[-1] < classes:
+        raise ConfigError(
+            f"[arch] layer_dims {','.join(map(str, dims))} do not fit the {cfg.task} "
+            f"data: {train.features.shape[1]} features, {classes} classes")
     return train, test
 
 
-def population_paths(pop_dir):
-    """Checkpoint files in a population directory, in index order."""
-    if not os.path.isdir(pop_dir):
-        raise DataError(f"population directory {pop_dir} does not exist")
-    names = sorted(n for n in os.listdir(pop_dir) if n.endswith(".dwfc"))
-    if not names:
-        raise DataError(f"population directory {pop_dir} has no .dwfc files")
-    return [os.path.join(pop_dir, n) for n in names]
+# Artifact -> (the manifest its stage writes beside it, that stage).
+_ARTIFACTS = {
+    "population.dwfc": ("population.manifest", "make-population"),
+    "aligned.dwfc": ("canonicalize.manifest", "canonicalize"),
+    "pca.dwfp": ("pca.manifest", "fit-pca"),
+    "flow.dwff": ("flow.manifest", "train-flow"),
+    "generated.dwfc": ("generate.manifest", "generate"),
+}
 
 
-def load_population(pop_dir):
-    pop = [load_checkpoint(p) for p in population_paths(pop_dir)]
-    arch = pop[0].arch
-    for i, ckpt in enumerate(pop):
-        if ckpt.arch != arch:
-            raise DataError(
-                f"heterogeneous population: checkpoint {i} has a different "
-                "architecture")
-    return pop
+def _load_input(out_dir, name, stage: str, load):
+    """(load(path), sha256) of artifact `name`, once its bytes match the
+    sha256 row of the manifest its stage wrote beside it."""
+    manifest, producer = _ARTIFACTS[name]
+    path = _require(os.path.join(out_dir, name), stage, producer)
+    manifest = _require(os.path.join(out_dir, manifest), stage, producer)
+    loaded, digest = load(path), sha256_file(path)
+    if digest != read_manifest(manifest).get("sha256"):
+        raise DataError(f"stage {stage}: {path} does not match the sha256 in "
+                        f"{manifest} (rerun `{producer}`)")
+    return loaded, digest
 
 
-def _fresh_output_dir(path) -> None:
-    """Create a stage's output directory, dropping checkpoints of earlier runs."""
-    os.makedirs(path, exist_ok=True)
-    for name in os.listdir(path):
-        if name.endswith(".dwfc"):
-            os.remove(os.path.join(path, name))
-
-
-def _source_dir(cfg: RunConfig, out_dir, stage: str):
-    """Aligned population when canonicalization is on, else raw."""
-    if cfg.canonicalize_mode != "off":
-        return _require(os.path.join(out_dir, "aligned"), stage, "canonicalize")
-    return _require(os.path.join(out_dir, "population"), stage, "make-population")
+def _source(cfg: RunConfig, out_dir, stage: str):
+    """The population PCA and the flow fit (aligned when canonicalization is
+    on, else raw) as a float64 matrix, and the sha256 of its manifest."""
+    name = "aligned.dwfc" if cfg.canonicalize_mode != "off" else "population.dwfc"
+    pop, _ = _load_input(out_dir, name, stage, load_population)
+    return _population_matrix(pop), sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
 
 
 def _population_matrix(pop) -> np.ndarray:
     return np.stack([flatten(c) for c in pop]).astype(np.float64)
+
+
+def _write_artifact(out_dir, name, rows, save, obj, *args) -> str:
+    """`save(obj, path, *args)` to artifact `name`, then its manifest:
+    `rows` plus the artifact's name and sha256."""
+    path = os.path.join(out_dir, name)
+    save(obj, path, *args)
+    write_manifest(os.path.join(out_dir, _ARTIFACTS[name][0]),
+                   rows + [("artifact", name), ("sha256", sha256_file(path))])
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -132,40 +148,29 @@ def _population_matrix(pop) -> np.ndarray:
 
 
 def stage_make_population(cfg: RunConfig, out_dir) -> str:
-    """Train one network per seed; write DWFC files plus manifest."""
+    """Train one network per seed; write them as one DWFC file plus manifest."""
     train, test = load_task_data(cfg)
-    pop_dir = os.path.join(out_dir, "population")
-    _fresh_output_dir(pop_dir)
-    rows = [("stage", "make-population"), ("task", cfg.task),
-            ("count", cfg.population_size)]
     seeds = [cfg.base_seed + i for i in range(cfg.population_size)]
     population = train_population(cfg.arch, train, cfg.train_hyper, seeds,
                                   holdout=test, init_scheme=cfg.init_scheme)
+    rows = [("stage", "make-population"), ("task", cfg.task),
+            ("count", cfg.population_size)]
     for i, ckpt in enumerate(population):
-        name = f"ckpt_{i:04d}.dwfc"
-        path = os.path.join(pop_dir, name)
-        save_checkpoint(ckpt, path)
-        rows += [(f"file_{i:04d}", f"population/{name}"),
-                 (f"seed_{i:04d}", ckpt.seed),
-                 (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}"),
-                 (f"sha256_{i:04d}", sha256_file(path))]
-    write_manifest(os.path.join(out_dir, "population.manifest"), rows)
-    return pop_dir
+        rows += [(f"seed_{i:04d}", ckpt.seed),
+                 (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}")]
+    return _write_artifact(out_dir, "population.dwfc", rows, save_population,
+                           population, cfg.arch)
 
 
 def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
     """Align every checkpoint to the reference; accuracy must be preserved."""
-    pop_dir = _require(os.path.join(out_dir, "population"),
-                       "canonicalize", "make-population")
+    pop, _ = _load_input(out_dir, "population.dwfc", "canonicalize", load_population)
     _, test = load_task_data(cfg)
-    pop = load_population(pop_dir)
     if cfg.canonicalize_mode == "off":
         aligned_pop = pop
     else:
         aligned_pop = canonicalize_population(pop, cfg.reference_index,
                                               cfg.canonicalize_max_iter)
-    aligned_dir = os.path.join(out_dir, "aligned")
-    _fresh_output_dir(aligned_dir)
     rows = [("stage", "canonicalize"), ("mode", cfg.canonicalize_mode),
             ("reference_index", cfg.reference_index),
             ("input.population", sha256_file(
@@ -173,30 +178,23 @@ def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
     for i, (ckpt, aligned) in enumerate(zip(pop, aligned_pop)):
         acc_before = evaluate(ckpt, test).accuracy
         acc_after = evaluate(aligned, test).accuracy
-        name = f"ckpt_{i:04d}.dwfc"
-        path = os.path.join(aligned_dir, name)
-        save_checkpoint(aligned, path)
-        rows += [(f"file_{i:04d}", f"aligned/{name}"),
-                 (f"accuracy_before_{i:04d}", f"{acc_before:.6f}"),
-                 (f"accuracy_after_{i:04d}", f"{acc_after:.6f}"),
-                 (f"sha256_{i:04d}", sha256_file(path))]
+        rows += [(f"accuracy_before_{i:04d}", f"{acc_before:.6f}"),
+                 (f"accuracy_after_{i:04d}", f"{acc_after:.6f}")]
         if abs(acc_after - acc_before) > 1e-6:
             raise DataError(
                 f"canonicalize: accuracy changed for checkpoint {i} "
                 f"({acc_before:.6f} -> {acc_after:.6f})")
-    write_manifest(os.path.join(out_dir, "canonicalize.manifest"), rows)
-    return aligned_dir
+    return _write_artifact(out_dir, "aligned.dwfc", rows, save_population,
+                           aligned_pop, cfg.arch)
 
 
 def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
     """Fit the configured PCA over the population's flat vectors."""
     rows = [("stage", "fit-pca"), ("mode", cfg.pca_mode)]
-    manifest = os.path.join(out_dir, "pca.manifest")
     if cfg.pca_mode == "off":
-        write_manifest(manifest, rows + [("artifact", "none")])
+        write_manifest(os.path.join(out_dir, "pca.manifest"), rows + [("artifact", "none")])
         return None
-    src = _source_dir(cfg, out_dir, "fit-pca")
-    matrix = _population_matrix(load_population(src))
+    matrix, source_manifest = _source(cfg, out_dir, "fit-pca")
     n = matrix.shape[0]
     k = cfg.latent_dim or default_latent_dim(n)
     if cfg.pca_mode == "standard":
@@ -208,101 +206,67 @@ def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
     else:
         model = pca_mod.fit_dual(matrix, k, micro_batch=cfg.pca_micro_batch,
                                  exact_eigen=cfg.pca_exact_eigen, seed=cfg.seed)
-    path = os.path.join(out_dir, "pca.dwfp")
-    pca_mod.save_pca(model, path)
     evr = model.explained_variance_ratio()
-    rows += [("input.population", sha256_file(_stage_input_manifest(cfg, out_dir))),
+    rows += [("input.population", source_manifest),
              ("latent_dim", k), ("n_samples", n),
-             ("explained_variance_ratio", f"{evr.sum():.6f}"),
-             ("artifact", "pca.dwfp"), ("sha256", sha256_file(path))]
-    write_manifest(manifest, rows)
-    return path
-
-
-def _stage_input_manifest(cfg: RunConfig, out_dir):
-    name = "canonicalize.manifest" if cfg.canonicalize_mode != "off" \
-        else "population.manifest"
-    return os.path.join(out_dir, name)
+             ("explained_variance_ratio", f"{evr.sum():.6f}")]
+    return _write_artifact(out_dir, "pca.dwfp", rows, pca_mod.save_pca, model)
 
 
 def stage_train_flow(cfg: RunConfig, out_dir) -> str:
     """Train the flow-matching model over (possibly PCA-projected) weights."""
-    src = _source_dir(cfg, out_dir, "train-flow")
-    matrix = _population_matrix(load_population(src))
-    rows = [("stage", "train-flow"),
-            ("input.population", sha256_file(_stage_input_manifest(cfg, out_dir)))]
+    matrix, source_manifest = _source(cfg, out_dir, "train-flow")
+    rows = [("stage", "train-flow"), ("input.population", source_manifest)]
     if cfg.pca_mode != "off":
-        pca_path = _require(os.path.join(out_dir, "pca.dwfp"),
-                            "train-flow", "fit-pca")
-        model_pca = load_pca(pca_path)
+        model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "train-flow", load_pca)
         matrix = pca_mod.transform(model_pca, matrix)
-        rows.append(("input.pca", sha256_file(pca_path)))
+        rows.append(("input.pca", pca_sha))
     flow_cfg = cfg.flow_config(matrix.shape[1])
     model = train_flow(matrix, flow_cfg, seed=cfg.seed)
-    path = os.path.join(out_dir, "flow.dwff")
-    save_flow(model, path)
     tail = model.loss_history[-100:]
     rows += [("input_dim", flow_cfg.input_dim),
              ("iterations", flow_cfg.iterations),
-             ("final_loss", f"{float(np.mean(tail)):.8e}"),
-             ("artifact", "flow.dwff"), ("sha256", sha256_file(path))]
-    write_manifest(os.path.join(out_dir, "flow.manifest"), rows)
-    return path
+             ("final_loss", f"{float(np.mean(tail)):.8e}")]
+    return _write_artifact(out_dir, "flow.dwff", rows, save_flow, model)
 
 
 def stage_generate(cfg: RunConfig, out_dir) -> str:
-    """Sample checkpoints from the flow; recalibrate BN; write DWFC files."""
-    flow_path = _require(os.path.join(out_dir, "flow.dwff"),
-                         "generate", "train-flow")
-    model = load_flow(flow_path)
+    """Sample checkpoints from the flow; recalibrate BN; write one DWFC file."""
+    model, flow_sha = _load_input(out_dir, "flow.dwff", "generate", load_flow)
     train, test = load_task_data(cfg)
-    gen_dir = os.path.join(out_dir, "generated")
-    _fresh_output_dir(gen_dir)
     rows = [("stage", "generate"), ("count", cfg.generate_count),
-            ("input.flow", sha256_file(flow_path))]
+            ("input.flow", flow_sha)]
     vectors = sample(model, cfg.generate_count, seed=cfg.seed)
     if cfg.pca_mode != "off" and cfg.generate_count > 0:
-        pca_path = _require(os.path.join(out_dir, "pca.dwfp"),
-                            "generate", "fit-pca")
-        vectors = pca_mod.inverse_transform(load_pca(pca_path), vectors)
-        rows.append(("input.pca", sha256_file(pca_path)))
+        model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "generate", load_pca)
+        vectors = pca_mod.inverse_transform(model_pca, vectors)
+        rows.append(("input.pca", pca_sha))
     params = vectors.astype(np.float32)
+    generated = []
     for block in member_blocks(len(params), cfg.arch, train.features.shape[0]):
         net = stack_members(params[block], cfg.arch)
         if net.bn and cfg.recalibrate_bn:
             recalibrate_members(net, train, calib_fraction=cfg.calib_fraction)
         for j, result in enumerate(evaluate_members(net, test)):
-            i = block.start + j
             ckpt = unstack_member(params[block], net, j)
             ckpt.seed = cfg.seed
             ckpt.metric = result.accuracy
-            name = f"gen_{i:04d}.dwfc"
-            path = os.path.join(gen_dir, name)
-            save_checkpoint(ckpt, path)
-            rows += [(f"file_{i:04d}", f"generated/{name}"),
-                     (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}"),
-                     (f"sha256_{i:04d}", sha256_file(path))]
-    write_manifest(os.path.join(out_dir, "generate.manifest"), rows)
-    return gen_dir
+            generated.append(ckpt)
+    rows += [(f"accuracy_{i:04d}", f"{c.metric:.6f}") for i, c in enumerate(generated)]
+    return _write_artifact(out_dir, "generated.dwfc", rows, save_population,
+                           generated, cfg.arch)
 
 
 def stage_evaluate(cfg: RunConfig, out_dir) -> str:
     """Accuracy and diversity metrics for original vs generated networks."""
-    pop_dir = _require(os.path.join(out_dir, "population"),
-                       "evaluate", "make-population")
-    gen_manifest = _require(os.path.join(out_dir, "generate.manifest"),
-                            "evaluate", "generate")
+    originals, _ = _load_input(out_dir, "population.dwfc", "evaluate", load_population)
+    generated, _ = _load_input(out_dir, "generated.dwfc", "evaluate", load_population)
     _, test = load_task_data(cfg)
-    originals = load_population(pop_dir)
-    gen_dir = os.path.join(out_dir, "generated")
-    gen_names = sorted(n for n in os.listdir(gen_dir) if n.endswith(".dwfc")) \
-        if os.path.isdir(gen_dir) else []
-    generated = [load_checkpoint(os.path.join(gen_dir, n)) for n in gen_names]
 
     orig_evals = [evaluate(c, test) for c in originals]
     orig_acc = np.array([r.accuracy for r in orig_evals])
     rows = [("stage", "evaluate"),
-            ("input.generate", sha256_file(gen_manifest)),
+            ("input.generate", sha256_file(os.path.join(out_dir, "generate.manifest"))),
             ("original_count", len(originals)),
             ("generated_count", len(generated)),
             ("original_accuracy_mean", f"{orig_acc.mean():.6f}"),

@@ -1,10 +1,44 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from weightflow.checkpoint_io import (CKPT_MAGIC, load_checkpoint,
-                                      save_checkpoint)
-from weightflow.errors import DataError
+                                      load_population, save_checkpoint,
+                                      save_population)
+from weightflow.errors import ArgumentError, DataError
 from weightflow.nn_core import ArchitectureSpec, flatten, init_weights
+
+BN_ARCH = ArchitectureSpec((4, 8, 8, 3), "relu", (True, True))
+
+
+def bn_population(n, rng):
+    """n BN networks with distinct running statistics, counts, seeds and metrics."""
+    pop = []
+    for i in range(n):
+        ckpt = init_weights(BN_ARCH, seed=i)
+        for l, st in ckpt.bn.items():
+            st.running_mean = rng.normal(size=8)
+            st.running_var = rng.uniform(0.5, 2.0, size=8)
+            st.count = 100 * i + l + 1
+        ckpt.seed = -3 + 7 * i
+        ckpt.metric = float(rng.uniform())
+        pop.append(ckpt)
+    return pop
+
+
+def split_descriptor(blob):
+    """(descriptor text, payload bytes) of a DWFC file."""
+    length, = struct.unpack("<I", blob[8:12])
+    return blob[12:12 + length].decode(), blob[12 + length:]
+
+
+def with_descriptor(blob, text, version=2):
+    """`blob` with its format version and descriptor replaced."""
+    payload = split_descriptor(blob)[1]
+    return (CKPT_MAGIC + struct.pack("<II", version, len(text)) + text.encode()
+            + payload)
 
 
 class TestRoundTrip:
@@ -40,6 +74,44 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestPopulationRoundTrip:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_bit_exact(self, tmp_path, rng, n):
+        pop = bn_population(n, rng)
+        path = tmp_path / "p.dwfc"
+        save_population(pop, path, BN_ARCH)
+        loaded = load_population(path)
+        assert len(loaded) == n
+        for a, b in zip(pop, loaded):
+            assert b.arch == BN_ARCH
+            assert flatten(a).tobytes() == flatten(b).tobytes()
+            for l in (0, 1):
+                assert a.bn[l].running_mean.tobytes() == b.bn[l].running_mean.tobytes()
+                assert a.bn[l].running_var.tobytes() == b.bn[l].running_var.tobytes()
+                assert a.bn[l].count == b.bn[l].count
+            assert (a.seed, a.metric) == (b.seed, b.metric)
+
+    def test_one_member_file_is_a_checkpoint(self, tmp_path, rng):
+        ckpt = bn_population(1, rng)[0]
+        p1, p2 = tmp_path / "c.dwfc", tmp_path / "p.dwfc"
+        save_checkpoint(ckpt, p1)
+        save_population([ckpt], p2, BN_ARCH)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert flatten(load_checkpoint(p2)).tobytes() == flatten(ckpt).tobytes()
+
+    def test_member_count_in_descriptor(self, tmp_path, rng):
+        path = tmp_path / "p.dwfc"
+        save_population(bn_population(3, rng), path, BN_ARCH)
+        text, _ = split_descriptor(path.read_bytes())
+        assert text.splitlines()[-1] == "members=3"
+
+    def test_other_architecture_rejected(self, tmp_path, rng):
+        pop = bn_population(2, rng) + [init_weights(ArchitectureSpec((4, 8, 3)))]
+        with pytest.raises(ArgumentError, match="member 2"):
+            save_population(pop, tmp_path / "p.dwfc", BN_ARCH)
+        assert not (tmp_path / "p.dwfc").exists()
+
+
 class TestErrors:
     def test_magic(self, tmp_path):
         path = tmp_path / "bad.dwfc"
@@ -73,3 +145,46 @@ class TestErrors:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_damaged_population(self, tmp_path, damage, rng):
+        path = tmp_path / "d.dwfc"
+        save_population(bn_population(3, rng), path, BN_ARCH)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError):
+            load_population(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.dwfc"
+        save_checkpoint(init_weights(ArchitectureSpec((4, 16, 3)), seed=0), path)
+        text, _ = split_descriptor(path.read_bytes())
+        v1_text = text.replace("members=1\n", "")
+        path.write_bytes(with_descriptor(path.read_bytes(), v1_text, version=1))
+        with pytest.raises(DataError, match="unsupported version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("members,match", [
+        ("-1", "negative member count"), ("two", "malformed descriptor"),
+        ("1.5", "malformed descriptor"), ("", "malformed descriptor"),
+        ("4", "truncated"), (str(2 ** 40), "truncated"),
+    ])
+    def test_bad_member_count(self, tmp_path, rng, members, match):
+        path = tmp_path / "m.dwfc"
+        save_population(bn_population(3, rng), path, BN_ARCH)
+        text, _ = split_descriptor(path.read_bytes())
+        text = text.replace("members=3", f"members={members}")
+        path.write_bytes(with_descriptor(path.read_bytes(), text))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=match):
+                load_population(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_checkpoint_needs_one_member(self, tmp_path, rng):
+        path = tmp_path / "p.dwfc"
+        for n in (0, 3):
+            save_population(bn_population(n, rng), path, BN_ARCH)
+            with pytest.raises(DataError, match=f"holds {n} networks"):
+                load_checkpoint(path)

@@ -1,3 +1,5 @@
+import configparser
+import io
 import math
 import os
 import warnings
@@ -6,11 +8,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from weightflow.checkpoint_io import load_population
 from weightflow.cli import main
 from weightflow.config import DataConfig, RunConfig, parse_config
 from weightflow.errors import ConfigError
 from weightflow.flow import FlowConfig
-from weightflow.nn_core import TrainHyper
+from weightflow.nn_core import TrainHyper, flatten
 from weightflow.pipeline import read_manifest
 
 QUICK = """\
@@ -119,6 +122,41 @@ class TestExitCodes:
         assert main([stage, "--config", str(cfg_path)]) == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact,stage,section", [
+        ("population.dwfc", "canonicalize", "[pca]\nmode = standard\n"),
+        ("population.dwfc", "evaluate", "[pca]\nmode = standard\n"),
+        ("population.dwfc", "train-flow", "[canonicalize]\nmode = off\n"),
+        ("aligned.dwfc", "fit-pca", "[pca]\nmode = standard\n"),
+        ("aligned.dwfc", "train-flow", "[pca]\nmode = standard\n"),
+        ("pca.dwfp", "train-flow", "[pca]\nmode = standard\n"),
+        ("pca.dwfp", "generate", "[pca]\nmode = standard\n"),
+        ("flow.dwff", "generate", "[pca]\nmode = standard\n"),
+        ("generated.dwfc", "evaluate", "[pca]\nmode = standard\n")],
+        ids=lambda v: v.splitlines()[0].strip("[]") if "\n" in v else v)
+    def test_artifact_off_its_manifest_is_3(self, tmp_path, capsys, artifact,
+                                            stage, section):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUICK.format(out=out) + "\n" + section)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        path = out / artifact
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "does not match the sha256" in err and artifact in err
+        assert "Traceback" not in err
+
+    def test_missing_generated_is_3(self, quick_cfg, capsys):
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        os.remove(os.path.join(out, "generated.dwfc"))
+        assert main(["evaluate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "missing upstream artifact" in err and "generated.dwfc" in err
+
     def test_out_under_a_file_is_3(self, quick_cfg, tmp_path, capsys):
         cfg_path, _ = quick_cfg
         blocker = tmp_path / "blocker"
@@ -174,11 +212,23 @@ class TestExitCodes:
         assert main(["make-population", "--config", cfg_path]) == 0
 
 
-def _flow_keys(text: str, **keys) -> str:
-    """`text` with its [flow] section set to hidden_dim 16 plus `keys`."""
-    keys = {"hidden_dim": "16", **keys}
-    body = "".join(f"{k} = {v}\n" for k, v in keys.items())
-    return text.replace("hidden_dim = 16\n", "").replace("[flow]\n", "[flow]\n" + body)
+def _set_keys(text: str, **keys) -> str:
+    """`text` with `keys` set. A key is `section.key`; a bare key is a [flow]
+    key. A section the text lacks is added."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    for name, value in keys.items():
+        section, _, key = name.rpartition(".")
+        section = section or "flow"
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+BN = {"arch.bn": "1"}
 
 
 class TestDegenerateFlowConfig:
@@ -186,14 +236,38 @@ class TestDegenerateFlowConfig:
         {"hidden_dim": "0"}, {"hidden_dim": "1"}, {"time_embed_dim": "0"},
         {"time_distribution": "beta", "time_beta": "0,1"},
         {"batch_size": "0"}, {"learning_rate": "-1"}, {"learning_rate": "nan"},
+        {"run.seed": "-1"}, {"run.seed": str(2 ** 63)},
+        {"population.base_seed": "-5"}, {"population.base_seed": str(2 ** 63 - 2)},
+        {"data.blobs_dim": "0"}, {"data.blobs_spread": "-1"},
+        {"data.blobs_spread": "inf"}, {"data.test_fraction": "nan"},
+        {"data.test_fraction": "-0.5"}, {"data.test_fraction": "0"},
+        {"data.test_fraction": "1.5"}, {"data.blobs_classes": "1"},
+        {"data.blobs_per_class": "1"}, {"data.limit": "-1"},
+        {"arch.layer_dims": "5,8,3"}, {"arch.layer_dims": "4,8,2"},
+        {"pca.mode": "incremental", "pca.batch_rows": "0"},
+        {"pca.mode": "dual", "pca.micro_batch": "0"},
+        {"pca.mode": "standard", "pca.latent_dim": "-1"},
+        {"pca.mode": "standard", "pca.latent_dim": "5"},
+        {"pca.mode": "dual", "population.size": "1"},
+        {"canonicalize.max_iter": "0"},
+        {**BN, "generate.calib_fraction": "0"}, {**BN, "generate.calib_fraction": "2"},
+        {**BN, "generate.calib_fraction": "nan"},
+        {"population.learning_rate": "nan"}, {"population.learning_rate": "inf"},
+        {"population.weight_decay": "-1"}, {"population.weight_decay": "nan"},
     ], ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys.items()))
     def test_run_exits_2_without_traceback(self, quick_cfg, capsys, keys):
         cfg_path, _ = quick_cfg
         text = open(cfg_path).read()
-        open(cfg_path, "w").write(_flow_keys(text, **keys))
+        open(cfg_path, "w").write(_set_keys(text, **keys))
         assert main(["run", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed_flag_exits_2(self, quick_cfg, capsys):
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not os.path.exists(os.path.join(out, "population.dwfc"))
 
     @pytest.mark.parametrize("field,value", [
         ("hidden_dim", 1), ("time_embed_dim", 0), ("batch_size", 0),
@@ -223,9 +297,9 @@ class TestStages:
         m = read_manifest(os.path.join(out, "population.manifest"))
         assert m["count"] == "3"
         assert m["seed_0000"] == "10"
+        assert m["artifact"] == "population.dwfc"
+        assert len(load_population(os.path.join(out, m["artifact"]))) == 3
         for i in range(3):
-            f = m[f"file_{i:04d}"]
-            assert os.path.exists(os.path.join(out, f))
             assert 0.0 <= float(m[f"accuracy_{i:04d}"]) <= 1.0
 
     def test_canonicalize_preserves_accuracy(self, quick_cfg):
@@ -264,9 +338,9 @@ class TestStages:
     def test_rerun_stage_is_byte_identical(self, quick_cfg):
         cfg_path, out = quick_cfg
         assert main(["make-population", "--config", cfg_path]) == 0
-        blob1 = open(os.path.join(out, "population", "ckpt_0000.dwfc"), "rb").read()
+        blob1 = open(os.path.join(out, "population.dwfc"), "rb").read()
         assert main(["make-population", "--config", cfg_path]) == 0
-        blob2 = open(os.path.join(out, "population", "ckpt_0000.dwfc"), "rb").read()
+        blob2 = open(os.path.join(out, "population.dwfc"), "rb").read()
         assert blob1 == blob2
 
     def test_smaller_rerun_drops_stale_checkpoints(self, quick_cfg):
@@ -277,10 +351,8 @@ class TestStages:
         assert main(["run", "--config", cfg_path]) == 0
         open(cfg_path, "w").write(text)  # size 3, count 2
         assert main(["run", "--config", cfg_path]) == 0
-        for sub, n in (("population", 3), ("aligned", 3), ("generated", 2)):
-            names = [f for f in os.listdir(os.path.join(out, sub))
-                     if f.endswith(".dwfc")]
-            assert len(names) == n, sub
+        for name, n in (("population", 3), ("aligned", 3), ("generated", 2)):
+            assert len(load_population(os.path.join(out, f"{name}.dwfc"))) == n, name
         m = read_manifest(os.path.join(out, "metrics.txt"))
         assert m["original_count"] == "3"
         assert m["generated_count"] == "2"
@@ -297,10 +369,9 @@ class TestStages:
             cfg_path = tmp_path / f"{label}.ini"
             cfg_path.write_text(text.format(out=out))
             assert main(["run", "--config", str(cfg_path)]) == 0
-            runs[label] = {name: (out / "generated" / name).read_bytes()
-                           for name in sorted(os.listdir(out / "generated"))}
-            runs[label]["manifest"] = (out / "generate.manifest").read_bytes()
-        assert len(runs["one_block"]) == 6
+            runs[label] = [(out / name).read_bytes()
+                           for name in ("generated.dwfc", "generate.manifest")]
+        assert len(load_population(tmp_path / "one_block" / "generated.dwfc")) == 5
         assert runs["one_block"] == runs["one_member_each"]
 
     def test_seed_override_changes_samples(self, quick_cfg):
@@ -308,10 +379,11 @@ class TestStages:
         for cmd in ("make-population", "canonicalize", "fit-pca", "train-flow"):
             assert main([cmd, "--config", cfg_path]) == 0
         assert main(["generate", "--config", cfg_path]) == 0
-        a = open(os.path.join(out, "generated", "gen_0000.dwfc"), "rb").read()
+        path = os.path.join(out, "generated.dwfc")
+        a = [flatten(c) for c in load_population(path)]
         assert main(["generate", "--config", cfg_path, "--seed", "99"]) == 0
-        b = open(os.path.join(out, "generated", "gen_0000.dwfc"), "rb").read()
-        assert a != b
+        b = [flatten(c) for c in load_population(path)]
+        assert not np.array_equal(a, b)
 
     def test_out_flag_overrides(self, quick_cfg, tmp_path):
         cfg_path, _ = quick_cfg
