@@ -23,8 +23,8 @@ from .flow import (FlowConfig, FlowModel, init_flow_model, load_flow,
 from .metrics import (distribution_distances, iou, jensen_shannon, max_iou,
                       wasserstein_1d, wrong_set)
 from .nn_core import (ArchitectureSpec, AttentionSpec, BatchNormState,
-                      EvalResult, TrainHyper, WeightCheckpoint, evaluate,
-                      flatten, forward, init_weights, mha_forward,
+                      EvalResult, Population, TrainHyper, WeightCheckpoint,
+                      evaluate, flatten, forward, init_weights, mha_forward,
                       train_network, train_population, unflatten)
 from .pca import (PcaModel, default_latent_dim, fit_dual, fit_incremental,
                   fit_standard, inverse_transform, load_pca, save_pca,

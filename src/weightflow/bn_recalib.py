@@ -13,14 +13,14 @@ keeps the per-layer result exactly partition-independent. The float64
 forward pass runs layer by layer over all calibration batches, so each
 affine map is applied once per batch.
 
-`recalibrate_members` does this for every member of a stacked net (the
-`nn_core._forward_cached` convention: `nn_core._param_views` tensors of N
-members), with each member's statistics pooled along the batch axis of
-(N, B, d) activation stacks; every member gets the same bits as on its
-own. `recalibrate` is its one-member case. One layer's float64 activations
-over the whole calibration set are held at a time, so a caller with many
-members takes them in blocks from `member_blocks`, each sized to hold at
-most RECALIB_BLOCK_BYTES of them.
+`recalibrate_members` does this for every member of a stacked net
+(`nn_core.Population.net`), with each member's statistics pooled along the
+batch axis of (N, B, d) activation stacks and written in place into the
+population's own columns; every member gets the same bits as on its own.
+`recalibrate` is its one-member case. One layer's float64 activations over
+the whole calibration set are held at a time, so a caller with many
+members takes them in blocks from `nn_core.member_blocks`, each sized to
+hold at most `nn_core.MEMBER_BLOCK_BYTES` of them.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ import numpy as np
 
 from .activations import ACTIVATIONS
 from .errors import ArgumentError
-from .nn_core import BN_EPS, BN_MOMENTUM, ArchitectureSpec, WeightCheckpoint
-
-# Byte budget of one member block's float64 calibration activations.
-RECALIB_BLOCK_BYTES = 2 << 20
+from .nn_core import BN_EPS, BN_MOMENTUM, Population, WeightCheckpoint
 
 
 @dataclass
@@ -72,19 +69,11 @@ class PooledStats:
         self.update(batch.mean(axis=axis), batch.var(axis=axis), batch.shape[axis])
 
 
-def member_blocks(n_members: int, arch: ArchitectureSpec, n_rows: int) -> list:
-    """Slices that split `n_members` members into blocks whose float64
-    activations of one layer over `n_rows` calibration rows fit in
-    RECALIB_BLOCK_BYTES (at least one member per block)."""
-    per_member = 8 * n_rows * max(arch.layer_dims[1:])
-    size = max(1, RECALIB_BLOCK_BYTES // per_member)
-    return [slice(s, min(s + size, n_members)) for s in range(0, n_members, size)]
-
-
 def recalibrate_members(net: WeightCheckpoint, data, batch_size: int = 64,
                         calib_fraction: float = 1.0) -> None:
     """Recompute, in place, the BN running statistics of every member of
-    the stacked net `net` over the first `calib_fraction` of `data`.
+    the stacked net `net` (a `Population.net`) over the first
+    `calib_fraction` of `data`.
 
     Weights, gamma, and beta are untouched; only running mean/var/count
     change. Momentum-based EMA behavior (0.1) resumes on future train-mode
@@ -118,9 +107,9 @@ def recalibrate_members(net: WeightCheckpoint, data, batch_size: int = 64,
             stats = PooledStats.zeros(arch.layer_dims[l + 1])
             for a in zs:
                 stats.update_from_batch(a, axis=1)
-            st.running_mean = stats.mean.reshape(st.gamma.shape)
-            st.running_var = stats.var.reshape(st.gamma.shape)
-            st.count = stats.count
+            st.running_mean[...] = stats.mean.reshape(st.gamma.shape)
+            st.running_var[...] = stats.var.reshape(st.gamma.shape)
+            st.count[...] = stats.count
         for i, a in enumerate(zs):
             if st is not None:
                 a = (st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS)
@@ -133,6 +122,6 @@ def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
                 calib_fraction: float = 1.0) -> WeightCheckpoint:
     """Return a copy of `ckpt` with BN running statistics recomputed: the
     one-member case of `recalibrate_members`."""
-    out = ckpt.copy()
-    recalibrate_members(out, data, batch_size, calib_fraction)
-    return out
+    pop = Population.from_checkpoints(ckpt.arch, [ckpt])
+    recalibrate_members(pop.net(), data, batch_size, calib_fraction)
+    return pop.member(0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._scipy import compiled_scipy
 from .errors import ArgumentError, ShapeError
-from .nn_core import ArchitectureSpec, AttentionWeights, WeightCheckpoint
+from .nn_core import ArchitectureSpec, AttentionWeights, Population, WeightCheckpoint
 from .rng import make_rng
 
 _TIE_TOL = 1e-9
@@ -261,21 +261,16 @@ def weight_match(theta_a: WeightCheckpoint, theta_ref: WeightCheckpoint,
                              objective_trace=trace)
 
 
-def canonicalize_population(pop, reference_index: int = 0, max_iter: int = 100):
-    """Weight-match every checkpoint to pop[reference_index]."""
-    if not pop:
+def canonicalize_population(pop: Population, reference_index: int = 0,
+                            max_iter: int = 100) -> Population:
+    """Weight-match every member of `pop` to member `reference_index`."""
+    if len(pop) == 0:
         raise ArgumentError("empty population")
-    ref = pop[reference_index]
-    for ckpt in pop:
-        if ckpt.arch != ref.arch:
-            raise ArgumentError("population has heterogeneous architectures")
-    out = []
-    for i, ckpt in enumerate(pop):
-        if i == reference_index:
-            out.append(ckpt.copy())
-        else:
-            out.append(weight_match(ckpt, ref, max_iter=max_iter).aligned)
-    return out
+    ref = pop.member(reference_index)
+    aligned = [ref if i == reference_index
+               else weight_match(pop.member(i), ref, max_iter=max_iter).aligned
+               for i in range(len(pop))]
+    return Population.from_checkpoints(pop.arch, aligned)
 
 
 # ---------------------------------------------------------------------------

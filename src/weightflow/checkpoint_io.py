@@ -7,8 +7,9 @@ each field stacked over the members in member order: the (N, P) flat
 parameter matrix as little-endian float32; per BN layer in forward order
 the (N, d) running means, then the (N, d) running variances as
 little-endian float64, then N counts as u64; N seeds as i64; N metrics as
-float64. A checkpoint is the one-member case: `save_checkpoint` and
-`load_checkpoint` call `save_population` and `load_population`.
+float64. These are the columns of an `nn_core.Population`, written and
+read as they are. A checkpoint is the one-member case: `save_checkpoint`
+and `load_checkpoint` call `save_population` and `load_population`.
 
 The length-checked readers here serve every binary file the toolkit reads:
 DWFC populations, DWFP PCA models, DWFF flow models and IDX data. Loading
@@ -18,13 +19,14 @@ version, truncation or trailing bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, DataError
-from .nn_core import ArchitectureSpec, WeightCheckpoint, flatten, unflatten
+from .errors import ConfigError, DataError
+from .nn_core import ArchitectureSpec, Population, WeightCheckpoint
 
 CKPT_MAGIC = b"DWFC"
 CKPT_VERSION = 2
@@ -56,44 +58,37 @@ def _parse_descriptor(text: str, path) -> tuple[ArchitectureSpec, int]:
     return arch, members
 
 
-def _bn_dims(arch: ArchitectureSpec) -> dict:
-    """BN hidden layer -> its width, in forward order."""
-    return {l: arch.layer_dims[l + 1] for l in range(arch.num_hidden) if arch.has_bn(l)}
-
-
-def save_population(pop, path, arch: ArchitectureSpec) -> None:
-    """Write the networks of `pop`, all of architecture `arch`, as one file."""
-    for i, ckpt in enumerate(pop):
-        if ckpt.arch != arch:
-            raise ArgumentError(f"member {i} has architecture {ckpt.arch}, "
-                                f"not the population's {arch}")
-        ckpt.validate()
-    columns = [([flatten(c) for c in pop], "<f4")]
-    for l in _bn_dims(arch):
-        columns += [([c.bn[l].running_mean for c in pop], "<f8"),
-                    ([c.bn[l].running_var for c in pop], "<f8"),
-                    ([c.bn[l].count for c in pop], "<u8")]
-    columns += [([c.seed for c in pop], "<i8"), ([c.metric for c in pop], "<f8")]
-    descriptor = _descriptor(arch, len(pop)).encode("utf-8")
+def save_population(pop: Population, path) -> None:
+    """Write the columns of `pop` as one file, once `pop.validate()` passes."""
+    pop.validate()
+    columns = [(pop.params, "<f4")]
+    for l in pop.arch.bn_widths():
+        mean, var, count = pop.bn[l]
+        columns += [(mean, "<f8"), (var, "<f8"), (count, "<u8")]
+    columns += [(pop.seeds, "<i8"), (pop.metrics, "<f8")]
+    descriptor = _descriptor(pop.arch, len(pop)).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<II", CKPT_VERSION, len(descriptor)))
         f.write(descriptor)
         for values, dtype in columns:
-            f.write(np.array(values, dtype=dtype).tobytes())
+            f.write(np.asarray(values, dtype=dtype).tobytes())
 
 
 def save_checkpoint(ckpt: WeightCheckpoint, path) -> None:
     """One network as a one-member population file."""
-    save_population([ckpt], path, ckpt.arch)
+    save_population(Population.from_checkpoints(ckpt.arch, [ckpt]), path)
 
 
-def _read_exact(f, count, path, what) -> bytes:
-    """The next `count` bytes of binary file `f`; DataError if fewer remain."""
+def _read_exact(f, count, path, what) -> bytearray:
+    """The next `count` bytes of binary file `f`; DataError if fewer remain.
+    A bytearray, so arrays over it are writable."""
     offset = f.tell()
     if not 0 <= count <= os.fstat(f.fileno()).st_size - offset:
         raise DataError(f"{path}: truncated while reading {what} at byte offset {offset}")
-    return f.read(count)
+    buf = bytearray(count)
+    f.readinto(buf)
+    return buf
 
 
 def _read_header(f, path, magic: bytes, version: int) -> None:
@@ -119,29 +114,24 @@ def _expect_end(f, path) -> None:
         raise DataError(f"{path}: trailing bytes at byte offset {f.tell() - 1}")
 
 
-def load_population(path) -> list[WeightCheckpoint]:
-    """Every network of a DWFC file, in member order."""
+def load_population(path) -> Population:
+    """The population a DWFC file holds."""
     with open(path, "rb") as f:
         _read_header(f, path, CKPT_MAGIC, CKPT_VERSION)
         arch, n = _parse_descriptor(_read_text(f, path, "descriptor"), path)
 
-        def read(dtype, width, what):
-            size = np.dtype(dtype).itemsize * n * width
-            return np.frombuffer(_read_exact(f, size, path, what), dtype=dtype).reshape(n, width)
+        def read(what, dtype, *width):
+            size = np.dtype(dtype).itemsize * n * math.prod(width)
+            return np.frombuffer(_read_exact(f, size, path, what), dtype=dtype).reshape(n, *width)
 
-        params = read("<f4", arch.param_count(), "parameters")
-        bn = {l: (read("<f8", d, f"bn{l} means"), read("<f8", d, f"bn{l} variances"),
-                  read("<u8", 1, f"bn{l} counts")[:, 0].tolist())
-              for l, d in _bn_dims(arch).items()}
-        seeds = read("<i8", 1, "seeds")[:, 0].tolist()
-        metrics = read("<f8", 1, "metrics")[:, 0].tolist()
+        params = read("parameters", "<f4", arch.param_count())
+        bn = {l: (read(f"bn{l} means", "<f8", d), read(f"bn{l} variances", "<f8", d),
+                  read(f"bn{l} counts", "<u8"))
+              for l, d in arch.bn_widths().items()}
+        seeds = read("seeds", "<i8")
+        metrics = read("metrics", "<f8")
         _expect_end(f, path)
-    pop = []
-    for i in range(n):
-        ckpt = unflatten(params[i], arch, {l: (m[i], v[i], c[i]) for l, (m, v, c) in bn.items()})
-        ckpt.seed, ckpt.metric = seeds[i], metrics[i]
-        pop.append(ckpt)
-    return pop
+    return Population(arch, params, bn, seeds, metrics)
 
 
 def load_checkpoint(path) -> WeightCheckpoint:
@@ -149,4 +139,4 @@ def load_checkpoint(path) -> WeightCheckpoint:
     pop = load_population(path)
     if len(pop) != 1:
         raise DataError(f"{path}: holds {len(pop)} networks, expected exactly one")
-    return pop[0]
+    return pop.member(0)

@@ -14,7 +14,7 @@ import numpy.ma  # noqa: F401  np.unique loads it on first call; load it at star
 
 from ._iris_data import IRIS_ROWS
 from .checkpoint_io import _read_exact
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, ConfigError, DataError
 from .rng import make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -44,13 +44,17 @@ class LabeledDataset:
 
 
 def _stratified_split(features, labels, test_fraction, seed):
-    """Deterministic per-class split; test gets round(frac * class size)."""
+    """Deterministic per-class split; test gets round(frac * class size).
+    ConfigError if that leaves a class no train or no test point."""
     rng = make_rng(seed, "split")
     train_idx, test_idx = [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(len(idx))]
         n_test = int(round(test_fraction * len(idx)))
+        if not 0 < n_test < len(idx):
+            raise ConfigError(f"test_fraction {test_fraction} leaves class {c} {n_test} of "
+                              f"{len(idx)} points to test; it needs >= 1 train and test point")
         test_idx.append(idx[:n_test])
         train_idx.append(idx[n_test:])
     train_idx = np.sort(np.concatenate(train_idx))

@@ -7,20 +7,23 @@ canonical order: layers in forward order, each layer contributing W
 layers. BN running statistics are sidecar state and never enter the flat
 vector.
 
-`train_population` trains N networks at once. Their parameters are the
-rows of one (N, P) float32 matrix in flat-vector order; per-layer W
-(N, d_out, d_in), b, gamma and beta (each (N, 1, d_out)) are views into
-it, and the gradients fill a second matrix with the same layout. BN
-running statistics are (N, 1, d) float64. Each minibatch is one stacked
-forward, backward and optimizer step for all members, and every member
-still follows its own seed's init and shuffles, so it equals a
-one-member run bit for bit. `forward`, `evaluate` and `train_network`
-run the same stacked code with N = 1: a checkpoint's own arrays
-broadcast as a one-member stack.
+A `Population` holds N networks of one architecture as the columns of a
+DWFC file: an (N, P) float32 matrix of flat vectors, per BN layer (N, d)
+running means and variances and (N,) counts, seeds and metrics. Its
+`net(block)` is the stacked net that training, evaluation and BN
+recalibration take: per-layer W (N, d_out, d_in), b, gamma and beta (each
+(N, 1, d_out)) are views into the matrix rows, and the running statistics
+views into the population's own, so both are updated in place.
+`train_population` runs one stacked forward, backward and optimizer step
+per minibatch, yet every member follows its own seed's init and shuffles
+and equals a one-member run bit for bit. A checkpoint is the one-member
+case: `init_weights`, `unflatten` and `train_network` take `member(0)`,
+and `forward` and `evaluate` broadcast its arrays as a one-member stack.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -85,6 +88,10 @@ class ArchitectureSpec:
     def has_bn(self, layer: int) -> bool:
         return layer < self.num_hidden and self.bn_layers[layer]
 
+    def bn_widths(self) -> dict:
+        """BN hidden layer -> its width, in forward order."""
+        return {l: self.layer_dims[l + 1] for l in range(self.num_hidden) if self.has_bn(l)}
+
     def param_count(self) -> int:
         """Flat-vector length: weights, biases, and BN gamma/beta."""
         total = 0
@@ -102,13 +109,7 @@ class BatchNormState:
     beta: np.ndarray         # float32, learned shift
     running_mean: np.ndarray  # float64 sidecar
     running_var: np.ndarray   # float64 sidecar, population variance
-    count: int = 0
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            self.gamma.copy(), self.beta.copy(),
-            self.running_mean.copy(), self.running_var.copy(), self.count,
-        )
+    count: int = 0            # in a stacked net: (N,) uint64, updated in place
 
 
 @dataclass
@@ -121,14 +122,7 @@ class WeightCheckpoint:
     metric: float = float("nan")
 
     def copy(self) -> "WeightCheckpoint":
-        return WeightCheckpoint(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            bn={k: v.copy() for k, v in self.bn.items()},
-            seed=self.seed,
-            metric=self.metric,
-        )
+        return copy.deepcopy(self)
 
     def validate(self) -> None:
         arch = self.arch
@@ -157,52 +151,46 @@ class WeightCheckpoint:
 INIT_SCHEMES = ("kaiming", "xavier", "normal", "uniform", "kaiming_zero_bias")
 
 
-def init_weights(arch: ArchitectureSpec, scheme: str = "kaiming", seed: int = 0,
-                 scale: float | None = None) -> WeightCheckpoint:
-    """Deterministically initialize a checkpoint for (arch, scheme, seed).
+def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming",
+                    scale: float | None = None) -> "Population":
+    """Deterministically initialize one network per seed, each from its own
+    (seed, "init") stream: BN gamma 1, beta 0 and fresh running statistics.
 
     `scale` is the sigma of the normal scheme (default 0.01) or the
     half-width of the uniform scheme (default 0.1); ignored otherwise.
     """
     if scheme not in INIT_SCHEMES:
         raise ConfigError(f"unknown init scheme {scheme!r}")
-    rng = make_rng(seed, "init")
-    weights, biases = [], []
-    for l in range(arch.num_layers):
-        d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-        if scheme in ("kaiming", "kaiming_zero_bias"):
-            w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
-            if scheme == "kaiming":
-                bound = 1.0 / np.sqrt(d_in)
-                b = rng.uniform(-bound, bound, size=d_out)
-            else:
-                b = np.zeros(d_out)
-        elif scheme == "xavier":
-            bound = np.sqrt(6.0 / (d_in + d_out))
-            w = rng.uniform(-bound, bound, size=(d_out, d_in))
-            b = np.zeros(d_out)
-        elif scheme == "normal":
-            sigma = 0.01 if scale is None else scale
-            w = rng.normal(0.0, sigma, size=(d_out, d_in))
-            b = np.zeros(d_out)
-        else:  # uniform
-            a = 0.1 if scale is None else scale
-            w = rng.uniform(-a, a, size=(d_out, d_in))
-            b = np.zeros(d_out)
-        weights.append(w.astype(np.float32))
-        biases.append(b.astype(np.float32))
-    bn = {}
-    for l in range(arch.num_hidden):
-        if arch.has_bn(l):
-            d = arch.layer_dims[l + 1]
-            bn[l] = BatchNormState(
-                gamma=np.ones(d, dtype=np.float32),
-                beta=np.zeros(d, dtype=np.float32),
-                running_mean=np.zeros(d, dtype=np.float64),
-                running_var=np.ones(d, dtype=np.float64),
-                count=0,
-            )
-    return WeightCheckpoint(arch=arch, weights=weights, biases=biases, bn=bn, seed=seed)
+    pop = Population(arch, np.zeros((len(seeds), arch.param_count()), np.float32),
+                     seeds=np.array(seeds, dtype=np.int64))
+    net = pop.net()
+    for i, seed in enumerate(seeds):
+        rng = make_rng(seed, "init")
+        for l in range(arch.num_layers):
+            d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
+            w, b = net.weights[l][i], net.biases[l][i, 0]  # biases stay 0 unless drawn
+            if scheme in ("kaiming", "kaiming_zero_bias"):
+                w[...] = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
+                if scheme == "kaiming":
+                    bound = 1.0 / np.sqrt(d_in)
+                    b[...] = rng.uniform(-bound, bound, size=d_out)
+            elif scheme == "xavier":
+                bound = np.sqrt(6.0 / (d_in + d_out))
+                w[...] = rng.uniform(-bound, bound, size=(d_out, d_in))
+            elif scheme == "normal":
+                w[...] = rng.normal(0.0, 0.01 if scale is None else scale, size=(d_out, d_in))
+            else:  # uniform
+                a = 0.1 if scale is None else scale
+                w[...] = rng.uniform(-a, a, size=(d_out, d_in))
+    for st in net.bn.values():
+        st.gamma[...] = 1.0
+    return pop
+
+
+def init_weights(arch: ArchitectureSpec, scheme: str = "kaiming", seed: int = 0,
+                 scale: float | None = None) -> WeightCheckpoint:
+    """One network: the one-member case of `init_population`."""
+    return init_population(arch, [seed], scheme, scale).member(0)
 
 
 def _forward_cached(net: WeightCheckpoint, batch: np.ndarray, mode: str):
@@ -420,34 +408,98 @@ def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
     return weights, biases, bn
 
 
-def stack_members(params: np.ndarray, arch: ArchitectureSpec) -> WeightCheckpoint:
-    """A stacked net over the rows of an (N, P) float32 matrix, as
-    `_forward_cached` takes it: `_param_views` tensors and fresh (N, 1, d)
-    float64 BN running statistics (zero mean, unit variance, count 0)."""
-    weights, biases, gamma_beta = _param_views(params, arch)
-    bn = {l: BatchNormState(gamma, beta, np.zeros(gamma.shape), np.ones(gamma.shape))
-          for l, (gamma, beta) in gamma_beta.items()}
-    return WeightCheckpoint(arch, weights, biases, bn)
+@dataclass
+class Population:
+    """N networks of one architecture as the columns of a DWFC file. Left
+    out, BN statistics start at zero mean, unit variance and count 0, seeds
+    at 0 and metrics at nan."""
 
+    arch: ArchitectureSpec
+    params: np.ndarray       # (N, P) float32 flat vectors
+    bn: dict = None          # BN layer -> (means, variances (N, d) float64, counts (N,) uint64)
+    seeds: np.ndarray = None    # (N,) int64
+    metrics: np.ndarray = None  # (N,) float64
 
-def unstack_member(params: np.ndarray, net: WeightCheckpoint, i: int) -> WeightCheckpoint:
-    """Member i of the stacked net `net` over `params`, as a checkpoint of
-    its own with that member's BN running statistics."""
-    sidecar = {l: (st.running_mean[i, 0], st.running_var[i, 0], st.count)
-               for l, st in net.bn.items()}
-    return unflatten(params[i], net.arch, sidecar)
+    def __post_init__(self):
+        n = len(self.params)
+        if self.bn is None:
+            self.bn = {l: (np.zeros((n, d)), np.ones((n, d)), np.zeros(n, np.uint64))
+                       for l, d in self.arch.bn_widths().items()}
+        if self.seeds is None:
+            self.seeds = np.zeros(n, np.int64)
+        if self.metrics is None:
+            self.metrics = np.full(n, np.nan)
+
+    @classmethod
+    def from_checkpoints(cls, arch: ArchitectureSpec, ckpts) -> "Population":
+        """The population of the checkpoints `ckpts`, all of architecture
+        `arch`; ArgumentError names the first member of another one."""
+        for i, ckpt in enumerate(ckpts):
+            if ckpt.arch != arch:
+                raise ArgumentError(f"member {i} has architecture {ckpt.arch}, "
+                                    f"not the population's {arch}")
+            ckpt.validate()
+        n = len(ckpts)
+        params = np.array([flatten(c) for c in ckpts], np.float32).reshape(n, arch.param_count())
+        bn = {l: (np.array([c.bn[l].running_mean for c in ckpts], np.float64).reshape(n, d),
+                  np.array([c.bn[l].running_var for c in ckpts], np.float64).reshape(n, d),
+                  np.array([c.bn[l].count for c in ckpts], np.uint64))
+              for l, d in arch.bn_widths().items()}
+        return cls(arch, params, bn, np.array([c.seed for c in ckpts], np.int64),
+                   np.array([c.metric for c in ckpts], np.float64))
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def validate(self) -> None:
+        """ShapeError unless every column has the shape `arch` gives it and
+        no running variance or count is negative."""
+        n, widths = len(self), self.arch.bn_widths()
+        if (self.params.shape != (n, self.arch.param_count()) or sorted(self.bn) != list(widths)
+                or self.seeds.shape != (n,) or self.metrics.shape != (n,)):
+            raise ShapeError(f"population columns do not fit {n} networks of {self.arch}")
+        for l, (mean, var, count) in self.bn.items():
+            if mean.shape != (n, widths[l]) or var.shape != mean.shape or count.shape != (n,):
+                raise ShapeError(f"BN statistics at layer {l} have the wrong shape")
+            if np.any(var < 0) or np.any(count < 0):
+                raise ShapeError(f"BN layer {l} has negative variance or count")
+
+    def net(self, block: slice = slice(None)) -> WeightCheckpoint:
+        """The members in `block` as one stacked net, as `_forward_cached`,
+        `evaluate_members` and `recalibrate_members` take it: `_param_views`
+        of their parameter rows, and views of their own BN statistics,
+        (n, 1, d) means and variances and (n,) counts."""
+        weights, biases, gamma_beta = _param_views(self.params[block], self.arch)
+        bn = {l: BatchNormState(gamma, beta, self.bn[l][0][block, None],
+                                self.bn[l][1][block, None], self.bn[l][2][block])
+              for l, (gamma, beta) in gamma_beta.items()}
+        return WeightCheckpoint(self.arch, weights, biases, bn)
+
+    def member(self, i: int) -> WeightCheckpoint:
+        """Member i as a checkpoint of its own, holding copies of its rows."""
+        weights, biases, gamma_beta = _param_views(self.params[i:i + 1].copy(), self.arch)
+        bn = {l: BatchNormState(gamma[0, 0], beta[0, 0], self.bn[l][0][i].copy(),
+                                self.bn[l][1][i].copy(), int(self.bn[l][2][i]))
+              for l, (gamma, beta) in gamma_beta.items()}
+        return WeightCheckpoint(self.arch, [w[0] for w in weights], [b[0, 0] for b in biases],
+                                bn, int(self.seeds[i]), float(self.metrics[i]))
+
+    def evaluate(self, data) -> list:
+        """`evaluate_members` of every member, one stacked pass per block of
+        `member_blocks` sized on the rows of `data`."""
+        blocks = member_blocks(len(self), self.arch, data.features.shape[0])
+        return [result for block in blocks for result in evaluate_members(self.net(block), data)]
 
 
 def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
-                     holdout=None,
-                     init_scheme: str = "kaiming") -> list[WeightCheckpoint]:
+                     holdout=None, init_scheme: str = "kaiming") -> Population:
     """Train one freshly initialized network per seed with mini-batch
     cross-entropy, all members in one stacked pass per minibatch.
 
     hyper.seed is ignored; each member is deterministic given its seed
     (seeded init and per-epoch shuffles) and equals a one-member run bit
-    for bit. metric is set to held-out accuracy when `holdout` is given,
-    else to training accuracy.
+    for bit. metrics hold held-out accuracy when `holdout` is given, else
+    training accuracy.
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty training dataset")
@@ -457,10 +509,10 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     if data.labels.min() < 0 or data.labels.max() >= n_classes:
         raise ArgumentError("labels out of range for output dimension")
 
-    params = np.stack([flatten(init_weights(arch, init_scheme, seed=s))
-                       for s in seeds])
+    pop = init_population(arch, seeds, init_scheme)
+    params = pop.params
     grads = np.empty_like(params)
-    net = stack_members(params, arch)
+    net = pop.net()
     grad_views = _param_views(grads, arch)
     if hyper.optimizer == "sgd":
         opt = _SGD([params], hyper.weight_decay)
@@ -490,20 +542,28 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
                 opt.step([grads], hyper.learning_rate)
 
     eval_data = holdout if holdout is not None else data
-    population = []
-    for i, seed in enumerate(seeds):
-        ckpt = unstack_member(params, net, i)
-        ckpt.seed = seed
-        ckpt.metric = evaluate(ckpt, eval_data).accuracy
-        population.append(ckpt)
-    return population
+    pop.metrics[:] = [result.accuracy for result in pop.evaluate(eval_data)]
+    return pop
 
 
 def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
                   holdout=None, init_scheme: str = "kaiming") -> WeightCheckpoint:
     """Train one network seeded by hyper.seed: a one-member `train_population`."""
     return train_population(arch, data, hyper, [hyper.seed], holdout,
-                            init_scheme)[0]
+                            init_scheme).member(0)
+
+
+# Byte budget of one member block's float64 activations of one layer.
+MEMBER_BLOCK_BYTES = 2 << 20
+
+
+def member_blocks(n_members: int, arch: ArchitectureSpec, n_rows: int) -> list:
+    """Slices that split `n_members` members into blocks whose float64
+    activations of one layer over `n_rows` rows fit in MEMBER_BLOCK_BYTES
+    (at least one member per block)."""
+    per_member = 8 * n_rows * max(arch.layer_dims[1:])
+    size = max(1, MEMBER_BLOCK_BYTES // per_member)
+    return [slice(s, min(s + size, n_members)) for s in range(0, n_members, size)]
 
 
 @dataclass
@@ -543,45 +603,15 @@ def flatten(ckpt: WeightCheckpoint) -> np.ndarray:
     return np.concatenate(parts).astype(np.float32)
 
 
-def unflatten(vec: np.ndarray, arch: ArchitectureSpec,
-              bn_sidecar: dict | None = None) -> WeightCheckpoint:
-    """Rebuild a checkpoint from a flat vector.
-
-    BN running statistics are restored from `bn_sidecar` (hidden layer index
-    -> (running_mean, running_var, count)) when given, else reset to the
-    0-mean / unit-variance initialization.
-    """
+def unflatten(vec: np.ndarray, arch: ArchitectureSpec) -> WeightCheckpoint:
+    """A checkpoint from a flat vector, with fresh BN running statistics
+    (zero mean, unit variance, count 0)."""
     vec = np.asarray(vec, dtype=np.float32).ravel()
     if vec.size != arch.param_count():
         raise ShapeError(
             f"flat vector has {vec.size} entries, arch needs {arch.param_count()}"
         )
-    weights, biases, bn = [], [], {}
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        out = vec[pos:pos + k]
-        pos += k
-        return out
-
-    for l in range(arch.num_layers):
-        d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-        weights.append(take(d_out * d_in).reshape(d_out, d_in).copy())
-        biases.append(take(d_out).copy())
-        if arch.has_bn(l):
-            gamma = take(d_out).copy()
-            beta = take(d_out).copy()
-            if bn_sidecar is not None and l in bn_sidecar:
-                mean, var, count = bn_sidecar[l]
-                bn[l] = BatchNormState(gamma, beta,
-                                       np.asarray(mean, dtype=np.float64).copy(),
-                                       np.asarray(var, dtype=np.float64).copy(),
-                                       int(count))
-            else:
-                bn[l] = BatchNormState(gamma, beta,
-                                       np.zeros(d_out), np.ones(d_out), 0)
-    return WeightCheckpoint(arch=arch, weights=weights, biases=biases, bn=bn)
+    return Population(arch, vec[None]).member(0)
 
 
 @dataclass

@@ -119,13 +119,6 @@ def fit_incremental(batches, k: int) -> PcaModel:
     return PcaModel(mean=mean, components=comps, eigenvalues=eig, n_samples=n_seen)
 
 
-def _iter_rows(rows):
-    """Normalize a row source (array or callable returning an iterable)."""
-    source = rows() if callable(rows) else rows
-    for row in source:
-        yield np.asarray(row, dtype=np.float64).ravel()
-
-
 def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
     """Top-k eigenpairs of a symmetric PSD matrix via randomized subspace
     iteration (fixed 5 power iterations, oversampling 10, seeded Gaussian)."""
@@ -142,41 +135,32 @@ def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
     return evals[order], q @ evecs[:, order]
 
 
-def fit_dual(rows, k: int, micro_batch: int = 16,
+def fit_dual(x: np.ndarray, k: int, micro_batch: int = 16,
              exact_eigen: bool = False, seed: int = 0) -> PcaModel:
-    """Gram-matrix PCA in four passes: mean, streamed Gram blocks,
-    eigendecomposition (exact or randomized), unit-norm back-projection.
+    """Gram-matrix PCA of an (n, d) sample matrix in four passes: mean,
+    Gram blocks, eigendecomposition (exact or randomized), unit-norm
+    back-projection.
 
-    `rows` is an (n, d) array or a callable returning a fresh row iterator;
-    at most `micro_batch` rows are materialized at once besides the n x n
-    Gram matrix.
+    At most `micro_batch` centered rows are materialized at once besides
+    the n x n Gram matrix.
     """
     if micro_batch < 1:
         raise ArgumentError("micro_batch must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ArgumentError("x must be a 2-D sample matrix")
 
-    # pass 1: mean
-    n = 0
-    mean = None
-    for row in _iter_rows(rows):
-        mean = row.copy() if mean is None else mean + row
-        n += 1
+    # pass 1: mean (x.sum adds the rows in order)
+    n = x.shape[0]
     if n < 2:
         raise ArgumentError("need at least 2 rows")
     if not 0 <= k <= n - 1:
         raise ArgumentError(f"k={k} exceeds the rank bound n-1={n - 1}")
-    mean /= n
+    mean = x.sum(axis=0) / n
 
     def centered_blocks():
-        buf = []
-        start = 0
-        for row in _iter_rows(rows):
-            buf.append(row - mean)
-            if len(buf) == micro_batch:
-                yield start, np.array(buf)
-                start += len(buf)
-                buf = []
-        if buf:
-            yield start, np.array(buf)
+        for start in range(0, n, micro_batch):
+            yield start, x[start:start + micro_batch] - mean
 
     # pass 2: Gram matrix, block by block
     gram = np.empty((n, n))

@@ -6,9 +6,10 @@ the same inputs it rewrites byte-identical outputs. Each stage emits a
 manifest (flat key=value text, no timestamps) that records the content hash
 of its inputs and outputs, so manifests chain into an audit trail. A
 population is one DWFC file (`population.dwfc`, `aligned.dwfc`,
-`generated.dwfc`) written by one stage call; a stage checks every artifact
-it reads against the `sha256` row of the manifest written beside it, and
-stops with DataError on a mismatch."""
+`generated.dwfc`) written by one stage call from one `nn_core.Population`.
+A stage checks every artifact it reads against the `sha256` row of the
+manifest written beside it, and its networks against the config's
+`[arch]`, and stops with DataError on a mismatch."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import os
 import numpy as np
 
 from . import pca as pca_mod
-from .bn_recalib import member_blocks, recalibrate_members
+from .bn_recalib import recalibrate_members
 from .canonicalize import canonicalize_population
 from .checkpoint_io import load_population, save_population
 from .config import RunConfig
@@ -26,8 +27,7 @@ from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
-from .nn_core import (evaluate, evaluate_members, flatten, stack_members,
-                      train_population, unstack_member)
+from .nn_core import Population, evaluate_members, member_blocks, train_population
 from .pca import default_latent_dim, load_pca
 
 # Published reference values, reported in stage outputs for context but
@@ -121,23 +121,29 @@ def _load_input(out_dir, name, stage: str, load):
     return loaded, digest
 
 
+def _load_population(cfg: RunConfig, out_dir, name, stage: str) -> Population:
+    """Population artifact `name`, once it matches its manifest and its
+    networks have the config's [arch]."""
+    pop, _ = _load_input(out_dir, name, stage, load_population)
+    if pop.arch != cfg.arch:
+        raise DataError(f"stage {stage}: {name} holds networks of {pop.arch}, but the "
+                        f"config has {cfg.arch} (rerun `make-population`)")
+    return pop
+
+
 def _source(cfg: RunConfig, out_dir, stage: str):
     """The population PCA and the flow fit (aligned when canonicalization is
     on, else raw) as a float64 matrix, and the sha256 of its manifest."""
     name = "aligned.dwfc" if cfg.canonicalize_mode != "off" else "population.dwfc"
-    pop, _ = _load_input(out_dir, name, stage, load_population)
-    return _population_matrix(pop), sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
+    pop = _load_population(cfg, out_dir, name, stage)
+    return pop.params.astype(np.float64), sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
 
 
-def _population_matrix(pop) -> np.ndarray:
-    return np.stack([flatten(c) for c in pop]).astype(np.float64)
-
-
-def _write_artifact(out_dir, name, rows, save, obj, *args) -> str:
-    """`save(obj, path, *args)` to artifact `name`, then its manifest:
-    `rows` plus the artifact's name and sha256."""
+def _write_artifact(out_dir, name, rows, save, obj) -> str:
+    """`save(obj, path)` to artifact `name`, then its manifest: `rows` plus
+    the artifact's name and sha256."""
     path = os.path.join(out_dir, name)
-    save(obj, path, *args)
+    save(obj, path)
     write_manifest(os.path.join(out_dir, _ARTIFACTS[name][0]),
                    rows + [("artifact", name), ("sha256", sha256_file(path))])
     return path
@@ -151,41 +157,37 @@ def stage_make_population(cfg: RunConfig, out_dir) -> str:
     """Train one network per seed; write them as one DWFC file plus manifest."""
     train, test = load_task_data(cfg)
     seeds = [cfg.base_seed + i for i in range(cfg.population_size)]
-    population = train_population(cfg.arch, train, cfg.train_hyper, seeds,
-                                  holdout=test, init_scheme=cfg.init_scheme)
+    pop = train_population(cfg.arch, train, cfg.train_hyper, seeds,
+                           holdout=test, init_scheme=cfg.init_scheme)
     rows = [("stage", "make-population"), ("task", cfg.task),
             ("count", cfg.population_size)]
-    for i, ckpt in enumerate(population):
-        rows += [(f"seed_{i:04d}", ckpt.seed),
-                 (f"accuracy_{i:04d}", f"{ckpt.metric:.6f}")]
-    return _write_artifact(out_dir, "population.dwfc", rows, save_population,
-                           population, cfg.arch)
+    for i, (seed, accuracy) in enumerate(zip(pop.seeds.tolist(), pop.metrics.tolist())):
+        rows += [(f"seed_{i:04d}", seed), (f"accuracy_{i:04d}", f"{accuracy:.6f}")]
+    return _write_artifact(out_dir, "population.dwfc", rows, save_population, pop)
 
 
 def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
-    """Align every checkpoint to the reference; accuracy must be preserved."""
-    pop, _ = _load_input(out_dir, "population.dwfc", "canonicalize", load_population)
+    """Align every network to the reference; accuracy must be preserved."""
+    pop = _load_population(cfg, out_dir, "population.dwfc", "canonicalize")
     _, test = load_task_data(cfg)
     if cfg.canonicalize_mode == "off":
-        aligned_pop = pop
+        aligned = pop
     else:
-        aligned_pop = canonicalize_population(pop, cfg.reference_index,
-                                              cfg.canonicalize_max_iter)
+        aligned = canonicalize_population(pop, cfg.reference_index,
+                                          cfg.canonicalize_max_iter)
     rows = [("stage", "canonicalize"), ("mode", cfg.canonicalize_mode),
             ("reference_index", cfg.reference_index),
             ("input.population", sha256_file(
                 os.path.join(out_dir, "population.manifest")))]
-    for i, (ckpt, aligned) in enumerate(zip(pop, aligned_pop)):
-        acc_before = evaluate(ckpt, test).accuracy
-        acc_after = evaluate(aligned, test).accuracy
+    for i, (before, after) in enumerate(zip(pop.evaluate(test), aligned.evaluate(test))):
+        acc_before, acc_after = before.accuracy, after.accuracy
         rows += [(f"accuracy_before_{i:04d}", f"{acc_before:.6f}"),
                  (f"accuracy_after_{i:04d}", f"{acc_after:.6f}")]
         if abs(acc_after - acc_before) > 1e-6:
             raise DataError(
                 f"canonicalize: accuracy changed for checkpoint {i} "
                 f"({acc_before:.6f} -> {acc_after:.6f})")
-    return _write_artifact(out_dir, "aligned.dwfc", rows, save_population,
-                           aligned_pop, cfg.arch)
+    return _write_artifact(out_dir, "aligned.dwfc", rows, save_population, aligned)
 
 
 def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
@@ -231,39 +233,43 @@ def stage_train_flow(cfg: RunConfig, out_dir) -> str:
 
 
 def stage_generate(cfg: RunConfig, out_dir) -> str:
-    """Sample checkpoints from the flow; recalibrate BN; write one DWFC file."""
+    """Sample networks from the flow; recalibrate BN; write one DWFC file."""
     model, flow_sha = _load_input(out_dir, "flow.dwff", "generate", load_flow)
     train, test = load_task_data(cfg)
     rows = [("stage", "generate"), ("count", cfg.generate_count),
             ("input.flow", flow_sha)]
-    vectors = sample(model, cfg.generate_count, seed=cfg.seed)
+    model_pca = None
     if cfg.pca_mode != "off" and cfg.generate_count > 0:
         model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "generate", load_pca)
-        vectors = pca_mod.inverse_transform(model_pca, vectors)
         rows.append(("input.pca", pca_sha))
-    params = vectors.astype(np.float32)
-    generated = []
-    for block in member_blocks(len(params), cfg.arch, train.features.shape[0]):
-        net = stack_members(params[block], cfg.arch)
+    name, source = ("flow.dwff", model.config) if model_pca is None else ("pca.dwfp", model_pca)
+    if (cfg.pca_mode == "off" or model_pca) and source.input_dim != cfg.arch.param_count():
+        raise DataError(f"stage generate: {name} makes {source.input_dim}-parameter networks, "
+                        f"but the config has {cfg.arch} with {cfg.arch.param_count()} "
+                        f"parameters (rerun `make-population`)")
+    vectors = sample(model, cfg.generate_count, seed=cfg.seed)
+    if model_pca is not None:
+        vectors = pca_mod.inverse_transform(model_pca, vectors)
+    # Rows are (0, latent_dim) when nothing was sampled through a PCA.
+    params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
+    pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
+    for block in member_blocks(len(pop), cfg.arch, train.features.shape[0]):
+        net = pop.net(block)
         if net.bn and cfg.recalibrate_bn:
             recalibrate_members(net, train, calib_fraction=cfg.calib_fraction)
-        for j, result in enumerate(evaluate_members(net, test)):
-            ckpt = unstack_member(params[block], net, j)
-            ckpt.seed = cfg.seed
-            ckpt.metric = result.accuracy
-            generated.append(ckpt)
-    rows += [(f"accuracy_{i:04d}", f"{c.metric:.6f}") for i, c in enumerate(generated)]
-    return _write_artifact(out_dir, "generated.dwfc", rows, save_population,
-                           generated, cfg.arch)
+        pop.metrics[block] = [result.accuracy for result in evaluate_members(net, test)]
+    rows += [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
+             for i, accuracy in enumerate(pop.metrics.tolist())]
+    return _write_artifact(out_dir, "generated.dwfc", rows, save_population, pop)
 
 
 def stage_evaluate(cfg: RunConfig, out_dir) -> str:
     """Accuracy and diversity metrics for original vs generated networks."""
-    originals, _ = _load_input(out_dir, "population.dwfc", "evaluate", load_population)
-    generated, _ = _load_input(out_dir, "generated.dwfc", "evaluate", load_population)
+    originals = _load_population(cfg, out_dir, "population.dwfc", "evaluate")
+    generated = _load_population(cfg, out_dir, "generated.dwfc", "evaluate")
     _, test = load_task_data(cfg)
 
-    orig_evals = [evaluate(c, test) for c in originals]
+    orig_evals = originals.evaluate(test)
     orig_acc = np.array([r.accuracy for r in orig_evals])
     rows = [("stage", "evaluate"),
             ("input.generate", sha256_file(os.path.join(out_dir, "generate.manifest"))),
@@ -272,8 +278,8 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
             ("original_accuracy_mean", f"{orig_acc.mean():.6f}"),
             ("original_accuracy_std", f"{orig_acc.std():.6f}")]
 
-    if generated:
-        gen_evals = [evaluate(c, test) for c in generated]
+    if len(generated):
+        gen_evals = generated.evaluate(test)
         gen_acc = np.array([r.accuracy for r in gen_evals])
         rows += [("generated_accuracy_mean", f"{gen_acc.mean():.6f}"),
                  ("generated_accuracy_std", f"{gen_acc.std():.6f}")]
@@ -286,8 +292,8 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
             for i, (v, a) in enumerate(zip(result.per_query, gen_acc)):
                 rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
         if cfg.metrics_distances:
-            gen_matrix = _population_matrix(generated)
-            dd = distribution_distances(_population_matrix(originals), gen_matrix)
+            gen_matrix = generated.params.astype(np.float64)
+            dd = distribution_distances(originals.params.astype(np.float64), gen_matrix)
             rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
                      ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
                      ("cosine", f"{dd.cosine:.6f}"),

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow import bn_recalib
+from weightflow import nn_core
 from weightflow.activations import ACTIVATIONS
-from weightflow.bn_recalib import (PooledStats, member_blocks, recalibrate,
-                                   recalibrate_members)
+from weightflow.bn_recalib import PooledStats, recalibrate, recalibrate_members
 from weightflow.data import LabeledDataset
 from weightflow.errors import ArgumentError
-from weightflow.nn_core import (BN_EPS, ArchitectureSpec, evaluate_members,
-                                flatten, forward, init_weights, stack_members,
-                                unflatten, unstack_member)
+from weightflow.nn_core import (BN_EPS, ArchitectureSpec, Population,
+                                evaluate_members, flatten, forward, init_weights,
+                                member_blocks, unflatten)
 
 
 def dataset(features):
@@ -157,7 +156,7 @@ class TestStackedRecalibration:
         """Budget for BLOCK members of the calibration sets below."""
         def use(arch, n_rows):
             per_member = 8 * n_rows * max(arch.layer_dims[1:])
-            monkeypatch.setattr(bn_recalib, "RECALIB_BLOCK_BYTES",
+            monkeypatch.setattr(nn_core, "MEMBER_BLOCK_BYTES",
                                 self.BLOCK * per_member + per_member - 1)
         return use
 
@@ -177,11 +176,12 @@ class TestStackedRecalibration:
         assert blocks[-1].stop == members
         seen = 0
         for block in blocks:
-            net = stack_members(params[block], arch)
+            pop = Population(arch, params[block])
+            net = pop.net()
             recalibrate_members(net, calib, batch_size, calib_fraction)
             for j, result in enumerate(evaluate_members(net, test)):
                 i = block.start + j
-                got = unstack_member(params[block], net, j)
+                got = pop.member(j)
                 ref = reference_recalibrate(unflatten(params[i], arch), calib,
                                             batch_size, calib_fraction)
                 for l, st in ref.bn.items():
@@ -209,7 +209,7 @@ class TestStackedRecalibration:
         arch = ArchitectureSpec((8, 16, 16, 3), "relu", (True, True))
         blocks = member_blocks(400, arch, 480)
         per_member = 8 * 480 * 16
-        assert all(0 < (b.stop - b.start) * per_member <= bn_recalib.RECALIB_BLOCK_BYTES
+        assert all(0 < (b.stop - b.start) * per_member <= nn_core.MEMBER_BLOCK_BYTES
                    for b in blocks)
         assert member_blocks(0, arch, 480) == []
         assert member_blocks(3, arch, 10 ** 9) == [slice(0, 1), slice(1, 2), slice(2, 3)]

@@ -14,9 +14,9 @@ from weightflow.canonicalize import (apply_attention_assignment,
                                      transfusion_align, weight_match,
                                      AttentionAssignment, PermutationAssignment)
 from weightflow.errors import ArgumentError, DataError
-from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, evaluate,
-                                flatten, forward, init_weights, mha_forward,
-                                random_attention)
+from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, Population,
+                                evaluate, flatten, forward, init_weights,
+                                mha_forward, random_attention)
 
 
 def brute_force_max(score):
@@ -170,22 +170,25 @@ class TestWeightMatch:
 
 class TestCanonicalizePopulation:
     def test_population_of_one(self, tiny_population):
-        out = canonicalize_population(tiny_population[:1])
-        assert np.array_equal(flatten(out[0]), flatten(tiny_population[0]))
+        first = tiny_population.member(0)
+        out = canonicalize_population(Population.from_checkpoints(first.arch, [first]))
+        assert np.array_equal(flatten(out.member(0)), flatten(tiny_population.member(0)))
 
     def test_permuted_copies_collapse(self):
         arch = ArchitectureSpec((4, 10, 3), "relu")
         base = init_weights(arch, seed=9)
         pop = [base] + [apply_permutation(base, random_assignment(arch, seed=s))
                         for s in range(1, 5)]
-        aligned = canonicalize_population(pop, reference_index=0)
-        for ckpt in aligned[1:]:
+        aligned = canonicalize_population(Population.from_checkpoints(arch, pop),
+                                          reference_index=0)
+        for ckpt in [aligned.member(i) for i in range(1, len(aligned))]:
             assert np.allclose(flatten(ckpt), flatten(base), atol=1e-6)
 
     def test_accuracy_preserved(self, tiny_population, blobs):
         _, test = blobs
         aligned = canonicalize_population(tiny_population)
-        for before, after in zip(tiny_population, aligned):
+        for before, after in [(tiny_population.member(i), aligned.member(i))
+                              for i in range(len(aligned))]:
             assert abs(evaluate(before, test).accuracy
                        - evaluate(after, test).accuracy) <= 1e-6
 
@@ -193,7 +196,7 @@ class TestCanonicalizePopulation:
         pop = [init_weights(ArchitectureSpec((4, 8, 3)), seed=0),
                init_weights(ArchitectureSpec((4, 9, 3)), seed=0)]
         with pytest.raises((ArgumentError, DataError)):
-            canonicalize_population(pop)
+            canonicalize_population(Population.from_checkpoints(pop[0].arch, pop))
 
 
 class TestTransfusion:

@@ -13,7 +13,7 @@ from weightflow.cli import main
 from weightflow.config import DataConfig, RunConfig, parse_config
 from weightflow.errors import ConfigError
 from weightflow.flow import FlowConfig
-from weightflow.nn_core import TrainHyper, flatten
+from weightflow.nn_core import TrainHyper
 from weightflow.pipeline import read_manifest
 
 QUICK = """\
@@ -149,6 +149,31 @@ class TestExitCodes:
         assert "does not match the sha256" in err and artifact in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage,section", [
+        ("canonicalize", "[pca]\nmode = standard\n"),
+        ("fit-pca", "[pca]\nmode = standard\n"),
+        ("train-flow", "[pca]\nmode = standard\n"),
+        ("generate", "[pca]\nmode = standard\n"),
+        ("generate", ""),
+        ("evaluate", "[pca]\nmode = standard\n")],
+        ids=["canonicalize", "fit-pca", "train-flow", "generate-pca", "generate",
+             "evaluate"])
+    def test_other_arch_than_the_artifacts_is_3(self, tmp_path, capsys, stage, section):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUICK.format(out=out) + "\n" + section)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg_path.write_text(cfg_path.read_text().replace("4,8,3", "4,6,3"))
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage {stage}: ") and "Traceback" not in err
+        assert "layer_dims=(4, 6, 3)" in err and "rerun `make-population`" in err
+        if stage != "generate":
+            assert "layer_dims=(4, 8, 3)" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_generated_is_3(self, quick_cfg, capsys):
         cfg_path, out = quick_cfg
         assert main(["run", "--config", cfg_path]) == 0
@@ -242,6 +267,7 @@ class TestDegenerateFlowConfig:
         {"data.blobs_spread": "inf"}, {"data.test_fraction": "nan"},
         {"data.test_fraction": "-0.5"}, {"data.test_fraction": "0"},
         {"data.test_fraction": "1.5"}, {"data.blobs_classes": "1"},
+        {"data.blobs_per_class": "2", "data.test_fraction": "0.2"},
         {"data.blobs_per_class": "1"}, {"data.limit": "-1"},
         {"arch.layer_dims": "5,8,3"}, {"arch.layer_dims": "4,8,2"},
         {"pca.mode": "incremental", "pca.batch_rows": "0"},
@@ -359,12 +385,12 @@ class TestStages:
 
     def test_generate_bytes_do_not_depend_on_member_blocks(self, tmp_path,
                                                            monkeypatch):
-        from weightflow import bn_recalib
+        from weightflow import nn_core
         text = QUICK.replace("layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1") \
                     .replace("count = 2", "count = 5")
         runs = {}
         for label, budget in (("one_block", 1 << 30), ("one_member_each", 1)):
-            monkeypatch.setattr(bn_recalib, "RECALIB_BLOCK_BYTES", budget)
+            monkeypatch.setattr(nn_core, "MEMBER_BLOCK_BYTES", budget)
             out = tmp_path / label
             cfg_path = tmp_path / f"{label}.ini"
             cfg_path.write_text(text.format(out=out))
@@ -380,9 +406,9 @@ class TestStages:
             assert main([cmd, "--config", cfg_path]) == 0
         assert main(["generate", "--config", cfg_path]) == 0
         path = os.path.join(out, "generated.dwfc")
-        a = [flatten(c) for c in load_population(path)]
+        a = load_population(path).params
         assert main(["generate", "--config", cfg_path, "--seed", "99"]) == 0
-        b = [flatten(c) for c in load_population(path)]
+        b = load_population(path).params
         assert not np.array_equal(a, b)
 
     def test_out_flag_overrides(self, quick_cfg, tmp_path):

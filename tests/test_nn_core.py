@@ -283,7 +283,8 @@ class TestTrainPopulation:
     SEEDS = (3, 4, 5)
 
     def assert_matches_one_member_runs(self, arch, data, hyper, holdout=None):
-        pop = train_population(arch, data, hyper, self.SEEDS, holdout=holdout)
+        trained = train_population(arch, data, hyper, self.SEEDS, holdout=holdout)
+        pop = [trained.member(i) for i in range(len(trained))]
         assert [c.seed for c in pop] == list(self.SEEDS)
         if hyper.epochs:
             assert not np.array_equal(flatten(pop[0]), flatten(pop[1]))
@@ -301,7 +302,8 @@ class TestTrainPopulation:
         arch = ArchitectureSpec((4, 8, 6, 3), activation, bn)
         hyper = TrainHyper(optimizer=optimizer, weight_decay=1e-2,
                            learning_rate=1e-2, batch_size=7, epochs=3)
-        pop = train_population(arch, train, hyper, self.SEEDS)
+        trained = train_population(arch, train, hyper, self.SEEDS)
+        pop = [trained.member(i) for i in range(len(trained))]
         for seed, ckpt in zip(self.SEEDS, pop):
             assert_same_network(
                 ckpt, serial_reference(arch, train, replace(hyper, seed=seed)))

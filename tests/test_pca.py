@@ -93,12 +93,14 @@ class TestDual:
         model = fit_dual(x, 1, exact_eigen=True)
         assert abs(model.eigenvalues[0] - 2.0) < 1e-10
 
-    def test_callable_row_source(self, rng):
-        x = rng.normal(size=(12, 30))
-        a = fit_dual(x, 5, exact_eigen=True)
-        b = fit_dual(lambda: iter(x), 5, micro_batch=3, exact_eigen=True)
-        assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-10)
-        assert np.allclose(a.components, b.components, atol=1e-10)
+    @pytest.mark.parametrize("n,d", [(25, 531), (50, 67), (400, 531)])
+    def test_mean_equals_row_loop(self, rng, n, d):
+        x = rng.normal(size=(n, d))
+        mean = x[0].copy()
+        for row in x[1:]:
+            mean = mean + row
+        mean /= n
+        assert fit_dual(x, 1, micro_batch=7, exact_eigen=True).mean.tobytes() == mean.tobytes()
 
     def test_micro_batch_independent(self, rng):
         x = rng.normal(size=(17, 40))
