@@ -8,11 +8,9 @@ flow-matching model, and sample new working checkpoints.
 from .bn_recalib import PooledStats, recalibrate
 from .canonicalize import (AttentionAssignment, PermutationAssignment,
                            apply_attention_assignment, apply_permutation,
-                           canonicalize_population, permutation_spec,
-                           solve_lap_max, solve_lap_min, transfusion_align,
-                           weight_match)
-from .checkpoint_io import (load_checkpoint, load_population, save_checkpoint,
-                            save_population)
+                           canonicalize_population, solve_lap_max,
+                           solve_lap_min, transfusion_align, weight_match)
+from .checkpoint_io import load_population, save_population
 from .config import RunConfig, parse_config
 from .data import LabeledDataset, load_idx, load_iris, make_blobs
 from .errors import (ArgumentError, ConfigError, DataError, IntegrationError,
@@ -22,10 +20,9 @@ from .flow import (FlowConfig, FlowModel, init_flow_model, load_flow,
                    rk4_integrate, sample, save_flow, train_flow)
 from .metrics import (distribution_distances, iou, jensen_shannon, max_iou,
                       wasserstein_1d, wrong_set)
-from .nn_core import (ArchitectureSpec, AttentionSpec, BatchNormState,
-                      EvalResult, Population, TrainHyper, WeightCheckpoint,
-                      evaluate, flatten, forward, init_weights, mha_forward,
-                      train_network, train_population, unflatten)
+from .nn_core import (ArchitectureSpec, AttentionSpec, EvalResult, Population,
+                      TrainHyper, evaluate, forward, init_population,
+                      mha_forward, train_population)
 from .pca import (PcaModel, default_latent_dim, fit_dual, fit_incremental,
                   fit_standard, inverse_transform, load_pca, save_pca,
                   transform)

@@ -13,14 +13,14 @@ keeps the per-layer result exactly partition-independent. The float64
 forward pass runs layer by layer over all calibration batches, so each
 affine map is applied once per batch.
 
-`recalibrate_members` does this for every member of a stacked net
-(`nn_core.Population.net`), with each member's statistics pooled along the
-batch axis of (N, B, d) activation stacks and written in place into the
-population's own columns; every member gets the same bits as on its own.
-`recalibrate` is its one-member case. One layer's float64 activations over
-the whole calibration set are held at a time, so a caller with many
-members takes them in blocks from `nn_core.member_blocks`, each sized to
-hold at most `nn_core.MEMBER_BLOCK_BYTES` of them.
+`recalibrate` does this for every member of a `nn_core.Population`, with
+each member's statistics pooled along the batch axis of (N, B, d)
+activation stacks and written in place into the population's own columns;
+every member gets the same bits as on its own. One layer's float64
+activations over the whole calibration set are held at a time, so a caller
+with many members passes them in blocks (`pop[block]` for each block of
+`nn_core.member_blocks`), each sized to hold at most
+`nn_core.MEMBER_BLOCK_BYTES` of them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .activations import ACTIVATIONS
 from .errors import ArgumentError
-from .nn_core import BN_EPS, BN_MOMENTUM, Population, WeightCheckpoint
+from .nn_core import BN_EPS, BN_MOMENTUM, Population
 
 
 @dataclass
@@ -69,11 +69,10 @@ class PooledStats:
         self.update(batch.mean(axis=axis), batch.var(axis=axis), batch.shape[axis])
 
 
-def recalibrate_members(net: WeightCheckpoint, data, batch_size: int = 64,
-                        calib_fraction: float = 1.0) -> None:
+def recalibrate(pop: Population, data, batch_size: int = 64,
+                calib_fraction: float = 1.0) -> None:
     """Recompute, in place, the BN running statistics of every member of
-    the stacked net `net` (a `Population.net`) over the first
-    `calib_fraction` of `data`.
+    `pop` over the first `calib_fraction` of `data`.
 
     Weights, gamma, and beta are untouched; only running mean/var/count
     change. Momentum-based EMA behavior (0.1) resumes on future train-mode
@@ -85,43 +84,34 @@ def recalibrate_members(net: WeightCheckpoint, data, batch_size: int = 64,
         raise ArgumentError("batch_size must be >= 1")
     if not 0.0 < calib_fraction <= 1.0:
         raise ArgumentError("calib_fraction must be in (0, 1]")
-    if not net.bn:
-        warnings.warn("checkpoint has no BN layers; recalibration is a no-op")
+    if not pop.bn:
+        warnings.warn("population has no BN layers; recalibration is a no-op")
         return
     n_use = max(1, int(round(calib_fraction * data.features.shape[0])))
     features = data.features[:n_use]
-    arch = net.arch
+    arch = pop.arch
     act, _ = ACTIVATIONS[arch.activation]
     # Layer-0 batches are (1, B, d) views of the features, broadcast over
     # the members; batches are replaced in place, so one layer's float64
     # activations (N, B, d) are held at a time.
     zs = [features[None, start:start + batch_size]
           for start in range(0, n_use, batch_size)]
-    for l in range(max(net.bn) + 1):
-        w = net.weights[l].swapaxes(-1, -2).astype(np.float64)
-        b = net.biases[l].astype(np.float64)
+    for l in range(max(pop.bn) + 1):
+        w = pop.weights[l].swapaxes(-1, -2).astype(np.float64)
+        b = pop.biases[l].astype(np.float64)
         for i, z in enumerate(zs):
             zs[i] = z.astype(np.float64, copy=False) @ w + b
-        st = net.bn[l] if arch.has_bn(l) else None
-        if st is not None:
+        views = pop.bn_views.get(l)
+        if views is not None:
+            gamma, beta, running_mean, running_var, count = views
             stats = PooledStats.zeros(arch.layer_dims[l + 1])
             for a in zs:
                 stats.update_from_batch(a, axis=1)
-            st.running_mean[...] = stats.mean.reshape(st.gamma.shape)
-            st.running_var[...] = stats.var.reshape(st.gamma.shape)
-            st.count[...] = stats.count
+            running_mean[...] = stats.mean.reshape(gamma.shape)
+            running_var[...] = stats.var.reshape(gamma.shape)
+            count[...] = stats.count
         for i, a in enumerate(zs):
-            if st is not None:
-                a = (st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS)
-                     + st.beta)
+            if views is not None:
+                a = gamma * (a - running_mean) / np.sqrt(running_var + BN_EPS) + beta
             zs[i] = act(a)
     assert BN_MOMENTUM == 0.1  # EMA resumes at the documented momentum
-
-
-def recalibrate(ckpt: WeightCheckpoint, data, batch_size: int = 64,
-                calib_fraction: float = 1.0) -> WeightCheckpoint:
-    """Return a copy of `ckpt` with BN running statistics recomputed: the
-    one-member case of `recalibrate_members`."""
-    pop = Population.from_checkpoints(ckpt.arch, [ckpt])
-    recalibrate_members(pop.net(), data, batch_size, calib_fraction)
-    return pop.member(0)

@@ -1,9 +1,10 @@
 """Permutation-symmetry resolution.
 
 Contains scipy's exact linear assignment solver with lexicographic tie-breaking,
-generic permutation application driven by an explicit per-tensor axis map,
-coordinate-descent weight matching against a reference checkpoint, and
-two-level (inter-head / intra-head) alignment for toy attention blocks.
+hidden-unit permutation of a `nn_core.Population` as one gather over its
+parameter columns, coordinate-descent weight matching of one network against
+a reference network (both one-member populations), and two-level
+(inter-head / intra-head) alignment for toy attention blocks.
 
 Permutation vectors use gather convention: applying p to an axis produces
 new[i] = old[p[i]].
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._scipy import compiled_scipy
 from .errors import ArgumentError, ShapeError
-from .nn_core import ArchitectureSpec, AttentionWeights, Population, WeightCheckpoint
+from .nn_core import ArchitectureSpec, AttentionWeights, Population
 from .rng import make_rng
 
 _TIE_TOL = 1e-9
@@ -83,7 +84,7 @@ def invert_permutation(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Permutation spec and application for MLP / BN-MLP checkpoints
+# Hidden-unit permutation of MLP / BN-MLP populations
 
 
 @dataclass(frozen=True)
@@ -110,43 +111,29 @@ class PermutationAssignment:
         return all((p == np.arange(len(p))).all() for p in self.layer_perms)
 
 
-def permutation_spec(arch: ArchitectureSpec) -> dict:
-    """Map every parameter tensor to the permutation label acting on each axis.
-
-    Labels are 'P{l}' for hidden layer l; None marks a fixed axis. Input and
-    output layers are never permuted. BN tensors, including running
-    statistics, ride along with their layer's permutation.
-    """
-    spec = {}
+def _column_index(arch: ArchitectureSpec, perms) -> np.ndarray:
+    """Gather index over the P columns of the flat vector that permutes the
+    hidden units by `perms`: W_l takes rows perms[l] and columns
+    perms[l - 1], and b_l, gamma_l and beta_l take entries perms[l]. The
+    input and output layers are never permuted."""
+    index, pos = [], 0
     for l in range(arch.num_layers):
-        out_label = f"P{l}" if l < arch.num_hidden else None
-        in_label = f"P{l - 1}" if 0 <= l - 1 < arch.num_hidden else None
-        spec[f"W{l}"] = (out_label, in_label)
-        spec[f"b{l}"] = (out_label,)
-        if arch.has_bn(l):
-            for t in ("gamma", "beta", "running_mean", "running_var"):
-                spec[f"bn{l}.{t}"] = (out_label,)
-    return spec
+        d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
+        rows = perms[l] if l < arch.num_hidden else np.arange(d_out)
+        cols = perms[l - 1] if l > 0 else np.arange(d_in)
+        index.append(pos + (rows[:, None] * d_in + cols).ravel())
+        pos += d_out * d_in
+        for _ in range(3 if arch.has_bn(l) else 1):  # b, then gamma and beta
+            index.append(pos + rows)
+            pos += d_out
+    return np.concatenate(index)
 
 
-def _checkpoint_tensors(ckpt: WeightCheckpoint) -> dict:
-    tensors = {}
-    for l in range(ckpt.arch.num_layers):
-        tensors[f"W{l}"] = ckpt.weights[l]
-        tensors[f"b{l}"] = ckpt.biases[l]
-        if ckpt.arch.has_bn(l):
-            st = ckpt.bn[l]
-            tensors[f"bn{l}.gamma"] = st.gamma
-            tensors[f"bn{l}.beta"] = st.beta
-            tensors[f"bn{l}.running_mean"] = st.running_mean
-            tensors[f"bn{l}.running_var"] = st.running_var
-    return tensors
-
-
-def apply_permutation(ckpt: WeightCheckpoint,
-                      perm: PermutationAssignment) -> WeightCheckpoint:
-    """Functionally invariant reindexing of hidden units."""
-    arch = ckpt.arch
+def apply_permutation(pop: Population, perm: PermutationAssignment) -> Population:
+    """Functionally invariant reindexing of the hidden units of every member:
+    one gather over the parameter columns and one of each BN layer's running
+    means and variances. Counts, seeds and metrics are unchanged."""
+    arch = pop.arch
     if len(perm.layer_perms) != arch.num_hidden:
         raise ShapeError(
             f"assignment has {len(perm.layer_perms)} layers, arch has {arch.num_hidden}"
@@ -155,16 +142,11 @@ def apply_permutation(ckpt: WeightCheckpoint,
         if len(p) != arch.layer_dims[l + 1]:
             raise ShapeError(f"permutation {l} has length {len(p)}, "
                              f"expected {arch.layer_dims[l + 1]}")
-    out = ckpt.copy()
-    spec = permutation_spec(arch)
-    tensors = _checkpoint_tensors(out)
-    perms = {f"P{l}": perm.layer_perms[l] for l in range(arch.num_hidden)}
-    for name, axis_labels in spec.items():
-        t = tensors[name]
-        for axis, label in enumerate(axis_labels):
-            if label is not None:
-                t[...] = np.take(t, perms[label], axis=axis)
-    return out
+    perms = perm.layer_perms
+    bn = {l: (mean[:, perms[l]], var[:, perms[l]], count.copy())
+          for l, (mean, var, count) in pop.bn.items()}
+    return Population(arch, pop.params[:, _column_index(arch, perms)], bn,
+                      pop.seeds.copy(), pop.metrics.copy())
 
 
 def random_assignment(arch: ArchitectureSpec, seed: int = 0) -> PermutationAssignment:
@@ -180,79 +162,65 @@ def random_assignment(arch: ArchitectureSpec, seed: int = 0) -> PermutationAssig
 @dataclass
 class WeightMatchResult:
     assignment: PermutationAssignment
-    aligned: WeightCheckpoint
+    aligned: Population
     objective_trace: list  # full-objective value after each sweep
 
 
-def _vector_terms(ckpt: WeightCheckpoint, l: int):
+def _unit_vectors(net: Population, l: int):
     """Per-unit vectors permuted by P_l beyond the weight rows: b, gamma, beta."""
-    terms = [ckpt.biases[l].astype(np.float64)]
-    if ckpt.arch.has_bn(l):
-        terms.append(ckpt.bn[l].gamma.astype(np.float64))
-        terms.append(ckpt.bn[l].beta.astype(np.float64))
-    return terms
+    vectors = [net.biases[l]]
+    if l in net.bn_views:
+        vectors += net.bn_views[l][:2]
+    return [v[0, 0].astype(np.float64) for v in vectors]
 
 
-def _match_objective(ref: WeightCheckpoint, a: WeightCheckpoint,
-                     perms: list) -> float:
-    """Sum of Frobenius inner products between ref and permuted-a tensors."""
-    arch = ref.arch
-    total = 0.0
-    for l in range(arch.num_layers):
-        wa = a.weights[l].astype(np.float64)
-        if 0 <= l - 1 < arch.num_hidden:
-            wa = wa[:, perms[l - 1]]
-        if l < arch.num_hidden:
-            wa = wa[perms[l], :]
-        total += float(np.sum(ref.weights[l].astype(np.float64) * wa))
-        if l < arch.num_hidden:
-            for vr, va in zip(_vector_terms(ref, l), _vector_terms(a, l)):
-                total += float(vr @ va[perms[l]])
-        else:
-            for vr, va in zip(_vector_terms(ref, l), _vector_terms(a, l)):
-                total += float(vr @ va)
-    return total
-
-
-def weight_match(theta_a: WeightCheckpoint, theta_ref: WeightCheckpoint,
+def weight_match(theta_a: Population, theta_ref: Population,
                  max_iter: int = 100) -> WeightMatchResult:
-    """Coordinate descent over per-layer LAPs aligning theta_a to theta_ref.
+    """Coordinate descent over per-layer LAPs aligning theta_a to theta_ref,
+    two one-member populations.
 
     Each sweep visits hidden layers in a seeded random order (seed derived
-    from the reference checkpoint's metadata) and stops early once a full
-    sweep changes no permutation. The objective includes biases and BN
-    gamma/beta alongside the weight matrices and is non-decreasing per sweep.
+    from the reference network's seed) and stops early once a full sweep
+    changes no permutation. The objective is the inner product of the
+    reference's flat vector with the permuted one: weight matrices, biases
+    and BN gamma/beta. It is non-decreasing per sweep.
     """
     if theta_a.arch != theta_ref.arch:
         raise ArgumentError("weight_match requires identical architectures")
+    if len(theta_a) != 1 or len(theta_ref) != 1:
+        raise ArgumentError("weight_match aligns one network to one reference")
     if max_iter < 1:
         raise ArgumentError("max_iter must be >= 1")
     arch = theta_a.arch
     n_hidden = arch.num_hidden
+    ref_vec = theta_ref.params[0].astype(np.float64)
+    a_vec = theta_a.params[0].astype(np.float64)
+    wa_all = [w[0] for w in theta_a.weights]
+    wr_all = [w[0] for w in theta_ref.weights]
     perms = [np.arange(arch.layer_dims[l + 1]) for l in range(n_hidden)]
     trace = []
     if n_hidden == 0:
-        trace.append(_match_objective(theta_ref, theta_a, perms))
+        trace.append(float(ref_vec @ a_vec))
     for sweep in range(max_iter if n_hidden else 0):
-        order_rng = make_rng(theta_ref.seed, "match", sweep)
+        order_rng = make_rng(int(theta_ref.seeds[0]), "match", sweep)
         changed = False
         for l in order_rng.permutation(n_hidden):
             l = int(l)
-            wa = theta_a.weights[l].astype(np.float64)
+            wa = wa_all[l].astype(np.float64)
             if l - 1 >= 0:
                 wa = wa[:, perms[l - 1]]
-            score = theta_ref.weights[l].astype(np.float64) @ wa.T
-            wa_next = theta_a.weights[l + 1].astype(np.float64)
+            score = wr_all[l].astype(np.float64) @ wa.T
+            wa_next = wa_all[l + 1].astype(np.float64)
             if l + 1 < n_hidden:
                 wa_next = wa_next[perms[l + 1], :]
-            score += theta_ref.weights[l + 1].astype(np.float64).T @ wa_next
-            for vr, va in zip(_vector_terms(theta_ref, l), _vector_terms(theta_a, l)):
+            score += wr_all[l + 1].astype(np.float64).T @ wa_next
+            for vr, va in zip(_unit_vectors(theta_ref, l), _unit_vectors(theta_a, l)):
                 score += np.outer(vr, va)
             new_p = solve_lap_max(score)
             if not np.array_equal(new_p, perms[l]):
                 changed = True
             perms[l] = new_p
-        trace.append(_match_objective(theta_ref, theta_a, perms))
+        trace.append(float(ref_vec @ a_vec[_column_index(arch, perms)]))
         if not changed:
             break
     assignment = PermutationAssignment(tuple(perms))
@@ -266,11 +234,14 @@ def canonicalize_population(pop: Population, reference_index: int = 0,
     """Weight-match every member of `pop` to member `reference_index`."""
     if len(pop) == 0:
         raise ArgumentError("empty population")
-    ref = pop.member(reference_index)
-    aligned = [ref if i == reference_index
-               else weight_match(pop.member(i), ref, max_iter=max_iter).aligned
+    ref = pop[reference_index:reference_index + 1]
+    members = [ref if i == reference_index
+               else weight_match(pop[i:i + 1], ref, max_iter=max_iter).aligned
                for i in range(len(pop))]
-    return Population.from_checkpoints(pop.arch, aligned)
+    bn = {l: tuple(np.concatenate([m.bn[l][k] for m in members]) for k in range(3))
+          for l in pop.bn}
+    return Population(pop.arch, np.concatenate([m.params for m in members]), bn,
+                      pop.seeds.copy(), pop.metrics.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ parameter matrix as little-endian float32; per BN layer in forward order
 the (N, d) running means, then the (N, d) running variances as
 little-endian float64, then N counts as u64; N seeds as i64; N metrics as
 float64. These are the columns of an `nn_core.Population`, written and
-read as they are. A checkpoint is the one-member case: `save_checkpoint`
-and `load_checkpoint` call `save_population` and `load_population`.
+read as they are; one network is a one-member population and file.
 
 The length-checked readers here serve every binary file the toolkit reads:
 DWFC populations, DWFP PCA models, DWFF flow models and IDX data. Loading
@@ -26,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn_core import ArchitectureSpec, Population, WeightCheckpoint
+from .nn_core import ArchitectureSpec, Population
 
 CKPT_MAGIC = b"DWFC"
 CKPT_VERSION = 2
@@ -73,11 +72,6 @@ def save_population(pop: Population, path) -> None:
         f.write(descriptor)
         for values, dtype in columns:
             f.write(np.asarray(values, dtype=dtype).tobytes())
-
-
-def save_checkpoint(ckpt: WeightCheckpoint, path) -> None:
-    """One network as a one-member population file."""
-    save_population(Population.from_checkpoints(ckpt.arch, [ckpt]), path)
 
 
 def _read_exact(f, count, path, what) -> bytearray:
@@ -133,10 +127,3 @@ def load_population(path) -> Population:
         _expect_end(f, path)
     return Population(arch, params, bn, seeds, metrics)
 
-
-def load_checkpoint(path) -> WeightCheckpoint:
-    """The one network of a one-member DWFC file."""
-    pop = load_population(path)
-    if len(pop) != 1:
-        raise DataError(f"{path}: holds {len(pop)} networks, expected exactly one")
-    return pop.member(0)

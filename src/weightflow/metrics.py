@@ -40,22 +40,11 @@ class MaxIouResult:
     std: float
 
 
-def max_iou(queries, references, exclude_self: bool = False) -> MaxIouResult:
-    """Per-query maximum IoU against all admissible references.
-
-    With exclude_self=True, reference j is skipped for query j (the two
-    lists are assumed index-aligned, as when comparing a set to itself).
-    """
+def max_iou(queries, references) -> MaxIouResult:
+    """Per-query maximum IoU against all references."""
     if len(references) == 0:
         raise ArgumentError("references must be nonempty")
-    if exclude_self and len(references) < 2:
-        raise ArgumentError("need >= 2 references when excluding self")
-    per_query = []
-    for qi, q in enumerate(queries):
-        vals = [iou(q, r) for ri, r in enumerate(references)
-                if not (exclude_self and ri == qi)]
-        per_query.append(max(vals))
-    per_query = np.array(per_query)
+    per_query = np.array([max(iou(q, r) for r in references) for q in queries])
     return MaxIouResult(per_query, float(per_query.mean()), float(per_query.std()))
 
 

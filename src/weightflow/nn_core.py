@@ -7,25 +7,24 @@ canonical order: layers in forward order, each layer contributing W
 layers. BN running statistics are sidecar state and never enter the flat
 vector.
 
-A `Population` holds N networks of one architecture as the columns of a
-DWFC file: an (N, P) float32 matrix of flat vectors, per BN layer (N, d)
-running means and variances and (N,) counts, seeds and metrics. Its
-`net(block)` is the stacked net that training, evaluation and BN
-recalibration take: per-layer W (N, d_out, d_in), b, gamma and beta (each
-(N, 1, d_out)) are views into the matrix rows, and the running statistics
-views into the population's own, so both are updated in place.
+`Population` is the one network type: N networks of one architecture as
+the columns of a DWFC file, an (N, P) float32 matrix of flat vectors, per
+BN layer (N, d) running means and variances and (N,) counts, seeds and
+metrics. One network is a one-member population. Built once per
+population, its stacked views are what training, evaluation and BN
+recalibration read and write: per-layer W (N, d_out, d_in), b, gamma and
+beta (each (N, 1, d_out)) over the matrix rows, and (N, 1, d) means and
+variances over the statistics, so all of them are updated in place.
+`pop[block]` is the population of the block's rows, as views.
 `train_population` runs one stacked forward, backward and optimizer step
 per minibatch, yet every member follows its own seed's init and shuffles
-and equals a one-member run bit for bit. A checkpoint is the one-member
-case: `init_weights`, `unflatten` and `train_network` take `member(0)`,
-and `forward` and `evaluate` broadcast its arrays as a one-member stack.
+and equals a one-member run bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,72 +102,23 @@ class ArchitectureSpec:
         return total
 
 
-@dataclass
-class BatchNormState:
-    gamma: np.ndarray        # float32, learned scale
-    beta: np.ndarray         # float32, learned shift
-    running_mean: np.ndarray  # float64 sidecar
-    running_var: np.ndarray   # float64 sidecar, population variance
-    count: int = 0            # in a stacked net: (N,) uint64, updated in place
-
-
-@dataclass
-class WeightCheckpoint:
-    arch: ArchitectureSpec
-    weights: list            # weights[l]: (d_{l+1}, d_l) float32
-    biases: list             # biases[l]: (d_{l+1},) float32
-    bn: dict = field(default_factory=dict)  # hidden layer index -> BatchNormState
-    seed: int = 0
-    metric: float = float("nan")
-
-    def copy(self) -> "WeightCheckpoint":
-        return copy.deepcopy(self)
-
-    def validate(self) -> None:
-        arch = self.arch
-        if len(self.weights) != arch.num_layers or len(self.biases) != arch.num_layers:
-            raise ShapeError("layer count mismatch")
-        for l in range(arch.num_layers):
-            d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-            if self.weights[l].shape != (d_out, d_in):
-                raise ShapeError(f"W_{l} shape {self.weights[l].shape} != {(d_out, d_in)}")
-            if self.biases[l].shape != (d_out,):
-                raise ShapeError(f"b_{l} shape {self.biases[l].shape} != {(d_out,)}")
-        for l, st in self.bn.items():
-            if not arch.has_bn(l):
-                raise ShapeError(f"unexpected BN state at layer {l}")
-            d = arch.layer_dims[l + 1]
-            for name in ("gamma", "beta", "running_mean", "running_var"):
-                if getattr(st, name).shape != (d,):
-                    raise ShapeError(f"BN {name} at layer {l} has wrong shape")
-            if np.any(st.running_var < 0) or st.count < 0:
-                raise ShapeError(f"BN layer {l} has negative variance or count")
-        for l in range(arch.num_hidden):
-            if arch.has_bn(l) and l not in self.bn:
-                raise ShapeError(f"missing BN state at layer {l}")
-
-
 INIT_SCHEMES = ("kaiming", "xavier", "normal", "uniform", "kaiming_zero_bias")
 
 
-def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming",
-                    scale: float | None = None) -> "Population":
+def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming") -> "Population":
     """Deterministically initialize one network per seed, each from its own
     (seed, "init") stream: BN gamma 1, beta 0 and fresh running statistics.
-
-    `scale` is the sigma of the normal scheme (default 0.01) or the
-    half-width of the uniform scheme (default 0.1); ignored otherwise.
-    """
+    The normal scheme draws weights with sigma 0.01, the uniform scheme
+    from [-0.1, 0.1]."""
     if scheme not in INIT_SCHEMES:
         raise ConfigError(f"unknown init scheme {scheme!r}")
     pop = Population(arch, np.zeros((len(seeds), arch.param_count()), np.float32),
                      seeds=np.array(seeds, dtype=np.int64))
-    net = pop.net()
     for i, seed in enumerate(seeds):
         rng = make_rng(seed, "init")
         for l in range(arch.num_layers):
             d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-            w, b = net.weights[l][i], net.biases[l][i, 0]  # biases stay 0 unless drawn
+            w, b = pop.weights[l][i], pop.biases[l][i, 0]  # biases stay 0 unless drawn
             if scheme in ("kaiming", "kaiming_zero_bias"):
                 w[...] = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
                 if scheme == "kaiming":
@@ -178,52 +128,44 @@ def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming",
                 bound = np.sqrt(6.0 / (d_in + d_out))
                 w[...] = rng.uniform(-bound, bound, size=(d_out, d_in))
             elif scheme == "normal":
-                w[...] = rng.normal(0.0, 0.01 if scale is None else scale, size=(d_out, d_in))
+                w[...] = rng.normal(0.0, 0.01, size=(d_out, d_in))
             else:  # uniform
-                a = 0.1 if scale is None else scale
-                w[...] = rng.uniform(-a, a, size=(d_out, d_in))
-    for st in net.bn.values():
-        st.gamma[...] = 1.0
+                w[...] = rng.uniform(-0.1, 0.1, size=(d_out, d_in))
+    for gamma, *_ in pop.bn_views.values():
+        gamma[...] = 1.0
     return pop
 
 
-def init_weights(arch: ArchitectureSpec, scheme: str = "kaiming", seed: int = 0,
-                 scale: float | None = None) -> WeightCheckpoint:
-    """One network: the one-member case of `init_population`."""
-    return init_population(arch, [seed], scheme, scale).member(0)
-
-
-def _forward_cached(net: WeightCheckpoint, batch: np.ndarray, mode: str):
+def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
     """Stacked forward pass keeping per-layer intermediates for backprop.
 
-    `batch` is (N, B, d_in) and `net` holds N members' tensors in
-    `_param_views` shapes, or is one checkpoint, whose (d_out, d_in) and
-    (d,) arrays broadcast as a one-member stack. Returns (logits
-    (N, B, d_out), caches). Train mode uses each member's batch statistics
-    in BN layers and updates its running stats by EMA with momentum 0.1.
+    `batch` is (N, B, d_in), or (1, B, d_in) to give every member the same
+    rows. Returns (logits (N, B, d_out), caches). Train mode uses each
+    member's batch statistics in BN layers and updates its running stats
+    by EMA with momentum 0.1.
     """
-    arch = net.arch
+    arch = pop.arch
     act, _ = ACTIVATIONS[arch.activation]
     z = batch.astype(np.float32)
     caches = []
     for l in range(arch.num_layers):
-        a = np.matmul(z, net.weights[l].swapaxes(-1, -2)) + net.biases[l]
+        a = np.matmul(z, pop.weights[l].swapaxes(-1, -2)) + pop.biases[l]
         cache = {"z_in": z}
         if l < arch.num_hidden:
             if arch.has_bn(l):
-                st = net.bn[l]
+                gamma, beta, running_mean, running_var, count = pop.bn_views[l]
                 if mode == "train":
                     mu = a.mean(axis=1, dtype=np.float64, keepdims=True)
                     var = a.astype(np.float64).var(axis=1, keepdims=True)
-                    st.running_mean[:] = (1 - BN_MOMENTUM) * st.running_mean + BN_MOMENTUM * mu
-                    st.running_var[:] = (1 - BN_MOMENTUM) * st.running_var + BN_MOMENTUM * var
-                    st.count += a.shape[1]
+                    running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+                    running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+                    count += a.shape[1]
                 else:
-                    mu = st.running_mean
-                    var = st.running_var
+                    mu = running_mean
+                    var = running_var
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 xhat = ((a - mu) * inv_std).astype(np.float32)
-                a = st.gamma * xhat + st.beta
+                a = gamma * xhat + beta
                 cache.update(xhat=xhat, inv_std=inv_std.astype(np.float32))
             cache["pre_act"] = a
             z = act(a)
@@ -233,17 +175,18 @@ def _forward_cached(net: WeightCheckpoint, batch: np.ndarray, mode: str):
     return z, caches
 
 
-def forward(ckpt: WeightCheckpoint, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Logits for a batch; eval mode is pure, train mode updates BN stats."""
-    arch = ckpt.arch
+def forward(pop: "Population", batch: np.ndarray, mode: str = "eval") -> np.ndarray:
+    """(N, B, C) logits of every member for one (B, d_in) batch; eval mode
+    is pure, train mode updates each member's BN stats."""
+    arch = pop.arch
     if batch.ndim != 2 or batch.shape[1] != arch.layer_dims[0]:
         raise ShapeError(
             f"batch has shape {batch.shape}, expected (n, {arch.layer_dims[0]})"
         )
     if mode not in ("train", "eval"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    logits, _ = _forward_cached(ckpt, batch[None], mode)
-    return logits[0]
+    logits, _ = _forward_cached(pop, batch[None], mode)
+    return logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -261,10 +204,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return np.mean(log_z - picked, axis=-1)
 
 
-def _backward(net: WeightCheckpoint, caches, logits, labels, grads) -> None:
+def _backward(pop: "Population", caches, logits, labels, grads) -> None:
     """Stacked gradients of each member's mean cross-entropy, written in
     place into `grads` (the `_param_views` of the gradient matrix)."""
-    arch = net.arch
+    arch = pop.arch
     grad_w, grad_b, grad_bn = grads
     _, act_grad = ACTIVATIONS[arch.activation]
     members, n = labels.shape
@@ -281,7 +224,7 @@ def _backward(net: WeightCheckpoint, caches, logits, labels, grads) -> None:
                 grad_gamma, grad_beta = grad_bn[l]
                 grad_gamma[:] = (delta * xhat).sum(axis=1, keepdims=True)
                 grad_beta[:] = delta.sum(axis=1, keepdims=True)
-                dxhat = delta * net.bn[l].gamma
+                dxhat = delta * pop.bn_views[l][0]
                 delta = cache["inv_std"] * (
                     dxhat
                     - dxhat.mean(axis=1, keepdims=True)
@@ -290,7 +233,7 @@ def _backward(net: WeightCheckpoint, caches, logits, labels, grads) -> None:
         np.matmul(delta.transpose(0, 2, 1), cache["z_in"], out=grad_w[l])
         grad_b[l][:] = delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = np.matmul(delta, net.weights[l])
+            delta = np.matmul(delta, pop.weights[l])
 
 
 OPTIMIZERS = ("adam", "adamw", "sgd")
@@ -386,7 +329,7 @@ class _SGD:
 
 
 def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
-    """Views into the rows of an (N, P) matrix in `flatten` order: per-layer
+    """Views into the rows of an (N, P) matrix in flat-vector order: per-layer
     weights (N, d_out, d_in) and biases, and per BN layer (gamma, beta).
     Vectors are (N, 1, d_out), so they broadcast over the batch axis."""
     pos = 0
@@ -412,7 +355,13 @@ def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
 class Population:
     """N networks of one architecture as the columns of a DWFC file. Left
     out, BN statistics start at zero mean, unit variance and count 0, seeds
-    at 0 and metrics at nan."""
+    at 0 and metrics at nan.
+
+    Its stacked views are built once, when it is made, and are what the
+    stacked passes read and write: `weights` and `biases` (the
+    `_param_views` of `params`) and `bn_views`, per BN layer (gamma, beta,
+    means, variances, counts), where gamma and beta view `params` and the
+    (N, 1, d) means and variances view `bn`."""
 
     arch: ArchitectureSpec
     params: np.ndarray       # (N, P) float32 flat vectors
@@ -421,6 +370,9 @@ class Population:
     metrics: np.ndarray = None  # (N,) float64
 
     def __post_init__(self):
+        if self.params.ndim != 2 or self.params.shape[1] != self.arch.param_count():
+            raise ShapeError(f"parameter matrix has shape {self.params.shape}, "
+                             f"arch needs (N, {self.arch.param_count()})")
         n = len(self.params)
         if self.bn is None:
             self.bn = {l: (np.zeros((n, d)), np.ones((n, d)), np.zeros(n, np.uint64))
@@ -429,66 +381,36 @@ class Population:
             self.seeds = np.zeros(n, np.int64)
         if self.metrics is None:
             self.metrics = np.full(n, np.nan)
-
-    @classmethod
-    def from_checkpoints(cls, arch: ArchitectureSpec, ckpts) -> "Population":
-        """The population of the checkpoints `ckpts`, all of architecture
-        `arch`; ArgumentError names the first member of another one."""
-        for i, ckpt in enumerate(ckpts):
-            if ckpt.arch != arch:
-                raise ArgumentError(f"member {i} has architecture {ckpt.arch}, "
-                                    f"not the population's {arch}")
-            ckpt.validate()
-        n = len(ckpts)
-        params = np.array([flatten(c) for c in ckpts], np.float32).reshape(n, arch.param_count())
-        bn = {l: (np.array([c.bn[l].running_mean for c in ckpts], np.float64).reshape(n, d),
-                  np.array([c.bn[l].running_var for c in ckpts], np.float64).reshape(n, d),
-                  np.array([c.bn[l].count for c in ckpts], np.uint64))
-              for l, d in arch.bn_widths().items()}
-        return cls(arch, params, bn, np.array([c.seed for c in ckpts], np.int64),
-                   np.array([c.metric for c in ckpts], np.float64))
+        self.weights, self.biases, gamma_beta = _param_views(self.params, self.arch)
+        self.bn_views = {l: (gamma, beta, self.bn[l][0][:, None], self.bn[l][1][:, None],
+                             self.bn[l][2])
+                         for l, (gamma, beta) in gamma_beta.items()}
 
     def __len__(self) -> int:
         return len(self.params)
+
+    def __getitem__(self, block: slice) -> "Population":
+        """The members in `block` as views of their rows of every column, so
+        that writes through it, train-mode BN updates and recalibration
+        included, land in this population."""
+        if not isinstance(block, slice):
+            raise ArgumentError(f"a population is indexed by a slice, not {block!r}")
+        return Population(self.arch, self.params[block],
+                          {l: tuple(column[block] for column in columns)
+                           for l, columns in self.bn.items()},
+                          self.seeds[block], self.metrics[block])
 
     def validate(self) -> None:
         """ShapeError unless every column has the shape `arch` gives it and
         no running variance or count is negative."""
         n, widths = len(self), self.arch.bn_widths()
-        if (self.params.shape != (n, self.arch.param_count()) or sorted(self.bn) != list(widths)
-                or self.seeds.shape != (n,) or self.metrics.shape != (n,)):
+        if sorted(self.bn) != list(widths) or self.seeds.shape != (n,) or self.metrics.shape != (n,):
             raise ShapeError(f"population columns do not fit {n} networks of {self.arch}")
         for l, (mean, var, count) in self.bn.items():
             if mean.shape != (n, widths[l]) or var.shape != mean.shape or count.shape != (n,):
                 raise ShapeError(f"BN statistics at layer {l} have the wrong shape")
             if np.any(var < 0) or np.any(count < 0):
                 raise ShapeError(f"BN layer {l} has negative variance or count")
-
-    def net(self, block: slice = slice(None)) -> WeightCheckpoint:
-        """The members in `block` as one stacked net, as `_forward_cached`,
-        `evaluate_members` and `recalibrate_members` take it: `_param_views`
-        of their parameter rows, and views of their own BN statistics,
-        (n, 1, d) means and variances and (n,) counts."""
-        weights, biases, gamma_beta = _param_views(self.params[block], self.arch)
-        bn = {l: BatchNormState(gamma, beta, self.bn[l][0][block, None],
-                                self.bn[l][1][block, None], self.bn[l][2][block])
-              for l, (gamma, beta) in gamma_beta.items()}
-        return WeightCheckpoint(self.arch, weights, biases, bn)
-
-    def member(self, i: int) -> WeightCheckpoint:
-        """Member i as a checkpoint of its own, holding copies of its rows."""
-        weights, biases, gamma_beta = _param_views(self.params[i:i + 1].copy(), self.arch)
-        bn = {l: BatchNormState(gamma[0, 0], beta[0, 0], self.bn[l][0][i].copy(),
-                                self.bn[l][1][i].copy(), int(self.bn[l][2][i]))
-              for l, (gamma, beta) in gamma_beta.items()}
-        return WeightCheckpoint(self.arch, [w[0] for w in weights], [b[0, 0] for b in biases],
-                                bn, int(self.seeds[i]), float(self.metrics[i]))
-
-    def evaluate(self, data) -> list:
-        """`evaluate_members` of every member, one stacked pass per block of
-        `member_blocks` sized on the rows of `data`."""
-        blocks = member_blocks(len(self), self.arch, data.features.shape[0])
-        return [result for block in blocks for result in evaluate_members(self.net(block), data)]
 
 
 def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
@@ -512,7 +434,6 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     pop = init_population(arch, seeds, init_scheme)
     params = pop.params
     grads = np.empty_like(params)
-    net = pop.net()
     grad_views = _param_views(grads, arch)
     if hyper.optimizer == "sgd":
         opt = _SGD([params], hyper.weight_decay)
@@ -531,26 +452,19 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
             for start in range(0, n, hyper.batch_size):
                 idx = order[:, start:start + hyper.batch_size]
                 labels = y[idx]
-                logits, caches = _forward_cached(net, x[idx], "train")
+                logits, caches = _forward_cached(pop, x[idx], "train")
                 finite = np.isfinite(cross_entropy(logits, labels))
                 if not finite.all():
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch offset {start}, "
                         f"seed {seeds[int(np.argmin(finite))]}"
                     )
-                _backward(net, caches, logits, labels, grad_views)
+                _backward(pop, caches, logits, labels, grad_views)
                 opt.step([grads], hyper.learning_rate)
 
     eval_data = holdout if holdout is not None else data
-    pop.metrics[:] = [result.accuracy for result in pop.evaluate(eval_data)]
+    pop.metrics[:] = [result.accuracy for result in evaluate(pop, eval_data)]
     return pop
-
-
-def train_network(arch: ArchitectureSpec, data, hyper: TrainHyper,
-                  holdout=None, init_scheme: str = "kaiming") -> WeightCheckpoint:
-    """Train one network seeded by hyper.seed: a one-member `train_population`."""
-    return train_population(arch, data, hyper, [hyper.seed], holdout,
-                            init_scheme).member(0)
 
 
 # Byte budget of one member block's float64 activations of one layer.
@@ -572,46 +486,23 @@ class EvalResult:
     predictions: np.ndarray
 
 
-def evaluate_members(net: WeightCheckpoint, data) -> list[EvalResult]:
-    """Eval-mode accuracy and argmax predictions of every member of a
-    stacked net, from one `_forward_cached` pass (one checkpoint is a
-    one-member stack)."""
+def evaluate(pop: Population, data) -> list[EvalResult]:
+    """Eval-mode accuracy and argmax predictions of every member, from one
+    stacked `_forward_cached` pass per block of `member_blocks` sized on
+    the rows of `data`."""
     if data.features.shape[0] == 0:
         raise ArgumentError("empty dataset")
-    if data.features.shape[1] != net.arch.layer_dims[0]:
+    if data.features.shape[1] != pop.arch.layer_dims[0]:
         raise ShapeError(f"features have dim {data.features.shape[1]}, "
-                         f"expected {net.arch.layer_dims[0]}")
-    logits, _ = _forward_cached(net, data.features[None], "eval")
-    return [EvalResult(accuracy=float(np.mean(preds == data.labels)), predictions=preds)
-            for preds in logits.argmax(axis=-1)]
-
-
-def evaluate(ckpt: WeightCheckpoint, data) -> EvalResult:
-    """Eval-mode accuracy and argmax predictions."""
-    return evaluate_members(ckpt, data)[0]
-
-
-def flatten(ckpt: WeightCheckpoint) -> np.ndarray:
-    """Canonical flat vector: per layer W row-major, b, then BN gamma, beta."""
-    parts = []
-    for l in range(ckpt.arch.num_layers):
-        parts.append(ckpt.weights[l].ravel())
-        parts.append(ckpt.biases[l])
-        if ckpt.arch.has_bn(l):
-            parts.append(ckpt.bn[l].gamma)
-            parts.append(ckpt.bn[l].beta)
-    return np.concatenate(parts).astype(np.float32)
-
-
-def unflatten(vec: np.ndarray, arch: ArchitectureSpec) -> WeightCheckpoint:
-    """A checkpoint from a flat vector, with fresh BN running statistics
-    (zero mean, unit variance, count 0)."""
-    vec = np.asarray(vec, dtype=np.float32).ravel()
-    if vec.size != arch.param_count():
-        raise ShapeError(
-            f"flat vector has {vec.size} entries, arch needs {arch.param_count()}"
-        )
-    return Population(arch, vec[None]).member(0)
+                         f"expected {pop.arch.layer_dims[0]}")
+    results = []
+    for block in member_blocks(len(pop), pop.arch, data.features.shape[0]):
+        # Only the predictions outlive the pass, so one block's
+        # activations are held at a time.
+        predictions = _forward_cached(pop[block], data.features[None], "eval")[0].argmax(axis=-1)
+        results += [EvalResult(accuracy=float(np.mean(preds == data.labels)), predictions=preds)
+                    for preds in predictions]
+    return results
 
 
 @dataclass

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import pca as pca_mod
-from .bn_recalib import recalibrate_members
+from .bn_recalib import recalibrate
 from .canonicalize import canonicalize_population
 from .checkpoint_io import load_population, save_population
 from .config import RunConfig
@@ -27,7 +27,7 @@ from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
-from .nn_core import Population, evaluate_members, member_blocks, train_population
+from .nn_core import Population, evaluate, member_blocks, train_population
 from .pca import default_latent_dim, load_pca
 
 # Published reference values, reported in stage outputs for context but
@@ -133,10 +133,10 @@ def _load_population(cfg: RunConfig, out_dir, name, stage: str) -> Population:
 
 def _source(cfg: RunConfig, out_dir, stage: str):
     """The population PCA and the flow fit (aligned when canonicalization is
-    on, else raw) as a float64 matrix, and the sha256 of its manifest."""
+    on, else raw), and the sha256 of its manifest."""
     name = "aligned.dwfc" if cfg.canonicalize_mode != "off" else "population.dwfc"
     pop = _load_population(cfg, out_dir, name, stage)
-    return pop.params.astype(np.float64), sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
+    return pop, sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
 
 
 def _write_artifact(out_dir, name, rows, save, obj) -> str:
@@ -179,7 +179,7 @@ def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
             ("reference_index", cfg.reference_index),
             ("input.population", sha256_file(
                 os.path.join(out_dir, "population.manifest")))]
-    for i, (before, after) in enumerate(zip(pop.evaluate(test), aligned.evaluate(test))):
+    for i, (before, after) in enumerate(zip(evaluate(pop, test), evaluate(aligned, test))):
         acc_before, acc_after = before.accuracy, after.accuracy
         rows += [(f"accuracy_before_{i:04d}", f"{acc_before:.6f}"),
                  (f"accuracy_after_{i:04d}", f"{acc_after:.6f}")]
@@ -196,7 +196,8 @@ def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
     if cfg.pca_mode == "off":
         write_manifest(os.path.join(out_dir, "pca.manifest"), rows + [("artifact", "none")])
         return None
-    matrix, source_manifest = _source(cfg, out_dir, "fit-pca")
+    source, source_manifest = _source(cfg, out_dir, "fit-pca")
+    matrix = source.params.astype(np.float64)
     n = matrix.shape[0]
     k = cfg.latent_dim or default_latent_dim(n)
     if cfg.pca_mode == "standard":
@@ -217,7 +218,8 @@ def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
 
 def stage_train_flow(cfg: RunConfig, out_dir) -> str:
     """Train the flow-matching model over (possibly PCA-projected) weights."""
-    matrix, source_manifest = _source(cfg, out_dir, "train-flow")
+    source, source_manifest = _source(cfg, out_dir, "train-flow")
+    matrix = source.params.astype(np.float64)
     rows = [("stage", "train-flow"), ("input.population", source_manifest)]
     if cfg.pca_mode != "off":
         model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "train-flow", load_pca)
@@ -234,6 +236,9 @@ def stage_train_flow(cfg: RunConfig, out_dir) -> str:
 
 def stage_generate(cfg: RunConfig, out_dir) -> str:
     """Sample networks from the flow; recalibrate BN; write one DWFC file."""
+    # flow.dwff records only its width; the networks it was fit on have an
+    # architecture to check against the config's [arch].
+    _source(cfg, out_dir, "generate")
     model, flow_sha = _load_input(out_dir, "flow.dwff", "generate", load_flow)
     train, test = load_task_data(cfg)
     rows = [("stage", "generate"), ("count", cfg.generate_count),
@@ -254,10 +259,10 @@ def stage_generate(cfg: RunConfig, out_dir) -> str:
     params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
     pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
     for block in member_blocks(len(pop), cfg.arch, train.features.shape[0]):
-        net = pop.net(block)
-        if net.bn and cfg.recalibrate_bn:
-            recalibrate_members(net, train, calib_fraction=cfg.calib_fraction)
-        pop.metrics[block] = [result.accuracy for result in evaluate_members(net, test)]
+        members = pop[block]
+        if members.bn and cfg.recalibrate_bn:
+            recalibrate(members, train, calib_fraction=cfg.calib_fraction)
+        members.metrics[:] = [result.accuracy for result in evaluate(members, test)]
     rows += [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
              for i, accuracy in enumerate(pop.metrics.tolist())]
     return _write_artifact(out_dir, "generated.dwfc", rows, save_population, pop)
@@ -269,7 +274,7 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
     generated = _load_population(cfg, out_dir, "generated.dwfc", "evaluate")
     _, test = load_task_data(cfg)
 
-    orig_evals = originals.evaluate(test)
+    orig_evals = evaluate(originals, test)
     orig_acc = np.array([r.accuracy for r in orig_evals])
     rows = [("stage", "evaluate"),
             ("input.generate", sha256_file(os.path.join(out_dir, "generate.manifest"))),
@@ -279,7 +284,7 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
             ("original_accuracy_std", f"{orig_acc.std():.6f}")]
 
     if len(generated):
-        gen_evals = generated.evaluate(test)
+        gen_evals = evaluate(generated, test)
         gen_acc = np.array([r.accuracy for r in gen_evals])
         rows += [("generated_accuracy_mean", f"{gen_acc.mean():.6f}"),
                  ("generated_accuracy_std", f"{gen_acc.std():.6f}")]

@@ -22,7 +22,7 @@ from weightflow.config import parse_config
 from weightflow.flow import (FlowConfig, fm_loss_and_grads, init_flow_model,
                              rk4_integrate)
 from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, evaluate,
-                                flatten, forward, init_weights, mha_forward,
+                                forward, init_population, mha_forward,
                                 random_attention)
 from weightflow.pca import fit_dual, fit_standard, inverse_transform, transform
 from weightflow.pipeline import read_manifest, run_pipeline, sha256_file
@@ -221,13 +221,13 @@ def test_criterion_04_canonicalization_invariance(blobs):
     worst = 0.0
     rng = np.random.default_rng(0)
     for trial in range(20):
-        a = init_weights(arch, seed=trial)
-        ref = init_weights(arch, seed=trial + 1000)
+        a = init_population(arch, [trial])
+        ref = init_population(arch, [trial + 1000])
         aligned = weight_match(a, ref).aligned
         x = rng.normal(size=(100, 4)).astype(np.float32)
         worst = max(worst, float(np.max(np.abs(forward(a, x)
                                                - forward(aligned, x)))))
-        assert evaluate(a, test).accuracy == evaluate(aligned, test).accuracy
+        assert evaluate(a, test)[0].accuracy == evaluate(aligned, test)[0].accuracy
     assert worst <= 1e-5, f"max logit deviation {worst:.2e}"
     print(f"PASS criterion 4: max |logit delta| {worst:.2e}, "
           f"accuracy delta exactly 0 in 20/20 trials")
@@ -252,7 +252,7 @@ def test_criterion_06_rebasin_recovery():
     arch = ArchitectureSpec((4, 10, 8, 3), "relu")
     recovered = 0
     for trial in range(20):
-        ref = init_weights(arch, seed=trial)
+        ref = init_population(arch, [trial])
         perm = random_assignment(arch, seed=trial + 500)
         permuted = apply_permutation(ref, perm)
         result = weight_match(permuted, ref)

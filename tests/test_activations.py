@@ -10,7 +10,7 @@ from weightflow import activations
 from weightflow._scipy import compiled_scipy
 from weightflow.activations import gelu, gelu_cdf, gelu_grad
 from weightflow.data import make_blobs
-from weightflow.nn_core import ArchitectureSpec, TrainHyper, forward, train_network
+from weightflow.nn_core import ArchitectureSpec, TrainHyper, forward, train_population
 
 GRID = np.linspace(-12.0, 12.0, 20001)
 
@@ -56,6 +56,6 @@ class TestGelu:
     def test_gelu_network_logits_are_float32(self):
         train, _ = make_blobs(num_classes=3, per_class=10, d=4, spread=1.0, seed=0)
         arch = ArchitectureSpec((4, 8, 6, 3), "gelu", (False, True))
-        ckpt = train_network(arch, train, TrainHyper(epochs=1))
-        assert forward(ckpt, train.features).dtype == np.float32
-        assert forward(ckpt, train.features, "train").dtype == np.float32
+        net = train_population(arch, train, TrainHyper(epochs=1), [0])
+        assert forward(net, train.features).dtype == np.float32
+        assert forward(net, train.features, "train").dtype == np.float32

@@ -5,17 +5,24 @@ from hypothesis import strategies as st
 
 from weightflow import nn_core
 from weightflow.activations import ACTIVATIONS
-from weightflow.bn_recalib import PooledStats, recalibrate, recalibrate_members
+from weightflow.bn_recalib import PooledStats, recalibrate
 from weightflow.data import LabeledDataset
 from weightflow.errors import ArgumentError
-from weightflow.nn_core import (BN_EPS, ArchitectureSpec, Population,
-                                evaluate_members, flatten, forward, init_weights,
-                                member_blocks, unflatten)
+from weightflow.nn_core import (BN_EPS, ArchitectureSpec, Population, evaluate,
+                                forward, init_population, member_blocks)
 
 
 def dataset(features):
     feats = np.asarray(features, dtype=np.float32)
     return LabeledDataset(feats, np.zeros(feats.shape[0], dtype=np.int64))
+
+
+def recalibrated(net, data, batch_size=64, calib_fraction=1.0):
+    """A copy of `net` with its BN statistics recalibrated."""
+    out = Population(net.arch, net.params.copy(),
+                     {l: tuple(c.copy() for c in cols) for l, cols in net.bn.items()})
+    recalibrate(out, data, batch_size, calib_fraction)
+    return out
 
 
 class TestPooledStats:
@@ -60,88 +67,101 @@ class TestRecalibrate:
     ARCH = ArchitectureSpec((4, 6, 3), "relu", (True,))
 
     def test_batch_size_n_equals_batch_stats(self, rng):
-        ckpt = init_weights(self.ARCH, seed=0)
+        net = init_population(self.ARCH, [0])
         data = dataset(rng.normal(size=(32, 4)))
-        out = recalibrate(ckpt, data, batch_size=32)
-        pre = data.features.astype(np.float64) @ ckpt.weights[0].T.astype(np.float64) \
-            + ckpt.biases[0].astype(np.float64)
-        assert np.allclose(out.bn[0].running_mean, pre.mean(axis=0), rtol=1e-12)
-        assert np.allclose(out.bn[0].running_var, pre.var(axis=0), rtol=1e-12)
+        out = recalibrated(net, data, batch_size=32)
+        pre = data.features.astype(np.float64) @ net.weights[0][0].T.astype(np.float64) \
+            + net.biases[0][0, 0].astype(np.float64)
+        assert np.allclose(out.bn[0][0][0], pre.mean(axis=0), rtol=1e-12)
+        assert np.allclose(out.bn[0][1][0], pre.var(axis=0), rtol=1e-12)
 
     def test_partition_independent(self, rng):
-        ckpt = init_weights(self.ARCH, seed=1)
+        net = init_population(self.ARCH, [1])
         data = dataset(rng.normal(size=(50, 4)))
-        a = recalibrate(ckpt, data, batch_size=7)
-        b = recalibrate(ckpt, data, batch_size=50)
-        assert np.max(np.abs(a.bn[0].running_mean - b.bn[0].running_mean)) <= 1e-12
-        assert np.max(np.abs(a.bn[0].running_var - b.bn[0].running_var)) <= 1e-12
+        a = recalibrated(net, data, batch_size=7)
+        b = recalibrated(net, data, batch_size=50)
+        assert np.max(np.abs(a.bn[0][0] - b.bn[0][0])) <= 1e-12
+        assert np.max(np.abs(a.bn[0][1] - b.bn[0][1])) <= 1e-12
 
     def test_deep_bn_partition_independent(self, rng):
         arch = ArchitectureSpec((4, 6, 6, 3), "relu", (True, True))
-        ckpt = init_weights(arch, seed=2)
+        net = init_population(arch, [2])
         data = dataset(rng.normal(size=(48, 4)))
-        a = recalibrate(ckpt, data, batch_size=5)
-        b = recalibrate(ckpt, data, batch_size=48)
+        a = recalibrated(net, data, batch_size=5)
+        b = recalibrated(net, data, batch_size=48)
         for l in (0, 1):
-            assert np.max(np.abs(a.bn[l].running_var - b.bn[l].running_var)) <= 1e-10
+            assert np.max(np.abs(a.bn[l][1] - b.bn[l][1])) <= 1e-10
 
     def test_weights_untouched(self, rng):
-        ckpt = init_weights(self.ARCH, seed=3)
-        out = recalibrate(ckpt, dataset(rng.normal(size=(20, 4))))
-        assert np.array_equal(flatten(ckpt), flatten(out))
+        net = init_population(self.ARCH, [3])
+        out = recalibrated(net, dataset(rng.normal(size=(20, 4))))
+        assert np.array_equal(net.params, out.params)
 
     def test_idempotent(self, rng):
-        ckpt = init_weights(self.ARCH, seed=4)
+        net = init_population(self.ARCH, [4])
         data = dataset(rng.normal(size=(20, 4)))
-        once = recalibrate(ckpt, data, batch_size=6)
-        twice = recalibrate(once, data, batch_size=6)
-        assert np.array_equal(once.bn[0].running_mean, twice.bn[0].running_mean)
-        assert np.array_equal(once.bn[0].running_var, twice.bn[0].running_var)
+        once = recalibrated(net, data, batch_size=6)
+        twice = recalibrated(once, data, batch_size=6)
+        assert np.array_equal(once.bn[0][0], twice.bn[0][0])
+        assert np.array_equal(once.bn[0][1], twice.bn[0][1])
 
     def test_no_bn_warns(self, rng):
-        ckpt = init_weights(ArchitectureSpec((4, 6, 3)), seed=0)
+        net = init_population(ArchitectureSpec((4, 6, 3)), [0])
         with pytest.warns(UserWarning, match="no BN"):
-            out = recalibrate(ckpt, dataset(rng.normal(size=(8, 4))))
-        assert np.array_equal(flatten(ckpt), flatten(out))
+            out = recalibrated(net, dataset(rng.normal(size=(8, 4))))
+        assert np.array_equal(net.params, out.params)
 
     def test_changes_eval_outputs(self, rng):
         # recalibrated stats actually flow into eval-mode normalization
-        ckpt = init_weights(self.ARCH, seed=5)
+        net = init_population(self.ARCH, [5])
         data = dataset(rng.normal(2.0, 1.0, size=(30, 4)))
-        out = recalibrate(ckpt, data)
-        a = forward(ckpt, data.features, "eval")
+        out = recalibrated(net, data)
+        a = forward(net, data.features, "eval")
         b = forward(out, data.features, "eval")
         assert not np.allclose(a, b)
 
     def test_calib_fraction(self, rng):
-        ckpt = init_weights(self.ARCH, seed=6)
+        net = init_population(self.ARCH, [6])
         data = dataset(rng.normal(size=(40, 4)))
-        half = recalibrate(ckpt, data, calib_fraction=0.5)
-        assert half.bn[0].count == 20
+        half = recalibrated(net, data, calib_fraction=0.5)
+        assert half.bn[0][2].tolist() == [20]
         with pytest.raises(ArgumentError):
-            recalibrate(ckpt, data, calib_fraction=0.0)
+            recalibrate(net, data, calib_fraction=0.0)
+
+    def test_block_writes_through(self, rng):
+        arch = ArchitectureSpec((4, 6, 5, 3), "relu", (True, True))
+        pop = init_population(arch, [1, 2, 3, 4])
+        data = dataset(rng.normal(size=(30, 4)))
+        recalibrate(pop[1:3], data, batch_size=8)
+        whole = recalibrated(pop, data, batch_size=8)
+        for l, (mean, var, count) in pop.bn.items():
+            assert count.tolist() == [0, 30, 30, 0]
+            assert np.array_equal(mean[1:3], whole.bn[l][0][1:3])
+            assert np.array_equal(var[1:3], whole.bn[l][1][1:3])
+            assert not np.any(mean[[0, 3]]) and np.all(var[[0, 3]] == 1.0)
 
 
-def reference_recalibrate(ckpt, data, batch_size=64, calib_fraction=1.0):
-    """One checkpoint's BN recalibration written out on its own (B, d)
-    float64 batches."""
-    out = ckpt.copy()
+def reference_recalibrate(net, data, batch_size=64, calib_fraction=1.0):
+    """Member 0's BN recalibration written out on its own (B, d) float64
+    batches, from 2-D and 1-D copies of its tensors. Returns BN layer ->
+    (mean, var, count)."""
+    arch = net.arch
     n_use = max(1, int(round(calib_fraction * data.features.shape[0])))
-    act, _ = ACTIVATIONS[out.arch.activation]
+    act, _ = ACTIVATIONS[arch.activation]
     features = data.features[:n_use]
     zs = [features[s:s + batch_size] for s in range(0, n_use, batch_size)]
-    for l in range(max(out.bn) + 1):
-        w = out.weights[l].T.astype(np.float64)
-        b = out.biases[l].astype(np.float64)
+    out = {}
+    for l in range(max(net.bn) + 1):
+        w = net.weights[l][0].T.astype(np.float64)
+        b = net.biases[l][0, 0].astype(np.float64)
         zs = [z.astype(np.float64) @ w + b for z in zs]
-        st = out.bn[l] if out.arch.has_bn(l) else None
-        if st is not None:
+        if arch.has_bn(l):
+            gamma, beta = (v[0, 0].copy() for v in net.bn_views[l][:2])
             stats = PooledStats.zeros(w.shape[1])
             for a in zs:
                 stats.update(a.mean(axis=0), a.var(axis=0), a.shape[0])
-            st.running_mean, st.running_var, st.count = stats.mean, stats.var, stats.count
-            zs = [st.gamma * (a - st.running_mean) / np.sqrt(st.running_var + BN_EPS)
-                  + st.beta for a in zs]
+            out[l] = (stats.mean, stats.var, stats.count)
+            zs = [gamma * (a - stats.mean) / np.sqrt(stats.var + BN_EPS) + beta for a in zs]
         zs = [act(a) for a in zs]
     return out
 
@@ -177,18 +197,17 @@ class TestStackedRecalibration:
         seen = 0
         for block in blocks:
             pop = Population(arch, params[block])
-            net = pop.net()
-            recalibrate_members(net, calib, batch_size, calib_fraction)
-            for j, result in enumerate(evaluate_members(net, test)):
+            recalibrate(pop, calib, batch_size, calib_fraction)
+            for j, result in enumerate(evaluate(pop, test)):
                 i = block.start + j
-                got = pop.member(j)
-                ref = reference_recalibrate(unflatten(params[i], arch), calib,
-                                            batch_size, calib_fraction)
-                for l, st in ref.bn.items():
-                    assert np.array_equal(got.bn[l].running_mean, st.running_mean)
-                    assert np.array_equal(got.bn[l].running_var, st.running_var)
-                    assert got.bn[l].count == st.count
-                preds = forward(ref, test.features, "eval").argmax(axis=1)
+                ref = Population(arch, params[i:i + 1])
+                for l, (mean, var, count) in reference_recalibrate(
+                        ref, calib, batch_size, calib_fraction).items():
+                    assert np.array_equal(pop.bn[l][0][j], mean)
+                    assert np.array_equal(pop.bn[l][1][j], var)
+                    assert pop.bn[l][2][j] == count
+                    ref.bn[l][0][0], ref.bn[l][1][0], ref.bn[l][2][0] = mean, var, count
+                preds = forward(ref, test.features, "eval")[0].argmax(axis=1)
                 assert np.array_equal(result.predictions, preds)
                 assert result.accuracy == float(np.mean(preds == test.labels))
                 seen += 1
@@ -196,14 +215,14 @@ class TestStackedRecalibration:
 
     def test_recalibrate_is_one_member_case(self, rng):
         arch = self.ARCHS[0]
-        ckpt = init_weights(arch, seed=9)
+        net = init_population(arch, [9])
         data = dataset(rng.normal(size=(30, 4)))
-        ref = reference_recalibrate(ckpt, data, batch_size=8)
-        out = recalibrate(ckpt, data, batch_size=8)
-        for l, st in ref.bn.items():
-            assert out.bn[l].running_mean.shape == st.running_mean.shape
-            assert np.array_equal(out.bn[l].running_mean, st.running_mean)
-            assert np.array_equal(out.bn[l].running_var, st.running_var)
+        ref = reference_recalibrate(net, data, batch_size=8)
+        recalibrate(net, data, batch_size=8)
+        for l, (mean, var, _) in ref.items():
+            assert net.bn[l][0][0].shape == mean.shape
+            assert np.array_equal(net.bn[l][0][0], mean)
+            assert np.array_equal(net.bn[l][1][0], var)
 
     def test_block_budget_bounds_members(self):
         arch = ArchitectureSpec((8, 16, 16, 3), "relu", (True, True))

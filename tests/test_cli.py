@@ -174,6 +174,25 @@ class TestExitCodes:
             assert "layer_dims=(4, 8, 3)" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_other_activation_than_the_flow_is_3(self, quick_cfg, capsys):
+        # The flow's file records only a width, which an activation change
+        # keeps; generate checks the networks the flow was fit on instead.
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        before = {name: open(os.path.join(out, name), "rb").read()
+                  for name in os.listdir(out)}
+        with open(cfg_path) as f:
+            text = f.read().replace("layer_dims = 4,8,3", "layer_dims = 4,8,3\nactivation = gelu")
+        with open(cfg_path, "w") as f:
+            f.write(text)
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage generate: ") and "Traceback" not in err
+        assert "activation='relu'" in err and "activation='gelu'" in err
+        assert {name: open(os.path.join(out, name), "rb").read()
+                for name in os.listdir(out)} == before
+
     def test_missing_generated_is_3(self, quick_cfg, capsys):
         cfg_path, out = quick_cfg
         assert main(["run", "--config", cfg_path]) == 0

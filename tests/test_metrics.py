@@ -67,7 +67,7 @@ class TestIou:
 
 class TestMaxIou:
     def test_query_in_references(self):
-        r = max_iou([{1, 2}], [{3}, {1, 2}], exclude_self=False)
+        r = max_iou([{1, 2}], [{3}, {1, 2}])
         assert r.per_query[0] == 1.0
 
     def test_single_reference_hand_value(self):
@@ -75,16 +75,9 @@ class TestMaxIou:
         assert r.per_query[0] == 0.5
         assert r.mean == 0.5 and r.std == 0.0
 
-    def test_exclude_self(self):
-        sets = [{1}, {1}, {2}]
-        r = max_iou(sets, sets, exclude_self=True)
-        assert r.per_query.tolist() == [1.0, 1.0, 0.0]
-
     def test_empty_references(self):
         with pytest.raises(ArgumentError):
             max_iou([{1}], [])
-        with pytest.raises(ArgumentError):
-            max_iou([{1}], [{1}], exclude_self=True)
 
 
 class TestWasserstein:

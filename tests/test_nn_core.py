@@ -10,22 +10,26 @@ from weightflow.data import LabeledDataset, make_blobs
 from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
                                TrainingDivergedError)
 from weightflow.nn_core import (BN_EPS, BN_MOMENTUM, ArchitectureSpec,
-                                ADAM_CHUNK, AttentionSpec, TrainHyper,
-                                WeightCheckpoint, _Adam, _SGD, cross_entropy, evaluate, flatten,
-                                forward, init_weights, mha_forward,
-                                random_attention, train_network,
-                                train_population, unflatten)
+                                ADAM_CHUNK, AttentionSpec, Population, TrainHyper,
+                                _Adam, _SGD, cross_entropy, evaluate, forward,
+                                init_population, mha_forward, random_attention,
+                                train_population)
 from weightflow.rng import make_rng
 
 
 def identity_net(dims):
-    """All-identity weights, zero biases (requires square layers)."""
+    """One network of all-identity weights, zero biases (requires square layers)."""
     arch = ArchitectureSpec(dims, "identity")
-    ckpt = init_weights(arch, seed=0)
+    net = init_population(arch, [0])
     for l in range(arch.num_layers):
-        ckpt.weights[l] = np.eye(dims[l + 1], dims[l], dtype=np.float32)
-        ckpt.biases[l] = np.zeros(dims[l + 1], dtype=np.float32)
-    return ckpt
+        net.weights[l][0] = np.eye(dims[l + 1], dims[l], dtype=np.float32)
+        net.biases[l][0] = 0.0
+    return net
+
+
+def train_one(arch, data, hyper, holdout=None):
+    """One network seeded by hyper.seed: a one-member `train_population`."""
+    return train_population(arch, data, hyper, [hyper.seed], holdout)
 
 
 class TestInit:
@@ -33,7 +37,7 @@ class TestInit:
         # [4,16,3]: 4*16+16 + 16*3+3 = 131
         arch = ArchitectureSpec((4, 16, 3))
         assert arch.param_count() == 131
-        assert flatten(init_weights(arch, seed=0)).size == 131
+        assert init_population(arch, [0]).params.shape == (1, 131)
 
     def test_mnist_param_count(self):
         arch = ArchitectureSpec((784, 32, 32, 10))
@@ -41,75 +45,75 @@ class TestInit:
 
     def test_deterministic(self):
         arch = ArchitectureSpec((4, 16, 3))
-        a = flatten(init_weights(arch, "kaiming", seed=3))
-        b = flatten(init_weights(arch, "kaiming", seed=3))
+        a = init_population(arch, [3], "kaiming").params
+        b = init_population(arch, [3], "kaiming").params
         assert np.array_equal(a, b)
-        c = flatten(init_weights(arch, "kaiming", seed=4))
+        c = init_population(arch, [4], "kaiming").params
         assert not np.array_equal(a, c)
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
-            init_weights(ArchitectureSpec((4, 4, 3)), "bogus", seed=0)
+            init_population(ArchitectureSpec((4, 4, 3)), [0], "bogus")
 
     def test_kaiming_scale(self):
         arch = ArchitectureSpec((200, 300, 3))
-        ckpt = init_weights(arch, "kaiming", seed=0)
-        std = ckpt.weights[0].std()
+        net = init_population(arch, [0], "kaiming")
+        std = net.weights[0].std()
         assert abs(std - np.sqrt(2.0 / 200)) < 0.01
 
 
 class TestForward:
     def test_identity_network(self):
-        ckpt = identity_net((3, 3, 3))
+        net = identity_net((3, 3, 3))
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
-        assert np.allclose(forward(ckpt, x), x)
+        assert np.allclose(forward(net, x), x[None])
 
     def test_hand_2_2_2_relu(self):
         arch = ArchitectureSpec((2, 2, 2), "relu")
-        ckpt = init_weights(arch, seed=0)
-        ckpt.weights[0] = np.array([[1.0, -1.0], [2.0, 0.0]], dtype=np.float32)
-        ckpt.biases[0] = np.array([0.5, -1.0], dtype=np.float32)
-        ckpt.weights[1] = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=np.float32)
-        ckpt.biases[1] = np.array([0.0, 2.0], dtype=np.float32)
+        net = init_population(arch, [0])
+        net.weights[0][0] = [[1.0, -1.0], [2.0, 0.0]]
+        net.biases[0][0] = [0.5, -1.0]
+        net.weights[1][0] = [[1.0, 1.0], [0.0, -1.0]]
+        net.biases[1][0] = [0.0, 2.0]
         x = np.array([[1.0, 2.0]], dtype=np.float32)
         # pre-act: [1-2+0.5, 2-1] = [-0.5, 1] -> relu [0, 1]
         # logits: [0+1, 0-1+2] = [1, 1]
-        out = forward(ckpt, x)
-        assert np.allclose(out, [[1.0, 1.0]], atol=1e-6)
+        out = forward(net, x)
+        assert np.allclose(out, [[[1.0, 1.0]]], atol=1e-6)
 
     def test_eval_mode_pure(self, rng):
         arch = ArchitectureSpec((4, 8, 3), bn_layers=(True,))
-        ckpt = init_weights(arch, seed=0)
+        net = init_population(arch, [0])
         x = rng.normal(size=(5, 4)).astype(np.float32)
-        a = forward(ckpt, x, "eval")
-        b = forward(ckpt, x, "eval")
+        a = forward(net, x, "eval")
+        b = forward(net, x, "eval")
         assert np.array_equal(a, b)
 
     def test_train_mode_updates_bn(self, rng):
         arch = ArchitectureSpec((4, 8, 3), bn_layers=(True,))
-        ckpt = init_weights(arch, seed=0)
-        before = ckpt.bn[0].running_mean.copy()
-        forward(ckpt, rng.normal(size=(16, 4)).astype(np.float32), "train")
-        assert not np.array_equal(before, ckpt.bn[0].running_mean)
+        net = init_population(arch, [0])
+        before = net.bn[0][0].copy()
+        forward(net, rng.normal(size=(16, 4)).astype(np.float32), "train")
+        assert not np.array_equal(before, net.bn[0][0])
 
     def test_bad_input_dim(self):
-        ckpt = init_weights(ArchitectureSpec((4, 8, 3)), seed=0)
+        net = init_population(ArchitectureSpec((4, 8, 3)), [0])
         with pytest.raises(ShapeError):
-            forward(ckpt, np.zeros((2, 5), dtype=np.float32))
+            forward(net, np.zeros((2, 5), dtype=np.float32))
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_hidden_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         arch = ArchitectureSpec((4, 8, 3), "relu")
-        ckpt = init_weights(arch, seed=seed)
+        net = init_population(arch, [seed])
         p = rng.permutation(8)
-        permuted = ckpt.copy()
-        permuted.weights[0] = ckpt.weights[0][p]
-        permuted.biases[0] = ckpt.biases[0][p]
-        permuted.weights[1] = ckpt.weights[1][:, p]
+        permuted = Population(arch, net.params.copy())
+        permuted.weights[0][0] = net.weights[0][0][p]
+        permuted.biases[0][0, 0] = net.biases[0][0, 0][p]
+        permuted.weights[1][0] = net.weights[1][0][:, p]
         x = rng.normal(size=(10, 4)).astype(np.float32)
-        assert np.max(np.abs(forward(ckpt, x) - forward(permuted, x))) <= 1e-5
+        assert np.max(np.abs(forward(net, x) - forward(permuted, x))) <= 1e-5
 
 
 class TestMhaForward:
@@ -163,33 +167,33 @@ class TestTrain:
     def test_separable_blobs_perfect(self):
         train, test = make_blobs(num_classes=2, per_class=40, d=4,
                                  spread=0.05, seed=0)
-        ckpt = train_network(ArchitectureSpec((4, 8, 2)), train,
-                             TrainHyper(epochs=30, seed=0), holdout=test)
-        assert ckpt.metric == 1.0
+        net = train_one(ArchitectureSpec((4, 8, 2)), train,
+                        TrainHyper(epochs=30, seed=0), holdout=test)
+        assert net.metrics[0] == 1.0
 
     def test_zero_epochs_keeps_init(self, blobs):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 3))
-        ckpt = train_network(arch, train, TrainHyper(epochs=0, seed=7))
-        assert np.array_equal(flatten(ckpt), flatten(init_weights(arch, seed=7)))
+        net = train_one(arch, train, TrainHyper(epochs=0, seed=7))
+        assert np.array_equal(net.params, init_population(arch, [7]).params)
 
     def test_deterministic(self, blobs):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 3))
-        a = train_network(arch, train, TrainHyper(epochs=5, seed=1))
-        b = train_network(arch, train, TrainHyper(epochs=5, seed=1))
-        assert np.array_equal(flatten(a), flatten(b))
+        a = train_one(arch, train, TrainHyper(epochs=5, seed=1))
+        b = train_one(arch, train, TrainHyper(epochs=5, seed=1))
+        assert np.array_equal(a.params, b.params)
 
     def test_iris_accuracy_band(self, iris):
         train, test = iris
-        ckpt = train_network(ArchitectureSpec((4, 16, 3)), train,
-                             TrainHyper(seed=100), holdout=test)
-        assert 0.7 <= ckpt.metric <= 1.0
+        net = train_one(ArchitectureSpec((4, 16, 3)), train,
+                        TrainHyper(seed=100), holdout=test)
+        assert 0.7 <= net.metrics[0] <= 1.0
 
     def test_labels_out_of_range(self, blobs):
         train, _ = blobs
         with pytest.raises(ArgumentError):
-            train_network(ArchitectureSpec((4, 8, 2)), train, TrainHyper(epochs=1))
+            train_one(ArchitectureSpec((4, 8, 2)), train, TrainHyper(epochs=1))
 
     def test_full_batch_loss_decreases(self, blobs):
         train, _ = blobs
@@ -197,13 +201,12 @@ class TestTrain:
         hyper = TrainHyper(learning_rate=1e-3, batch_size=len(train),
                            epochs=1, seed=0)
         prev = None
-        ckpt = init_weights(arch, seed=0)
         for epochs in (1, 5, 20):
-            ckpt = train_network(arch, train,
-                                 TrainHyper(learning_rate=1e-3,
-                                            batch_size=len(train),
-                                            epochs=epochs, seed=0))
-            loss = cross_entropy(forward(ckpt, train.features), train.labels)
+            net = train_one(arch, train,
+                            TrainHyper(learning_rate=1e-3,
+                                       batch_size=len(train),
+                                       epochs=epochs, seed=0))
+            loss = cross_entropy(forward(net, train.features)[0], train.labels)
             if prev is not None:
                 assert loss <= prev + 1e-9
             prev = loss
@@ -213,11 +216,15 @@ class TestTrain:
 def serial_reference(arch, data, hyper):
     """One network trained by a plain 2-D loop: per-batch forward, backward
     and a per-tensor optimizer step, in the arithmetic order the stacked
-    trainer must keep."""
-    ckpt = init_weights(arch, seed=hyper.seed)
+    trainer must keep. Its tensors are 2-D and 1-D views of a one-member
+    population, which it returns."""
+    net = init_population(arch, [hyper.seed])
+    weights = [w[0] for w in net.weights]
+    biases = [b[0, 0] for b in net.biases]
+    bn = {l: (gamma[0, 0], beta[0, 0], net.bn[l][0][0], net.bn[l][1][0])
+          for l, (gamma, beta, *_) in net.bn_views.items()}
     act, act_grad = ACTIVATIONS[arch.activation]
-    params = ckpt.weights + ckpt.biases + [
-        t for l in sorted(ckpt.bn) for t in (ckpt.bn[l].gamma, ckpt.bn[l].beta)]
+    params = weights + biases + [t for l in sorted(bn) for t in bn[l][:2]]
     if hyper.optimizer == "sgd":
         opt = _SGD(params, hyper.weight_decay)
     else:
@@ -231,18 +238,18 @@ def serial_reference(arch, data, hyper):
             idx = order[start:start + hyper.batch_size]
             z, caches = x[idx].astype(np.float32), []
             for l in range(arch.num_layers):
-                z_in, a = z, z @ ckpt.weights[l].T + ckpt.biases[l]
+                z_in, a = z, z @ weights[l].T + biases[l]
                 xhat = inv_std = None
                 if arch.has_bn(l):
-                    st = ckpt.bn[l]
+                    gamma, beta, running_mean, running_var = bn[l]
                     mu = a.mean(axis=0, dtype=np.float64)
                     var = a.astype(np.float64).var(axis=0)
-                    st.running_mean[:] = (1 - BN_MOMENTUM) * st.running_mean + BN_MOMENTUM * mu
-                    st.running_var[:] = (1 - BN_MOMENTUM) * st.running_var + BN_MOMENTUM * var
-                    st.count += len(idx)
+                    running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+                    running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+                    net.bn[l][2][0] += len(idx)
                     inv_std = 1.0 / np.sqrt(var + BN_EPS)
                     xhat = ((a - mu) * inv_std).astype(np.float32)
-                    a = st.gamma * xhat + st.beta
+                    a = gamma * xhat + beta
                     inv_std = inv_std.astype(np.float32)
                 z = act(a) if l < arch.num_hidden else a
                 caches.append((z_in, a, xhat, inv_std))
@@ -257,24 +264,23 @@ def serial_reference(arch, data, hyper):
                     delta = delta * act_grad(pre_act)
                 if arch.has_bn(l):
                     gbn = [(delta * xhat).sum(axis=0), delta.sum(axis=0)] + gbn
-                    dxhat = delta * ckpt.bn[l].gamma
+                    dxhat = delta * bn[l][0]
                     delta = inv_std * (dxhat - dxhat.mean(axis=0)
                                        - xhat * (dxhat * xhat).mean(axis=0))
                 gw[l], gb[l] = delta.T @ z_in, delta.sum(axis=0)
                 if l > 0:
-                    delta = delta @ ckpt.weights[l]
+                    delta = delta @ weights[l]
             opt.step(gw + gb + gbn, hyper.learning_rate)
-    return ckpt
+    return net
 
 
 def assert_same_network(a, b):
     """Bit-identical parameters and BN running statistics."""
-    assert np.array_equal(flatten(a), flatten(b))
+    assert np.array_equal(a.params, b.params)
     assert sorted(a.bn) == sorted(b.bn)
-    for l, st in b.bn.items():
-        assert np.array_equal(a.bn[l].running_mean, st.running_mean)
-        assert np.array_equal(a.bn[l].running_var, st.running_var)
-        assert a.bn[l].count == st.count
+    for l, columns in b.bn.items():
+        for got, want in zip(a.bn[l], columns):
+            assert np.array_equal(got, want)
 
 
 class TestTrainPopulation:
@@ -284,15 +290,13 @@ class TestTrainPopulation:
 
     def assert_matches_one_member_runs(self, arch, data, hyper, holdout=None):
         trained = train_population(arch, data, hyper, self.SEEDS, holdout=holdout)
-        pop = [trained.member(i) for i in range(len(trained))]
-        assert [c.seed for c in pop] == list(self.SEEDS)
+        assert trained.seeds.tolist() == list(self.SEEDS)
         if hyper.epochs:
-            assert not np.array_equal(flatten(pop[0]), flatten(pop[1]))
-        for seed, ckpt in zip(self.SEEDS, pop):
-            one = train_network(arch, data, replace(hyper, seed=seed),
-                                holdout=holdout)
-            assert_same_network(ckpt, one)
-            assert ckpt.metric == one.metric
+            assert not np.array_equal(trained.params[0], trained.params[1])
+        for i, seed in enumerate(self.SEEDS):
+            one = train_one(arch, data, replace(hyper, seed=seed), holdout=holdout)
+            assert_same_network(trained[i:i + 1], one)
+            assert trained.metrics[i] == one.metrics[0]
 
     @pytest.mark.parametrize("activation,bn,optimizer", [
         ("relu", (True, True), "adam"), ("gelu", (False, True), "adamw"),
@@ -303,10 +307,9 @@ class TestTrainPopulation:
         hyper = TrainHyper(optimizer=optimizer, weight_decay=1e-2,
                            learning_rate=1e-2, batch_size=7, epochs=3)
         trained = train_population(arch, train, hyper, self.SEEDS)
-        pop = [trained.member(i) for i in range(len(trained))]
-        for seed, ckpt in zip(self.SEEDS, pop):
+        for i, seed in enumerate(self.SEEDS):
             assert_same_network(
-                ckpt, serial_reference(arch, train, replace(hyper, seed=seed)))
+                trained[i:i + 1], serial_reference(arch, train, replace(hyper, seed=seed)))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     @pytest.mark.parametrize("optimizer", ["adam", "adamw", "sgd"])
@@ -353,53 +356,92 @@ class TestTrainPopulation:
 class TestEvaluate:
     def test_perfect(self):
         data = LabeledDataset(np.eye(3, dtype=np.float32), np.arange(3), "test")
-        ckpt = identity_net((3, 3, 3))
-        assert evaluate(ckpt, data).accuracy == 1.0
+        net = identity_net((3, 3, 3))
+        assert evaluate(net, data)[0].accuracy == 1.0
 
     def test_three_of_four(self):
         feats = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.float32)
         labels = np.array([0, 0, 1, 0])
-        ckpt = identity_net((2, 2, 2))
-        assert evaluate(ckpt, LabeledDataset(feats, labels, "test")).accuracy == 0.75
+        net = identity_net((2, 2, 2))
+        assert evaluate(net, LabeledDataset(feats, labels, "test"))[0].accuracy == 0.75
 
     def test_chance_level_constant_predictor(self):
         arch = ArchitectureSpec((4, 4, 3), "identity")
-        ckpt = init_weights(arch, seed=0)
-        for l in range(2):
-            ckpt.weights[l][:] = 0
-            ckpt.biases[l][:] = 0
-        ckpt.biases[1][:] = np.array([1, 0, 0], dtype=np.float32)
+        net = init_population(arch, [0])
+        net.params[...] = 0
+        net.biases[1][0] = [1, 0, 0]
         feats = np.zeros((30, 4), dtype=np.float32)
         labels = np.repeat(np.arange(3), 10)
-        acc = evaluate(ckpt, LabeledDataset(feats, labels, "test")).accuracy
+        acc = evaluate(net, LabeledDataset(feats, labels, "test"))[0].accuracy
         assert abs(acc - 1 / 3) < 1e-12
 
 
 class TestFlatten:
-    def test_round_trip(self):
-        arch = ArchitectureSpec((4, 8, 3), bn_layers=(True,))
-        ckpt = init_weights(arch, seed=0)
-        back = unflatten(flatten(ckpt), arch)
-        assert np.array_equal(flatten(ckpt), flatten(back))
+    """The stacked views cover the flat vector: per layer W row-major, b,
+    then BN gamma and beta."""
 
     def test_2_2_2_layout(self):
-        ckpt = identity_net((2, 2, 2))
-        ckpt.weights[0] = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        ckpt.biases[0] = np.array([5, 6], dtype=np.float32)
-        ckpt.weights[1] = np.array([[7, 8], [9, 10]], dtype=np.float32)
-        ckpt.biases[1] = np.array([11, 12], dtype=np.float32)
-        assert flatten(ckpt).tolist() == list(map(float, range(1, 13)))
+        net = identity_net((2, 2, 2))
+        net.weights[0][0] = [[1, 2], [3, 4]]
+        net.biases[0][0] = [5, 6]
+        net.weights[1][0] = [[7, 8], [9, 10]]
+        net.biases[1][0] = [11, 12]
+        assert net.params[0].tolist() == list(map(float, range(1, 13)))
 
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
-            unflatten(np.zeros(10, dtype=np.float32), ArchitectureSpec((4, 16, 3)))
+            Population(ArchitectureSpec((4, 16, 3)), np.zeros((1, 10), dtype=np.float32))
 
     @given(st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
     def test_bijection(self, seed):
         arch = ArchitectureSpec((3, 5, 4, 2), bn_layers=(True, False))
         vec = make_rng(seed, "test").normal(size=arch.param_count()).astype(np.float32)
-        assert np.array_equal(flatten(unflatten(vec, arch)), vec)
+        net = Population(arch, vec[None].copy())
+        parts = []
+        for l in range(arch.num_layers):
+            parts += [net.weights[l][0].ravel(), net.biases[l][0, 0]]
+            if l in net.bn_views:
+                parts += [view[0, 0] for view in net.bn_views[l][:2]]
+        assert np.array_equal(np.concatenate(parts), vec)
+
+
+class TestPopulationBlocks:
+    ARCH = ArchitectureSpec((4, 6, 5, 3), "relu", (True, True))
+
+    def test_block_is_views_of_the_rows(self, rng):
+        pop = Population(self.ARCH, rng.normal(size=(4, self.ARCH.param_count())).astype(np.float32),
+                         seeds=np.arange(4), metrics=np.zeros(4))
+        block = pop[1:3]
+        assert len(block) == 2 and np.array_equal(block.seeds, [1, 2])
+        block.params[...] = 7.0
+        block.metrics[...] = 0.5
+        for mean, var, count in block.bn.values():
+            mean[...], var[...], count[...] = 3.0, 2.0, 9
+        assert np.array_equal(pop.params[1:3], np.full((2, self.ARCH.param_count()), 7.0))
+        assert not np.any(pop.params[[0, 3]] == 7.0)
+        assert pop.metrics.tolist() == [0.0, 0.5, 0.5, 0.0]
+        for mean, var, count in pop.bn.values():
+            assert mean[:, 0].tolist() == [0.0, 3.0, 3.0, 0.0]
+            assert var[:, 0].tolist() == [1.0, 2.0, 2.0, 1.0]
+            assert count.tolist() == [0, 9, 9, 0]
+
+    def test_train_forward_on_a_block_updates_the_parent(self, rng):
+        pop = init_population(self.ARCH, [1, 2, 3, 4])
+        x = rng.normal(size=(16, 4)).astype(np.float32)
+        whole = init_population(self.ARCH, [1, 2, 3, 4])
+        forward(whole, x, "train")
+        forward(pop[1:3], x, "train")
+        for l, (mean, var, count) in pop.bn.items():
+            assert count.tolist() == [0, 16, 16, 0]
+            assert np.array_equal(mean[1:3], whole.bn[l][0][1:3])
+            assert np.array_equal(var[1:3], whole.bn[l][1][1:3])
+            assert not np.any(mean[[0, 3]]) and np.all(var[[0, 3]] == 1.0)
+
+    def test_indexed_by_slices_only(self):
+        pop = init_population(self.ARCH, [1, 2])
+        with pytest.raises(ArgumentError):
+            pop[0]
 
 
 def reference_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
