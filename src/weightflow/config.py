@@ -175,7 +175,7 @@ _KEYS = {
     "data": _same_names(DataConfig),
     "population": {**_run_fields(size="population_size", base_seed="base_seed",
                                  init="init_scheme"),
-                   **_same_names(TrainHyper, "seed")},
+                   **_same_names(TrainHyper)},
     "canonicalize": _run_fields(mode="canonicalize_mode",
                                 reference_index="reference_index",
                                 max_iter="canonicalize_max_iter"),

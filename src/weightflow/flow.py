@@ -35,14 +35,13 @@ stages never alias the workspace.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .activations import gelu, gelu_cdf, gelu_grad
-from .checkpoint_io import _expect_end, _read_exact, _read_header, _read_text
-from .errors import (ArgumentError, ConfigError, DataError, IntegrationError,
+from .checkpoint_io import load_container, save_container
+from .errors import (ArgumentError, ConfigError, IntegrationError,
                      TrainingDivergedError)
 from .nn_core import _Adam
 from .rng import make_rng
@@ -434,48 +433,27 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: magic DWFF, version, config text block, the flat parameter
-# buffer as little-endian float32 (the tensors in layout order).
+# Serialization: a DWFF container (see `checkpoint_io`). Header: one line per
+# FlowConfig field, scalars first as repr, then the pairs as comma-separated
+# reprs. Array: the flat parameter buffer as float32, in layout order.
 
 
-# FlowConfig field type -> parser of the value text written by _config_block.
+# FlowConfig field type -> parser of the header value save_flow writes.
 _FROM_TEXT = {"int": int, "float": float, "str": lambda v: v.strip("'\""),
               "tuple": lambda v: tuple(float(x) for x in v.split(","))}
 
 
-def _config_block(cfg: FlowConfig) -> str:
-    """One key=value line per FlowConfig field, scalars first, then pairs."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    lines = [f"{k}={v!r}" for k, v in values.items() if not isinstance(v, tuple)]
-    lines += [f"{k}=" + ",".join(repr(x) for x in v)
-              for k, v in values.items() if isinstance(v, tuple)]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_config_block(text: str) -> FlowConfig:
-    try:
-        kv = dict(line.split("=", 1) for line in text.strip().splitlines())
-        return FlowConfig(**{f.name: _FROM_TEXT[f.type](kv[f.name])
-                             for f in fields(FlowConfig)})
-    except (KeyError, ValueError, TypeError, ConfigError) as exc:
-        raise DataError(f"malformed flow config block: {exc}") from exc
-
-
 def save_flow(model: FlowModel, path) -> None:
-    blob = _config_block(model.config).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(FLOW_MAGIC)
-        f.write(struct.pack("<I", FLOW_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(model.flat.astype("<f4").tobytes())
+    values = {f.name: getattr(model.config, f.name) for f in fields(FlowConfig)}
+    header = [(k, repr(v)) for k, v in values.items() if not isinstance(v, tuple)]
+    header += [(k, ",".join(map(repr, v))) for k, v in values.items() if isinstance(v, tuple)]
+    save_container(path, FLOW_MAGIC, FLOW_VERSION, header, [(model.flat, "<f4")])
+
+
+def _build_flow(pairs, read) -> FlowModel:
+    cfg = FlowConfig(**{f.name: _FROM_TEXT[f.type](pairs[f.name]) for f in fields(FlowConfig)})
+    return FlowModel(cfg, read("parameters", "<f4", _param_count(cfg)).astype(np.float64))
 
 
 def load_flow(path) -> FlowModel:
-    with open(path, "rb") as f:
-        _read_header(f, path, FLOW_MAGIC, FLOW_VERSION)
-        cfg = _parse_config_block(_read_text(f, path, "config block"))
-        raw = _read_exact(f, 4 * _param_count(cfg), path, "parameters")
-        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        _expect_end(f, path)
-    return FlowModel(cfg, flat)
+    return load_container(path, FLOW_MAGIC, FLOW_VERSION, _build_flow, "config block")

@@ -246,7 +246,6 @@ class TrainHyper:
     weight_decay: float = 0.0
     batch_size: int = 16
     epochs: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -418,10 +417,9 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     """Train one freshly initialized network per seed with mini-batch
     cross-entropy, all members in one stacked pass per minibatch.
 
-    hyper.seed is ignored; each member is deterministic given its seed
-    (seeded init and per-epoch shuffles) and equals a one-member run bit
-    for bit. metrics hold held-out accuracy when `holdout` is given, else
-    training accuracy.
+    Each member is deterministic given its seed (seeded init and per-epoch
+    shuffles) and equals a one-member run bit for bit. metrics hold
+    held-out accuracy when `holdout` is given, else training accuracy.
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty training dataset")

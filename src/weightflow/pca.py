@@ -10,17 +10,16 @@ float64 throughout.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import _expect_end, _read_exact, _read_header
+from .checkpoint_io import load_container, save_container
 from .errors import ArgumentError, ShapeError
 from .rng import make_rng
 
 PCA_MAGIC = b"DWFP"
-PCA_VERSION = 1
+PCA_VERSION = 2
 
 RSVD_POWER_ITERS = 5
 RSVD_OVERSAMPLE = 10
@@ -209,25 +208,22 @@ def inverse_transform(model: PcaModel, z: np.ndarray) -> np.ndarray:
 
 
 def save_pca(model: PcaModel, path) -> None:
-    """Binary format: magic DWFP, version, n, d, k, then mean, components
-    (column-major), eigenvalues as little-endian float64."""
-    with open(path, "wb") as f:
-        f.write(PCA_MAGIC)
-        f.write(struct.pack("<IQQQ", PCA_VERSION, model.n_samples,
-                            model.input_dim, model.latent_dim))
-        f.write(model.mean.astype("<f8").tobytes())
-        f.write(np.asfortranarray(model.components.astype("<f8")).tobytes(order="F"))
-        f.write(model.eigenvalues.astype("<f8").tobytes())
+    """DWFP container (see `checkpoint_io`). Header: `n_samples`,
+    `input_dim`, `latent_dim`. Arrays, float64: the mean, the components
+    (column-major), the eigenvalues."""
+    header = [("n_samples", model.n_samples), ("input_dim", model.input_dim),
+              ("latent_dim", model.latent_dim)]
+    arrays = [(model.mean, "<f8"), (model.components.T, "<f8"),
+              (model.eigenvalues, "<f8")]
+    save_container(path, PCA_MAGIC, PCA_VERSION, header, arrays)
+
+
+def _build_pca(pairs, read) -> PcaModel:
+    n, d, k = (int(pairs[key]) for key in ("n_samples", "input_dim", "latent_dim"))
+    return PcaModel(mean=read("mean", "<f8", d),
+                    components=read("components", "<f8", k, d).T.copy(),
+                    eigenvalues=read("eigenvalues", "<f8", k), n_samples=n)
 
 
 def load_pca(path) -> PcaModel:
-    with open(path, "rb") as f:
-        _read_header(f, path, PCA_MAGIC, PCA_VERSION)
-        n, d, k = struct.unpack("<QQQ", _read_exact(f, 24, path, "shape"))
-        mean = np.frombuffer(_read_exact(f, 8 * d, path, "mean"), dtype="<f8")
-        comps = np.frombuffer(_read_exact(f, 8 * d * k, path, "components"),
-                              dtype="<f8").reshape(d, k, order="F")
-        eig = np.frombuffer(_read_exact(f, 8 * k, path, "eigenvalues"), dtype="<f8")
-        _expect_end(f, path)
-    return PcaModel(mean=mean.copy(), components=comps.copy(),
-                    eigenvalues=eig.copy(), n_samples=n)
+    return load_container(path, PCA_MAGIC, PCA_VERSION, _build_pca, "header")

@@ -8,8 +8,9 @@ of its inputs and outputs, so manifests chain into an audit trail. A
 population is one DWFC file (`population.dwfc`, `aligned.dwfc`,
 `generated.dwfc`) written by one stage call from one `nn_core.Population`.
 A stage checks every artifact it reads against the `sha256` row of the
-manifest written beside it, and its networks against the config's
-`[arch]`, and stops with DataError on a mismatch."""
+manifest written beside it, its networks against the config's `[arch]`,
+the latent width of `pca.dwfp` against `[pca] latent_dim` and the config
+in `flow.dwff` against `[flow]`, and stops with DataError on a mismatch."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import pca as pca_mod
 from .bn_recalib import recalibrate
 from .canonicalize import canonicalize_population
-from .checkpoint_io import load_population, save_population
+from .checkpoint_io import format_pairs, load_population, parse_pairs, save_population
 from .config import RunConfig
 from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
@@ -50,17 +51,17 @@ def sha256_file(path) -> str:
 
 def write_manifest(path, pairs) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for key, value in pairs:
-            f.write(f"{key}={value}\n")
+        f.write(format_pairs(pairs))
 
 
 def read_manifest(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            key, _, value = line.rstrip("\n").partition("=")
-            out[key] = value
-    return out
+    """key -> value of a manifest; DataError if it is not `write_manifest`
+    text."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_pairs(f.read())
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from exc
 
 
 def _require(path, stage: str, produced_by: str):
@@ -149,6 +150,17 @@ def _write_artifact(out_dir, name, rows, save, obj) -> str:
     return path
 
 
+def _load_pca(cfg: RunConfig, out_dir, stage: str, n: int):
+    """(pca.dwfp, sha256), once it matches its manifest and has the latent
+    width fit-pca takes for the config and n networks."""
+    model, digest = _load_input(out_dir, "pca.dwfp", stage, load_pca)
+    k = cfg.latent_dim or default_latent_dim(n)
+    if model.latent_dim != k:
+        raise DataError(f"stage {stage}: pca.dwfp has latent_dim {model.latent_dim}, but the "
+                        f"config asks for {k} (rerun `fit-pca`)")
+    return model, digest
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -222,7 +234,7 @@ def stage_train_flow(cfg: RunConfig, out_dir) -> str:
     matrix = source.params.astype(np.float64)
     rows = [("stage", "train-flow"), ("input.population", source_manifest)]
     if cfg.pca_mode != "off":
-        model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "train-flow", load_pca)
+        model_pca, pca_sha = _load_pca(cfg, out_dir, "train-flow", len(source))
         matrix = pca_mod.transform(model_pca, matrix)
         rows.append(("input.pca", pca_sha))
     flow_cfg = cfg.flow_config(matrix.shape[1])
@@ -238,20 +250,26 @@ def stage_generate(cfg: RunConfig, out_dir) -> str:
     """Sample networks from the flow; recalibrate BN; write one DWFC file."""
     # flow.dwff records only its width; the networks it was fit on have an
     # architecture to check against the config's [arch].
-    _source(cfg, out_dir, "generate")
+    networks, _ = _source(cfg, out_dir, "generate")
     model, flow_sha = _load_input(out_dir, "flow.dwff", "generate", load_flow)
-    train, test = load_task_data(cfg)
     rows = [("stage", "generate"), ("count", cfg.generate_count),
             ("input.flow", flow_sha)]
     model_pca = None
     if cfg.pca_mode != "off" and cfg.generate_count > 0:
-        model_pca, pca_sha = _load_input(out_dir, "pca.dwfp", "generate", load_pca)
+        model_pca, pca_sha = _load_pca(cfg, out_dir, "generate", len(networks))
         rows.append(("input.pca", pca_sha))
     name, source = ("flow.dwff", model.config) if model_pca is None else ("pca.dwfp", model_pca)
     if (cfg.pca_mode == "off" or model_pca) and source.input_dim != cfg.arch.param_count():
         raise DataError(f"stage generate: {name} makes {source.input_dim}-parameter networks, "
                         f"but the config has {cfg.arch} with {cfg.arch.param_count()} "
                         f"parameters (rerun `make-population`)")
+    wanted = vars(cfg.flow_config(model.config.input_dim))
+    changed = [f"{key} {value!r} in flow.dwff, {wanted[key]!r} in the config"
+               for key, value in vars(model.config).items() if value != wanted[key]]
+    if changed:
+        raise DataError("stage generate: flow.dwff was trained with another [flow]: "
+                        f"{'; '.join(changed)} (rerun `train-flow`)")
+    train, test = load_task_data(cfg)
     vectors = sample(model, cfg.generate_count, seed=cfg.seed)
     if model_pca is not None:
         vectors = pca_mod.inverse_transform(model_pca, vectors)

@@ -1,9 +1,12 @@
+import ast
+import pathlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import weightflow
 from weightflow.checkpoint_io import CKPT_MAGIC, load_population, save_population
 from weightflow.data import LabeledDataset
 from weightflow.errors import DataError, ShapeError
@@ -272,3 +275,16 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_only_the_container_and_idx_readers_use_struct():
+    # Every binary file goes through checkpoint_io's one container; `data`
+    # reads the big-endian IDX input files.
+    users = set()
+    for path in pathlib.Path(weightflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "struct" in names:
+                users.add(path.stem)
+    assert users == {"checkpoint_io", "data"}

@@ -193,6 +193,45 @@ class TestExitCodes:
         assert {name: open(os.path.join(out, name), "rb").read()
                 for name in os.listdir(out)} == before
 
+    @pytest.mark.parametrize("stage,section,old,new,expected", [
+        ("train-flow", "[pca]\nmode = standard\n", "mode = standard",
+         "mode = standard\nlatent_dim = 1",
+         ["pca.dwfp has latent_dim 2", "asks for 1", "rerun `fit-pca`"]),
+        ("generate", "[pca]\nmode = standard\n", "mode = standard",
+         "mode = standard\nlatent_dim = 1",
+         ["pca.dwfp has latent_dim 2", "asks for 1", "rerun `fit-pca`"]),
+        ("generate", "", "integration_steps = 10",
+         "integration_steps = 200\nsource_std = 5.0",
+         ["integration_steps 10 in flow.dwff, 200 in the config",
+          "source_std 0.01 in flow.dwff, 5.0 in the config", "rerun `train-flow`"])],
+        ids=["train-flow-latent_dim", "generate-latent_dim", "generate-flow"])
+    def test_other_config_than_the_model_is_3(self, tmp_path, capsys, stage, section,
+                                              old, new, expected):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUICK.format(out=out) + "\n" + section)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg_path.write_text(cfg_path.read_text().replace(old, new))
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage {stage}: ") and "Traceback" not in err
+        for text in expected:
+            assert text in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_manifest_not_utf8_is_3(self, quick_cfg, capsys):
+        cfg_path, out = quick_cfg
+        assert main(["make-population", "--config", cfg_path]) == 0
+        path = os.path.join(out, "population.manifest")
+        with open(path, "r+b") as f:
+            f.write(b"\xff")
+        capsys.readouterr()
+        assert main(["canonicalize", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "malformed manifest" in err and "Traceback" not in err
+
     def test_missing_generated_is_3(self, quick_cfg, capsys):
         cfg_path, out = quick_cfg
         assert main(["run", "--config", cfg_path]) == 0

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -314,7 +315,37 @@ class TestSample:
         assert sample(model, 0, seed=0).shape == (0, 4)
 
 
+# The DWFF header of TINY: its FlowConfig, scalars first, then the pairs.
+TINY_HEADER = """\
+input_dim=4
+hidden_dim=8
+time_embed_dim=4
+dropout=0.0
+noise_scale=0.001
+source_std=0.01
+time_distribution='uniform'
+iterations=50
+batch_size=4
+learning_rate=0.0005
+weight_decay=1e-05
+lr_min=1e-06
+integration_steps=100
+time_beta=2.0,5.0
+betas=0.9,0.95
+"""
+
+
 class TestSerialization:
+    def test_reference_bytes(self, tmp_path):
+        model = train_flow(np.random.default_rng(0).normal(size=(6, 4)), TINY, seed=0)
+        path = tmp_path / "m.dwff"
+        save_flow(model, path)
+        header = TINY_HEADER.encode()
+        blob = b"DWFF" + struct.pack("<II", 1, len(header)) + header
+        for name, _ in _param_layout(TINY):
+            blob += b"".join(struct.pack("<f", v) for v in model.params[name].ravel())
+        assert path.read_bytes() == blob
+
     def test_round_trip(self, tmp_path):
         pop = np.random.default_rng(0).normal(size=(6, 4))
         model = train_flow(pop, TINY, seed=0)

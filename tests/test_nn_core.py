@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,9 +25,9 @@ def identity_net(dims):
     return net
 
 
-def train_one(arch, data, hyper, holdout=None):
-    """One network seeded by hyper.seed: a one-member `train_population`."""
-    return train_population(arch, data, hyper, [hyper.seed], holdout)
+def train_one(arch, data, hyper, seed=0, holdout=None):
+    """One network seeded by `seed`: a one-member `train_population`."""
+    return train_population(arch, data, hyper, [seed], holdout)
 
 
 class TestInit:
@@ -168,26 +166,26 @@ class TestTrain:
         train, test = make_blobs(num_classes=2, per_class=40, d=4,
                                  spread=0.05, seed=0)
         net = train_one(ArchitectureSpec((4, 8, 2)), train,
-                        TrainHyper(epochs=30, seed=0), holdout=test)
+                        TrainHyper(epochs=30), holdout=test)
         assert net.metrics[0] == 1.0
 
     def test_zero_epochs_keeps_init(self, blobs):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 3))
-        net = train_one(arch, train, TrainHyper(epochs=0, seed=7))
+        net = train_one(arch, train, TrainHyper(epochs=0), seed=7)
         assert np.array_equal(net.params, init_population(arch, [7]).params)
 
     def test_deterministic(self, blobs):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 3))
-        a = train_one(arch, train, TrainHyper(epochs=5, seed=1))
-        b = train_one(arch, train, TrainHyper(epochs=5, seed=1))
+        a = train_one(arch, train, TrainHyper(epochs=5), seed=1)
+        b = train_one(arch, train, TrainHyper(epochs=5), seed=1)
         assert np.array_equal(a.params, b.params)
 
     def test_iris_accuracy_band(self, iris):
         train, test = iris
         net = train_one(ArchitectureSpec((4, 16, 3)), train,
-                        TrainHyper(seed=100), holdout=test)
+                        TrainHyper(), seed=100, holdout=test)
         assert 0.7 <= net.metrics[0] <= 1.0
 
     def test_labels_out_of_range(self, blobs):
@@ -198,14 +196,13 @@ class TestTrain:
     def test_full_batch_loss_decreases(self, blobs):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 3))
-        hyper = TrainHyper(learning_rate=1e-3, batch_size=len(train),
-                           epochs=1, seed=0)
+        hyper = TrainHyper(learning_rate=1e-3, batch_size=len(train), epochs=1)
         prev = None
         for epochs in (1, 5, 20):
             net = train_one(arch, train,
                             TrainHyper(learning_rate=1e-3,
                                        batch_size=len(train),
-                                       epochs=epochs, seed=0))
+                                       epochs=epochs))
             loss = cross_entropy(forward(net, train.features)[0], train.labels)
             if prev is not None:
                 assert loss <= prev + 1e-9
@@ -213,12 +210,12 @@ class TestTrain:
         assert hyper.batch_size == len(train)
 
 
-def serial_reference(arch, data, hyper):
+def serial_reference(arch, data, hyper, seed):
     """One network trained by a plain 2-D loop: per-batch forward, backward
     and a per-tensor optimizer step, in the arithmetic order the stacked
     trainer must keep. Its tensors are 2-D and 1-D views of a one-member
     population, which it returns."""
-    net = init_population(arch, [hyper.seed])
+    net = init_population(arch, [seed])
     weights = [w[0] for w in net.weights]
     biases = [b[0, 0] for b in net.biases]
     bn = {l: (gamma[0, 0], beta[0, 0], net.bn[l][0][0], net.bn[l][1][0])
@@ -230,7 +227,7 @@ def serial_reference(arch, data, hyper):
     else:
         opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
                     decoupled=hyper.optimizer == "adamw")
-    rng = make_rng(hyper.seed, "shuffle")
+    rng = make_rng(seed, "shuffle")
     x, y = data.features, data.labels
     for _ in range(hyper.epochs):
         order = rng.permutation(len(y))
@@ -294,7 +291,7 @@ class TestTrainPopulation:
         if hyper.epochs:
             assert not np.array_equal(trained.params[0], trained.params[1])
         for i, seed in enumerate(self.SEEDS):
-            one = train_one(arch, data, replace(hyper, seed=seed), holdout=holdout)
+            one = train_one(arch, data, hyper, seed, holdout=holdout)
             assert_same_network(trained[i:i + 1], one)
             assert trained.metrics[i] == one.metrics[0]
 
@@ -309,7 +306,7 @@ class TestTrainPopulation:
         trained = train_population(arch, train, hyper, self.SEEDS)
         for i, seed in enumerate(self.SEEDS):
             assert_same_network(
-                trained[i:i + 1], serial_reference(arch, train, replace(hyper, seed=seed)))
+                trained[i:i + 1], serial_reference(arch, train, hyper, seed))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     @pytest.mark.parametrize("optimizer", ["adam", "adamw", "sgd"])

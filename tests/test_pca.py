@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,7 +150,52 @@ class TestTransform:
             inverse_transform(model, np.zeros(4))
 
 
+def reference_bytes(model, version=2):
+    """A DWFP file of `model`, written value by value; version 1 has a
+    binary u64 n, d, k header in place of the text header."""
+    n, (d, k) = model.n_samples, model.components.shape
+    if version == 1:
+        blob = b"DWFP" + struct.pack("<IQQQ", 1, n, d, k)
+    else:
+        header = f"n_samples={n}\ninput_dim={d}\nlatent_dim={k}\n".encode()
+        blob = b"DWFP" + struct.pack("<II", version, len(header)) + header
+    blob += b"".join(struct.pack("<d", v) for v in model.mean)
+    blob += b"".join(struct.pack("<d", model.components[i, j])
+                     for j in range(k) for i in range(d))  # column-major
+    return blob + b"".join(struct.pack("<d", v) for v in model.eigenvalues)
+
+
 class TestSerialization:
+    def test_reference_bytes(self, tmp_path, rng):
+        model = fit_standard(rng.normal(size=(12, 20)), 5)
+        path = tmp_path / "m.dwfp"
+        save_pca(model, path)
+        assert path.read_bytes() == reference_bytes(model)
+
+    def test_version_1_rejected(self, tmp_path, rng):
+        path = tmp_path / "v1.dwfp"
+        path.write_bytes(reference_bytes(fit_standard(rng.normal(size=(12, 20)), 5), 1))
+        with pytest.raises(DataError, match="unsupported version 1"):
+            load_pca(path)
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("latent_dim=5", "latent_dim=-1", "malformed header.*negative"),
+        ("latent_dim=5", "latent_dim=five", "malformed header"),
+        ("latent_dim=5\n", "", "malformed header"),
+        ("latent_dim=5", "latent_dim 5", "malformed header"),
+        ("latent_dim=5", "latent_dim=6", "truncated"),
+        ("latent_dim=5", "latent_dim=4", "trailing bytes"),
+    ], ids=["negative", "not-int", "missing", "no-equals", "too-wide", "too-narrow"])
+    def test_bad_header(self, tmp_path, rng, old, new, match):
+        blob = reference_bytes(fit_standard(rng.normal(size=(12, 20)), 5))
+        length, = struct.unpack("<I", blob[8:12])
+        header = blob[12:12 + length].decode().replace(old, new).encode()
+        path = tmp_path / "h.dwfp"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + length:])
+        with pytest.raises(DataError, match=match):
+            load_pca(path)
+
     def test_round_trip(self, tmp_path, rng):
         model = fit_standard(rng.normal(size=(12, 20)), 5)
         path = tmp_path / "m.dwfp"
