@@ -11,14 +11,13 @@ error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from .config import parse_config
 from .errors import (ConfigError, IntegrationError, NumericError,
                      TrainingDivergedError, WeightFlowError)
-from .pipeline import STAGES, run_pipeline
+from .pipeline import STAGES, run_pipeline, run_stage
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -55,13 +54,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         out_dir = args.out or cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
         if args.command == "run":
-            result = run_pipeline(cfg, out_dir)
+            print(run_pipeline(cfg, out_dir))
         else:
-            result = STAGES[args.command](cfg, out_dir)
-        if result:
-            print(result)
+            print(run_stage(cfg, out_dir, args.command))
         return 0
     except (WeightFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

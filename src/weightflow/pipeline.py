@@ -1,21 +1,23 @@
 """Pipeline stages: train population -> canonicalize -> PCA -> flow ->
-generate -> evaluate -> report.
+generate -> evaluate -> report, run by `run_stage` from the stage `TABLE`.
 
-Every stage is a pure function of (config, upstream artifacts, seed): given
-the same inputs it rewrites byte-identical outputs. Each stage emits a
-manifest (flat key=value text, no timestamps) that records the content hash
-of its inputs and outputs, so manifests chain into an audit trail. A
-population is one DWFC file (`population.dwfc`, `aligned.dwfc`,
-`generated.dwfc`) written by one stage call from one `nn_core.Population`.
-A stage checks every artifact it reads against the `sha256` row of the
-manifest written beside it, its networks against the config's `[arch]`,
-the latent width of `pca.dwfp` against `[pca] latent_dim` and the config
-in `flow.dwff` against `[flow]`, and stops with DataError on a mismatch."""
+A stage function writes nothing: from the config and its loaded inputs it
+returns (one object per file, manifest rows). Before it runs, `run_stage`
+walks the manifest chain above it: each manifest must record the current
+config rows and exactly the `input.*` rows the config implies, each the
+sha256 of that upstream manifest as it is now, else DataError names the
+furthest-upstream stage to rerun. Each input is then loaded and checked
+against its manifest's `sha256` row. Outputs are saved under temporary
+names, the manifest last, and moved into place with `os.replace` in that
+order; on failure the temporary files are removed. Reruns rewrite
+byte-identical files."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,16 +31,12 @@ from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
 from .nn_core import Population, evaluate, member_blocks, train_population
-from .pca import default_latent_dim, load_pca
+from .pca import default_latent_dim, load_pca, save_pca
 
 # Published reference values, reported in stage outputs for context but
 # never asserted (desk-scale estimator conditions differ).
 REFERENCE_MAX_IOU = (0.8187, 0.0385)
 REFERENCE_LOWCAP_TREND = (57.80, 25.54)
-
-
-# ---------------------------------------------------------------------------
-# Manifest plumbing
 
 
 def sha256_file(path) -> str:
@@ -64,18 +62,6 @@ def read_manifest(path) -> dict:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
 
 
-def _require(path, stage: str, produced_by: str):
-    if not os.path.exists(path):
-        raise DataError(
-            f"stage {stage}: missing upstream artifact {path} "
-            f"(run `{produced_by}` first)")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Data + population helpers
-
-
 def load_task_data(cfg: RunConfig):
     """(train, test) datasets for the configured task; pure given config.
     ConfigError if the network's input width is not the feature width or
@@ -99,181 +85,83 @@ def load_task_data(cfg: RunConfig):
     return train, test
 
 
-# Artifact -> (the manifest its stage writes beside it, that stage).
-_ARTIFACTS = {
-    "population.dwfc": ("population.manifest", "make-population"),
-    "aligned.dwfc": ("canonicalize.manifest", "canonicalize"),
-    "pca.dwfp": ("pca.manifest", "fit-pca"),
-    "flow.dwff": ("flow.manifest", "train-flow"),
-    "generated.dwfc": ("generate.manifest", "generate"),
-}
+def _latent_dim(cfg: RunConfig) -> int:
+    return cfg.latent_dim or default_latent_dim(cfg.population_size)
 
 
-def _load_input(out_dir, name, stage: str, load):
-    """(load(path), sha256) of artifact `name`, once its bytes match the
-    sha256 row of the manifest its stage wrote beside it."""
-    manifest, producer = _ARTIFACTS[name]
-    path = _require(os.path.join(out_dir, name), stage, producer)
-    manifest = _require(os.path.join(out_dir, manifest), stage, producer)
-    loaded, digest = load(path), sha256_file(path)
-    if digest != read_manifest(manifest).get("sha256"):
-        raise DataError(f"stage {stage}: {path} does not match the sha256 in "
-                        f"{manifest} (rerun `{producer}`)")
-    return loaded, digest
-
-
-def _load_population(cfg: RunConfig, out_dir, name, stage: str) -> Population:
-    """Population artifact `name`, once it matches its manifest and its
-    networks have the config's [arch]."""
-    pop, _ = _load_input(out_dir, name, stage, load_population)
-    if pop.arch != cfg.arch:
-        raise DataError(f"stage {stage}: {name} holds networks of {pop.arch}, but the "
-                        f"config has {cfg.arch} (rerun `make-population`)")
-    return pop
-
-
-def _source(cfg: RunConfig, out_dir, stage: str):
-    """The population PCA and the flow fit (aligned when canonicalization is
-    on, else raw), and the sha256 of its manifest."""
-    name = "aligned.dwfc" if cfg.canonicalize_mode != "off" else "population.dwfc"
-    pop = _load_population(cfg, out_dir, name, stage)
-    return pop, sha256_file(os.path.join(out_dir, _ARTIFACTS[name][0]))
-
-
-def _write_artifact(out_dir, name, rows, save, obj) -> str:
-    """`save(obj, path)` to artifact `name`, then its manifest: `rows` plus
-    the artifact's name and sha256."""
-    path = os.path.join(out_dir, name)
-    save(obj, path)
-    write_manifest(os.path.join(out_dir, _ARTIFACTS[name][0]),
-                   rows + [("artifact", name), ("sha256", sha256_file(path))])
-    return path
-
-
-def _load_pca(cfg: RunConfig, out_dir, stage: str, n: int):
-    """(pca.dwfp, sha256), once it matches its manifest and has the latent
-    width fit-pca takes for the config and n networks."""
-    model, digest = _load_input(out_dir, "pca.dwfp", stage, load_pca)
-    k = cfg.latent_dim or default_latent_dim(n)
-    if model.latent_dim != k:
-        raise DataError(f"stage {stage}: pca.dwfp has latent_dim {model.latent_dim}, but the "
-                        f"config asks for {k} (rerun `fit-pca`)")
-    return model, digest
+def _flow_config(cfg: RunConfig):
+    """[flow] over the PCA latents, or over the flat networks when PCA is off."""
+    return cfg.flow_config(cfg.arch.param_count() if cfg.pca_mode == "off"
+                           else _latent_dim(cfg))
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stages: pure functions of the config and the loaded inputs to (objects, rows)
 
 
-def stage_make_population(cfg: RunConfig, out_dir) -> str:
-    """Train one network per seed; write them as one DWFC file plus manifest."""
+def stage_make_population(cfg: RunConfig):
+    """Train one network per seed, as one population."""
     train, test = load_task_data(cfg)
     seeds = [cfg.base_seed + i for i in range(cfg.population_size)]
     pop = train_population(cfg.arch, train, cfg.train_hyper, seeds,
                            holdout=test, init_scheme=cfg.init_scheme)
-    rows = [("stage", "make-population"), ("task", cfg.task),
-            ("count", cfg.population_size)]
+    rows = []
     for i, (seed, accuracy) in enumerate(zip(pop.seeds.tolist(), pop.metrics.tolist())):
         rows += [(f"seed_{i:04d}", seed), (f"accuracy_{i:04d}", f"{accuracy:.6f}")]
-    return _write_artifact(out_dir, "population.dwfc", rows, save_population, pop)
+    return (pop,), rows
 
 
-def stage_canonicalize(cfg: RunConfig, out_dir) -> str:
+def stage_canonicalize(cfg: RunConfig, population: Population):
     """Align every network to the reference; accuracy must be preserved."""
-    pop = _load_population(cfg, out_dir, "population.dwfc", "canonicalize")
     _, test = load_task_data(cfg)
-    if cfg.canonicalize_mode == "off":
-        aligned = pop
-    else:
-        aligned = canonicalize_population(pop, cfg.reference_index,
-                                          cfg.canonicalize_max_iter)
-    rows = [("stage", "canonicalize"), ("mode", cfg.canonicalize_mode),
-            ("reference_index", cfg.reference_index),
-            ("input.population", sha256_file(
-                os.path.join(out_dir, "population.manifest")))]
-    for i, (before, after) in enumerate(zip(evaluate(pop, test), evaluate(aligned, test))):
+    aligned = population if cfg.canonicalize_mode == "off" else canonicalize_population(
+        population, cfg.reference_index, cfg.canonicalize_max_iter)
+    rows = []
+    for i, (before, after) in enumerate(zip(evaluate(population, test),
+                                            evaluate(aligned, test))):
         acc_before, acc_after = before.accuracy, after.accuracy
         rows += [(f"accuracy_before_{i:04d}", f"{acc_before:.6f}"),
                  (f"accuracy_after_{i:04d}", f"{acc_after:.6f}")]
         if abs(acc_after - acc_before) > 1e-6:
-            raise DataError(
-                f"canonicalize: accuracy changed for checkpoint {i} "
-                f"({acc_before:.6f} -> {acc_after:.6f})")
-    return _write_artifact(out_dir, "aligned.dwfc", rows, save_population, aligned)
+            raise DataError(f"canonicalize: accuracy changed for checkpoint {i} "
+                            f"({acc_before:.6f} -> {acc_after:.6f})")
+    return (aligned,), rows
 
 
-def stage_fit_pca(cfg: RunConfig, out_dir) -> str | None:
-    """Fit the configured PCA over the population's flat vectors."""
-    rows = [("stage", "fit-pca"), ("mode", cfg.pca_mode)]
+def stage_fit_pca(cfg: RunConfig, population: Population | None = None):
+    """Fit the configured PCA over the population's flat vectors, if any."""
     if cfg.pca_mode == "off":
-        write_manifest(os.path.join(out_dir, "pca.manifest"), rows + [("artifact", "none")])
-        return None
-    source, source_manifest = _source(cfg, out_dir, "fit-pca")
-    matrix = source.params.astype(np.float64)
-    n = matrix.shape[0]
-    k = cfg.latent_dim or default_latent_dim(n)
+        return (None,), []
+    matrix = population.params.astype(np.float64)
+    n, k = matrix.shape[0], _latent_dim(cfg)
     if cfg.pca_mode == "standard":
         model = pca_mod.fit_standard(matrix, k)
     elif cfg.pca_mode == "incremental":
-        blocks = [matrix[s:s + cfg.pca_batch_rows]
-                  for s in range(0, n, cfg.pca_batch_rows)]
+        blocks = [matrix[s:s + cfg.pca_batch_rows] for s in range(0, n, cfg.pca_batch_rows)]
         model = pca_mod.fit_incremental(blocks, k)
     else:
         model = pca_mod.fit_dual(matrix, k, micro_batch=cfg.pca_micro_batch,
                                  exact_eigen=cfg.pca_exact_eigen, seed=cfg.seed)
     evr = model.explained_variance_ratio()
-    rows += [("input.population", source_manifest),
-             ("latent_dim", k), ("n_samples", n),
-             ("explained_variance_ratio", f"{evr.sum():.6f}")]
-    return _write_artifact(out_dir, "pca.dwfp", rows, pca_mod.save_pca, model)
+    return (model,), [("n_samples", n), ("explained_variance_ratio", f"{evr.sum():.6f}")]
 
 
-def stage_train_flow(cfg: RunConfig, out_dir) -> str:
+def stage_train_flow(cfg: RunConfig, population: Population, pca=None):
     """Train the flow-matching model over (possibly PCA-projected) weights."""
-    source, source_manifest = _source(cfg, out_dir, "train-flow")
-    matrix = source.params.astype(np.float64)
-    rows = [("stage", "train-flow"), ("input.population", source_manifest)]
-    if cfg.pca_mode != "off":
-        model_pca, pca_sha = _load_pca(cfg, out_dir, "train-flow", len(source))
-        matrix = pca_mod.transform(model_pca, matrix)
-        rows.append(("input.pca", pca_sha))
-    flow_cfg = cfg.flow_config(matrix.shape[1])
-    model = train_flow(matrix, flow_cfg, seed=cfg.seed)
+    matrix = population.params.astype(np.float64)
+    if pca is not None:
+        matrix = pca_mod.transform(pca, matrix)
+    model = train_flow(matrix, _flow_config(cfg), seed=cfg.seed)
     tail = model.loss_history[-100:]
-    rows += [("input_dim", flow_cfg.input_dim),
-             ("iterations", flow_cfg.iterations),
-             ("final_loss", f"{float(np.mean(tail)):.8e}")]
-    return _write_artifact(out_dir, "flow.dwff", rows, save_flow, model)
+    return (model,), [("final_loss", f"{float(np.mean(tail)):.8e}")]
 
 
-def stage_generate(cfg: RunConfig, out_dir) -> str:
-    """Sample networks from the flow; recalibrate BN; write one DWFC file."""
-    # flow.dwff records only its width; the networks it was fit on have an
-    # architecture to check against the config's [arch].
-    networks, _ = _source(cfg, out_dir, "generate")
-    model, flow_sha = _load_input(out_dir, "flow.dwff", "generate", load_flow)
-    rows = [("stage", "generate"), ("count", cfg.generate_count),
-            ("input.flow", flow_sha)]
-    model_pca = None
-    if cfg.pca_mode != "off" and cfg.generate_count > 0:
-        model_pca, pca_sha = _load_pca(cfg, out_dir, "generate", len(networks))
-        rows.append(("input.pca", pca_sha))
-    name, source = ("flow.dwff", model.config) if model_pca is None else ("pca.dwfp", model_pca)
-    if (cfg.pca_mode == "off" or model_pca) and source.input_dim != cfg.arch.param_count():
-        raise DataError(f"stage generate: {name} makes {source.input_dim}-parameter networks, "
-                        f"but the config has {cfg.arch} with {cfg.arch.param_count()} "
-                        f"parameters (rerun `make-population`)")
-    wanted = vars(cfg.flow_config(model.config.input_dim))
-    changed = [f"{key} {value!r} in flow.dwff, {wanted[key]!r} in the config"
-               for key, value in vars(model.config).items() if value != wanted[key]]
-    if changed:
-        raise DataError("stage generate: flow.dwff was trained with another [flow]: "
-                        f"{'; '.join(changed)} (rerun `train-flow`)")
+def stage_generate(cfg: RunConfig, flow, pca=None):
+    """Sample networks from the flow and recalibrate their BN statistics."""
     train, test = load_task_data(cfg)
-    vectors = sample(model, cfg.generate_count, seed=cfg.seed)
-    if model_pca is not None:
-        vectors = pca_mod.inverse_transform(model_pca, vectors)
-    # Rows are (0, latent_dim) when nothing was sampled through a PCA.
+    vectors = sample(flow, cfg.generate_count, seed=cfg.seed)
+    if pca is not None:
+        vectors = pca_mod.inverse_transform(pca, vectors)
     params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
     pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
     for block in member_blocks(len(pop), cfg.arch, train.features.shape[0]):
@@ -281,22 +169,16 @@ def stage_generate(cfg: RunConfig, out_dir) -> str:
         if members.bn and cfg.recalibrate_bn:
             recalibrate(members, train, calib_fraction=cfg.calib_fraction)
         members.metrics[:] = [result.accuracy for result in evaluate(members, test)]
-    rows += [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
-             for i, accuracy in enumerate(pop.metrics.tolist())]
-    return _write_artifact(out_dir, "generated.dwfc", rows, save_population, pop)
+    return (pop,), [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
+                    for i, accuracy in enumerate(pop.metrics.tolist())]
 
 
-def stage_evaluate(cfg: RunConfig, out_dir) -> str:
+def stage_evaluate(cfg: RunConfig, population: Population, generated: Population):
     """Accuracy and diversity metrics for original vs generated networks."""
-    originals = _load_population(cfg, out_dir, "population.dwfc", "evaluate")
-    generated = _load_population(cfg, out_dir, "generated.dwfc", "evaluate")
     _, test = load_task_data(cfg)
-
-    orig_evals = evaluate(originals, test)
+    orig_evals = evaluate(population, test)
     orig_acc = np.array([r.accuracy for r in orig_evals])
-    rows = [("stage", "evaluate"),
-            ("input.generate", sha256_file(os.path.join(out_dir, "generate.manifest"))),
-            ("original_count", len(originals)),
+    rows = [("original_count", len(population)),
             ("generated_count", len(generated)),
             ("original_accuracy_mean", f"{orig_acc.mean():.6f}"),
             ("original_accuracy_std", f"{orig_acc.std():.6f}")]
@@ -316,21 +198,17 @@ def stage_evaluate(cfg: RunConfig, out_dir) -> str:
                 rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
         if cfg.metrics_distances:
             gen_matrix = generated.params.astype(np.float64)
-            dd = distribution_distances(originals.params.astype(np.float64), gen_matrix)
+            dd = distribution_distances(population.params.astype(np.float64), gen_matrix)
             rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
                      ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
-                     ("cosine", f"{dd.cosine:.6f}"),
-                     ("l2", f"{dd.l2:.6f}"),
-                     ("nn_mean", f"{dd.nn_mean:.6f}"),
-                     ("nn_std", f"{dd.nn_std:.6f}")]
+                     ("cosine", f"{dd.cosine:.6f}"), ("l2", f"{dd.l2:.6f}"),
+                     ("nn_mean", f"{dd.nn_mean:.6f}"), ("nn_std", f"{dd.nn_std:.6f}")]
             if len(generated) > 1:
                 rows.append(("generated_min_pairwise_l2",
                              f"{_min_pairwise_l2(gen_matrix):.6e}"))
     else:
         rows.append(("note", "no generated networks; diversity metrics skipped"))
-    path = os.path.join(out_dir, "metrics.txt")
-    write_manifest(path, rows)
-    return path
+    return (), rows
 
 
 def _min_pairwise_l2(m: np.ndarray) -> float:
@@ -339,56 +217,46 @@ def _min_pairwise_l2(m: np.ndarray) -> float:
                      for i in range(len(m) - 1)))
 
 
-def stage_report(cfg: RunConfig, out_dir) -> str:
+def stage_report(cfg: RunConfig, metrics: dict):
     """Human-readable accuracy table plus the max-IoU-vs-accuracy CSV."""
-    metrics_path = _require(os.path.join(out_dir, "metrics.txt"),
-                            "report", "evaluate")
-    m = read_manifest(metrics_path)
-    lines = [
-        "weightflow run report",
-        f"task: {cfg.task}",
-        f"canonicalize: {cfg.canonicalize_mode}   pca: {cfg.pca_mode}",
-        "",
-        "ensemble            mean      std      n",
-        "original          {:>8}  {:>7}  {:>5}".format(
-            m["original_accuracy_mean"], m["original_accuracy_std"],
-            m["original_count"]),
-    ]
-    if int(m["generated_count"]) > 0:
-        lines.append("generated         {:>8}  {:>7}  {:>5}".format(
-            m["generated_accuracy_mean"], m["generated_accuracy_std"],
-            m["generated_count"]))
-        if "max_iou_mean" in m:
-            lines += ["",
-                      f"max-IoU (generated vs original): {m['max_iou_mean']}"
-                      f" +/- {m['max_iou_std']}",
-                      "published reference max-IoU: "
-                      f"{REFERENCE_MAX_IOU[0]} +/- {REFERENCE_MAX_IOU[1]}"
-                      " (reported for context, not asserted)"]
-        if "generated_min_pairwise_l2" in m:
-            lines.append("min pairwise L2 among generated: "
-                         + m["generated_min_pairwise_l2"])
-    else:
-        lines.append("generated         (none: generation count was 0)")
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    m = metrics
 
-    csv_path = os.path.join(out_dir, "diversity.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("index,accuracy,max_iou\n")
+    def ensemble(label):
+        return "{:<18}{:>8}  {:>7}  {:>5}".format(label, *(
+            m[f"{label}_{key}"] for key in ("accuracy_mean", "accuracy_std", "count")))
+
+    try:
+        lines = ["weightflow run report", f"task: {cfg.task}",
+                 f"canonicalize: {cfg.canonicalize_mode}   pca: {cfg.pca_mode}", "",
+                 "ensemble            mean      std      n", ensemble("original")]
+        if int(m["generated_count"]) > 0:
+            lines.append(ensemble("generated"))
+            if "max_iou_mean" in m:
+                lines += ["",
+                          f"max-IoU (generated vs original): {m['max_iou_mean']}"
+                          f" +/- {m['max_iou_std']}",
+                          "published reference max-IoU: "
+                          f"{REFERENCE_MAX_IOU[0]} +/- {REFERENCE_MAX_IOU[1]}"
+                          " (reported for context, not asserted)"]
+            if "generated_min_pairwise_l2" in m:
+                lines.append("min pairwise L2 among generated: "
+                             + m["generated_min_pairwise_l2"])
+        else:
+            lines.append("generated         (none: generation count was 0)")
+        csv = ["index,accuracy,max_iou"]
         for key in sorted(m):
             if key.startswith("scatter_"):
                 acc, iou_v = m[key].split(",")
-                f.write(f"{int(key.split('_')[1])},{acc},{iou_v}\n")
-    write_manifest(os.path.join(out_dir, "report.manifest"),
-                   [("stage", "report"),
-                    ("input.metrics", sha256_file(metrics_path)),
-                    ("report", "report.txt"),
-                    ("sha256.report", sha256_file(report_path)),
-                    ("csv", "diversity.csv"),
-                    ("sha256.csv", sha256_file(csv_path))])
-    return report_path
+                csv.append(f"{int(key.split('_')[1])},{acc},{iou_v}")
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"stage report: malformed metrics.txt: {exc!r} "
+                        "(rerun `evaluate`)") from exc
+    return ("\n".join(lines) + "\n", "\n".join(csv) + "\n"), []
+
+
+def _save_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 STAGES = {
@@ -402,15 +270,146 @@ STAGES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The stage table and the runner
+
+
+class Stage(NamedTuple):
+    manifest: str
+    files: tuple  # ((file name, save(obj, path)), ...)
+    load: Callable | None  # reads the first file, or the manifest if none
+    inputs: Callable  # cfg -> {input name: upstream stage}
+    rows: Callable = lambda cfg: []  # cfg -> [(key, value)], the config rows it records
+
+
+def _fit_source(cfg: RunConfig) -> dict:
+    """PCA and the flow fit the aligned population, or the raw one."""
+    return {"population": ("make-population" if cfg.canonicalize_mode == "off"
+                           else "canonicalize")}
+
+
+def _with_pca(cfg: RunConfig, inputs: dict) -> dict:
+    return inputs if cfg.pca_mode == "off" else {**inputs, "pca": "fit-pca"}
+
+
+TABLE = {
+    "make-population": Stage(
+        "population.manifest", (("population.dwfc", save_population),), load_population,
+        lambda cfg: {},
+        lambda cfg: [("task", cfg.task), ("count", cfg.population_size),
+                     ("arch", cfg.arch)]),
+    "canonicalize": Stage(
+        "canonicalize.manifest", (("aligned.dwfc", save_population),), load_population,
+        lambda cfg: {"population": "make-population"},
+        lambda cfg: [("mode", cfg.canonicalize_mode),
+                     ("reference_index", cfg.reference_index)]),
+    "fit-pca": Stage(
+        "pca.manifest", (("pca.dwfp", save_pca),), load_pca,
+        lambda cfg: {} if cfg.pca_mode == "off" else _fit_source(cfg),
+        lambda cfg: [("mode", cfg.pca_mode), ("latent_dim", _latent_dim(cfg))]),
+    "train-flow": Stage(
+        "flow.manifest", (("flow.dwff", save_flow),), load_flow,
+        lambda cfg: _with_pca(cfg, _fit_source(cfg)),
+        lambda cfg: list(vars(_flow_config(cfg)).items())),
+    "generate": Stage(
+        "generate.manifest", (("generated.dwfc", save_population),), load_population,
+        lambda cfg: _with_pca(cfg, {"flow": "train-flow"}),
+        lambda cfg: [("count", cfg.generate_count)]),
+    "evaluate": Stage(
+        "metrics.txt", (), read_manifest,
+        lambda cfg: {"population": "make-population", "generated": "generate"}),
+    "report": Stage(
+        "report.manifest", (("report.txt", _save_text), ("diversity.csv", _save_text)),
+        None, lambda cfg: {"metrics": "evaluate"}),
+}
+
+
+def _path(out_dir, name, stage: str, producer: str):
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        raise DataError(f"stage {stage}: missing upstream artifact {path} "
+                        f"(run `{producer}` first)")
+    return path
+
+
+def _check_chain(cfg: RunConfig, out_dir, stage: str, upstream: str, seen: dict):
+    """Check the manifests above `upstream`, then its own: the config rows
+    and `input.*` rows the config implies, each the sha256 of that input's
+    manifest. Adds (manifest, its sha256) to `seen`."""
+    if upstream in seen:
+        return
+    spec = TABLE[upstream]
+    inputs = spec.inputs(cfg)
+    for producer in inputs.values():
+        _check_chain(cfg, out_dir, stage, producer, seen)
+    path = _path(out_dir, spec.manifest, stage, upstream)
+    m = read_manifest(path)
+    recorded = ", ".join(sorted(k[6:] for k in m if k.startswith("input."))) or "none"
+    wanted = spec.rows(cfg) + [("inputs", ", ".join(sorted(inputs)) or "none")]
+    found = {**m, "inputs": recorded}
+    changed = [f"{key} {found.get(key)}, but the config asks for {value}"
+               for key, value in wanted if found.get(key) != str(value)]
+    if changed:
+        name = spec.files[0][0] if spec.files else spec.manifest
+        raise DataError(f"stage {stage}: {name} has {'; '.join(changed)} "
+                        f"(rerun `{upstream}`)")
+    for name, producer in inputs.items():
+        if m[f"input.{name}"] != seen[producer][1]:
+            raise DataError(f"stage {stage}: {spec.manifest} was written from another "
+                            f"{TABLE[producer].manifest} (rerun `{upstream}`)")
+    seen[upstream] = m, sha256_file(path)
+
+
+def run_stage(cfg: RunConfig, out_dir, stage: str):
+    """Run `stage` into `out_dir` once the manifest chain upstream of it
+    holds; returns the path of its first file, or of its manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    spec, seen = TABLE[stage], {}
+    inputs = spec.inputs(cfg)
+    for producer in inputs.values():
+        _check_chain(cfg, out_dir, stage, producer, seen)
+    loaded = {}
+    for name, producer in inputs.items():  # load first: a cut file says so
+        up = TABLE[producer]
+        path = _path(out_dir, up.files[0][0] if up.files else up.manifest, stage, producer)
+        loaded[name] = up.load(path)
+        if up.files and sha256_file(path) != seen[producer][0].get("sha256"):
+            raise DataError(f"stage {stage}: {path} does not match the sha256 in "
+                            f"{up.manifest} (rerun `{producer}`)")
+    objects, rows = STAGES[stage](cfg, **loaded)
+    rows = ([("stage", stage)] + [(f"input.{name}", seen[producer][1])
+                                  for name, producer in inputs.items()]
+            + spec.rows(cfg) + rows)
+    moves = []  # (temporary path, final path), the manifest last
+    try:
+        written = []
+        for (name, save), obj in zip(spec.files, objects):
+            if obj is not None:
+                path = os.path.join(out_dir, name)
+                moves.append((path + ".tmp", path))
+                save(obj, path + ".tmp")
+                written.append((name, sha256_file(path + ".tmp")))
+        if spec.files:
+            rows.append(("artifact", ",".join(name for name, _ in written) or "none"))
+        if written:
+            rows.append(("sha256", ",".join(digest for _, digest in written)))
+        path = os.path.join(out_dir, spec.manifest)
+        moves.append((path + ".tmp", path))
+        write_manifest(path + ".tmp", rows)
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    return moves[0][1]
+
+
 def run_pipeline(cfg: RunConfig, out_dir=None):
     """Run every stage in order; returns the report path."""
     out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    stage_make_population(cfg, out_dir)
-    if cfg.canonicalize_mode != "off":
-        stage_canonicalize(cfg, out_dir)
-    stage_fit_pca(cfg, out_dir)
-    stage_train_flow(cfg, out_dir)
-    stage_generate(cfg, out_dir)
-    stage_evaluate(cfg, out_dir)
-    return stage_report(cfg, out_dir)
+    for stage in STAGES:
+        if stage != "canonicalize" or cfg.canonicalize_mode != "off":
+            path = run_stage(cfg, out_dir, stage)
+    return path

@@ -14,7 +14,7 @@ from weightflow.config import DataConfig, RunConfig, parse_config
 from weightflow.errors import ConfigError
 from weightflow.flow import FlowConfig
 from weightflow.nn_core import TrainHyper
-from weightflow.pipeline import read_manifest
+from weightflow.pipeline import STAGES, TABLE, read_manifest, sha256_file
 
 QUICK = """\
 [run]
@@ -202,9 +202,15 @@ class TestExitCodes:
          ["pca.dwfp has latent_dim 2", "asks for 1", "rerun `fit-pca`"]),
         ("generate", "", "integration_steps = 10",
          "integration_steps = 200\nsource_std = 5.0",
-         ["integration_steps 10 in flow.dwff, 200 in the config",
-          "source_std 0.01 in flow.dwff, 5.0 in the config", "rerun `train-flow`"])],
-        ids=["train-flow-latent_dim", "generate-latent_dim", "generate-flow"])
+         ["flow.dwff has ", "integration_steps 10, but the config asks for 200",
+          "source_std 0.01, but the config asks for 5.0", "rerun `train-flow`"]),
+        ("generate", "[pca]\nmode = standard\n", "mode = standard", "mode = off",
+         ["flow.dwff has ", "input_dim 2, but the config asks for 67",
+          "rerun `train-flow`"]),
+        ("train-flow", "[pca]\nmode = standard\n", "mode = standard", "mode = dual",
+         ["pca.dwfp has mode standard, but the config asks for dual", "rerun `fit-pca`"])],
+        ids=["train-flow-latent_dim", "generate-latent_dim", "generate-flow",
+             "generate-pca-off", "train-flow-pca-mode"])
     def test_other_config_than_the_model_is_3(self, tmp_path, capsys, stage, section,
                                               old, new, expected):
         out = tmp_path / "run"
@@ -220,6 +226,40 @@ class TestExitCodes:
         for text in expected:
             assert text in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_flow_from_an_older_population_is_3(self, quick_cfg, capsys):
+        # Each stage's own manifest matches its artifact; only the chain
+        # shows that the flow was trained before the population changed.
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        with open(cfg_path) as f:
+            text = f.read().replace("epochs = 10", "epochs = 3")
+        with open(cfg_path, "w") as f:
+            f.write(text)
+        assert main(["make-population", "--config", cfg_path]) == 0
+        assert main(["canonicalize", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage generate: ") and "Traceback" not in err
+        assert "flow.manifest" in err and "rerun `train-flow`" in err
+
+    @pytest.mark.parametrize("old,new", [("original_count=", "original_counts="),
+                                         ("generated_count=2", "generated_count=x")])
+    def test_malformed_metrics_is_3(self, quick_cfg, capsys, old, new):
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        path = os.path.join(out, "metrics.txt")
+        with open(path) as f:
+            text = f.read()
+        assert old in text
+        with open(path, "w") as f:
+            f.write(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["report", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "metrics.txt" in err and "rerun `evaluate`" in err
 
     def test_manifest_not_utf8_is_3(self, quick_cfg, capsys):
         cfg_path, out = quick_cfg
@@ -413,11 +453,31 @@ class TestStages:
         report = (out / "report.txt").read_text()
         assert "none" in report
 
-    def test_manifest_chains_hashes(self, quick_cfg):
-        cfg_path, out = quick_cfg
-        assert main(["run", "--config", cfg_path]) == 0
-        m = read_manifest(os.path.join(out, "flow.manifest"))
-        assert len(m["input.population"]) == 64  # sha256 hex
+    def test_manifest_chains_hashes(self, tmp_path):
+        # Every manifest of a finished run has exactly the input rows the
+        # stage table names, each the sha256 of that upstream manifest.
+        for label, section in (("on", "[pca]\nmode = standard\n"),
+                               ("off", "[canonicalize]\nmode = off\n")):
+            out = tmp_path / label
+            cfg_path = tmp_path / f"{label}.ini"
+            cfg_path.write_text(QUICK.format(out=out) + "\n" + section)
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            cfg = parse_config(cfg_path)
+            stages = [s for s in STAGES if s != "canonicalize" or label == "on"]
+            for stage in stages:
+                spec = TABLE[stage]
+                m = read_manifest(out / spec.manifest)
+                assert m["stage"] == stage
+                inputs = spec.inputs(cfg)
+                assert {k[len("input."):] for k in m if k.startswith("input.")} \
+                    == set(inputs), stage
+                for name, producer in inputs.items():
+                    assert m[f"input.{name}"] == sha256_file(
+                        out / TABLE[producer].manifest), (stage, name)
+            flow = read_manifest(out / "flow.manifest")
+            assert ("input.pca" in flow) == (label == "on")
+            assert flow["input.population"] == sha256_file(
+                out / ("canonicalize.manifest" if label == "on" else "population.manifest"))
 
     def test_rerun_stage_is_byte_identical(self, quick_cfg):
         cfg_path, out = quick_cfg
