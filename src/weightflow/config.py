@@ -1,11 +1,15 @@
 """Run configuration: flat key-value text with section headers.
 
-The schema is closed — unknown sections or keys are rejected so a typo'd
-config fails loudly instead of silently using a default. Values are plain
-scalars or comma-separated lists; booleans are 0/1. A key left out takes
-the default of the dataclass field it sets (`RunConfig`, `DataConfig`,
-`TrainHyper`, `FlowConfig`, `ArchitectureSpec`); the defaults are stated
-there and nowhere else.
+`_KEYS` is the whole schema: each `[section] key` names the dataclass field
+it sets (`RunConfig`, `DataConfig`, `ArchitectureSpec`, `TrainHyper`,
+`FlowConfig`). `parse_config` reads a config through it, and
+`section_rows` reads a parsed config back through it as the `section.key`
+rows that stage manifests record. The schema is closed — unknown sections
+(`[DEFAULT]` too) or keys are rejected so a typo'd config fails loudly
+instead of silently using a default. Values are plain scalars or
+comma-separated lists; booleans are 0/1. A key left out takes the default
+of the dataclass field it sets; the defaults are stated there and nowhere
+else.
 
 Keys by section (choices after a colon):
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .flow import TIME_DISTRIBUTIONS, FlowConfig
@@ -78,8 +82,7 @@ class RunConfig:
     out_dir: str = "run"
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
-    arch: ArchitectureSpec = field(
-        default_factory=lambda: ArchitectureSpec((4, 16, 3)))
+    arch: ArchitectureSpec = field(default_factory=ArchitectureSpec)
     population_size: int = 50
     base_seed: int = 100
     train_hyper: TrainHyper = field(default_factory=TrainHyper)
@@ -92,7 +95,7 @@ class RunConfig:
     pca_micro_batch: int = 16
     pca_exact_eigen: bool = False
     pca_batch_rows: int = 16
-    flow: dict = field(default_factory=dict)  # FlowConfig kwargs sans input_dim
+    flow: FlowConfig = field(default_factory=FlowConfig)
     generate_count: int = 50
     recalibrate_bn: bool = True
     calib_fraction: float = 1.0
@@ -125,13 +128,10 @@ class RunConfig:
             raise ConfigError("mnist task requires [data] mnist_* paths")
 
     def flow_config(self, input_dim: int) -> FlowConfig:
-        return FlowConfig(input_dim=input_dim, **self.flow)
+        return replace(self.flow, input_dim=input_dim)
 
 
-def _get(section, key, conv, default):
-    if key not in section:
-        return default
-    raw = section[key].strip()
+def _get(key, raw: str, conv):
     try:
         return conv(raw)
     except (ValueError, TypeError) as exc:
@@ -142,6 +142,14 @@ def _bool(raw: str) -> bool:
     if raw not in ("0", "1"):
         raise ValueError("expected 0 or 1")
     return raw == "1"
+
+
+def _line(raw: str) -> str:
+    """Text a manifest row can hold: configparser joins indented
+    continuation lines into one value."""
+    if "\n" in raw:
+        raise ValueError("expected one line")
+    return raw
 
 
 def _int_list(raw: str) -> tuple:
@@ -168,11 +176,18 @@ def _run_fields(**keys) -> dict:
     return {key: (RunConfig, name) for key, name in keys.items()}
 
 
-# [section] key -> (dataclass, field the key sets). A key's parser follows
-# the field's annotation, or its choices below.
+# RunConfig field -> the dataclass it holds, built from that class's keys.
+_PARTS = {"data": DataConfig, "arch": ArchitectureSpec, "train_hyper": TrainHyper,
+          "flow": FlowConfig}
+
+# The schema: [section] key -> (dataclass, field the key sets). A key's
+# parser follows the field's annotation, or its choices below.
 _KEYS = {
     "run": _run_fields(task="task", out_dir="out_dir", seed="seed"),
     "data": _same_names(DataConfig),
+    "arch": {"layer_dims": (ArchitectureSpec, "layer_dims"),
+             "activation": (ArchitectureSpec, "activation"),
+             "bn": (ArchitectureSpec, "bn_layers")},
     "population": {**_run_fields(size="population_size", base_seed="base_seed",
                                  init="init_scheme"),
                    **_same_names(TrainHyper)},
@@ -182,7 +197,7 @@ _KEYS = {
     "pca": _run_fields(mode="pca_mode", latent_dim="latent_dim",
                        micro_batch="pca_micro_batch",
                        exact_eigen="pca_exact_eigen", batch_rows="pca_batch_rows"),
-    "flow": _same_names(FlowConfig, "input_dim", "betas"),
+    "flow": _same_names(FlowConfig, "input_dim"),
     "generate": _run_fields(count="generate_count", recalibrate_bn="recalibrate_bn",
                             calib_fraction="calib_fraction"),
     "metrics": _run_fields(iou="metrics_iou", distances="metrics_distances"),
@@ -190,16 +205,8 @@ _KEYS = {
 _CHOICES = {"task": TASKS, "optimizer": OPTIMIZERS, "init_scheme": INIT_SCHEMES,
             "canonicalize_mode": CANON_MODES, "pca_mode": PCA_MODES,
             "time_distribution": TIME_DISTRIBUTIONS}
-_PARSERS = {"bool": _bool, "int": int, "float": float, "str": str,
-            "tuple": _float_list}
-
-_SCHEMA = {section: set(keys) for section, keys in _KEYS.items()}
-_SCHEMA["arch"] = {"layer_dims", "activation", "bn"}
-_SCHEMA["flow"] |= {"beta1", "beta2"}
-
-
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+_PARSERS = {"bool": _bool, "int": int, "float": float, "str": _line,
+            "tuple": _float_list, "tuple[int, ...]": _int_list}
 
 
 def _parser(cls, name):
@@ -208,61 +215,39 @@ def _parser(cls, name):
     return _PARSERS[next(f.type for f in fields(cls) if f.name == name)]
 
 
-def _parse_arch(section) -> ArchitectureSpec:
-    default = RunConfig().arch
-    layer_dims = _get(section, "layer_dims", _int_list, default.layer_dims)
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError(f"invalid layer_dims {layer_dims}")
-    n_hidden = len(layer_dims) - 2
-    bn = _get(section, "bn", _int_list, None)
-    if bn is not None:
-        if len(bn) == 1:
-            bn = bn * n_hidden
-        if len(bn) != n_hidden or any(v not in (0, 1) for v in bn):
-            raise ConfigError(f"bn must give one 0/1 flag per hidden layer, got {bn}")
-        bn = tuple(bool(v) for v in bn)
-    try:
-        return ArchitectureSpec(layer_dims,
-                                _get(section, "activation", str, default.activation),
-                                bn)
-    except ConfigError as exc:
-        raise ConfigError(f"invalid architecture: {exc}") from exc
-
-
 def parse_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header can spell "", so `[DEFAULT]` is an ordinary section
+    # (and an unknown one), not defaults copied into every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    kwargs = {cls: {} for cls in (RunConfig, *_PARTS.values())}
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        for key in parser[name]:
-            if key not in _SCHEMA[name]:
+        for key, raw in parser[name].items():
+            if key not in _KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            cls, fname = _KEYS[name][key]
+            kwargs[cls][fname] = _get(key, raw, _parser(cls, fname))
+    return RunConfig(**kwargs[RunConfig],
+                     **{fname: cls(**kwargs[cls]) for fname, cls in _PARTS.items()})
 
-    def sec(name):
-        return parser[name] if parser.has_section(name) else {}
 
-    kwargs = {RunConfig: {}, DataConfig: {}, TrainHyper: {}, FlowConfig: {}}
-    for name, keys in _KEYS.items():
-        section = sec(name)
-        for key, (cls, fname) in keys.items():
-            if key in section:
-                kwargs[cls][fname] = _get(section, key, _parser(cls, fname), None)
-
-    flow = {k: v for k, v in _defaults(FlowConfig).items() if k != "input_dim"}
-    flow.update(kwargs[FlowConfig])
-    beta1, beta2 = flow["betas"]
-    flow["betas"] = (_get(sec("flow"), "beta1", float, beta1),
-                     _get(sec("flow"), "beta2", float, beta2))
-
-    FlowConfig(input_dim=1, **flow)  # reject a bad [flow] before any stage runs
-    data = DataConfig(**kwargs[DataConfig])
-    return RunConfig(**kwargs[RunConfig], data=data, arch=_parse_arch(sec("arch")),
-                     train_hyper=TrainHyper(**kwargs[TrainHyper]), flow=flow)
+def section_rows(cfg: RunConfig, sections) -> list:
+    """(`section.key`, value) for every key of `sections`, read back from
+    `cfg` through the schema; all but `[run] out_dir`, which places a run
+    but does not shape it."""
+    parts = {cls: getattr(cfg, fname) for fname, cls in _PARTS.items()}
+    parts[RunConfig] = cfg
+    return [(f"{section}.{key}", getattr(parts[cls], fname))
+            for section in sections for key, (cls, fname) in _KEYS[section].items()
+            if (section, key) != ("run", "out_dir")]

@@ -48,13 +48,13 @@ from .rng import make_rng
 
 LN_EPS = 1e-5
 FLOW_MAGIC = b"DWFF"
-FLOW_VERSION = 1
+FLOW_VERSION = 2
 TIME_DISTRIBUTIONS = ("uniform", "beta")
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    input_dim: int
+    input_dim: int = 0  # 0 in `RunConfig.flow`; each stage sets the width
     hidden_dim: int = 256
     time_embed_dim: int = 4
     dropout: float = 0.1
@@ -66,7 +66,8 @@ class FlowConfig:
     batch_size: int = 8
     learning_rate: float = 5e-4
     weight_decay: float = 1e-5
-    betas: tuple = (0.9, 0.95)
+    beta1: float = 0.9               # Adam's moment decays
+    beta2: float = 0.95
     lr_min: float = 1e-6
     integration_steps: int = 100
 
@@ -87,8 +88,10 @@ class FlowConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         if self.time_distribution not in TIME_DISTRIBUTIONS:
             raise ConfigError(f"unknown time distribution {self.time_distribution!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -373,7 +376,8 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
             f"population dim {population.shape[1]} != config input_dim {cfg.input_dim}")
 
     model = init_flow_model(cfg, seed)
-    optimizer = _Adam([model.flat], cfg.betas, cfg.weight_decay, decoupled=True)
+    optimizer = _Adam([model.flat], (cfg.beta1, cfg.beta2), cfg.weight_decay,
+                      decoupled=True)
     grad = np.empty_like(model.flat)
     n = population.shape[0]
     batch = min(cfg.batch_size, n)
@@ -433,9 +437,10 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a DWFF container (see `checkpoint_io`). Header: one line per
-# FlowConfig field, scalars first as repr, then the pairs as comma-separated
-# reprs. Array: the flat parameter buffer as float32, in layout order.
+# Serialization: a DWFF container (see `checkpoint_io`), version 2. Header:
+# one line per FlowConfig field, scalars first as repr, then the pair
+# `time_beta` as comma-separated reprs. Array: the flat parameter buffer as
+# float32, in layout order.
 
 
 # FlowConfig field type -> parser of the header value save_flow writes.

@@ -54,9 +54,11 @@ class AttentionSpec:
 class ArchitectureSpec:
     """Layer widths, activation, and per-hidden-layer BN flags for an MLP."""
 
-    layer_dims: tuple
+    layer_dims: tuple[int, ...] = (4, 16, 3)
     activation: str = "relu"
-    bn_layers: tuple = None  # per hidden layer; defaults to all-False
+    # One 0/1 flag per hidden layer; a single flag applies to every hidden
+    # layer. Defaults to all-False.
+    bn_layers: tuple[int, ...] = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -66,15 +68,13 @@ class ArchitectureSpec:
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         n_hidden = len(dims) - 2
-        bn = self.bn_layers
-        if bn is None:
-            bn = (False,) * n_hidden
-        bn = tuple(bool(b) for b in bn)
-        if len(bn) != n_hidden:
-            raise ConfigError(
-                f"bn_layers needs {n_hidden} entries, got {len(bn)}"
-            )
-        object.__setattr__(self, "bn_layers", bn)
+        bn = (False,) if self.bn_layers is None else tuple(self.bn_layers)
+        if len(bn) == 1:
+            bn *= n_hidden
+        if len(bn) != n_hidden or any(b not in (0, 1) for b in bn):
+            raise ConfigError(f"bn_layers needs one 0/1 flag per hidden layer "
+                              f"({n_hidden}), got {bn}")
+        object.__setattr__(self, "bn_layers", tuple(bool(b) for b in bn))
 
     @property
     def num_layers(self) -> int:

@@ -2,15 +2,19 @@
 generate -> evaluate -> report, run by `run_stage` from the stage `TABLE`.
 
 A stage function writes nothing: from the config and its loaded inputs it
-returns (one object per file, manifest rows). Before it runs, `run_stage`
-walks the manifest chain above it: each manifest must record the current
-config rows and exactly the `input.*` rows the config implies, each the
-sha256 of that upstream manifest as it is now, else DataError names the
-furthest-upstream stage to rerun. Each input is then loaded and checked
-against its manifest's `sha256` row. Outputs are saved under temporary
-names, the manifest last, and moved into place with `os.replace` in that
-order; on failure the temporary files are removed. Reruns rewrite
-byte-identical files."""
+returns (one object per file, manifest rows). A stage's manifest records,
+as `section.key` rows (`config.section_rows`), every key of the config
+sections its `TABLE` entry names but `[run] out_dir`; each key is recorded
+by one stage, `run.seed` by make-population, which every other stage has
+upstream. Before a stage runs, `run_stage` walks the manifest chain above
+it: each manifest must record the current value of each of its keys and
+exactly the `input.*` rows the config implies, each the sha256 of that
+upstream manifest as it is now, else DataError names the furthest-upstream
+stage to rerun. Each input is then loaded and checked against its
+manifest's `sha256` row. Outputs are saved under temporary names, the
+manifest last, and moved into place with `os.replace` in that order; on
+failure the temporary files are removed. Reruns rewrite byte-identical
+files."""
 
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from . import pca as pca_mod
 from .bn_recalib import recalibrate
 from .canonicalize import canonicalize_population
 from .checkpoint_io import format_pairs, load_population, parse_pairs, save_population
-from .config import RunConfig
+from .config import RunConfig, section_rows
 from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
@@ -85,16 +89,6 @@ def load_task_data(cfg: RunConfig):
     return train, test
 
 
-def _latent_dim(cfg: RunConfig) -> int:
-    return cfg.latent_dim or default_latent_dim(cfg.population_size)
-
-
-def _flow_config(cfg: RunConfig):
-    """[flow] over the PCA latents, or over the flat networks when PCA is off."""
-    return cfg.flow_config(cfg.arch.param_count() if cfg.pca_mode == "off"
-                           else _latent_dim(cfg))
-
-
 # ---------------------------------------------------------------------------
 # Stages: pure functions of the config and the loaded inputs to (objects, rows)
 
@@ -133,7 +127,7 @@ def stage_fit_pca(cfg: RunConfig, population: Population | None = None):
     if cfg.pca_mode == "off":
         return (None,), []
     matrix = population.params.astype(np.float64)
-    n, k = matrix.shape[0], _latent_dim(cfg)
+    n, k = matrix.shape[0], cfg.latent_dim or default_latent_dim(cfg.population_size)
     if cfg.pca_mode == "standard":
         model = pca_mod.fit_standard(matrix, k)
     elif cfg.pca_mode == "incremental":
@@ -151,7 +145,7 @@ def stage_train_flow(cfg: RunConfig, population: Population, pca=None):
     matrix = population.params.astype(np.float64)
     if pca is not None:
         matrix = pca_mod.transform(pca, matrix)
-    model = train_flow(matrix, _flow_config(cfg), seed=cfg.seed)
+    model = train_flow(matrix, cfg.flow_config(matrix.shape[1]), seed=cfg.seed)
     tail = model.loss_history[-100:]
     return (model,), [("final_loss", f"{float(np.mean(tail)):.8e}")]
 
@@ -279,7 +273,7 @@ class Stage(NamedTuple):
     files: tuple  # ((file name, save(obj, path)), ...)
     load: Callable | None  # reads the first file, or the manifest if none
     inputs: Callable  # cfg -> {input name: upstream stage}
-    rows: Callable = lambda cfg: []  # cfg -> [(key, value)], the config rows it records
+    sections: tuple = ()  # the config sections whose keys its manifest records
 
 
 def _fit_source(cfg: RunConfig) -> dict:
@@ -295,29 +289,23 @@ def _with_pca(cfg: RunConfig, inputs: dict) -> dict:
 TABLE = {
     "make-population": Stage(
         "population.manifest", (("population.dwfc", save_population),), load_population,
-        lambda cfg: {},
-        lambda cfg: [("task", cfg.task), ("count", cfg.population_size),
-                     ("arch", cfg.arch)]),
+        lambda cfg: {}, ("run", "data", "arch", "population")),
     "canonicalize": Stage(
         "canonicalize.manifest", (("aligned.dwfc", save_population),), load_population,
-        lambda cfg: {"population": "make-population"},
-        lambda cfg: [("mode", cfg.canonicalize_mode),
-                     ("reference_index", cfg.reference_index)]),
+        lambda cfg: {"population": "make-population"}, ("canonicalize",)),
     "fit-pca": Stage(
         "pca.manifest", (("pca.dwfp", save_pca),), load_pca,
-        lambda cfg: {} if cfg.pca_mode == "off" else _fit_source(cfg),
-        lambda cfg: [("mode", cfg.pca_mode), ("latent_dim", _latent_dim(cfg))]),
+        lambda cfg: {} if cfg.pca_mode == "off" else _fit_source(cfg), ("pca",)),
     "train-flow": Stage(
         "flow.manifest", (("flow.dwff", save_flow),), load_flow,
-        lambda cfg: _with_pca(cfg, _fit_source(cfg)),
-        lambda cfg: list(vars(_flow_config(cfg)).items())),
+        lambda cfg: _with_pca(cfg, _fit_source(cfg)), ("flow",)),
     "generate": Stage(
         "generate.manifest", (("generated.dwfc", save_population),), load_population,
-        lambda cfg: _with_pca(cfg, {"flow": "train-flow"}),
-        lambda cfg: [("count", cfg.generate_count)]),
+        lambda cfg: _with_pca(cfg, {"flow": "train-flow"}), ("generate",)),
     "evaluate": Stage(
         "metrics.txt", (), read_manifest,
-        lambda cfg: {"population": "make-population", "generated": "generate"}),
+        lambda cfg: {"population": "make-population", "generated": "generate"},
+        ("metrics",)),
     "report": Stage(
         "report.manifest", (("report.txt", _save_text), ("diversity.csv", _save_text)),
         None, lambda cfg: {"metrics": "evaluate"}),
@@ -345,7 +333,8 @@ def _check_chain(cfg: RunConfig, out_dir, stage: str, upstream: str, seen: dict)
     path = _path(out_dir, spec.manifest, stage, upstream)
     m = read_manifest(path)
     recorded = ", ".join(sorted(k[6:] for k in m if k.startswith("input."))) or "none"
-    wanted = spec.rows(cfg) + [("inputs", ", ".join(sorted(inputs)) or "none")]
+    wanted = (section_rows(cfg, spec.sections)
+              + [("inputs", ", ".join(sorted(inputs)) or "none")])
     found = {**m, "inputs": recorded}
     changed = [f"{key} {found.get(key)}, but the config asks for {value}"
                for key, value in wanted if found.get(key) != str(value)]
@@ -379,7 +368,7 @@ def run_stage(cfg: RunConfig, out_dir, stage: str):
     objects, rows = STAGES[stage](cfg, **loaded)
     rows = ([("stage", stage)] + [(f"input.{name}", seen[producer][1])
                                   for name, producer in inputs.items()]
-            + spec.rows(cfg) + rows)
+            + section_rows(cfg, spec.sections) + rows)
     moves = []  # (temporary path, final path), the manifest last
     try:
         written = []

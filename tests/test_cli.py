@@ -10,7 +10,7 @@ import pytest
 
 from weightflow.checkpoint_io import load_population
 from weightflow.cli import main
-from weightflow.config import DataConfig, RunConfig, parse_config
+from weightflow.config import _KEYS, DataConfig, RunConfig, parse_config, section_rows
 from weightflow.errors import ConfigError
 from weightflow.flow import FlowConfig
 from weightflow.nn_core import TrainHyper
@@ -48,6 +48,22 @@ def quick_cfg(tmp_path):
     return str(cfg_path), str(out)
 
 
+def _files(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture
+def full_run(tmp_path):
+    """A finished QUICK run with BN, Re-Basin and PCA on, so that every stage
+    runs and every key shapes some artifact: (config path, run directory)."""
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(QUICK.format(out=out).replace(
+        "layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1") + "\n[pca]\nmode = standard\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    return cfg_path, out
+
+
 class TestConfig:
     def test_parse_defaults(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -55,7 +71,7 @@ class TestConfig:
         cfg = parse_config(p)
         assert cfg.task == "iris"
         assert cfg.population_size == 50
-        assert cfg.flow["hidden_dim"] == 256
+        assert cfg.flow.hidden_dim == 256
 
     def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -64,8 +80,7 @@ class TestConfig:
         for parsed, default in ((cfg, RunConfig()), (cfg.data, DataConfig()),
                                 (cfg.train_hyper, TrainHyper())):
             for f in fields(default):
-                if f.name != "flow":  # FlowConfig kwargs, checked below
-                    assert getattr(parsed, f.name) == getattr(default, f.name), f.name
+                assert getattr(parsed, f.name) == getattr(default, f.name), f.name
         assert cfg.flow_config(7) == FlowConfig(input_dim=7)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -75,16 +90,32 @@ class TestConfig:
             parse_config(p)
 
     def test_unknown_section_rejected(self, tmp_path):
+        # configparser would copy [DEFAULT] keys into every section, past
+        # the closed schema: here into both learning rates.
         p = tmp_path / "c.ini"
-        p.write_text("[nope]\nx = 1\n")
-        with pytest.raises(ConfigError, match="unknown section"):
-            parse_config(p)
+        for text, name in (("[nope]\nx = 1\n", "nope"),
+                           ("[DEFAULT]\nbogus = 1\n", "DEFAULT"),
+                           ("[DEFAULT]\nlearning_rate = 0.5\n[population]\nsize = 2\n"
+                            "[flow]\nhidden_dim = 8\n", "DEFAULT")):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=rf"unknown section \[{name}\]"):
+                parse_config(p)
+
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        p.write_bytes(b"[run]\ntask = \xff\n")
+        assert main(["report", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
 
     def test_bad_value(self, tmp_path):
+        # A value over two lines would break the manifest row recording it.
         p = tmp_path / "c.ini"
-        p.write_text("[population]\nsize = many\n")
-        with pytest.raises(ConfigError):
-            parse_config(p)
+        for text in ("[population]\nsize = many\n",
+                     "[data]\nmnist_train_images = a\n  b\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="bad value for"):
+                parse_config(p)
 
     def test_mnist_requires_paths(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -169,14 +200,14 @@ class TestExitCodes:
         assert main([stage, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage {stage}: ") and "Traceback" not in err
-        assert "layer_dims=(4, 6, 3)" in err and "rerun `make-population`" in err
-        if stage != "generate":
-            assert "layer_dims=(4, 8, 3)" in err
+        assert ("population.dwfc has arch.layer_dims (4, 8, 3), but the config asks "
+                "for (4, 6, 3)") in err and "rerun `make-population`" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_other_activation_than_the_flow_is_3(self, quick_cfg, capsys):
         # The flow's file records only a width, which an activation change
-        # keeps; generate checks the networks the flow was fit on instead.
+        # keeps; generate checks the manifest of the networks the flow was
+        # fit on instead.
         cfg_path, out = quick_cfg
         assert main(["run", "--config", cfg_path]) == 0
         before = {name: open(os.path.join(out, name), "rb").read()
@@ -189,26 +220,30 @@ class TestExitCodes:
         assert main(["generate", "--config", cfg_path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: stage generate: ") and "Traceback" not in err
-        assert "activation='relu'" in err and "activation='gelu'" in err
+        assert "arch.activation relu, but the config asks for gelu" in err
+        assert "rerun `make-population`" in err
         assert {name: open(os.path.join(out, name), "rb").read()
                 for name in os.listdir(out)} == before
 
     @pytest.mark.parametrize("stage,section,old,new,expected", [
         ("train-flow", "[pca]\nmode = standard\n", "mode = standard",
          "mode = standard\nlatent_dim = 1",
-         ["pca.dwfp has latent_dim 2", "asks for 1", "rerun `fit-pca`"]),
+         ["pca.dwfp has pca.latent_dim 0, but the config asks for 1",
+          "rerun `fit-pca`"]),
         ("generate", "[pca]\nmode = standard\n", "mode = standard",
          "mode = standard\nlatent_dim = 1",
-         ["pca.dwfp has latent_dim 2", "asks for 1", "rerun `fit-pca`"]),
+         ["pca.dwfp has pca.latent_dim 0, but the config asks for 1",
+          "rerun `fit-pca`"]),
         ("generate", "", "integration_steps = 10",
          "integration_steps = 200\nsource_std = 5.0",
-         ["flow.dwff has ", "integration_steps 10, but the config asks for 200",
-          "source_std 0.01, but the config asks for 5.0", "rerun `train-flow`"]),
+         ["flow.dwff has ", "flow.integration_steps 10, but the config asks for 200",
+          "flow.source_std 0.01, but the config asks for 5.0", "rerun `train-flow`"]),
         ("generate", "[pca]\nmode = standard\n", "mode = standard", "mode = off",
-         ["flow.dwff has ", "input_dim 2, but the config asks for 67",
+         ["flow.dwff has ", "inputs pca, population, but the config asks for population",
           "rerun `train-flow`"]),
         ("train-flow", "[pca]\nmode = standard\n", "mode = standard", "mode = dual",
-         ["pca.dwfp has mode standard, but the config asks for dual", "rerun `fit-pca`"])],
+         ["pca.dwfp has pca.mode standard, but the config asks for dual",
+          "rerun `fit-pca`"])],
         ids=["train-flow-latent_dim", "generate-latent_dim", "generate-flow",
              "generate-pca-off", "train-flow-pca-mode"])
     def test_other_config_than_the_model_is_3(self, tmp_path, capsys, stage, section,
@@ -226,6 +261,38 @@ class TestExitCodes:
         for text in expected:
             assert text in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("keys,flags,stage,expected,rerun", [
+        ({}, ["--seed", "5"], "evaluate",
+         "population.dwfc has run.seed 1, but the config asks for 5", "make-population"),
+        ({"population.epochs": "1"}, [], "canonicalize",
+         "population.dwfc has population.epochs 10, but the config asks for 1",
+         "make-population"),
+        ({"canonicalize.max_iter": "1"}, [], "fit-pca",
+         "aligned.dwfc has canonicalize.max_iter 100, but the config asks for 1",
+         "canonicalize"),
+        ({"pca.batch_rows": "2"}, [], "train-flow",
+         "pca.dwfp has pca.batch_rows 16, but the config asks for 2", "fit-pca"),
+        ({"data.blobs_spread": "3.0"}, [], "generate",
+         "population.dwfc has data.blobs_spread 1.0, but the config asks for 3.0",
+         "make-population"),
+        ({"generate.recalibrate_bn": "0"}, [], "evaluate",
+         "generated.dwfc has generate.recalibrate_bn True, but the config asks for False",
+         "generate"),
+        ({"metrics.iou": "0"}, [], "report",
+         "metrics.txt has metrics.iou True, but the config asks for False", "evaluate")],
+        ids=["seed", "epochs", "max_iter", "batch_rows", "blobs_spread",
+             "recalibrate_bn", "iou"])
+    def test_stale_upstream_is_3(self, full_run, capsys, keys, flags, stage,
+                                 expected, rerun):
+        cfg_path, out = full_run
+        before = _files(out)
+        cfg_path.write_text(_set_keys(cfg_path.read_text(), **keys))
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path), *flags]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: stage {stage}: {expected} (rerun `{rerun}`)\n"
+        assert _files(out) == before
 
     def test_flow_from_an_older_population_is_3(self, quick_cfg, capsys):
         # Each stage's own manifest matches its artifact; only the chain
@@ -353,6 +420,34 @@ def _set_keys(text: str, **keys) -> str:
 
 BN = {"arch.bn": "1"}
 
+# For every key that a `full_run` records but the two modes: another value
+# that the schema accepts there.
+OTHER_VALUES = {
+    "run.task": "iris", "run.seed": "2",
+    "data.test_fraction": "0.3", "data.limit": "5",
+    "data.mnist_train_images": "a.idx", "data.mnist_train_labels": "b.idx",
+    "data.mnist_test_images": "c.idx", "data.mnist_test_labels": "d.idx",
+    "data.blobs_classes": "2", "data.blobs_per_class": "20", "data.blobs_dim": "5",
+    "data.blobs_spread": "3.0",
+    "arch.layer_dims": "4,8,5,3", "arch.activation": "gelu", "arch.bn": "0",
+    "population.size": "4", "population.base_seed": "11", "population.init": "xavier",
+    "population.optimizer": "sgd", "population.learning_rate": "0.01",
+    "population.weight_decay": "0.1", "population.batch_size": "8",
+    "population.epochs": "1",
+    "canonicalize.reference_index": "1", "canonicalize.max_iter": "1",
+    "pca.latent_dim": "1", "pca.micro_batch": "2", "pca.exact_eigen": "1",
+    "pca.batch_rows": "2",
+    "flow.hidden_dim": "8", "flow.time_embed_dim": "2", "flow.dropout": "0.2",
+    "flow.noise_scale": "0.01", "flow.source_std": "0.1",
+    "flow.time_distribution": "beta", "flow.time_beta": "2,3", "flow.iterations": "50",
+    "flow.batch_size": "4", "flow.learning_rate": "0.001", "flow.weight_decay": "0.001",
+    "flow.beta1": "0.8", "flow.beta2": "0.9", "flow.lr_min": "0",
+    "flow.integration_steps": "5",
+    "generate.count": "3", "generate.recalibrate_bn": "0",
+    "generate.calib_fraction": "0.5",
+    "metrics.iou": "0", "metrics.distances": "0",
+}
+
 
 class TestDegenerateFlowConfig:
     @pytest.mark.parametrize("keys", [
@@ -400,7 +495,7 @@ class TestDegenerateFlowConfig:
         ("time_beta", (2.0, 0.0)), ("time_beta", (math.inf, 5.0)),
         ("time_beta", (2.0,)), ("lr_min", -1e-6), ("lr_min", math.nan),
         ("weight_decay", -1.0), ("weight_decay", math.inf),
-        ("betas", (1.0, 0.95)), ("betas", (0.9, -0.1)), ("betas", (0.9, math.nan)),
+        ("beta1", 1.0), ("beta2", -0.1), ("beta2", math.nan),
     ])
     def test_flow_config_rejects(self, field, value):
         with pytest.raises(ConfigError):
@@ -408,7 +503,7 @@ class TestDegenerateFlowConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("hidden_dim", 2), ("time_embed_dim", 1), ("batch_size", 1),
-        ("lr_min", 0.0), ("weight_decay", 0.0), ("betas", (0.0, 0.0)),
+        ("lr_min", 0.0), ("weight_decay", 0.0), ("beta1", 0.0), ("beta2", 0.0),
     ])
     def test_flow_config_accepts_edges(self, field, value):
         FlowConfig(input_dim=4, **{field: value})
@@ -419,7 +514,7 @@ class TestStages:
         cfg_path, out = quick_cfg
         assert main(["make-population", "--config", cfg_path]) == 0
         m = read_manifest(os.path.join(out, "population.manifest"))
-        assert m["count"] == "3"
+        assert m["population.size"] == "3"
         assert m["seed_0000"] == "10"
         assert m["artifact"] == "population.dwfc"
         assert len(load_population(os.path.join(out, m["artifact"]))) == 3
@@ -479,6 +574,32 @@ class TestStages:
             assert flow["input.population"] == sha256_file(
                 out / ("canonicalize.manifest" if label == "on" else "population.manifest"))
 
+    def test_manifests_record_every_key_once(self, full_run, capsys):
+        cfg_path, out = full_run
+        recorded = {}  # section.key -> (stage that records it, recorded value)
+        for spec in TABLE.values():
+            m = read_manifest(out / spec.manifest)
+            for key in m:
+                if "." in key and not key.startswith("input."):
+                    assert key not in recorded, (key, m["stage"])
+                    recorded[key] = m["stage"], m[key]
+        assert set(recorded) == {f"{section}.{key}" for section, keys in _KEYS.items()
+                                 for key in keys} - {"run.out_dir"}
+        # Each key but the two modes, which rewire the chain, at another
+        # valid value: report must name it and the stage to rerun.
+        assert set(OTHER_VALUES) == set(recorded) - {"canonicalize.mode", "pca.mode"}
+        text, before = cfg_path.read_text(), _files(out)
+        for key, value in OTHER_VALUES.items():
+            cfg_path.write_text(_set_keys(text, **{key: value}))
+            asked = dict(section_rows(parse_config(cfg_path), _KEYS))[key]
+            stage, old = recorded[key]
+            capsys.readouterr()
+            assert main(["report", "--config", str(cfg_path)]) == 3, key
+            err = capsys.readouterr().err
+            assert f"has {key} {old}, but the config asks for {asked} (rerun `{stage}`)" \
+                in err, err
+            assert _files(out) == before, key
+
     def test_rerun_stage_is_byte_identical(self, quick_cfg):
         cfg_path, out = quick_cfg
         assert main(["make-population", "--config", cfg_path]) == 0
@@ -518,15 +639,20 @@ class TestStages:
         assert len(load_population(tmp_path / "one_block" / "generated.dwfc")) == 5
         assert runs["one_block"] == runs["one_member_each"]
 
-    def test_seed_override_changes_samples(self, quick_cfg):
+    def test_seed_override_changes_samples(self, quick_cfg, tmp_path, capsys):
+        # The seed also picks the data draw every stage uses, so another
+        # seed is another run from make-population, not another generate.
         cfg_path, out = quick_cfg
-        for cmd in ("make-population", "canonicalize", "fit-pca", "train-flow"):
-            assert main([cmd, "--config", cfg_path]) == 0
-        assert main(["generate", "--config", cfg_path]) == 0
-        path = os.path.join(out, "generated.dwfc")
-        a = load_population(path).params
-        assert main(["generate", "--config", cfg_path, "--seed", "99"]) == 0
-        b = load_population(path).params
+        assert main(["run", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg_path, "--seed", "99"]) == 3
+        err = capsys.readouterr().err
+        assert "population.dwfc has run.seed 1, but the config asks for 99" in err
+        assert "rerun `make-population`" in err
+        other = tmp_path / "seed99"
+        assert main(["run", "--config", cfg_path, "--seed", "99", "--out", str(other)]) == 0
+        a = load_population(os.path.join(out, "generated.dwfc")).params
+        b = load_population(other / "generated.dwfc").params
         assert not np.array_equal(a, b)
 
     def test_out_flag_overrides(self, quick_cfg, tmp_path):

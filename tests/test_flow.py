@@ -315,7 +315,7 @@ class TestSample:
         assert sample(model, 0, seed=0).shape == (0, 4)
 
 
-# The DWFF header of TINY: its FlowConfig, scalars first, then the pairs.
+# The DWFF header of TINY: its FlowConfig, scalars first, then the pair.
 TINY_HEADER = """\
 input_dim=4
 hidden_dim=8
@@ -328,11 +328,21 @@ iterations=50
 batch_size=4
 learning_rate=0.0005
 weight_decay=1e-05
+beta1=0.9
+beta2=0.95
 lr_min=1e-06
 integration_steps=100
 time_beta=2.0,5.0
-betas=0.9,0.95
 """
+
+
+def tiny_bytes(model, version=2) -> bytes:
+    """The DWFF file of a TINY model, written by hand."""
+    header = TINY_HEADER.encode()
+    blob = b"DWFF" + struct.pack("<II", version, len(header)) + header
+    for name, _ in _param_layout(TINY):
+        blob += b"".join(struct.pack("<f", v) for v in model.params[name].ravel())
+    return blob
 
 
 class TestSerialization:
@@ -340,11 +350,13 @@ class TestSerialization:
         model = train_flow(np.random.default_rng(0).normal(size=(6, 4)), TINY, seed=0)
         path = tmp_path / "m.dwff"
         save_flow(model, path)
-        header = TINY_HEADER.encode()
-        blob = b"DWFF" + struct.pack("<II", 1, len(header)) + header
-        for name, _ in _param_layout(TINY):
-            blob += b"".join(struct.pack("<f", v) for v in model.params[name].ravel())
-        assert path.read_bytes() == blob
+        assert path.read_bytes() == tiny_bytes(model)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.dwff"
+        path.write_bytes(tiny_bytes(init_flow_model(TINY, seed=0), 1))
+        with pytest.raises(DataError, match="unsupported version 1"):
+            load_flow(path)
 
     def test_round_trip(self, tmp_path):
         pop = np.random.default_rng(0).normal(size=(6, 4))

@@ -53,6 +53,14 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_population(ArchitectureSpec((4, 4, 3)), [0], "bogus")
 
+    def test_single_bn_flag_broadcasts(self):
+        assert ArchitectureSpec((4, 8, 8, 3), bn_layers=(1,)).bn_layers == (True, True)
+
+    @pytest.mark.parametrize("bn", [(2,), (1, 0, 1)])
+    def test_bad_bn_flags(self, bn):
+        with pytest.raises(ConfigError, match="one 0/1 flag per hidden layer"):
+            ArchitectureSpec((4, 8, 8, 3), bn_layers=bn)
+
     def test_kaiming_scale(self):
         arch = ArchitectureSpec((200, 300, 3))
         net = init_population(arch, [0], "kaiming")
