@@ -26,6 +26,10 @@ GELU cdf, filled by in-place ufuncs and `matmul(..., out=)` in the
 operation order of the plain expressions, so the values are the same bit
 for bit. `sample` allocates one workspace for all of its RK4 field calls
 and `train_flow` one for all steps; a call without one gets a fresh one.
+A training workspace also holds the dropout masks, views of one flat buffer
+that each step refills with one uniform draw turned in place into 0 and
+1/keep entries, and the flat gradient buffer with its name -> view dict,
+built once and filled by every backward pass.
 Fresh arrays of this size go back to the operating system when freed and
 are page-faulted in again on the next call; reusing the buffers removes
 that system time. The returned velocity is always a new array, so RK4's
@@ -177,24 +181,35 @@ def _time_embed_forward(p, t):
 def _time_embed_backward(p, cache, d_out, grads):
     t, h1, a1 = cache
     np.matmul(d_out.T, a1, out=grads["time.w2"])
-    np.sum(d_out, axis=0, out=grads["time.b2"])
+    np.add.reduce(d_out, axis=0, out=grads["time.b2"])
     da1 = d_out @ p["time.w2"]
     dh1 = da1 * gelu_grad(h1)
     np.matmul(dh1.T, t, out=grads["time.w1"])
-    np.sum(dh1, axis=0, out=grads["time.b1"])
+    np.add.reduce(dh1, axis=0, out=grads["time.b1"])
 
 
 class FlowWorkspace:
     """float64 buffers for every trunk intermediate of `flow_forward` at one
     batch size: the [x, t_emb] input and, per trunk layer, the
     pre-activation (overwritten by the activation), xhat, the LayerNorm
-    output and its GELU cdf."""
+    output and its GELU cdf. A `training` workspace also holds the dropout
+    masks, per trunk layer a view of one flat buffer that `_dropout_masks`
+    fills with one draw, and the flat gradient buffer `grad` with its
+    `_views`, `grads`, which `flow_backward` fills."""
 
-    def __init__(self, cfg: FlowConfig, batch: int):
+    def __init__(self, cfg: FlowConfig, batch: int, training: bool = False):
         self.batch = batch
         self.h0 = np.empty((batch, cfg.trunk_input_dim))
         self.act, self.xhat, self.ln, self.cdf = (
             [np.empty((batch, d)) for d in cfg.trunk_dims] for _ in range(4))
+        self.mask_draw = self.masks = self.grad = self.grads = None
+        if training:
+            self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
+            ends = np.cumsum(cfg.trunk_dims[:-1]) * batch
+            self.masks = [block.reshape(batch, -1)
+                          for block in np.split(self.mask_draw, ends)]
+            self.grad = np.empty(_param_count(cfg))
+            self.grads = _views(self.grad, cfg)
 
 
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
@@ -233,7 +248,7 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         ln, cdf = workspace.ln[i], workspace.cdf[i]
         pre = np.matmul(h, p[f"trunk.w{i}"].T, out=act)
         pre += p[f"trunk.b{i}"]
-        mu = pre.mean(axis=1, keepdims=True)
+        mu = np.add.reduce(pre, axis=1, keepdims=True) / width
         centred = np.subtract(pre, mu, out=xhat)
         # ndarray.var's own steps on the centred values; ln is scratch here.
         var = np.add.reduce(np.multiply(centred, centred, out=ln),
@@ -257,19 +272,20 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
 
 def flow_backward(model: FlowModel, cache, dv: np.ndarray,
                   dropout_masks: list | None = None,
-                  out: np.ndarray | None = None) -> dict:
+                  out: np.ndarray | dict | None = None) -> dict:
     """Parameter gradients given upstream dL/dv: name -> view into the flat
     gradient buffer `out` (same layout as `model.flat`; a new one when None),
-    every element of which is overwritten."""
+    every element of which is overwritten. `out` may also be the `_views`
+    of such a buffer, which a training workspace builds once for all steps."""
     cfg = model.config
     p = model.params
     t_cache, trunk_caches, last_h = cache
     if out is None:
         out = np.empty_like(model.flat)
-    grads = _views(out, cfg)
+    grads = out if isinstance(out, dict) else _views(out, cfg)
 
     np.matmul(dv.T, last_h, out=grads["out.w"])
-    np.sum(dv, axis=0, out=grads["out.b"])
+    np.add.reduce(dv, axis=0, out=grads["out.b"])
     dh = dv @ p["out.w"]
     for i in reversed(range(len(cfg.trunk_dims))):
         h_in, xhat, inv_std, ln, cdf = trunk_caches[i]
@@ -278,16 +294,17 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
         else:
             dact = dh
         dln = dact * gelu_grad(ln, cdf)
-        np.sum(dln * xhat, axis=0, out=grads[f"trunk.ln_g{i}"])
-        np.sum(dln, axis=0, out=grads[f"trunk.ln_b{i}"])
+        np.add.reduce(dln * xhat, axis=0, out=grads[f"trunk.ln_g{i}"])
+        np.add.reduce(dln, axis=0, out=grads[f"trunk.ln_b{i}"])
         dxhat = dln * p[f"trunk.ln_g{i}"]
+        width = dxhat.shape[1]
         dpre = inv_std * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / width
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / width)
         )
         np.matmul(dpre.T, h_in, out=grads[f"trunk.w{i}"])
-        np.sum(dpre, axis=0, out=grads[f"trunk.b{i}"])
+        np.add.reduce(dpre, axis=0, out=grads[f"trunk.b{i}"])
         w = p[f"trunk.w{i}"]
         # Layer 0's input is [x, t_emb]; only the t_emb columns need a gradient.
         dh = dpre @ (w if i else w[:, cfg.input_dim:])
@@ -299,11 +316,12 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
 def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                       t: np.ndarray, eps: np.ndarray,
                       dropout_masks: list | None = None,
-                      out: np.ndarray | None = None,
+                      out: np.ndarray | dict | None = None,
                       workspace: FlowWorkspace | None = None):
     """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients,
-    views into the flat gradient buffer `out` (a new one when None). The
-    forward runs in `workspace` (a new one when None).
+    views into the flat gradient buffer `out` (a new one when None; or its
+    views, as `flow_backward` takes them). The forward runs in `workspace`
+    (a new one when None).
 
     x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0.
     """
@@ -333,32 +351,40 @@ def _sample_time(cfg: FlowConfig, rng, size: int) -> np.ndarray:
     return rng.beta(a, b, size)
 
 
-def _dropout_masks(cfg: FlowConfig, rng, batch: int):
+def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace):
+    """The training workspace's dropout masks, redrawn: each entry is 1/keep
+    with probability keep, else 0. One uniform draw fills them in place.
+    None without dropout."""
     if cfg.dropout == 0.0:
         return None
     keep = 1.0 - cfg.dropout
-    return [rng.binomial(1, keep, size=(batch, d)) / keep for d in cfg.trunk_dims]
+    draw = rng.random(out=workspace.mask_draw)
+    np.less(draw, keep, out=draw)
+    draw *= 1.0 / keep
+    return workspace.masks
 
 
 def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
-                     rngs: dict, grad: np.ndarray,
-                     workspace: FlowWorkspace | None = None) -> float:
+                     rngs: dict, workspace: FlowWorkspace | None = None) -> float:
     """One optimizer step on a batch of target vectors; returns the loss.
-    `grad` is the flat gradient buffer, overwritten; the forward runs in
-    `workspace` (a new one when None)."""
+    The step runs in the training `workspace` (a new one when None): its
+    masks are redrawn and its gradient buffer overwritten."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
     b, d = x1.shape
+    if workspace is None:
+        workspace = FlowWorkspace(cfg, b, training=True)
     t = _sample_time(cfg, rngs["time"], b)
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
-    masks = _dropout_masks(cfg, rngs["dropout"], b)
-    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, grad, workspace)
+    masks = _dropout_masks(cfg, rngs["dropout"], workspace)
+    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, workspace.grads,
+                                workspace)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
-    optimizer.step([grad], _cosine_lr(cfg, optimizer.t))
+    optimizer.step([workspace.grad], _cosine_lr(cfg, optimizer.t))
     return loss
 
 
@@ -378,10 +404,9 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     model = init_flow_model(cfg, seed)
     optimizer = _Adam([model.flat], (cfg.beta1, cfg.beta2), cfg.weight_decay,
                       decoupled=True)
-    grad = np.empty_like(model.flat)
     n = population.shape[0]
     batch = min(cfg.batch_size, n)
-    workspace = FlowWorkspace(cfg, batch)
+    workspace = FlowWorkspace(cfg, batch, training=True)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -394,8 +419,7 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
             idx = rngs["batch"].integers(0, n, size=batch)
-            loss = fm_training_step(model, optimizer, population[idx], rngs, grad,
-                                    workspace)
+            loss = fm_training_step(model, optimizer, population[idx], rngs, workspace)
             model.loss_history.append(loss)
     return model
 

@@ -206,9 +206,19 @@ def stage_evaluate(cfg: RunConfig, population: Population, generated: Population
 
 
 def _min_pairwise_l2(m: np.ndarray) -> float:
-    """Smallest L2 distance between two rows of m, one row at a time."""
-    return float(min(np.linalg.norm(m[i] - m[i + 1:], axis=1).min()
-                     for i in range(len(m) - 1)))
+    """Smallest L2 distance between two rows of m, one row at a time: each
+    row's differences to the later rows go into one reused buffer and are
+    squared and summed in place, as `np.linalg.norm` does, and one sqrt of
+    the smallest sum follows. sqrt is monotone and correctly rounded, so
+    this is the smallest of the norms bit for bit."""
+    n = len(m)
+    diff = np.empty((n - 1, m.shape[1]), dtype=m.dtype)
+
+    def nearest_squared(i):
+        d = np.subtract(m[i], m[i + 1:], out=diff[:n - 1 - i])
+        return np.add.reduce(np.multiply(d, d, out=d), axis=1).min()
+
+    return float(np.sqrt(min(nearest_squared(i) for i in range(n - 1))))
 
 
 def stage_report(cfg: RunConfig, metrics: dict):

@@ -77,7 +77,8 @@ class TestWorkspace:
         model = init_flow_model(WIDE, seed=4)
         x1, x0 = rng.normal(size=(9, 6)), rng.normal(0, 0.01, size=(9, 6))
         t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
-        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), 9)
+        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"),
+                               FlowWorkspace(WIDE, 9, training=True))
         x_t = (1.0 - t[:, None]) * x0 + t[:, None] * x1 + eps
         v_ref, cache = reference_forward(model, x_t, t, masks)
         assert np.array_equal(flow_forward(model, x_t, t, masks), v_ref)
@@ -262,6 +263,47 @@ class TestTrain:
     def test_wrong_buffer_size_rejected(self):
         with pytest.raises(ArgumentError):
             FlowModel(TINY, np.zeros(3))
+
+
+class TestDropout:
+    def test_mask_values_are_zero_or_inverse_keep(self):
+        ws = FlowWorkspace(WIDE, 9, training=True)
+        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
+        assert [m.shape for m in masks] == [(9, d) for d in WIDE.trunk_dims]
+        keep = 1.0 - WIDE.dropout
+        for m in masks:
+            assert set(np.unique(m)) <= {0.0, 1.0 / keep}
+
+    def test_kept_fraction_within_binomial_bound(self):
+        ws = FlowWorkspace(WIDE, 50, training=True)
+        rng = make_rng(1, "flow-dropout")
+        keep, kept, total = 1.0 - WIDE.dropout, 0, 0
+        for _ in range(200):
+            masks = _dropout_masks(WIDE, rng, ws)
+            kept += sum(int(np.count_nonzero(m)) for m in masks)
+            total += sum(m.size for m in masks)
+        # Six standard deviations of a Binomial(total, keep) count.
+        assert abs(kept - keep * total) <= 6.0 * math.sqrt(total * keep * (1.0 - keep))
+
+    def test_redrawn_each_step(self):
+        ws = FlowWorkspace(WIDE, 9, training=True)
+        rng = make_rng(2, "flow-dropout")
+        first = [m.copy() for m in _dropout_masks(WIDE, rng, ws)]
+        second = _dropout_masks(WIDE, rng, ws)
+        assert not all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_no_dropout_gives_none(self):
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3, dropout=0.0)
+        assert _dropout_masks(cfg, make_rng(0, "flow-dropout"),
+                              FlowWorkspace(cfg, 4, training=True)) is None
+
+    def test_same_seed_trains_byte_identical_flows(self):
+        pop = np.random.default_rng(3).normal(size=(12, 6))
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
+                         dropout=0.3, iterations=40, batch_size=5)
+        a, b = train_flow(pop, cfg, seed=2), train_flow(pop, cfg, seed=2)
+        assert a.flat.tobytes() == b.flat.tobytes()
+        assert a.loss_history == b.loss_history
 
 
 class TestRk4:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -450,8 +452,8 @@ class TestPopulationBlocks:
 
 
 def reference_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
-    """Textbook per-tensor Adam with whole-array temporaries, in the
-    operation order `_Adam` must keep."""
+    """Textbook per-tensor Adam (Kingma & Ba, Algorithm 1) with whole-array
+    temporaries and bias-corrected moments."""
     b1, b2 = betas
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -468,29 +470,79 @@ def reference_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
             p -= (lr * update).astype(p.dtype)
 
 
+def folded_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
+    """Per-tensor Adam in the step-size form (moments stored as m / (1 - b1)
+    and v / (1 - b2), bias corrections folded into alpha_t and eps_hat), with
+    whole-array temporaries, in the operation order `_Adam` keeps."""
+    b1, b2 = betas
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (grads, lr) in enumerate(zip(grads_per_step, lrs), start=1):
+        lr = float(lr)
+        root_b2t = math.sqrt((1 - b2 ** t) / (1 - b2))
+        alpha = lr * (1 - b1) * root_b2t / (1 - b1 ** t)
+        eps_hat = 1e-8 * root_b2t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if weight_decay and not decoupled:
+                g = g + weight_decay * p
+            m[i] = b1 * m[i] + g
+            v[i] = b2 * v[i] + g * g
+            update = m[i] / (np.sqrt(v[i]) + eps_hat) * alpha
+            if weight_decay and decoupled:
+                p *= 1 - lr * weight_decay
+            p -= update
+
+
+def adam_case(size, dtype):
+    """Start parameters, four steps of gradients and learning rates: Python
+    floats as in population training, numpy float64 as the flow's cosine
+    schedule yields."""
+    rng = np.random.default_rng(size)
+    shapes = [(size,), (3, 5)]
+    start = [rng.normal(size=s).astype(dtype) for s in shapes]
+    grads = [[rng.normal(size=s).astype(dtype) for s in shapes] for _ in range(4)]
+    return start, grads, [1e-2, 3e-3, np.float64(1e-3), np.float64(7e-4)]
+
+
+def run_adam(start, grads, lrs, betas, decoupled):
+    params = [p.copy() for p in start]
+    opt = _Adam(params, betas, 1e-2, decoupled)
+    for g, lr in zip(grads, lrs):
+        opt.step(g, lr)
+    return params
+
+
 class TestAdam:
     @pytest.mark.parametrize("size", [1, ADAM_CHUNK - 1, ADAM_CHUNK,
                                       ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("decoupled", [False, True])
     def test_chunked_matches_per_tensor_reference(self, size, dtype, decoupled):
-        rng = np.random.default_rng(size)
-        shapes = [(size,), (3, 5)]
-        start = [rng.normal(size=s).astype(dtype) for s in shapes]
-        grads = [[rng.normal(size=s).astype(dtype) for s in shapes]
-                 for _ in range(4)]
-        # Python floats as in population training, numpy float64 as the
-        # flow's cosine schedule yields.
-        lrs = [1e-2, 3e-3, np.float64(1e-3), np.float64(7e-4)]
+        start, grads, lrs = adam_case(size, dtype)
         ref = [p.copy() for p in start]
-        reference_adam(ref, grads, lrs, (0.9, 0.95), 1e-2, decoupled)
-        params = [p.copy() for p in start]
-        opt = _Adam(params, (0.9, 0.95), 1e-2, decoupled)
-        for g, lr in zip(grads, lrs):
-            opt.step(g, lr)
-        for got, want in zip(params, ref):
+        folded_adam(ref, grads, lrs, (0.9, 0.95), 1e-2, decoupled)
+        for got, want in zip(run_adam(start, grads, lrs, (0.9, 0.95), decoupled), ref):
             assert got.dtype == dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [1, ADAM_CHUNK + 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    @pytest.mark.parametrize("betas", [(0.9, 0.95), (0.9, 0.999), (0.0, 0.95),
+                                       (0.9, 0.0), (0.0, 0.0)])
+    def test_matches_textbook_reference(self, size, dtype, decoupled, betas):
+        start, grads, lrs = adam_case(size, dtype)
+        ref = [p.copy() for p in start]
+        reference_adam(ref, grads, lrs, betas, 1e-2, decoupled)
+        got = run_adam(start, grads, lrs, betas, decoupled)
+        # The folded form rounds differently: after four steps p differs by
+        # at most 4e-6 (float32) and 2e-14 (float64) here, the largest with
+        # b2 = 0, where a small |g| divides a larger bias-corrected m.
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for g, want, p0 in zip(got, ref, start):
+            assert g.dtype == dtype
+            assert not np.array_equal(want, p0)
+            np.testing.assert_allclose(g, want, rtol=tol, atol=tol)
 
     def test_updates_the_callers_arrays(self):
         p = np.ones((2, 3))

@@ -1,11 +1,12 @@
 """The stage runner: only it writes, and a failed write leaves the previous
-outputs as they were."""
+outputs as they were. Also the evaluate stage's pairwise-distance helper."""
 
 import ast
 import contextlib
 import io
 import pathlib
 
+import numpy as np
 import pytest
 
 from weightflow import checkpoint_io, flow, pca, pipeline
@@ -123,3 +124,19 @@ def test_rerun_leaves_no_temporary_file(finished_run):
     before = _tree(out)
     assert _run(cfg_path, "run")[0] == 0
     assert _tree(out) == before
+
+
+def _min_norm(m):
+    """The smallest of the per-row `np.linalg.norm` distances."""
+    return float(min(np.linalg.norm(m[i] - m[i + 1:], axis=1).min()
+                     for i in range(len(m) - 1)))
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (40, 531), (101, 17)])
+def test_min_pairwise_l2_equals_the_norm_form_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    for m in (rng.normal(size=shape), rng.normal(0, 1e-3, size=shape) + 5.0):
+        assert pipeline._min_pairwise_l2(m) == _min_norm(m)
+        dup = m.copy()
+        dup[-1] = dup[0]
+        assert pipeline._min_pairwise_l2(dup) == _min_norm(dup) == 0.0
