@@ -3,16 +3,21 @@
 The vector field is a time-conditioned MLP: a scalar time is embedded by a
 two-layer GELU MLP, concatenated with the state, and passed through a trunk
 of [d_h, d_h/2, d_h] hidden layers with LayerNorm, GELU, and dropout, ending
-in an affine map back to the state dimension. Training regresses the field
-onto straight-line displacements between Gaussian source draws and
-population vectors; sampling integrates the learned field with fixed-step
-RK4.
+in an affine map back to the state dimension. Every GELU here is the tanh
+form (`activations.gelu_tanh`), in training and in sampling alike, so the
+field that is sampled is the field that was trained. Training regresses
+the field onto straight-line displacements between Gaussian source draws
+and population vectors; sampling integrates the learned field with
+fixed-step RK4.
 
-All parameters and arithmetic are float64 internally so analytic gradients
-can be checked against central finite differences; serialization stores
-float32.
+Training keeps the parameters and all arithmetic in float64, so analytic
+gradients can be checked against central finite differences; serialization
+stores float32. `sample` evaluates the field on a float32 copy of the
+parameters in a float32 workspace, which loses nothing against the stored
+file; its RK4 state and accumulation stay float64. `flow_forward` computes
+in the dtype of `FlowModel.flat`, one code path for both.
 
-The parameters live in one contiguous float64 buffer, `FlowModel.flat`, in
+The parameters live in one contiguous buffer, `FlowModel.flat`, in
 `_param_layout` order; `FlowModel.params` maps each name to a view into it.
 `flow_backward` writes every gradient into the matching view of a flat
 gradient buffer of the same layout, so training takes one optimizer step
@@ -20,7 +25,7 @@ over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one conversion of the whole buffer.
 
 `flow_forward` writes every trunk intermediate into a `FlowWorkspace`:
-float64 buffers of one batch size for the [x, t_emb] input and, per trunk
+buffers of one batch size and dtype for the [x, t_emb] input and, per trunk
 layer, the pre-activation (then activation), xhat, LayerNorm output and
 GELU cdf, filled by in-place ufuncs and `matmul(..., out=)` in the
 operation order of the plain expressions, so the values are the same bit
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .activations import gelu, gelu_cdf, gelu_grad
+from .activations import gelu_tanh, gelu_tanh_cdf, gelu_tanh_grad
 from .checkpoint_io import load_container, save_container
 from .errors import (ArgumentError, ConfigError, IntegrationError,
                      TrainingDivergedError)
@@ -52,7 +57,7 @@ from .rng import make_rng
 
 LN_EPS = 1e-5
 FLOW_MAGIC = b"DWFF"
-FLOW_VERSION = 2
+FLOW_VERSION = 3
 TIME_DISTRIBUTIONS = ("uniform", "beta")
 
 
@@ -145,7 +150,8 @@ def _views(buf: np.ndarray, cfg: FlowConfig) -> dict:
 @dataclass
 class FlowModel:
     config: FlowConfig
-    flat: np.ndarray                  # every parameter, float64, layout order
+    flat: np.ndarray                  # every parameter, layout order; float64
+                                      # to train, float32 to sample
     loss_history: list = field(default_factory=list, repr=False)
     params: dict = field(init=False, repr=False)  # name -> view into flat
 
@@ -173,7 +179,7 @@ def init_flow_model(cfg: FlowConfig, seed: int = 0) -> FlowModel:
 
 def _time_embed_forward(p, t):
     h1 = t @ p["time.w1"].T + p["time.b1"]
-    a1 = gelu(h1)
+    a1 = gelu_tanh(h1)
     out = a1 @ p["time.w2"].T + p["time.b2"]
     return out, (t, h1, a1)
 
@@ -183,25 +189,28 @@ def _time_embed_backward(p, cache, d_out, grads):
     np.matmul(d_out.T, a1, out=grads["time.w2"])
     np.add.reduce(d_out, axis=0, out=grads["time.b2"])
     da1 = d_out @ p["time.w2"]
-    dh1 = da1 * gelu_grad(h1)
+    dh1 = da1 * gelu_tanh_grad(h1)
     np.matmul(dh1.T, t, out=grads["time.w1"])
     np.add.reduce(dh1, axis=0, out=grads["time.b1"])
 
 
 class FlowWorkspace:
-    """float64 buffers for every trunk intermediate of `flow_forward` at one
-    batch size: the [x, t_emb] input and, per trunk layer, the
+    """Buffers for every trunk intermediate of `flow_forward` at one batch
+    size and dtype: the [x, t_emb] input and, per trunk layer, the
     pre-activation (overwritten by the activation), xhat, the LayerNorm
-    output and its GELU cdf. A `training` workspace also holds the dropout
-    masks, per trunk layer a view of one flat buffer that `_dropout_masks`
-    fills with one draw, and the flat gradient buffer `grad` with its
-    `_views`, `grads`, which `flow_backward` fills."""
+    output and its GELU cdf. Training uses float64 workspaces, `sample` a
+    float32 one; the dtype must be the model's. A `training` workspace also
+    holds the dropout masks, per trunk layer a view of one flat buffer that
+    `_dropout_masks` fills with one draw, and the flat gradient buffer
+    `grad` with its `_views`, `grads`, which `flow_backward` fills."""
 
-    def __init__(self, cfg: FlowConfig, batch: int, training: bool = False):
+    def __init__(self, cfg: FlowConfig, batch: int, training: bool = False,
+                 dtype=np.float64):
         self.batch = batch
-        self.h0 = np.empty((batch, cfg.trunk_input_dim))
+        self.dtype = np.dtype(dtype)
+        self.h0 = np.empty((batch, cfg.trunk_input_dim), dtype)
         self.act, self.xhat, self.ln, self.cdf = (
-            [np.empty((batch, d)) for d in cfg.trunk_dims] for _ in range(4))
+            [np.empty((batch, d), dtype) for d in cfg.trunk_dims] for _ in range(4))
         self.mask_draw = self.masks = self.grad = self.grads = None
         if training:
             self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
@@ -216,7 +225,7 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
                  dropout_masks: list | None = None,
                  want_cache: bool = False,
                  workspace: FlowWorkspace | None = None):
-    """Evaluate the vector field v(x, t).
+    """Evaluate the vector field v(x, t) in the dtype of `model.flat`.
 
     `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
     training mode; None means deterministic evaluation. The trunk writes
@@ -225,17 +234,21 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
     """
     cfg = model.config
     p = model.params
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    dtype = model.flat.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    t = np.asarray(t, dtype=dtype).reshape(-1, 1)
     if x.shape[1] != cfg.input_dim:
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
     if workspace is None:
-        workspace = FlowWorkspace(cfg, x.shape[0])
+        workspace = FlowWorkspace(cfg, x.shape[0], dtype=dtype)
     elif workspace.batch != x.shape[0]:
         raise ArgumentError(f"workspace holds batch {workspace.batch}, "
                             f"x has {x.shape[0]} rows")
+    elif workspace.dtype != dtype:
+        raise ArgumentError(f"workspace holds {workspace.dtype}, "
+                            f"the model {dtype}")
 
     t_emb, t_cache = _time_embed_forward(p, t)
     h = workspace.h0
@@ -257,8 +270,8 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         np.multiply(centred, inv_std, out=xhat)
         np.multiply(p[f"trunk.ln_g{i}"], xhat, out=ln)
         ln += p[f"trunk.ln_b{i}"]
-        gelu_cdf(ln, out=cdf)
-        np.multiply(ln, cdf, out=act)             # gelu(ln); cdf serves the backward
+        gelu_tanh_cdf(ln, out=cdf)
+        np.multiply(ln, cdf, out=act)             # gelu_tanh(ln); cdf serves the backward
         if dropout_masks is not None:
             act *= dropout_masks[i]
         trunk_caches.append((h, xhat, inv_std, ln, cdf))
@@ -293,7 +306,7 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
             dact = dh * dropout_masks[i]
         else:
             dact = dh
-        dln = dact * gelu_grad(ln, cdf)
+        dln = dact * gelu_tanh_grad(ln, cdf)
         np.add.reduce(dln * xhat, axis=0, out=grads[f"trunk.ln_g{i}"])
         np.add.reduce(dln, axis=0, out=grads[f"trunk.ln_b{i}"])
         dxhat = dln * p[f"trunk.ln_g{i}"]
@@ -425,17 +438,22 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
 
 
 def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
-    """Fixed-step RK4 from t=0 to t=1 for dx/dt = fn(x, t)."""
+    """Fixed-step RK4 from t=0 to t=1 for dx/dt = fn(x, t). The state and
+    every stage are float64, whatever dtype `fn` returns."""
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
     x = np.asarray(x0, dtype=np.float64).copy()
     h = 1.0 / steps
+
+    def stage(x, t):
+        return np.asarray(fn(x, t), dtype=np.float64)
+
     for step in range(steps):
         t = step * h
-        k1 = fn(x, t)
-        k2 = fn(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = fn(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = fn(x + h * k3, t + h)
+        k1 = stage(x, t)
+        k2 = stage(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = stage(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = stage(x + h * k3, t + h)
         incr = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not np.all(np.isfinite(incr)):
             raise IntegrationError(f"non-finite vector field at step {step}")
@@ -444,7 +462,11 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
 
 
 def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
-    """Draw `count` vectors by integrating the field from Gaussian noise."""
+    """Draw `count` vectors by integrating the field from Gaussian noise.
+
+    The field runs on a float32 copy of the parameters in one float32
+    workspace; RK4 casts each stage's velocity to float64 and keeps its
+    state and accumulation in float64."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -452,16 +474,22 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
         return np.zeros((0, cfg.input_dim))
     rng = make_rng(seed, "sample")
     x0 = rng.normal(0.0, cfg.source_std, size=(count, cfg.input_dim))
-    workspace = FlowWorkspace(cfg, count)
+    workspace = FlowWorkspace(cfg, count, dtype=np.float32)
+    # rk4_integrate reports a non-finite field; numpy's overflow warnings on
+    # the way there, from the cast or the field, would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        field_model = FlowModel(cfg, model.flat.astype(np.float32))
 
-    def field(x, t):
-        return flow_forward(model, x, np.full(x.shape[0], t), workspace=workspace)
+        def field(x, t):
+            return flow_forward(field_model, x, np.full(x.shape[0], t),
+                                workspace=workspace)
 
-    return rk4_integrate(field, x0, cfg.integration_steps)
+        return rk4_integrate(field, x0, cfg.integration_steps)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a DWFF container (see `checkpoint_io`), version 2. Header:
+# Serialization: a DWFF container (see `checkpoint_io`), version 3 (version 2
+# files hold a field trained with the exact-erf GELU). Header:
 # one line per FlowConfig field, scalars first as repr, then the pair
 # `time_beta` as comma-separated reprs. Array: the flat parameter buffer as
 # float32, in layout order.

@@ -1,4 +1,5 @@
 import importlib.machinery
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import scipy.special
 
 from weightflow import activations
 from weightflow._scipy import compiled_scipy
-from weightflow.activations import gelu, gelu_cdf, gelu_grad
+from weightflow.activations import (gelu, gelu_cdf, gelu_grad, gelu_tanh,
+                                    gelu_tanh_cdf, gelu_tanh_grad)
 from weightflow.data import make_blobs
 from weightflow.nn_core import ArchitectureSpec, TrainHyper, forward, train_population
 
@@ -59,3 +61,35 @@ class TestGelu:
         net = train_population(arch, train, TrainHyper(epochs=1), [0])
         assert forward(net, train.features).dtype == np.float32
         assert forward(net, train.features, "train").dtype == np.float32
+
+
+class TestGeluTanh:
+    C, K = math.sqrt(2.0 / math.pi), 0.044715
+
+    def test_matches_textbook_formula_bitwise(self):
+        # 0.5 (1 + tanh(c (x + k x^3))) with c distributed over the bracket,
+        # in the operation order of gelu_tanh_cdf's in-place chain.
+        x = GRID
+        textbook = 0.5 * (1.0 + np.tanh(x * ((self.C * self.K) * (x * x) + self.C)))
+        assert np.array_equal(gelu_tanh_cdf(x), textbook)
+        assert np.array_equal(gelu_tanh(x), x * textbook)
+        out = np.empty_like(x)
+        assert gelu_tanh_cdf(x, out=out) is out and np.array_equal(out, textbook)
+        assert np.array_equal(gelu_tanh_grad(x, gelu_tanh_cdf(x)), gelu_tanh_grad(x))
+
+    def test_derivative_matches_central_differences(self):
+        x = np.linspace(-8.0, 8.0, 4001)
+        h = 1e-6
+        numeric = (gelu_tanh(x + h) - gelu_tanh(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(gelu_tanh_grad(x), numeric, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype(self, dtype):
+        x = GRID.astype(dtype)
+        assert gelu_tanh(x).dtype == dtype
+        assert gelu_tanh_cdf(x).dtype == dtype
+        assert gelu_tanh_grad(x).dtype == dtype
+
+    def test_within_2e_4_of_the_normal_cdf(self):
+        x = np.linspace(-8.0, 8.0, 160001)
+        assert np.abs(gelu_tanh_cdf(x) - gelu_cdf(x)).max() <= 2e-4

@@ -4,6 +4,7 @@ import math
 import os
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ class TestExitCodes:
         assert "rerun `make-population`" in err
         assert {name: open(os.path.join(out, name), "rb").read()
                 for name in os.listdir(out)} == before
+
+    def test_flow_file_of_version_2_is_3(self, quick_cfg, capsys):
+        # A version-2 flow.dwff was trained with the exact-erf GELU; the
+        # field generate would sample is not the field it holds.
+        cfg_path, out = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        path = os.path.join(out, "flow.dwff")
+        with open(path, "r+b") as f:
+            f.seek(4)
+            f.write((2).to_bytes(4, "little"))
+        before = _files(Path(out))
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: unsupported version 2\n"
+        assert _files(Path(out)) == before
 
     @pytest.mark.parametrize("stage,section,old,new,expected", [
         ("train-flow", "[pca]\nmode = standard\n", "mode = standard",

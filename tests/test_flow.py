@@ -1,11 +1,12 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from weightflow.activations import erf, gelu
+from weightflow.activations import gelu_tanh
 from weightflow.errors import ArgumentError, DataError, IntegrationError
 from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
                              fm_loss_and_grads, flow_backward, flow_forward,
@@ -18,14 +19,18 @@ TINY = FlowConfig(input_dim=4, hidden_dim=8, time_embed_dim=4, dropout=0.0,
                   iterations=50, batch_size=4)
 
 
+TANH_C, TANH_K = math.sqrt(2.0 / math.pi), 0.044715
+
+
 def reference_forward(model, x, t, dropout_masks=None):
-    """The vector field written out with a new array per step; returns
-    (v, cache) in flow_backward's cache layout."""
+    """The vector field written out with a new array per step, in the
+    model's dtype; returns (v, cache) in flow_backward's cache layout."""
     p = model.params
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    dtype = model.flat.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    t = np.asarray(t, dtype=dtype).reshape(-1, 1)
     h1 = t @ p["time.w1"].T + p["time.b1"]
-    a1 = gelu(h1)
+    a1 = gelu_tanh(h1)
     t_emb = a1 @ p["time.w2"].T + p["time.b2"]
     h = np.concatenate([x, t_emb], axis=1)
     trunk_caches = []
@@ -36,7 +41,8 @@ def reference_forward(model, x, t, dropout_masks=None):
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (pre - mu) * inv_std
         ln = p[f"trunk.ln_g{i}"] * xhat + p[f"trunk.ln_b{i}"]
-        cdf = 0.5 * (1.0 + erf(ln * (1.0 / math.sqrt(2.0))))
+        # GELU's tanh form, c (x + k x^3) written as x (c k x^2 + c)
+        cdf = 0.5 * (1.0 + np.tanh(ln * ((TANH_C * TANH_K) * (ln * ln) + TANH_C)))
         act = ln * cdf
         dropped = act if dropout_masks is None else act * dropout_masks[i]
         trunk_caches.append((h, xhat, inv_std, ln, cdf))
@@ -119,15 +125,43 @@ class TestWorkspace:
             flow_forward(model, rng.normal(size=(4, 6)), np.zeros(4),
                          workspace=FlowWorkspace(WIDE, 5))
 
+    def test_dtype_follows_the_model(self, rng):
+        model = init_flow_model(WIDE, seed=0)
+        model32 = FlowModel(WIDE, model.flat.astype(np.float32))
+        x = rng.normal(size=(4, 6))
+        assert flow_forward(model32, x, np.zeros(4)).dtype == np.float32
+        ws = FlowWorkspace(WIDE, 4, dtype=np.float32)
+        assert flow_forward(model32, x, np.zeros(4), workspace=ws).dtype == np.float32
+        with pytest.raises(ArgumentError, match="workspace holds float32"):
+            flow_forward(model, x, np.zeros(4), workspace=ws)
+
     def test_sample_matches_rk4_over_reference(self):
         cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
                          integration_steps=7)
         model = init_flow_model(cfg, seed=7)
+        model32 = FlowModel(cfg, model.flat.astype(np.float32))
         x0 = make_rng(11, "sample").normal(0.0, cfg.source_std, size=(12, 6))
         ref = rk4_integrate(
-            lambda x, t: reference_forward(model, x, np.full(x.shape[0], t))[0],
+            lambda x, t: reference_forward(model32, x, np.full(x.shape[0], t))[0],
             x0, cfg.integration_steps)
         assert np.array_equal(sample(model, 12, seed=11), ref)
+
+    def test_sample_agrees_with_float64_rk4(self):
+        # sample's float32 field against the same field in float64, over a
+        # trained flow: per sample, the largest coordinate difference
+        # relative to the sample's largest coordinate.
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
+                         iterations=300, integration_steps=20)
+        pop = np.random.default_rng(2).normal(size=(10, 6))
+        model = train_flow(pop, cfg, seed=3)
+        x0 = make_rng(5, "sample").normal(0.0, cfg.source_std, size=(40, 6))
+        ref = rk4_integrate(
+            lambda x, t: flow_forward(model, x, np.full(x.shape[0], t)),
+            x0, cfg.integration_steps)
+        got = sample(model, 40, seed=5)
+        assert got.dtype == np.float64
+        rel = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert rel.max() <= 1e-4, rel.max()
 
     def test_sample_peak_memory_is_about_one_workspace(self):
         cfg = FlowConfig(input_dim=24, hidden_dim=128, integration_steps=3)
@@ -356,6 +390,16 @@ class TestSample:
         model = init_flow_model(TINY, seed=0)
         assert sample(model, 0, seed=0).shape == (0, 4)
 
+    @pytest.mark.parametrize("bias", [np.inf, 1e300], ids=["inf", "float32-overflow"])
+    def test_non_finite_field_raises_without_warnings(self, bias):
+        # 1e300 is finite in float64 but overflows the float32 cast.
+        model = init_flow_model(TINY, seed=0)
+        model.params["out.b"][...] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="step 0"):
+                sample(model, 3, seed=0)
+
 
 # The DWFF header of TINY: its FlowConfig, scalars first, then the pair.
 TINY_HEADER = """\
@@ -378,7 +422,7 @@ time_beta=2.0,5.0
 """
 
 
-def tiny_bytes(model, version=2) -> bytes:
+def tiny_bytes(model, version=3) -> bytes:
     """The DWFF file of a TINY model, written by hand."""
     header = TINY_HEADER.encode()
     blob = b"DWFF" + struct.pack("<II", version, len(header)) + header
@@ -398,6 +442,13 @@ class TestSerialization:
         path = tmp_path / "v1.dwff"
         path.write_bytes(tiny_bytes(init_flow_model(TINY, seed=0), 1))
         with pytest.raises(DataError, match="unsupported version 1"):
+            load_flow(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # Version 2 files hold a field trained with the exact-erf GELU.
+        path = tmp_path / "v2.dwff"
+        path.write_bytes(tiny_bytes(init_flow_model(TINY, seed=0), 2))
+        with pytest.raises(DataError, match="unsupported version 2"):
             load_flow(path)
 
     def test_round_trip(self, tmp_path):
