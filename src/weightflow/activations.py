@@ -36,10 +36,9 @@ def relu_grad(x):
     return (x > 0.0).astype(x.dtype)
 
 
-def gelu_cdf(x, out=None):
-    """Standard normal cdf Phi(x), written into `out` when given;
-    gelu(x) = x * Phi(x)."""
-    out = np.multiply(x, _INV_SQRT2, out=out)
+def gelu_cdf(x):
+    """Standard normal cdf Phi(x); gelu(x) = x * Phi(x)."""
+    out = np.multiply(x, _INV_SQRT2)
     erf(out, out=out)
     np.add(1.0, out, out=out)
     return np.multiply(0.5, out, out=out)

@@ -10,19 +10,26 @@ the field onto straight-line displacements between Gaussian source draws
 and population vectors; sampling integrates the learned field with
 fixed-step RK4.
 
-Training keeps the parameters and all arithmetic in float64, so analytic
-gradients can be checked against central finite differences; serialization
-stores float32. `sample` evaluates the field on a float32 copy of the
-parameters in a float32 workspace, which loses nothing against the stored
-file; its RK4 state and accumulation stay float64. `flow_forward` computes
-in the dtype of `FlowModel.flat`, one code path for both.
+The model is trained, stored and sampled in float32. `init_flow_model`
+draws float64 parameters, which `train_flow` casts once to float32; the
+batch, source, noise, time and dropout draws stay float64, so no random
+stream depends on the dtype, and are cast to float32 where they enter the
+field. The optimizer's moments, the gradient buffer and the dropout masks
+are float32 too. `_Adam` adds the decoupled weight decay to the update as
+lr wd p, which float32 keeps: the factor 1 - lr wd rounds to 1 in float32
+at the flow's rates. `sample` evaluates the field on the float32 parameters
+(a float64 model is cast first) in a float32 workspace; its RK4 state and
+accumulation stay float64. `flow_forward`, `flow_backward` and
+`fm_loss_and_grads` compute in the dtype of `FlowModel.flat`, one code
+path for both, so analytic gradients are checked against central finite
+differences on a float64 model from `init_flow_model`.
 
 The parameters live in one contiguous buffer, `FlowModel.flat`, in
 `_param_layout` order; `FlowModel.params` maps each name to a view into it.
 `flow_backward` writes every gradient into the matching view of a flat
 gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
-loading the model is one conversion of the whole buffer.
+loading the model is one write or read of the whole buffer.
 
 `flow_forward` writes every trunk intermediate into a `FlowWorkspace`:
 buffers of one batch size and dtype for the [x, t_emb] input and, per trunk
@@ -32,7 +39,7 @@ operation order of the plain expressions, so the values are the same bit
 for bit. `sample` allocates one workspace for all of its RK4 field calls
 and `train_flow` one for all steps; a call without one gets a fresh one.
 A training workspace also holds the dropout masks, views of one flat buffer
-that each step refills with one uniform draw turned in place into 0 and
+that each step refills from one float64 uniform draw turned into 0 and
 1/keep entries, and the flat gradient buffer with its name -> view dict,
 built once and filled by every backward pass.
 Fresh arrays of this size go back to the operating system when freed and
@@ -150,8 +157,9 @@ def _views(buf: np.ndarray, cfg: FlowConfig) -> dict:
 @dataclass
 class FlowModel:
     config: FlowConfig
-    flat: np.ndarray                  # every parameter, layout order; float64
-                                      # to train, float32 to sample
+    flat: np.ndarray                  # every parameter, layout order; float32
+                                      # once trained or loaded, float64 from
+                                      # init_flow_model
     loss_history: list = field(default_factory=list, repr=False)
     params: dict = field(init=False, repr=False)  # name -> view into flat
 
@@ -198,11 +206,12 @@ class FlowWorkspace:
     """Buffers for every trunk intermediate of `flow_forward` at one batch
     size and dtype: the [x, t_emb] input and, per trunk layer, the
     pre-activation (overwritten by the activation), xhat, the LayerNorm
-    output and its GELU cdf. Training uses float64 workspaces, `sample` a
-    float32 one; the dtype must be the model's. A `training` workspace also
+    output and its GELU cdf, all in `dtype`, which must be the model's
+    (float32 in `train_flow` and `sample`). A `training` workspace also
     holds the dropout masks, per trunk layer a view of one flat buffer that
-    `_dropout_masks` fills with one draw, and the flat gradient buffer
-    `grad` with its `_views`, `grads`, which `flow_backward` fills."""
+    `_dropout_masks` fills from one float64 draw into `mask_draw`, and the
+    flat gradient buffer `grad` with its `_views`, `grads`, which
+    `flow_backward` fills; both are in `dtype`."""
 
     def __init__(self, cfg: FlowConfig, batch: int, training: bool = False,
                  dtype=np.float64):
@@ -211,13 +220,14 @@ class FlowWorkspace:
         self.h0 = np.empty((batch, cfg.trunk_input_dim), dtype)
         self.act, self.xhat, self.ln, self.cdf = (
             [np.empty((batch, d), dtype) for d in cfg.trunk_dims] for _ in range(4))
-        self.mask_draw = self.masks = self.grad = self.grads = None
+        self.mask_draw = self.mask = self.masks = self.grad = self.grads = None
         if training:
             self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
+            self.mask = np.empty_like(self.mask_draw, dtype=dtype)
             ends = np.cumsum(cfg.trunk_dims[:-1]) * batch
             self.masks = [block.reshape(batch, -1)
-                          for block in np.split(self.mask_draw, ends)]
-            self.grad = np.empty(_param_count(cfg))
+                          for block in np.split(self.mask, ends)]
+            self.grad = np.empty(_param_count(cfg), dtype)
             self.grads = _views(self.grad, cfg)
 
 
@@ -336,7 +346,10 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     views, as `flow_backward` takes them). The forward runs in `workspace`
     (a new one when None).
 
-    x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0.
+    x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0. The draws
+    may be float64 for a float32 model: x_t and u are formed in their
+    dtype, and the loss gradient dv is cast to the model's before the
+    backward pass, whose matmuls would take numpy's slow mixed-dtype path.
     """
     t_col = t.reshape(-1, 1)
     x_t = (1.0 - t_col) * x0 + t_col * x1 + eps
@@ -345,7 +358,7 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                             workspace=workspace)
     diff = v - u
     loss = float(np.mean(diff * diff))
-    dv = 2.0 * diff / diff.size
+    dv = (2.0 * diff / diff.size).astype(model.flat.dtype, copy=False)
     grads = flow_backward(model, cache, dv, dropout_masks, out)
     return loss, grads
 
@@ -366,14 +379,14 @@ def _sample_time(cfg: FlowConfig, rng, size: int) -> np.ndarray:
 
 def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace):
     """The training workspace's dropout masks, redrawn: each entry is 1/keep
-    with probability keep, else 0. One uniform draw fills them in place.
-    None without dropout."""
+    with probability keep, else 0. One float64 uniform draw, the same for
+    every mask dtype, fills them. None without dropout."""
     if cfg.dropout == 0.0:
         return None
     keep = 1.0 - cfg.dropout
     draw = rng.random(out=workspace.mask_draw)
-    np.less(draw, keep, out=draw)
-    draw *= 1.0 / keep
+    mask = np.less(draw, keep, out=workspace.mask)
+    mask *= 1.0 / keep
     return workspace.masks
 
 
@@ -387,7 +400,7 @@ def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
     b, d = x1.shape
     if workspace is None:
-        workspace = FlowWorkspace(cfg, b, training=True)
+        workspace = FlowWorkspace(cfg, b, training=True, dtype=model.flat.dtype)
     t = _sample_time(cfg, rngs["time"], b)
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
@@ -404,8 +417,9 @@ def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
 def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowModel:
     """Train the vector field on a population of flat vectors.
 
-    Deterministic given seed. The returned model is in evaluation mode
-    (dropout only applies during training).
+    Deterministic given seed. The model starts from `init_flow_model`'s
+    float64 draws cast to float32 and trains in float32. The returned model
+    is in evaluation mode (dropout only applies during training).
     """
     population = np.asarray(population, dtype=np.float64)
     if population.ndim != 2 or population.shape[0] < 1:
@@ -414,12 +428,12 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
         raise ArgumentError(
             f"population dim {population.shape[1]} != config input_dim {cfg.input_dim}")
 
-    model = init_flow_model(cfg, seed)
+    model = FlowModel(cfg, init_flow_model(cfg, seed).flat.astype(np.float32))
     optimizer = _Adam([model.flat], (cfg.beta1, cfg.beta2), cfg.weight_decay,
                       decoupled=True)
     n = population.shape[0]
     batch = min(cfg.batch_size, n)
-    workspace = FlowWorkspace(cfg, batch, training=True)
+    workspace = FlowWorkspace(cfg, batch, training=True, dtype=model.flat.dtype)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -464,9 +478,9 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
 def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` vectors by integrating the field from Gaussian noise.
 
-    The field runs on a float32 copy of the parameters in one float32
-    workspace; RK4 casts each stage's velocity to float64 and keeps its
-    state and accumulation in float64."""
+    The field runs on the float32 parameters (a float64 model is cast to
+    float32 first) in one float32 workspace; RK4 casts each stage's
+    velocity to float64 and keeps its state and accumulation in float64."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -478,7 +492,7 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     # rk4_integrate reports a non-finite field; numpy's overflow warnings on
     # the way there, from the cast or the field, would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        field_model = FlowModel(cfg, model.flat.astype(np.float32))
+        field_model = FlowModel(cfg, model.flat.astype(np.float32, copy=False))
 
         def field(x, t):
             return flow_forward(field_model, x, np.full(x.shape[0], t),
@@ -509,7 +523,7 @@ def save_flow(model: FlowModel, path) -> None:
 
 def _build_flow(pairs, read) -> FlowModel:
     cfg = FlowConfig(**{f.name: _FROM_TEXT[f.type](pairs[f.name]) for f in fields(FlowConfig)})
-    return FlowModel(cfg, read("parameters", "<f4", _param_count(cfg)).astype(np.float64))
+    return FlowModel(cfg, read("parameters", "<f4", _param_count(cfg)))
 
 
 def load_flow(path) -> FlowModel:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ACTIVATIONS
+from .activations import ACTIVATIONS, gelu_cdf, gelu_grad
 from .errors import ArgumentError, ConfigError, ShapeError, TrainingDivergedError
 from .rng import make_rng
 
@@ -168,7 +168,11 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
                 a = gamma * xhat + beta
                 cache.update(xhat=xhat, inv_std=inv_std.astype(np.float32))
             cache["pre_act"] = a
-            z = act(a)
+            if arch.activation == "gelu":   # gelu(a), keeping the cdf for gelu_grad
+                cache["cdf"] = gelu_cdf(a)
+                z = a * cache["cdf"]
+            else:
+                z = act(a)
         else:
             z = a
         caches.append(cache)
@@ -218,7 +222,9 @@ def _backward(pop: "Population", caches, logits, labels, grads) -> None:
     for l in reversed(range(arch.num_layers)):
         cache = caches[l]
         if l < arch.num_hidden:
-            delta = delta * act_grad(cache["pre_act"])
+            a = cache["pre_act"]
+            delta = delta * (gelu_grad(a, cache["cdf"]) if arch.activation == "gelu"
+                             else act_grad(a))
             if arch.has_bn(l):
                 xhat = cache["xhat"]
                 grad_gamma, grad_beta = grad_bn[l]
@@ -276,14 +282,17 @@ class _Adam:
         alpha_t = lr (1 - b1) sqrt(1 - b2^t) / ((1 - b1^t) sqrt(1 - b2)),
         eps_hat = eps sqrt(1 - b2^t) / sqrt(1 - b2),
 
-    with the decoupled decay applied first as p *= 1 - lr wd. This is the
+    with the decoupled decay added to the update as lr wd p. This is the
     textbook update algebraically, equal to it within rounding but not bit
     for bit. The scalars are Python floats, so a float32 array is updated in
-    float32 arithmetic.
+    float32 arithmetic. The decay is a term, not a factor p *= 1 - lr wd:
+    in float32 that factor rounds to a multiple of 2^-24 away from 1, and
+    to exactly 1 for lr wd <= 2^-25 = 3e-8 (the flow's lr 2e-3 and wd 1e-5
+    give 2e-8), which would drop the decay.
 
     Each array is updated ADAM_CHUNK elements at a time by in-place ufuncs
     into two scratch buffers allocated here, so a step allocates nothing
-    and works within the CPU cache: 11 elementwise passes per chunk with
+    and works within the CPU cache: 12 elementwise passes per chunk with
     decoupled decay."""
 
     def __init__(self, params, betas, weight_decay, decoupled):
@@ -305,7 +314,7 @@ class _Adam:
         root_b2t = math.sqrt((1 - b2 ** self.t) / (1 - b2))
         alpha = lr * (1 - b1) * root_b2t / (1 - b1 ** self.t)
         eps_hat = self.eps * root_b2t
-        shrink = 1 - lr * wd if wd and self.decoupled else None
+        decay = lr * wd if wd and self.decoupled else None
         for p, g, m, v in zip(self._flat, grads, self.m, self.v):
             g = np.reshape(g, -1).astype(p.dtype, copy=False)
             scratch_a, scratch_b = self._scratch[p.dtype]
@@ -323,8 +332,8 @@ class _Adam:
                 np.add(np.sqrt(vc, out=a), eps_hat, out=a)
                 update = np.divide(mc, a, out=b)
                 update *= alpha
-                if shrink is not None:               # p = (1 - lr * wd) * p
-                    pc *= shrink
+                if decay is not None:                # update += lr * wd * p
+                    update += np.multiply(pc, decay, out=a)
                 pc -= update
 
 

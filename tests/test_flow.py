@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from weightflow import flow
 from weightflow.activations import gelu_tanh
 from weightflow.errors import ArgumentError, DataError, IntegrationError
 from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
-                             fm_loss_and_grads, flow_backward, flow_forward,
-                             init_flow_model, load_flow, rk4_integrate, sample,
-                             save_flow, train_flow, _dropout_masks,
-                             _param_layout)
+                             fm_loss_and_grads, fm_training_step,
+                             flow_backward, flow_forward, init_flow_model,
+                             load_flow, rk4_integrate, sample, save_flow,
+                             train_flow, _dropout_masks, _param_layout)
+from weightflow.nn_core import _Adam
 from weightflow.rng import make_rng
 
 TINY = FlowConfig(input_dim=4, hidden_dim=8, time_embed_dim=4, dropout=0.0,
@@ -154,9 +156,10 @@ class TestWorkspace:
                          iterations=300, integration_steps=20)
         pop = np.random.default_rng(2).normal(size=(10, 6))
         model = train_flow(pop, cfg, seed=3)
+        model64 = FlowModel(cfg, model.flat.astype(np.float64))
         x0 = make_rng(5, "sample").normal(0.0, cfg.source_std, size=(40, 6))
         ref = rk4_integrate(
-            lambda x, t: flow_forward(model, x, np.full(x.shape[0], t)),
+            lambda x, t: flow_forward(model64, x, np.full(x.shape[0], t)),
             x0, cfg.integration_steps)
         got = sample(model, 40, seed=5)
         assert got.dtype == np.float64
@@ -286,9 +289,10 @@ class TestTrain:
         pop = np.random.default_rng(0).normal(size=(6, 4))
         trained = train_flow(pop, TINY, seed=0)
         save_flow(trained, tmp_path / "m.dwff")
-        for model in (init_flow_model(TINY, seed=0), trained,
-                      load_flow(tmp_path / "m.dwff")):
-            assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        for model, dtype in ((init_flow_model(TINY, seed=0), np.float64),
+                             (trained, np.float32),
+                             (load_flow(tmp_path / "m.dwff"), np.float32)):
+            assert model.flat.dtype == dtype and model.flat.flags.c_contiguous
             assert sum(p.size for p in model.params.values()) == model.flat.size
             for p in model.params.values():
                 assert np.shares_memory(p, model.flat)
@@ -338,6 +342,64 @@ class TestDropout:
         a, b = train_flow(pop, cfg, seed=2), train_flow(pop, cfg, seed=2)
         assert a.flat.tobytes() == b.flat.tobytes()
         assert a.loss_history == b.loss_history
+
+
+class TestFloat32Training:
+    def test_loss_and_grads_agree_with_float64(self, rng):
+        # The same parameters and draws, once in float32 and once in
+        # float64: the losses agree within 1e-6 relative, and every
+        # gradient tensor within 1e-4 of its largest float64 entry (over
+        # five draws the worst were 6e-8 and 5e-6).
+        model32 = FlowModel(WIDE, init_flow_model(WIDE, seed=8).flat.astype(np.float32))
+        model64 = FlowModel(WIDE, model32.flat.astype(np.float64))
+        x1, x0 = rng.normal(size=(9, 6)), rng.normal(0, 0.01, size=(9, 6))
+        t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
+        results = {}
+        for model in (model32, model64):
+            ws = FlowWorkspace(WIDE, 9, training=True, dtype=model.flat.dtype)
+            masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
+            results[model.flat.dtype.name] = fm_loss_and_grads(
+                model, x1, x0, t, eps, masks, ws.grads, ws)
+        (loss32, g32), (loss64, g64) = results["float32"], results["float64"]
+        assert abs(loss32 - loss64) <= 1e-6 * loss64
+        for name in g64:
+            assert g32[name].dtype == np.float32
+            scale = np.abs(g64[name]).max()
+            assert np.abs(g32[name] - g64[name]).max() <= 1e-4 * scale, name
+
+    def test_training_step_stays_in_float32(self, monkeypatch):
+        # Every array the step keeps or hands on is float32: parameters,
+        # moments, gradients, masks, and what the backward pass receives
+        # (dv and every cached intermediate), where a float64 operand would
+        # send numpy's matmuls down their slow mixed-dtype path.
+        received = []
+        backward = flow.flow_backward
+
+        def recording_backward(model, cache, dv, *args):
+            t_cache, trunk_caches, last_h = cache
+            received.extend([dv, last_h, *t_cache, *(a for c in trunk_caches for a in c)])
+            return backward(model, cache, dv, *args)
+
+        monkeypatch.setattr(flow, "flow_backward", recording_backward)
+        x1 = np.random.default_rng(4).normal(size=(5, 6))
+        flats = []
+        for workspace in (FlowWorkspace(WIDE, 5, training=True, dtype=np.float32), None):
+            model = FlowModel(WIDE, init_flow_model(WIDE, seed=9).flat.astype(np.float32))
+            optimizer = _Adam([model.flat], (WIDE.beta1, WIDE.beta2),
+                              WIDE.weight_decay, decoupled=True)
+            rngs = {name: make_rng(1, f"flow-{name}")
+                    for name in ("time", "source", "noise", "dropout")}
+            loss = fm_training_step(model, optimizer, x1, rngs, workspace)
+            assert np.isfinite(loss)
+            flats.append(model.flat)
+            arrays = [model.flat, *optimizer.m, *optimizer.v, *received]
+            if workspace is not None:
+                arrays += [workspace.grad, workspace.mask, *workspace.masks]
+            assert all(a.dtype == np.float32 for a in arrays)
+            received.clear()
+            assert set(optimizer._scratch) == {np.dtype(np.float32)}
+        # Without a workspace the step builds one in the model's dtype.
+        assert flats[0].tobytes() == flats[1].tobytes()
 
 
 class TestRk4:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow.activations import ACTIVATIONS
+from weightflow import activations, nn_core
+from weightflow.activations import ACTIVATIONS, erf
 from weightflow.data import LabeledDataset, make_blobs
 from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
                                TrainingDivergedError)
@@ -359,6 +361,34 @@ class TestTrainPopulation:
         with pytest.raises(ArgumentError):
             train_population(ArchitectureSpec((4, 8, 3)), train, TrainHyper(), [])
 
+    @pytest.mark.parametrize("bn", [(False, False), (True, True)])
+    def test_gelu_backward_reuses_forward_cdf(self, blobs, bn, monkeypatch):
+        # The backward reads the cdf the forward kept: one erf per hidden
+        # layer for a forward and backward. A reference backward that
+        # recomputes the cdf from the pre-activations, the two-erf path,
+        # trains byte-identical populations.
+        train, test = blobs
+        arch = ArchitectureSpec((4, 8, 6, 3), "gelu", bn)
+        hyper = TrainHyper(optimizer="adamw", weight_decay=1e-2,
+                           learning_rate=1e-2, batch_size=7, epochs=3)
+        kept = train_population(arch, train, hyper, self.SEEDS, holdout=test)
+        erf_calls = []
+        monkeypatch.setattr(activations, "erf",
+                            lambda x, out: erf_calls.append(1) or erf(x, out=out))
+        pop = init_population(arch, self.SEEDS)
+        logits, caches = nn_core._forward_cached(pop, train.features[None, :7], "train")
+        nn_core._backward(pop, caches, logits, np.broadcast_to(train.labels[:7], (3, 7)),
+                          nn_core._param_views(np.empty_like(pop.params), arch))
+        assert len(erf_calls) == arch.num_hidden
+        monkeypatch.undo()
+
+        monkeypatch.setattr(nn_core, "gelu_grad",
+                            lambda x, cdf: activations.gelu_grad(x))
+        recomputed = train_population(arch, train, hyper, self.SEEDS, holdout=test)
+        assert kept.params.tobytes() == recomputed.params.tobytes()
+        assert_same_network(kept, recomputed)
+        assert np.array_equal(kept.metrics, recomputed.metrics)
+
 
 class TestEvaluate:
     def test_perfect(self):
@@ -489,7 +519,7 @@ def folded_adam(params, grads_per_step, lrs, betas, weight_decay, decoupled):
             v[i] = b2 * v[i] + g * g
             update = m[i] / (np.sqrt(v[i]) + eps_hat) * alpha
             if weight_decay and decoupled:
-                p *= 1 - lr * weight_decay
+                update = update + p * (lr * weight_decay)
             p -= update
 
 
@@ -543,6 +573,32 @@ class TestAdam:
             assert g.dtype == dtype
             assert not np.array_equal(want, p0)
             np.testing.assert_allclose(g, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("lr", [2e-3, 5e-4])
+    def test_float32_decoupled_decay_is_applied(self, lr):
+        # The flow trains float32 parameters with wd 1e-5 at these learning
+        # rates. lr * wd is below half of float32's spacing next to 1, so a
+        # factor 1 - lr wd would round to 1 and drop the decay. One step
+        # from the same state, with and without decay, moves each parameter
+        # apart by 0 or 1 ulp; summed over 2^17 of them the gap is
+        # lr * wd * sum(p) within 5% (seeds 3-5 gave within 1.1%). The
+        # state is three steps in: a first step moves every element by the
+        # same +-alpha, so its rounding does not vary across elements.
+        wd = 1e-5
+        assert np.float32(1 - lr * wd) == 1
+        rng = np.random.default_rng(3)
+        p = rng.uniform(0.5, 2.0, size=2 ** 17).astype(np.float32)
+        grads = rng.normal(size=(4, p.size)).astype(np.float32)
+        opt = _Adam([p], (0.9, 0.999), wd, decoupled=True)
+        for g in grads[:3]:
+            opt.step([g], lr)
+        before = p.astype(np.float64)
+        no_decay = copy.deepcopy(opt)
+        no_decay.wd = 0.0
+        opt.step([grads[3]], lr)
+        no_decay.step([grads[3]], lr)
+        gap = np.sum(no_decay._flat[0].astype(np.float64) - p)
+        assert gap == pytest.approx(lr * wd * np.sum(before), rel=0.05)
 
     def test_updates_the_callers_arrays(self):
         p = np.ones((2, 3))
