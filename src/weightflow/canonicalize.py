@@ -77,12 +77,6 @@ def solve_lap_min(cost: np.ndarray) -> np.ndarray:
     return solve_lap_max(-np.asarray(cost, dtype=np.float64))
 
 
-def invert_permutation(p: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # Hidden-unit permutation of MLP / BN-MLP populations
 
@@ -147,12 +141,6 @@ def apply_permutation(pop: Population, perm: PermutationAssignment) -> Populatio
           for l, (mean, var, count) in pop.bn.items()}
     return Population(arch, pop.params[:, _column_index(arch, perms)], bn,
                       pop.seeds.copy(), pop.metrics.copy())
-
-
-def random_assignment(arch: ArchitectureSpec, seed: int = 0) -> PermutationAssignment:
-    rng = make_rng(seed, "match", 99)
-    return PermutationAssignment(tuple(rng.permutation(arch.layer_dims[l + 1])
-                                       for l in range(arch.num_hidden)))
 
 
 # ---------------------------------------------------------------------------

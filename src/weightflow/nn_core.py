@@ -146,7 +146,7 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
     """
     arch = pop.arch
     act, _ = ACTIVATIONS[arch.activation]
-    z = batch.astype(np.float32)
+    z = np.asarray(batch, dtype=np.float32)
     caches = []
     for l in range(arch.num_layers):
         a = np.matmul(z, pop.weights[l].swapaxes(-1, -2)) + pop.biases[l]
@@ -155,16 +155,22 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
             if arch.has_bn(l):
                 gamma, beta, running_mean, running_var, count = pop.bn_views[l]
                 if mode == "train":
-                    mu = a.mean(axis=1, dtype=np.float64, keepdims=True)
-                    var = a.astype(np.float64).var(axis=1, keepdims=True)
+                    # a.mean(axis=1, dtype=np.float64) and a.var(axis=1) in
+                    # float64, bit for bit, from one centred array.
+                    n = a.shape[1]
+                    a64 = a.astype(np.float64)
+                    mu = _batch_sum(a64) / n
+                    centred = a64 - mu
+                    var = _batch_sum(centred * centred) / n
                     running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
                     running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
-                    count += a.shape[1]
+                    count += n
                 else:
                     mu = running_mean
                     var = running_var
+                    centred = a - mu
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = ((a - mu) * inv_std).astype(np.float32)
+                xhat = (centred * inv_std).astype(np.float32)
                 a = gamma * xhat + beta
                 cache.update(xhat=xhat, inv_std=inv_std.astype(np.float32))
             cache["pre_act"] = a
@@ -193,10 +199,37 @@ def forward(pop: "Population", batch: np.ndarray, mode: str = "eval") -> np.ndar
     return logits
 
 
+def _batch_sum(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=1, keepdims=True)` of an (N, B, k) array, bit for bit.
+
+    numpy reduces the batch axis, which is not the innermost, through its
+    generic reduce loop: 20-33 us per call at (50, 16, 16). The einsum adds
+    the same rows in the same order, row 0 + row 1 + ..., in about 11 us.
+    At k = 1 numpy reduces the batch axis as an innermost one, pairwise,
+    which the einsum does not reproduce, so that width keeps numpy's sum.
+    Products are formed before the call: a two-operand einsum may round
+    differently."""
+    if x.shape[-1] == 1:
+        return x.sum(axis=1, keepdims=True)
+    return np.einsum("nbk->nk", x)[:, None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last (class) axis.
+
+    The class max is `np.maximum.reduce` over axis 0 of a class-major
+    contiguous copy, a running elementwise max of C whole rows. numpy's reduce
+    over a short innermost axis, as in `logits.max(axis=-1)`, costs
+    20-50 us per call at the population step's shapes (52 us at
+    (50, 16, 3)); this costs about 6. A max does not depend on the order
+    it is taken in, so it is exact for any class count. The class sum stays
+    numpy's `e.sum(axis=-1)`: at 10 classes, einsum and matmul sums already
+    differ from its pairwise sum."""
+    class_major = np.ascontiguousarray(logits.transpose(-1, *range(logits.ndim - 1)))
+    e = logits - np.maximum.reduce(class_major, axis=0)[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -210,13 +243,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def _backward(pop: "Population", caches, logits, labels, grads) -> None:
     """Stacked gradients of each member's mean cross-entropy, written in
-    place into `grads` (the `_param_views` of the gradient matrix)."""
+    place into `grads` (the `_param_views` of the gradient matrix).
+
+    Every reduction gives the bits of the plain numpy expression while
+    staying off numpy's slow reduce paths, which cost 20-50 us per call at
+    these shapes. `_softmax` takes the class max from a class-major copy.
+    The labels are subtracted as a one-hot comparison, where a three-array
+    fancy index costs 26 us. The batch sums (bias, gamma and beta
+    gradients, and the BN backward means) go through `_batch_sum`."""
     arch = pop.arch
     grad_w, grad_b, grad_bn = grads
     _, act_grad = ACTIVATIONS[arch.activation]
-    members, n = labels.shape
-    delta = _softmax(logits).astype(np.float32)
-    delta[np.arange(members)[:, None], np.arange(n), labels] -= 1.0
+    n = labels.shape[-1]
+    delta = _softmax(logits)
+    delta -= labels[..., None] == np.arange(delta.shape[-1])
     delta /= n
 
     for l in reversed(range(arch.num_layers)):
@@ -228,16 +268,16 @@ def _backward(pop: "Population", caches, logits, labels, grads) -> None:
             if arch.has_bn(l):
                 xhat = cache["xhat"]
                 grad_gamma, grad_beta = grad_bn[l]
-                grad_gamma[:] = (delta * xhat).sum(axis=1, keepdims=True)
-                grad_beta[:] = delta.sum(axis=1, keepdims=True)
+                grad_gamma[:] = _batch_sum(delta * xhat)
+                grad_beta[:] = _batch_sum(delta)
                 dxhat = delta * pop.bn_views[l][0]
                 delta = cache["inv_std"] * (
                     dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                    - _batch_sum(dxhat) / n
+                    - xhat * (_batch_sum(dxhat * xhat) / n)
                 )
         np.matmul(delta.transpose(0, 2, 1), cache["z_in"], out=grad_w[l])
-        grad_b[l][:] = delta.sum(axis=1, keepdims=True)
+        grad_b[l][:] = _batch_sum(delta)
         if l > 0:
             delta = np.matmul(delta, pop.weights[l])
 
@@ -442,6 +482,15 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     Each member is deterministic given its seed (seeded init and per-epoch
     shuffles) and equals a one-member run bit for bit. metrics hold
     held-out accuracy when `holdout` is given, else training accuracy.
+
+    At the population's shapes a step costs what its reductions over tiny
+    axes cost, not its arithmetic: numpy's reduce over a short innermost
+    axis, or over a non-innermost one, costs 20-50 us per call. So the
+    loss check is `np.isfinite(logits).all()` (4 us), and the float64
+    `cross_entropy` (125 us) runs only when a logit is non-finite, to
+    decide whether to stop and which seed to name. `_softmax`, `_backward`
+    and the train-mode BN statistics take fast paths with the bits of the
+    plain numpy expressions (see their docstrings).
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty training dataset")
@@ -462,7 +511,7 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
                     decoupled=(hyper.optimizer == "adamw"))
 
     rngs = [make_rng(s, "shuffle") for s in seeds]
-    x, y = data.features, data.labels
+    x, y = data.features.astype(np.float32), data.labels
     n = x.shape[0]
     # A diverging member overflows before its loss turns non-finite; the
     # loss check below reports that, so numpy's warnings would only repeat it.
@@ -473,12 +522,16 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
                 idx = order[:, start:start + hyper.batch_size]
                 labels = y[idx]
                 logits, caches = _forward_cached(pop, x[idx], "train")
-                finite = np.isfinite(cross_entropy(logits, labels))
-                if not finite.all():
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, batch offset {start}, "
-                        f"seed {seeds[int(np.argmin(finite))]}"
-                    )
+                # Finite logits give a finite loss (the shifted logits are
+                # <= 0, so the sum of their exps is in [1, C]), so the
+                # float64 loss is computed only to judge non-finite ones.
+                if not np.isfinite(logits).all():
+                    finite = np.isfinite(cross_entropy(logits, labels))
+                    if not finite.all():
+                        raise TrainingDivergedError(
+                            f"non-finite loss at epoch {epoch}, batch offset {start}, "
+                            f"seed {seeds[int(np.argmin(finite))]}"
+                        )
                 _backward(pop, caches, logits, labels, grad_views)
                 opt.step([grads], hyper.learning_rate)
 
@@ -559,17 +612,6 @@ class AttentionWeights:
             raise ShapeError(f"w_o shape {self.w_o.shape} != {(e, e)}")
         if h * hd != e:
             raise ShapeError(f"num_heads {h} x head_dim {hd} != embed_dim {e}")
-
-
-def random_attention(spec: AttentionSpec, seed: int = 0, scale: float = 1.0) -> AttentionWeights:
-    rng = make_rng(seed, "init")
-    h, hd, e = spec.num_heads, spec.head_dim, spec.embed_dim
-    return AttentionWeights(
-        w_q=rng.normal(0, scale, (h, hd, e)),
-        w_k=rng.normal(0, scale, (h, hd, e)),
-        w_v=rng.normal(0, scale, (h, hd, e)),
-        w_o=rng.normal(0, scale, (e, e)),
-    )
 
 
 def mha_forward(attn: AttentionWeights, tokens: np.ndarray) -> np.ndarray:

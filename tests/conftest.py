@@ -1,8 +1,36 @@
 import numpy as np
 import pytest
 
+from weightflow.canonicalize import PermutationAssignment
 from weightflow.data import load_iris, make_blobs
-from weightflow.nn_core import ArchitectureSpec, TrainHyper, train_population
+from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, AttentionWeights,
+                                TrainHyper, train_population)
+from weightflow.rng import make_rng
+
+
+def invert_permutation(p: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p))
+    return inv
+
+
+def random_assignment(arch: ArchitectureSpec, seed: int = 0) -> PermutationAssignment:
+    """One random permutation per hidden layer, from the (seed, "match", 99) stream."""
+    rng = make_rng(seed, "match", 99)
+    return PermutationAssignment(tuple(rng.permutation(arch.layer_dims[l + 1])
+                                       for l in range(arch.num_hidden)))
+
+
+def random_attention(spec: AttentionSpec, seed: int = 0, scale: float = 1.0) -> AttentionWeights:
+    """Attention weights with N(0, scale^2) entries from the (seed, "init") stream."""
+    rng = make_rng(seed, "init")
+    h, hd, e = spec.num_heads, spec.head_dim, spec.embed_dim
+    return AttentionWeights(
+        w_q=rng.normal(0, scale, (h, hd, e)),
+        w_k=rng.normal(0, scale, (h, hd, e)),
+        w_v=rng.normal(0, scale, (h, hd, e)),
+        w_o=rng.normal(0, scale, (e, e)),
+    )
 
 
 @pytest.fixture(scope="session")

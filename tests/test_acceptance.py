@@ -12,18 +12,17 @@ import time
 import numpy as np
 import pytest
 
+from conftest import invert_permutation, random_assignment, random_attention
 from weightflow.bn_recalib import PooledStats
 from weightflow.canonicalize import (apply_attention_assignment,
-                                     apply_permutation, invert_permutation,
-                                     random_assignment, solve_lap_max,
+                                     apply_permutation, solve_lap_max,
                                      transfusion_align, weight_match,
                                      AttentionAssignment)
 from weightflow.config import parse_config
 from weightflow.flow import (FlowConfig, fm_loss_and_grads, init_flow_model,
                              rk4_integrate)
 from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, evaluate,
-                                forward, init_population, mha_forward,
-                                random_attention)
+                                forward, init_population, mha_forward)
 from weightflow.pca import fit_dual, fit_standard, inverse_transform, transform
 from weightflow.pipeline import read_manifest, run_pipeline, sha256_file
 

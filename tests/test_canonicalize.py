@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import invert_permutation, random_assignment, random_attention
 from weightflow import canonicalize
 from weightflow.canonicalize import (apply_attention_assignment,
                                      apply_permutation, canonicalize_population,
-                                     invert_permutation, random_assignment,
                                      solve_lap_max, solve_lap_min,
                                      transfusion_align, weight_match,
                                      AttentionAssignment, PermutationAssignment)
 from weightflow.errors import ArgumentError, ShapeError
 from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, Population,
                                 evaluate, forward, init_population,
-                                mha_forward, random_attention)
+                                mha_forward)
 
 
 def brute_force_max(score):

@@ -2,6 +2,8 @@ import configparser
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weightflow
 from weightflow.checkpoint_io import load_population
 from weightflow.cli import main
 from weightflow.config import _KEYS, DataConfig, RunConfig, parse_config, section_rows
@@ -53,16 +56,43 @@ def _files(out) -> dict:
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+# QUICK with BN, Re-Basin and PCA on, so that every stage runs and every
+# key shapes some artifact.
+FULL = QUICK.replace("layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1") + """
+[pca]
+mode = standard
+"""
+
+
 @pytest.fixture
 def full_run(tmp_path):
-    """A finished QUICK run with BN, Re-Basin and PCA on, so that every stage
-    runs and every key shapes some artifact: (config path, run directory)."""
+    """A finished FULL run: (config path, run directory)."""
     out = tmp_path / "run"
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(QUICK.format(out=out).replace(
-        "layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1") + "\n[pca]\nmode = standard\n")
+    cfg_path.write_text(FULL.format(out=out))
     assert main(["run", "--config", str(cfg_path)]) == 0
     return cfg_path, out
+
+
+class TestBlasThreads:
+    def test_run_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # Two processes, since OpenBLAS reads its thread count at import.
+        # Two threads is the fewest that can split a GEMM differently, and
+        # asks no more cores than a 2-core runner has.
+        src = str(Path(weightflow.__file__).parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            cfg_path = tmp_path / f"cfg{threads}.ini"
+            cfg_path.write_text(FULL.format(out=out))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "weightflow.cli", "run", "--config",
+                            str(cfg_path)], env=env, check=True, capture_output=True)
+            runs[threads] = _files(out)
+        assert sorted(runs["1"]) == sorted(runs["2"]) and len(runs["1"]) == 14
+        differing = [name for name in sorted(runs["1"]) if runs["1"][name] != runs["2"][name]]
+        assert not differing, f"{differing[0]} differs between 1 and 2 BLAS threads"
 
 
 class TestConfig:

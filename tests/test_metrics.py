@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightflow.errors import ArgumentError
@@ -78,6 +78,16 @@ class TestMaxIou:
     def test_empty_references(self):
         with pytest.raises(ArgumentError):
             max_iou([{1}], [])
+
+    @given(queries=st.lists(st.frozensets(st.integers(0, 40)), min_size=1, max_size=8),
+           references=st.lists(st.frozensets(st.integers(0, 40)), min_size=1, max_size=8))
+    @example(queries=[frozenset(), frozenset({3})], references=[frozenset({3}), frozenset()])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_iou_loop(self, queries, references):
+        got = max_iou(queries, references)
+        want = np.array([max(iou(q, r) for r in references) for q in queries])
+        assert got.per_query.tobytes() == want.tobytes()
+        assert got.mean == float(want.mean()) and got.std == float(want.std())
 
 
 class TestWasserstein:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_attention
 from weightflow import activations, nn_core
 from weightflow.activations import ACTIVATIONS, erf
 from weightflow.data import LabeledDataset, make_blobs
@@ -14,8 +15,7 @@ from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
 from weightflow.nn_core import (BN_EPS, BN_MOMENTUM, ArchitectureSpec,
                                 ADAM_CHUNK, AttentionSpec, Population, TrainHyper,
                                 _Adam, _SGD, cross_entropy, evaluate, forward,
-                                init_population, mha_forward, random_attention,
-                                train_population)
+                                init_population, mha_forward, train_population)
 from weightflow.rng import make_rng
 
 
@@ -356,6 +356,20 @@ class TestTrainPopulation:
                 pytest.raises(TrainingDivergedError, match=r"epoch 0, .*seed 3"):
             train_population(ArchitectureSpec((4, 8, 3)), train, hyper, self.SEEDS)
 
+    def test_divergence_names_the_diverging_members_seed(self, blobs, monkeypatch):
+        # Only member 1 goes non-finite: an inf output bias makes its
+        # logits inf and its loss nan, while the others train on.
+        def init_with_inf(arch, seeds, scheme):
+            pop = init_population(arch, seeds, scheme)
+            pop.biases[-1][1, 0, 0] = np.inf
+            return pop
+
+        monkeypatch.setattr(nn_core, "init_population", init_with_inf)
+        train, _ = blobs
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match=r"epoch 0, batch offset 0, seed 4$"):
+            train_population(ArchitectureSpec((4, 8, 3)), train, TrainHyper(), self.SEEDS)
+
     def test_needs_a_seed(self, blobs):
         train, _ = blobs
         with pytest.raises(ArgumentError):
@@ -388,6 +402,94 @@ class TestTrainPopulation:
         assert kept.params.tobytes() == recomputed.params.tobytes()
         assert_same_network(kept, recomputed)
         assert np.array_equal(kept.metrics, recomputed.metrics)
+
+
+def reduction_case(members, batch, width, dtype, seed, scale):
+    """An (members, batch, width) array of normal draws times `scale`."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(members, batch, width)) * scale).astype(dtype)
+
+
+MEMBERS = st.sampled_from([1, 3, 50])
+BATCHES = st.sampled_from([1, 7, 16, 150])
+DTYPES = st.sampled_from([np.float32, np.float64])
+SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestReductionsBitIdentity:
+    """Each reduction of the population step gives the bits of the plain
+    numpy expression it replaces."""
+
+    @given(members=MEMBERS, batch=BATCHES, width=st.integers(1, 32), dtype=DTYPES,
+           seed=SEEDS, scale=SCALES)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_sums(self, members, batch, width, dtype, seed, scale):
+        x = reduction_case(members, batch, width, dtype, seed, scale)
+        y = reduction_case(members, batch, width, dtype, seed + 1, 1.0)
+        for got, want in [(nn_core._batch_sum(x), x.sum(axis=1, keepdims=True)),
+                          (nn_core._batch_sum(x * y), (x * y).sum(axis=1, keepdims=True)),
+                          (nn_core._batch_sum(x) / batch, x.mean(axis=1, keepdims=True))]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(members=MEMBERS, batch=BATCHES, classes=st.sampled_from([2, 3, 10]),
+           dtype=DTYPES, seed=SEEDS, scale=SCALES, planted=st.sampled_from([None, np.inf,
+                                                                            -np.inf, np.nan]))
+    @settings(max_examples=150, deadline=None)
+    def test_softmax_class_max(self, members, batch, classes, dtype, seed, scale, planted):
+        logits = reduction_case(members, batch, classes, dtype, seed, scale)
+        if planted is not None:
+            logits[0, 0, classes - 1] = planted
+        with np.errstate(invalid="ignore"):
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            want = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+            got = nn_core._softmax(logits)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(members=MEMBERS, batch=BATCHES, classes=st.sampled_from([2, 3, 10]),
+           d_in=st.integers(1, 32), seed=SEEDS, scale=SCALES)
+    @settings(max_examples=100, deadline=None)
+    def test_one_hot_subtraction(self, members, batch, classes, d_in, seed, scale):
+        # A network without hidden layers: its gradients are the softmax
+        # delta with the labels subtracted, times the input and summed.
+        arch = ArchitectureSpec((d_in, classes))
+        pop = init_population(arch, range(members))
+        z = reduction_case(members, batch, d_in, np.float32, seed, scale)
+        labels = np.random.default_rng(seed).integers(0, classes, (members, batch))
+        logits, caches = nn_core._forward_cached(pop, z, "train")
+        grads = np.empty_like(pop.params)
+        nn_core._backward(pop, caches, logits, labels, nn_core._param_views(grads, arch))
+
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        delta = (np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)).astype(np.float32)
+        delta[np.arange(members)[:, None], np.arange(batch), labels] -= 1.0
+        delta /= batch
+        want = np.empty_like(pop.params)
+        want_w, want_b, _ = nn_core._param_views(want, arch)
+        np.matmul(delta.transpose(0, 2, 1), z, out=want_w[0])
+        want_b[0][:] = delta.sum(axis=1, keepdims=True)
+        assert grads.tobytes() == want.tobytes()
+
+    @given(members=MEMBERS, batch=BATCHES, width=st.integers(1, 32), dtype=DTYPES,
+           seed=SEEDS, scale=SCALES)
+    @settings(max_examples=100, deadline=None)
+    def test_bn_train_statistics(self, members, batch, width, dtype, seed, scale):
+        arch = ArchitectureSpec((5, width, 3), bn_layers=(True,))
+        pop = init_population(arch, range(members))
+        x = reduction_case(members, batch, 5, dtype, seed, scale)
+        _, caches = nn_core._forward_cached(pop, x, "train")
+
+        ref = init_population(arch, range(members))
+        a = np.matmul(x.astype(np.float32), ref.weights[0].swapaxes(-1, -2)) + ref.biases[0]
+        mu = a.mean(axis=1, dtype=np.float64, keepdims=True)
+        var = a.astype(np.float64).var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        assert caches[0]["xhat"].tobytes() == ((a - mu) * inv_std).astype(np.float32).tobytes()
+        assert caches[0]["inv_std"].tobytes() == inv_std.astype(np.float32).tobytes()
+        mean, variance, count = pop.bn[0]
+        assert mean.tobytes() == (BN_MOMENTUM * mu[:, 0]).tobytes()
+        assert variance.tobytes() == ((1 - BN_MOMENTUM) + BN_MOMENTUM * var[:, 0]).tobytes()
+        assert (count == batch).all()
 
 
 class TestEvaluate:
