@@ -32,7 +32,7 @@ import numpy as np
 
 from .activations import ACTIVATIONS
 from .errors import ArgumentError
-from .nn_core import BN_EPS, BN_MOMENTUM, Population
+from .nn_core import BN_EPS, BN_MOMENTUM, Population, _batch_sum
 
 
 @dataclass
@@ -77,6 +77,13 @@ def recalibrate(pop: Population, data, batch_size: int = 64,
     Weights, gamma, and beta are untouched; only running mean/var/count
     change. Momentum-based EMA behavior (0.1) resumes on future train-mode
     passes.
+
+    Each batch's per-member mean and variance take `ndarray.mean` and
+    `ndarray.var`'s own steps over the batch axis (sum, divide; centre,
+    square, sum, divide), with the sums from `nn_core._batch_sum`, which
+    adds the rows in numpy's order but off its slow reduce loop; so the
+    statistics keep numpy's bits. Each BN layer's sqrt(var + eps) is taken
+    once, not once per batch.
     """
     if data.features.shape[0] == 0:
         raise ArgumentError("empty calibration dataset")
@@ -106,12 +113,16 @@ def recalibrate(pop: Population, data, batch_size: int = 64,
             gamma, beta, running_mean, running_var, count = views
             stats = PooledStats.zeros(arch.layer_dims[l + 1])
             for a in zs:
-                stats.update_from_batch(a, axis=1)
+                n_k = a.shape[1]
+                mean = _batch_sum(a) / n_k
+                centred = a - mean
+                stats.update(mean[:, 0], _batch_sum(centred * centred)[:, 0] / n_k, n_k)
             running_mean[...] = stats.mean.reshape(gamma.shape)
             running_var[...] = stats.var.reshape(gamma.shape)
             count[...] = stats.count
+            std = np.sqrt(running_var + BN_EPS)
         for i, a in enumerate(zs):
             if views is not None:
-                a = gamma * (a - running_mean) / np.sqrt(running_var + BN_EPS) + beta
+                a = gamma * (a - running_mean) / std + beta
             zs[i] = act(a)
     assert BN_MOMENTUM == 0.1  # EMA resumes at the documented momentum

@@ -60,8 +60,9 @@ def solve_lap_max(score: np.ndarray) -> np.ndarray:
     perm = np.empty(n, dtype=np.int64)
     prefix = 0.0
     for i in range(n):
+        below = score[i + 1:]               # the rows left are a contiguous range
         for j in cols:
-            rest = score[np.ix_(range(i + 1, n), [c for c in cols if c != j])]
+            rest = below[:, [c for c in cols if c != j]]
             if prefix + score[i, j] + _lap_max_value(rest) >= optimum - tol:
                 break
         else:  # numerically unreachable; fall back to the first free column

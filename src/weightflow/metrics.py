@@ -67,8 +67,23 @@ def max_iou(queries, references) -> MaxIouResult:
     return MaxIouResult(per_query, float(per_query.mean()), float(per_query.std()))
 
 
-# Quantile-grid points interpolated at a time by wasserstein_1d.
+# Most quantile-grid points wasserstein_1d interpolates at a time.
 W1_BLOCK = 1 << 16
+
+
+def _tree_sum(leaf, start: int, count: int) -> float:
+    """`np.add.reduce` of a contiguous float64 run of `count` values from
+    index `start`, bit for bit, from `leaf(start, size)` arrays of at most
+    W1_BLOCK of them.
+
+    numpy sums a contiguous run pairwise: a run longer than 128 is split at
+    half its length rounded down to a multiple of 8, and the two halves'
+    sums are added. Splitting at the same points down to runs of at most
+    W1_BLOCK and reducing each with numpy walks the same tree."""
+    if count > W1_BLOCK:
+        left = count // 2 - count // 2 % 8
+        return _tree_sum(leaf, start, left) + _tree_sum(leaf, start + left, count - left)
+    return np.add.reduce(leaf(start, count))
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -76,9 +91,10 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
 
     Equal sizes reduce to the mean absolute difference of sorted samples;
     unequal sizes integrate |F_a^-1 - F_b^-1| with linear interpolation on
-    the midpoints of 4 max(|a|, |b|) equal cells of [0, 1]. The grid and
-    both quantile functions are evaluated W1_BLOCK points at a time into one
-    array of |qa - qb|, whose mean is taken once.
+    the midpoints of n = 4 max(|a|, |b|) equal cells of [0, 1]. The n values
+    |qa - qb| are never held at once: `_tree_sum` evaluates them W1_BLOCK
+    grid points at a time and adds the blocks along numpy's pairwise-sum
+    tree, so the result is `np.mean` of the whole grid's array bit for bit.
     """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
@@ -90,15 +106,16 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     step, half = 1.0 / n, 0.5 / n     # grid k = k * step + half, as linspace
     xa = (np.arange(a.size) + 0.5) / a.size
     xb = (np.arange(b.size) + 0.5) / b.size
-    gap = np.empty(n)
-    for start in range(0, n, W1_BLOCK):
-        grid = np.arange(start, min(start + W1_BLOCK, n), dtype=np.float64)
+
+    def gap(start, size):
+        grid = np.arange(start, start + size, dtype=np.float64)
         grid *= step
         grid += half
-        out = gap[start:start + grid.size]
-        np.subtract(np.interp(grid, xa, a), np.interp(grid, xb, b), out=out)
-        np.abs(out, out=out)
-    return float(np.mean(gap))
+        out = np.interp(grid, xa, a)
+        out -= np.interp(grid, xb, b)
+        return np.abs(out, out=out)
+
+    return float(_tree_sum(gap, 0, n) / n)
 
 
 def jensen_shannon(a: np.ndarray, b: np.ndarray, bins: int = 100) -> float:
@@ -156,14 +173,9 @@ def distribution_distances(a: np.ndarray, b: np.ndarray) -> DistributionDistance
     dist = np.sqrt(np.clip(sq, 0.0, None))
     l2 = float(dist.mean())
 
-    same_set = a.shape == b.shape and np.array_equal(a, b)
-    nn = []
-    for i in range(a.shape[0]):
-        row = dist[i].copy()
-        if same_set:
-            row[i] = np.inf
-        nn.append(row.min())
-    nn = np.array(nn)
+    if a.shape == b.shape and np.array_equal(a, b):
+        np.fill_diagonal(dist, np.inf)    # a row is not its own neighbour
+    nn = dist.min(axis=1)
     return DistributionDistances(
         wasserstein=w1, jensen_shannon=js, cosine=cosine, l2=l2,
         nn_mean=float(nn.mean()), nn_std=float(nn.std()),

@@ -206,19 +206,74 @@ def stage_evaluate(cfg: RunConfig, population: Population, generated: Population
 
 
 def _min_pairwise_l2(m: np.ndarray) -> float:
-    """Smallest L2 distance between two rows of m, one row at a time: each
-    row's differences to the later rows go into one reused buffer and are
-    squared and summed in place, as `np.linalg.norm` does, and one sqrt of
-    the smallest sum follows. sqrt is monotone and correctly rounded, so
-    this is the smallest of the norms bit for bit."""
-    n = len(m)
-    diff = np.empty((n - 1, m.shape[1]), dtype=m.dtype)
+    """Smallest L2 distance between two rows of m, bit-equal to the smallest
+    of the per-row `np.linalg.norm(m[i] - m[i + 1:], axis=1)` distances.
 
-    def nearest_squared(i):
-        d = np.subtract(m[i], m[i + 1:], out=diff[:n - 1 - i])
-        return np.add.reduce(np.multiply(d, d, out=d), axis=1).min()
+    Every squared distance s_ij is first estimated from one Gram product per
+    row block, as |a_i|^2 + |a_j|^2 - 2 a_i.a_j. Only candidate pairs are
+    then summed exactly, as the norm does: d = m[i] - m[J] squared in place
+    and `np.add.reduce`d along each row, then one sqrt of the smallest sum
+    (sqrt is monotone and correctly rounded). A pair stops being a candidate
+    only when its estimate less its error bound exceeds another pair's
+    estimate plus that pair's bound, so the pair with the smallest exact sum
+    always stays one, and the estimate's bits never reach the result.
 
-    return float(np.sqrt(min(nearest_squared(i) for i in range(n - 1))))
+    The bound: with unit roundoff u, g_k = k u / (1 - k u) and eta the
+    smallest subnormal, the estimate lies within g_(P+3) (|a_i| + |a_j|)^2
+    + 3 P eta of the true s_ij and the exact sum within g_(P+2) (|a_i| +
+    |a_j|)^2 + P eta, for any summation order, BLAS blocking or FMA use; eta
+    covers gradual underflow. The bound used, 2 g_(4P+16) (|a_i|^2 +
+    |a_j|^2) + (4P + 16) eta on the computed squared norms, covers both
+    errors, as (|a_i| + |a_j|)^2 <= 2 (|a_i|^2 + |a_j|^2), and the rounding
+    of the norms and of its own arithmetic; the comparisons need no margin,
+    as rounding is monotone. A non-finite or near-overflowing squared norm
+    makes every pair a candidate, in row order: that is the per-row loop
+    itself, its NaN handling included.
+
+    A block of float64 estimates with its boolean candidate mask, and a
+    block of differences with that mask, each take at most the (n - 1) x P
+    buffer the per-row loop allocated, so peak memory does not grow."""
+    n, p = m.shape
+    info = np.finfo(m.dtype)
+    k = 4 * p + 16
+    gamma = k * (info.eps / 2) / (1 - k * info.eps / 2)
+    tiny = k * info.smallest_subnormal
+    sq = np.einsum("ij,ij->i", m, m)
+    slack = 2 * gamma * sq
+    step = max(1, 8 * (n - 1) // 9)             # difference rows at a time
+
+    def exact_min(i, cols):
+        mins = []
+        for c in range(0, len(cols), step):
+            d = m.take(cols[c:c + step], axis=0)
+            np.subtract(m[i], d, out=d)
+            mins.append(np.add.reduce(np.multiply(d, d, out=d), axis=1).min())
+        return np.min(mins)
+
+    def candidates():
+        if not sq.max() <= info.max / 16:
+            yield from ((i, np.arange(i + 1, n)) for i in range(n - 1))
+            return
+        upper = np.inf
+        rows = max(1, 8 * (n - 1) * p // (9 * n))
+        for s in range(0, n - 1, rows):
+            e = min(s + rows, n - 1)
+            est = m[s:e] @ m[s + 1:].T      # pair (i, j) at [i - s, j - s - 1]
+            est *= -2
+            est += sq[s:e, None]
+            est += sq[s + 1:]
+            for t in range(1, e - s):
+                est[t, :t] = np.inf                 # pairs j <= i
+            t, c = np.unravel_index(np.argmin(est), est.shape)
+            upper = min(upper, est[t, c] + slack[s + t] + slack[s + 1 + c] + tiny)
+            est -= slack[s:e, None]
+            est -= slack[s + 1:]
+            hit = est <= upper + tiny
+            del est
+            for t in np.flatnonzero(hit.any(axis=1)):
+                yield s + t, s + 1 + np.flatnonzero(hit[t])
+
+    return float(np.sqrt(min(exact_min(i, cols) for i, cols in candidates())))
 
 
 def stage_report(cfg: RunConfig, metrics: dict):

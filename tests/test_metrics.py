@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightflow.errors import ArgumentError
-from weightflow.metrics import (W1_BLOCK, distribution_distances, iou,
+from weightflow.metrics import (W1_BLOCK, _tree_sum, distribution_distances, iou,
                                 jensen_shannon, max_iou, wasserstein_1d,
                                 wrong_set)
 
@@ -129,7 +129,19 @@ class TestWasserstein:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, peak
+        assert peak < 8e6, peak
+
+    @given(blocks=st.integers(0, 3), offset=st.integers(-9, 9), start=st.integers(0, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_tree_sum_is_numpy_sum(self, blocks, offset, start, seed):
+        # Lengths around multiples of W1_BLOCK (the leaves) and of 8 (numpy's
+        # split points), from a run that starts inside a larger array.
+        count = max(1, blocks * W1_BLOCK + 8 * offset + offset % 3)
+        x = np.abs(np.random.default_rng(seed).standard_cauchy(start + count))
+        want = np.add.reduce(x[start:])
+        got = _tree_sum(lambda s, size: x[s:s + size], start, count)
+        assert got == want
 
     @given(seed=st.integers(0, 1000), shift=st.floats(-5, 5))
     @settings(max_examples=40, deadline=None)

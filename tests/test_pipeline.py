@@ -1,13 +1,17 @@
 """The stage runner: only it writes, and a failed write leaves the previous
-outputs as they were. Also the evaluate stage's pairwise-distance helper."""
+outputs as they were. Also the evaluate stage's pairwise-distance helper,
+against the per-row norm loop it replaced."""
 
 import ast
 import contextlib
 import io
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightflow import checkpoint_io, flow, pca, pipeline
 from weightflow.cli import main
@@ -140,3 +144,46 @@ def test_min_pairwise_l2_equals_the_norm_form_bit_for_bit(shape):
         dup = m.copy()
         dup[-1] = dup[0]
         assert pipeline._min_pairwise_l2(dup) == _min_norm(dup) == 0.0
+
+
+@given(n=st.integers(2, 60), p=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e-160, 1e160]), offset=st.sampled_from([0.0, 5.0]),
+       plant=st.sampled_from(["none", "duplicate", "ulp", "inf", "nan"]))
+@settings(max_examples=300, deadline=None)
+def test_min_pairwise_l2_equals_the_norm_form_on_hard_input(n, p, seed, scale, offset, plant):
+    # Offset rows make the Gram estimate cancel; 1e-160 and 1e160 underflow
+    # and overflow its squares; a planted pair one ulp from another is a tie
+    # the estimate cannot see.
+    rng = np.random.default_rng(seed)
+    m = (rng.normal(size=(n, p)) + offset) * scale
+    if plant == "duplicate":
+        m[-1] = m[0]
+    elif plant == "ulp" and n >= 4:
+        step = rng.normal(0.0, 1e-3, size=p) * scale
+        m[1] = m[0] + step
+        step[0] = np.nextafter(step[0], np.inf)
+        m[3] = m[2] + step
+    elif plant in ("inf", "nan"):
+        m[rng.integers(n), rng.integers(p)] = np.inf if plant == "inf" else np.nan
+    with np.errstate(all="ignore"):
+        got, want = pipeline._min_pairwise_l2(m), _min_norm(m)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+@pytest.mark.parametrize("case", ["random", "tall", "all-tied", "nan"])
+def test_min_pairwise_l2_peak_memory_within_the_row_loop_buffer(case):
+    rng = np.random.default_rng(0)
+    m = {"random": lambda: rng.normal(size=(400, 531)),
+         "tall": lambda: rng.normal(size=(1000, 20)),
+         "all-tied": lambda: np.eye(300),          # every pair is a candidate
+         "nan": lambda: np.where(np.eye(200, 100) > 0, np.nan, 1.0)}[case]()
+    n, p = m.shape
+    tracemalloc.start()
+    try:
+        pipeline._min_pairwise_l2(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The per-row loop's (n - 1) x P float64 buffer, plus numpy's ufunc
+    # buffers and a few length-n vectors.
+    assert peak <= (n - 1) * p * 8 + 2 ** 17, peak
