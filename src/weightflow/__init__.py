@@ -5,7 +5,7 @@ symmetry, optionally PCA-compress the flat weight vectors, fit a
 flow-matching model, and sample new working checkpoints.
 """
 
-from .bn_recalib import PooledStats, recalibrate
+from .bn_recalib import recalibrate
 from .canonicalize import (AttentionAssignment, PermutationAssignment,
                            apply_attention_assignment, apply_permutation,
                            canonicalize_population, solve_lap_max,

@@ -16,6 +16,8 @@ recalibration read and write: per-layer W (N, d_out, d_in), b, gamma and
 beta (each (N, 1, d_out)) over the matrix rows, and (N, 1, d) means and
 variances over the statistics, so all of them are updated in place.
 `pop[block]` is the population of the block's rows, as views.
+`_forward_cached` is the one stacked forward pass, in train, calibrate
+(BN recalibration) and eval modes.
 `train_population` runs one stacked forward, backward and optimizer step
 per minibatch, yet every member follows its own seed's init and shuffles
 and equals a one-member run bit for bit.
@@ -137,41 +139,53 @@ def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming") -> "
 
 
 def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
-    """Stacked forward pass keeping per-layer intermediates for backprop.
-
-    `batch` is (N, B, d_in), or (1, B, d_in) to give every member the same
-    rows. Returns (logits (N, B, d_out), caches). Train mode uses each
-    member's batch statistics in BN layers and updates its running stats
-    by EMA with momentum 0.1.
+    """Stacked forward pass. `batch` is (N, B, d_in), or (1, B, d_in) to
+    give every member the same rows. Returns (logits (N, B, d_out), caches);
+    only train mode keeps the caches, the per-layer intermediates backprop
+    reads. A BN layer normalizes with each member's running statistics in
+    eval mode, and otherwise with its batch mean and variance (numpy's
+    float64 `mean` and `var` of the pre-activations, bit for bit), which
+    train mode folds into the running ones by EMA with momentum 0.1 and
+    calibrate mode stores as them (count = rows), so that an eval pass then
+    computes the calibrate pass's bits.
     """
     arch = pop.arch
     act, _ = ACTIVATIONS[arch.activation]
+    train = mode == "train"
     z = np.asarray(batch, dtype=np.float32)
     caches = []
+    # Arithmetic is in place where the bits allow: an array of a member
+    # block's size is fresh memory, so each one allocated costs page faults.
     for l in range(arch.num_layers):
-        a = np.matmul(z, pop.weights[l].swapaxes(-1, -2)) + pop.biases[l]
+        a = np.matmul(z, pop.weights[l].swapaxes(-1, -2))
+        a += pop.biases[l]
         cache = {"z_in": z}
         if l < arch.num_hidden:
             if arch.has_bn(l):
                 gamma, beta, running_mean, running_var, count = pop.bn_views[l]
-                if mode == "train":
-                    # a.mean(axis=1, dtype=np.float64) and a.var(axis=1) in
-                    # float64, bit for bit, from one centred array.
-                    n = a.shape[1]
-                    a64 = a.astype(np.float64)
-                    mu = _batch_sum(a64) / n
-                    centred = a64 - mu
-                    var = _batch_sum(centred * centred) / n
-                    running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
-                    running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
-                    count += n
-                else:
+                if mode == "eval":
                     mu = running_mean
                     var = running_var
                     centred = a - mu
+                else:
+                    n = a.shape[1]
+                    centred = a.astype(np.float64)
+                    mu = _batch_sum(centred) / n
+                    centred -= mu
+                    var = _batch_sum(centred * centred) / n
+                    if train:
+                        running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+                        running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+                        count += n
+                    else:
+                        running_mean[:] = mu
+                        running_var[:] = var
+                        count[:] = n
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = (centred * inv_std).astype(np.float32)
-                a = gamma * xhat + beta
+                centred *= inv_std
+                xhat = centred.astype(np.float32)
+                a = gamma * xhat
+                a += beta
                 cache.update(xhat=xhat, inv_std=inv_std.astype(np.float32))
             cache["pre_act"] = a
             if arch.activation == "gelu":   # gelu(a), keeping the cdf for gelu_grad
@@ -181,7 +195,8 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
                 z = act(a)
         else:
             z = a
-        caches.append(cache)
+        if train:
+            caches.append(cache)
     return z, caches
 
 
@@ -540,15 +555,18 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     return pop
 
 
-# Byte budget of one member block's float64 activations of one layer.
+# Byte budget of what one member block's stacked pass holds.
 MEMBER_BLOCK_BYTES = 2 << 20
 
 
 def member_blocks(n_members: int, arch: ArchitectureSpec, n_rows: int) -> list:
-    """Slices that split `n_members` members into blocks whose float64
-    activations of one layer over `n_rows` rows fit in MEMBER_BLOCK_BYTES
-    (at least one member per block)."""
-    per_member = 8 * n_rows * max(arch.layer_dims[1:])
+    """Slices that split `n_members` members into blocks whose stacked
+    pass over `n_rows` rows fits in MEMBER_BLOCK_BYTES (at least one
+    member per block). A BN layer's pass holds its centred float64
+    pre-activations, their squares and a few float32 arrays of the same
+    shape, so each member is budgeted four float64 arrays of its widest
+    layer: a pass over 400 members at 8-16-16-3 traces 0.8-1.2 budgets."""
+    per_member = 4 * 8 * n_rows * max(arch.layer_dims[1:])
     size = max(1, MEMBER_BLOCK_BYTES // per_member)
     return [slice(s, min(s + size, n_members)) for s in range(0, n_members, size)]
 

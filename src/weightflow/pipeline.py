@@ -34,7 +34,7 @@ from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
-from .nn_core import Population, evaluate, member_blocks, train_population
+from .nn_core import Population, evaluate, train_population
 from .pca import default_latent_dim, load_pca, save_pca
 
 # Published reference values, reported in stage outputs for context but
@@ -158,11 +158,9 @@ def stage_generate(cfg: RunConfig, flow, pca=None):
         vectors = pca_mod.inverse_transform(pca, vectors)
     params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
     pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
-    for block in member_blocks(len(pop), cfg.arch, train.features.shape[0]):
-        members = pop[block]
-        if members.bn and cfg.recalibrate_bn:
-            recalibrate(members, train, calib_fraction=cfg.calib_fraction)
-        members.metrics[:] = [result.accuracy for result in evaluate(members, test)]
+    if pop.bn and cfg.recalibrate_bn:
+        recalibrate(pop, train, calib_fraction=cfg.calib_fraction)
+    pop.metrics[:] = [result.accuracy for result in evaluate(pop, test)]
     return (pop,), [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
                     for i, accuracy in enumerate(pop.metrics.tolist())]
 
@@ -205,6 +203,11 @@ def stage_evaluate(cfg: RunConfig, population: Population, generated: Population
     return (), rows
 
 
+# Fewest estimates in one row block of `_min_pairwise_l2`: 32 KiB, plus as
+# much again for numpy's buffer of the broadcast adds into the block.
+ESTIMATE_BLOCK_FLOOR = 1 << 12
+
+
 def _min_pairwise_l2(m: np.ndarray) -> float:
     """Smallest L2 distance between two rows of m, bit-equal to the smallest
     of the per-row `np.linalg.norm(m[i] - m[i + 1:], axis=1)` distances.
@@ -232,7 +235,9 @@ def _min_pairwise_l2(m: np.ndarray) -> float:
 
     A block of float64 estimates with its boolean candidate mask, and a
     block of differences with that mask, each take at most the (n - 1) x P
-    buffer the per-row loop allocated, so peak memory does not grow."""
+    buffer the per-row loop allocated, so peak memory does not grow, but
+    an estimate block holds at least ESTIMATE_BLOCK_FLOOR values, so that
+    where rows far outnumber columns it is not one row per pass."""
     n, p = m.shape
     info = np.finfo(m.dtype)
     k = 4 * p + 16
@@ -255,7 +260,7 @@ def _min_pairwise_l2(m: np.ndarray) -> float:
             yield from ((i, np.arange(i + 1, n)) for i in range(n - 1))
             return
         upper = np.inf
-        rows = max(1, 8 * (n - 1) * p // (9 * n))
+        rows = max(-(-ESTIMATE_BLOCK_FLOOR // n), 8 * (n - 1) * p // (9 * n))
         for s in range(0, n - 1, rows):
             e = min(s + rows, n - 1)
             est = m[s:e] @ m[s + 1:].T      # pair (i, j) at [i - s, j - s - 1]

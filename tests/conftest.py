@@ -4,7 +4,7 @@ import pytest
 from weightflow.canonicalize import PermutationAssignment
 from weightflow.data import load_iris, make_blobs
 from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, AttentionWeights,
-                                TrainHyper, train_population)
+                                Population, TrainHyper, forward, train_population)
 from weightflow.rng import make_rng
 
 
@@ -19,6 +19,29 @@ def random_assignment(arch: ArchitectureSpec, seed: int = 0) -> PermutationAssig
     rng = make_rng(seed, "match", 99)
     return PermutationAssignment(tuple(rng.permutation(arch.layer_dims[l + 1])
                                        for l in range(arch.num_hidden)))
+
+
+def pre_bn_activations(pop: Population, features: np.ndarray, l: int) -> np.ndarray:
+    """(N, B, d) pre-BN activations of BN layer `l` that an eval-mode
+    `forward` of `pop` computes on `features`: the logits of `pop` cut
+    after layer `l`, whose flat vectors are a prefix of `pop`'s."""
+    arch = pop.arch
+    cut = ArchitectureSpec(arch.layer_dims[:l + 2], arch.activation, arch.bn_layers[:l])
+    head = Population(cut, np.ascontiguousarray(pop.params[:, :cut.param_count()]),
+                      {k: pop.bn[k] for k in range(l) if k in pop.bn})
+    return forward(head, features, "eval")
+
+
+def assert_numpy_bn_statistics(pop: Population, features: np.ndarray) -> None:
+    """Every BN layer's running mean, var and count are, bit for bit, each
+    member's numpy float64 `mean` and `var` and the row count of the
+    eval-mode pre-BN activations on `features`."""
+    for l, (mean, var, count) in pop.bn.items():
+        acts = pre_bn_activations(pop, features, l).astype(np.float64)
+        for i, a in enumerate(acts):
+            assert mean[i].tobytes() == a.mean(axis=0).tobytes(), (l, i)
+            assert var[i].tobytes() == a.var(axis=0).tobytes(), (l, i)
+        assert count.tolist() == [len(features)] * len(pop), l
 
 
 def random_attention(spec: AttentionSpec, seed: int = 0, scale: float = 1.0) -> AttentionWeights:

@@ -12,17 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import invert_permutation, random_assignment, random_attention
-from weightflow.bn_recalib import PooledStats
+from conftest import (assert_numpy_bn_statistics, invert_permutation,
+                      random_assignment, random_attention)
+from weightflow import nn_core
+from weightflow.bn_recalib import recalibrate
 from weightflow.canonicalize import (apply_attention_assignment,
                                      apply_permutation, solve_lap_max,
                                      transfusion_align, weight_match,
                                      AttentionAssignment)
 from weightflow.config import parse_config
+from weightflow.data import LabeledDataset
 from weightflow.flow import (FlowConfig, fm_loss_and_grads, init_flow_model,
                              rk4_integrate)
-from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, evaluate,
-                                forward, init_population, mha_forward)
+from weightflow.nn_core import (ArchitectureSpec, AttentionSpec, Population,
+                                evaluate, forward, init_population, mha_forward)
 from weightflow.pca import fit_dual, fit_standard, inverse_transform, transform
 from weightflow.pipeline import read_manifest, run_pipeline, sha256_file
 
@@ -320,30 +323,47 @@ def test_criterion_08_dual_pca_equivalence():
           f"randomized {worst_rand:.2e}, round-trip {worst_rt:.2e}")
 
 
-def test_criterion_09_bn_recalibration_exactness():
-    # hand case: batches [0,2] then [4,6] -> mean 3, variance 5 exactly
-    stats = PooledStats.zeros(1)
-    stats.update_from_batch(np.array([[0.0], [2.0]]))
-    stats.update_from_batch(np.array([[4.0], [6.0]]))
-    assert stats.mean[0] == 3.0 and stats.var[0] == 5.0
+def test_criterion_09_bn_recalibration_exactness(monkeypatch):
+    # hand case: pre-BN activations 0, 2, 4, 6 -> mean 3, variance 5 exactly
+    arch = ArchitectureSpec((1, 1, 1), "relu", (True,))
+    net = Population(arch, np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]], np.float32))
+    rows = LabeledDataset(np.array([[0.0], [2.0], [4.0], [6.0]], np.float32),
+                          np.zeros(4, np.int64))
+    recalibrate(net, rows)
+    mean, var, count = net.bn[0]
+    assert mean[0, 0] == 3.0 and var[0, 0] == 5.0 and count[0] == 4
+    # 50 random populations: numpy's full-set statistics, bit for bit, and
+    # every member as it is recalibrated alone.
     rng = np.random.default_rng(11)
-    stream = rng.normal(size=(64, 5))
-    ref_mean, ref_var = stream.mean(axis=0), stream.var(axis=0)
-    worst = 0.0
+    blocks = 0
     for _ in range(50):
-        cuts = np.sort(rng.choice(np.arange(1, 64),
-                                  size=int(rng.integers(1, 8)), replace=False))
-        stats = PooledStats.zeros(5)
-        for part in np.split(stream, cuts):
-            stats.update_from_batch(part)
-        worst = max(worst,
-                    float(np.max(np.abs(stats.mean - ref_mean)
-                                 / np.maximum(np.abs(ref_mean), 1e-300))),
-                    float(np.max(np.abs(stats.var - ref_var)
-                                 / np.abs(ref_var))))
-    assert worst <= 1e-10, f"worst relative deviation {worst:.2e}"
-    print(f"PASS criterion 9: hand case exact; 50 partitions within "
-          f"{worst:.2e} relative")
+        n_hidden = int(rng.integers(1, 4))
+        bn = tuple(int(b) for b in rng.integers(0, 2, size=n_hidden))
+        bn = bn if any(bn) else (1,) * n_hidden
+        arch = ArchitectureSpec((5, *rng.integers(1, 9, size=n_hidden), 3),
+                                str(rng.choice(["relu", "gelu"])), bn)
+        members = int(rng.integers(1, 12))
+        pop = Population(arch, rng.normal(0.0, 0.7, size=(members, arch.param_count()))
+                         .astype(np.float32))
+        n_rows = int(rng.integers(1, 64))
+        calib = LabeledDataset(rng.normal(0.5, 1.5, size=(n_rows, 5)).astype(np.float32),
+                               np.zeros(n_rows, np.int64))
+        fraction = float(rng.choice([1.0, 0.7]))
+        n_use = max(1, int(round(fraction * n_rows)))
+        block = int(rng.integers(1, members + 1))
+        monkeypatch.setattr(nn_core, "MEMBER_BLOCK_BYTES",
+                            block * 32 * n_use * max(arch.layer_dims[1:]))
+        blocks += len(nn_core.member_blocks(members, arch, n_use))
+        alone = [Population(arch, pop.params[i:i + 1].copy()) for i in range(members)]
+        recalibrate(pop, calib, fraction)
+        assert_numpy_bn_statistics(pop, calib.features[:n_use])
+        for i, one in enumerate(alone):
+            recalibrate(one, calib, fraction)
+            for l, columns in one.bn.items():
+                for mine, stacked in zip(columns, pop.bn[l]):
+                    assert mine[0].tobytes() == stacked[i].tobytes()
+    print(f"PASS criterion 9: hand case exact; 50 populations bit-equal to numpy "
+          f"and to their members alone, over {blocks} member blocks")
 
 
 def test_criterion_10_rk4():

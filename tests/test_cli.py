@@ -587,13 +587,16 @@ class TestStages:
         assert "original" in report and "generated" in report
 
     def test_generate_count_zero_noted(self, tmp_path):
-        out = tmp_path / "run0"
-        cfg_path = tmp_path / "c0.ini"
-        cfg_path.write_text(QUICK.format(out=out).replace("count = 2",
-                                                          "count = 0"))
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        report = (out / "report.txt").read_text()
-        assert "none" in report
+        # With BN too: recalibrating zero members is a no-op.
+        bn = QUICK.replace("layer_dims = 4,8,3", "layer_dims = 4,8,6,3\nbn = 1")
+        for label, text in (("plain", QUICK), ("bn", bn)):
+            out = tmp_path / label
+            cfg_path = tmp_path / f"{label}.ini"
+            cfg_path.write_text(text.format(out=out).replace("count = 2", "count = 0"))
+            assert main(["run", "--config", str(cfg_path)]) == 0, label
+            report = (out / "report.txt").read_text()
+            assert "none" in report, label
+            assert len(load_population(out / "generated.dwfc")) == 0, label
 
     def test_manifest_chains_hashes(self, tmp_path):
         # Every manifest of a finished run has exactly the input rows the

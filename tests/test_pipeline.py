@@ -136,7 +136,7 @@ def _min_norm(m):
                      for i in range(len(m) - 1)))
 
 
-@pytest.mark.parametrize("shape", [(2, 5), (40, 531), (101, 17)])
+@pytest.mark.parametrize("shape", [(2, 5), (40, 531), (101, 17), (500, 1), (2000, 3)])
 def test_min_pairwise_l2_equals_the_norm_form_bit_for_bit(shape):
     rng = np.random.default_rng(shape[0])
     for m in (rng.normal(size=shape), rng.normal(0, 1e-3, size=shape) + 5.0):
@@ -170,11 +170,12 @@ def test_min_pairwise_l2_equals_the_norm_form_on_hard_input(n, p, seed, scale, o
     assert got == want or (np.isnan(got) and np.isnan(want))
 
 
-@pytest.mark.parametrize("case", ["random", "tall", "all-tied", "nan"])
+@pytest.mark.parametrize("case", ["random", "tall", "one-column", "all-tied", "nan"])
 def test_min_pairwise_l2_peak_memory_within_the_row_loop_buffer(case):
     rng = np.random.default_rng(0)
     m = {"random": lambda: rng.normal(size=(400, 531)),
          "tall": lambda: rng.normal(size=(1000, 20)),
+         "one-column": lambda: rng.normal(size=(500, 1)),   # the estimate block's floor
          "all-tied": lambda: np.eye(300),          # every pair is a candidate
          "nan": lambda: np.where(np.eye(200, 100) > 0, np.nan, 1.0)}[case]()
     n, p = m.shape
