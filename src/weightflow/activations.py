@@ -56,12 +56,11 @@ def gelu_grad(x, cdf=None):
     return cdf + x * pdf
 
 
-def gelu_tanh_cdf(x, out=None):
+def gelu_tanh_cdf(x):
     """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))) with
     c = sqrt(2/pi) and k = 0.044715, its argument computed as
-    x (c k x^2 + c); written into `out` when given.
-    gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
-    out = np.multiply(x, x, out=out)
+    x (c k x^2 + c). gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
+    out = x * x
     np.multiply(out, _TANH_CK, out=out)
     np.add(out, _TANH_C, out=out)
     np.multiply(out, x, out=out)

@@ -18,11 +18,11 @@ field. The optimizer's moments, the gradient buffer and the dropout masks
 are float32 too. `_Adam` adds the decoupled weight decay to the update as
 lr wd p, which float32 keeps: the factor 1 - lr wd rounds to 1 in float32
 at the flow's rates. `sample` evaluates the field on the float32 parameters
-(a float64 model is cast first) in a float32 workspace; its RK4 state and
-accumulation stay float64. `flow_forward`, `flow_backward` and
-`fm_loss_and_grads` compute in the dtype of `FlowModel.flat`, one code
-path for both, so analytic gradients are checked against central finite
-differences on a float64 model from `init_flow_model`.
+(a float64 model is cast first); its RK4 state and accumulation stay
+float64. `flow_forward`, `flow_backward` and `fm_loss_and_grads` compute in
+the dtype of `FlowModel.flat`, one code path for both, so analytic
+gradients are checked against central finite differences on a float64
+model from `init_flow_model`.
 
 The parameters live in one contiguous buffer, `FlowModel.flat`, in
 `_param_layout` order; `FlowModel.params` maps each name to a view into it.
@@ -31,21 +31,20 @@ gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one write or read of the whole buffer.
 
-`flow_forward` writes every trunk intermediate into a `FlowWorkspace`:
-buffers of one batch size and dtype for the [x, t_emb] input and, per trunk
-layer, the pre-activation (then activation), xhat, LayerNorm output and
-GELU cdf, filled by in-place ufuncs and `matmul(..., out=)` in the
-operation order of the plain expressions, so the values are the same bit
-for bit. `sample` allocates one workspace for all of its RK4 field calls
-and `train_flow` one for all steps; a call without one gets a fresh one.
-A training workspace also holds the dropout masks, views of one flat buffer
-that each step refills from one float64 uniform draw turned into 0 and
-1/keep entries, and the flat gradient buffer with its name -> view dict,
-built once and filled by every backward pass.
-Fresh arrays of this size go back to the operating system when freed and
-are page-faulted in again on the next call; reusing the buffers removes
-that system time. The returned velocity is always a new array, so RK4's
-stages never alias the workspace.
+`flow_forward` allocates its trunk intermediates afresh on every call and
+keeps them only when a backward pass needs them (`want_cache`). Its
+arithmetic is in place on those new arrays where the bits allow, in the
+operation order of the plain expressions: below numpy's 256 KiB
+temporary-elision size, `a @ w.T + b` would allocate and stream one array
+more. At a sampling batch of hundreds of rows the arrays are above glibc
+malloc's default mmap threshold, so a freed one can go back to the
+operating system and be page-faulted in again on the next RK4 field call;
+the CLI raises the thresholds once per process (`weightflow.cli`), and
+freed arrays are reused. A `FlowWorkspace` holds only what every
+training step reuses: the dropout masks, views of one flat buffer that each
+step refills from one float64 uniform draw turned into 0 and 1/keep
+entries, and the flat gradient buffer with its name -> view dict, built
+once and filled by every backward pass.
 """
 
 from __future__ import annotations
@@ -203,44 +202,29 @@ def _time_embed_backward(p, cache, d_out, grads):
 
 
 class FlowWorkspace:
-    """Buffers for every trunk intermediate of `flow_forward` at one batch
-    size and dtype: the [x, t_emb] input and, per trunk layer, the
-    pre-activation (overwritten by the activation), xhat, the LayerNorm
-    output and its GELU cdf, all in `dtype`, which must be the model's
-    (float32 in `train_flow` and `sample`). A `training` workspace also
-    holds the dropout masks, per trunk layer a view of one flat buffer that
-    `_dropout_masks` fills from one float64 draw into `mask_draw`, and the
-    flat gradient buffer `grad` with its `_views`, `grads`, which
-    `flow_backward` fills; both are in `dtype`."""
+    """What every training step at one batch size reuses, in `dtype` (the
+    model's; float32 in `train_flow`): the dropout masks, per trunk layer
+    a view of one flat buffer `mask` that `_dropout_masks` fills from one
+    float64 draw into `mask_draw`, and the flat gradient buffer `grad`
+    with its `_views`, `grads`, which `flow_backward` fills."""
 
-    def __init__(self, cfg: FlowConfig, batch: int, training: bool = False,
-                 dtype=np.float64):
-        self.batch = batch
-        self.dtype = np.dtype(dtype)
-        self.h0 = np.empty((batch, cfg.trunk_input_dim), dtype)
-        self.act, self.xhat, self.ln, self.cdf = (
-            [np.empty((batch, d), dtype) for d in cfg.trunk_dims] for _ in range(4))
-        self.mask_draw = self.mask = self.masks = self.grad = self.grads = None
-        if training:
-            self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
-            self.mask = np.empty_like(self.mask_draw, dtype=dtype)
-            ends = np.cumsum(cfg.trunk_dims[:-1]) * batch
-            self.masks = [block.reshape(batch, -1)
-                          for block in np.split(self.mask, ends)]
-            self.grad = np.empty(_param_count(cfg), dtype)
-            self.grads = _views(self.grad, cfg)
+    def __init__(self, cfg: FlowConfig, batch: int, dtype=np.float64):
+        self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
+        self.mask = np.empty_like(self.mask_draw, dtype=dtype)
+        ends = np.cumsum(cfg.trunk_dims[:-1]) * batch
+        self.masks = [block.reshape(batch, -1) for block in np.split(self.mask, ends)]
+        self.grad = np.empty(_param_count(cfg), dtype)
+        self.grads = _views(self.grad, cfg)
 
 
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
                  dropout_masks: list | None = None,
-                 want_cache: bool = False,
-                 workspace: FlowWorkspace | None = None):
+                 want_cache: bool = False):
     """Evaluate the vector field v(x, t) in the dtype of `model.flat`.
 
     `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
-    training mode; None means deterministic evaluation. The trunk writes
-    into `workspace` (a new one when None), so the cache holds views of it
-    until its next forward; the returned velocity is a new array.
+    training mode; None means deterministic evaluation. With `want_cache`
+    it returns (v, cache), the intermediates `flow_backward` reads.
     """
     cfg = model.config
     p = model.params
@@ -251,42 +235,29 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
-    if workspace is None:
-        workspace = FlowWorkspace(cfg, x.shape[0], dtype=dtype)
-    elif workspace.batch != x.shape[0]:
-        raise ArgumentError(f"workspace holds batch {workspace.batch}, "
-                            f"x has {x.shape[0]} rows")
-    elif workspace.dtype != dtype:
-        raise ArgumentError(f"workspace holds {workspace.dtype}, "
-                            f"the model {dtype}")
 
     t_emb, t_cache = _time_embed_forward(p, t)
-    h = workspace.h0
-    h[:, :cfg.input_dim] = x
-    h[:, cfg.input_dim:] = t_emb
-
+    h = np.concatenate([x, t_emb], axis=1)
     trunk_caches = []
     for i, width in enumerate(cfg.trunk_dims):
-        act, xhat = workspace.act[i], workspace.xhat[i]
-        ln, cdf = workspace.ln[i], workspace.cdf[i]
-        pre = np.matmul(h, p[f"trunk.w{i}"].T, out=act)
-        pre += p[f"trunk.b{i}"]
-        mu = np.add.reduce(pre, axis=1, keepdims=True) / width
-        centred = np.subtract(pre, mu, out=xhat)
-        # ndarray.var's own steps on the centred values; ln is scratch here.
-        var = np.add.reduce(np.multiply(centred, centred, out=ln),
-                            axis=1, keepdims=True) / width
+        xhat = h @ p[f"trunk.w{i}"].T             # pre-activation, normalized in place
+        xhat += p[f"trunk.b{i}"]
+        mu = np.add.reduce(xhat, axis=1, keepdims=True) / width
+        xhat -= mu
+        # ndarray.var's own steps on the centred values.
+        var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / width
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
-        np.multiply(centred, inv_std, out=xhat)
-        np.multiply(p[f"trunk.ln_g{i}"], xhat, out=ln)
+        xhat *= inv_std
+        ln = p[f"trunk.ln_g{i}"] * xhat
         ln += p[f"trunk.ln_b{i}"]
-        gelu_tanh_cdf(ln, out=cdf)
-        np.multiply(ln, cdf, out=act)             # gelu_tanh(ln); cdf serves the backward
+        cdf = gelu_tanh_cdf(ln)
+        act = ln * cdf                            # gelu_tanh(ln); cdf serves the backward
         if dropout_masks is not None:
             act *= dropout_masks[i]
-        trunk_caches.append((h, xhat, inv_std, ln, cdf))
+        if want_cache:
+            trunk_caches.append((h, xhat, inv_std, ln, cdf))
         h = act
-    v = np.matmul(h, p["out.w"].T)
+    v = h @ p["out.w"].T
     v += p["out.b"]
     if not want_cache:
         return v
@@ -299,7 +270,7 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
     """Parameter gradients given upstream dL/dv: name -> view into the flat
     gradient buffer `out` (same layout as `model.flat`; a new one when None),
     every element of which is overwritten. `out` may also be the `_views`
-    of such a buffer, which a training workspace builds once for all steps."""
+    of such a buffer, which a `FlowWorkspace` builds once for all steps."""
     cfg = model.config
     p = model.params
     t_cache, trunk_caches, last_h = cache
@@ -339,12 +310,10 @@ def flow_backward(model: FlowModel, cache, dv: np.ndarray,
 def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
                       t: np.ndarray, eps: np.ndarray,
                       dropout_masks: list | None = None,
-                      out: np.ndarray | dict | None = None,
-                      workspace: FlowWorkspace | None = None):
+                      out: np.ndarray | dict | None = None):
     """Flow-matching MSE for explicit draws (x0, t, eps) and its gradients,
     views into the flat gradient buffer `out` (a new one when None; or its
-    views, as `flow_backward` takes them). The forward runs in `workspace`
-    (a new one when None).
+    views, as `flow_backward` takes them).
 
     x_t = (1-t) x0 + t x1 + eps, target velocity u = x1 - x0. The draws
     may be float64 for a float32 model: x_t and u are formed in their
@@ -354,8 +323,7 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     t_col = t.reshape(-1, 1)
     x_t = (1.0 - t_col) * x0 + t_col * x1 + eps
     u = x1 - x0
-    v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True,
-                            workspace=workspace)
+    v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True)
     diff = v - u
     loss = float(np.mean(diff * diff))
     dv = (2.0 * diff / diff.size).astype(model.flat.dtype, copy=False)
@@ -378,9 +346,9 @@ def _sample_time(cfg: FlowConfig, rng, size: int) -> np.ndarray:
 
 
 def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace):
-    """The training workspace's dropout masks, redrawn: each entry is 1/keep
-    with probability keep, else 0. One float64 uniform draw, the same for
-    every mask dtype, fills them. None without dropout."""
+    """The workspace's dropout masks, redrawn: each entry is 1/keep with
+    probability keep, else 0. One float64 uniform draw, the same for every
+    mask dtype, fills them. None without dropout."""
     if cfg.dropout == 0.0:
         return None
     keep = 1.0 - cfg.dropout
@@ -393,20 +361,19 @@ def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace):
 def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
                      rngs: dict, workspace: FlowWorkspace | None = None) -> float:
     """One optimizer step on a batch of target vectors; returns the loss.
-    The step runs in the training `workspace` (a new one when None): its
-    masks are redrawn and its gradient buffer overwritten."""
+    The step runs in `workspace` (a new one when None): its masks are
+    redrawn and its gradient buffer overwritten."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
     b, d = x1.shape
     if workspace is None:
-        workspace = FlowWorkspace(cfg, b, training=True, dtype=model.flat.dtype)
+        workspace = FlowWorkspace(cfg, b, model.flat.dtype)
     t = _sample_time(cfg, rngs["time"], b)
     x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
     eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
     masks = _dropout_masks(cfg, rngs["dropout"], workspace)
-    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, workspace.grads,
-                                workspace)
+    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, workspace.grads)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
@@ -433,7 +400,7 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
                       decoupled=True)
     n = population.shape[0]
     batch = min(cfg.batch_size, n)
-    workspace = FlowWorkspace(cfg, batch, training=True, dtype=model.flat.dtype)
+    workspace = FlowWorkspace(cfg, batch, model.flat.dtype)
     rngs = {
         "batch": make_rng(seed, "flow-batch"),
         "time": make_rng(seed, "flow-time"),
@@ -479,8 +446,8 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` vectors by integrating the field from Gaussian noise.
 
     The field runs on the float32 parameters (a float64 model is cast to
-    float32 first) in one float32 workspace; RK4 casts each stage's
-    velocity to float64 and keeps its state and accumulation in float64."""
+    float32 first); RK4 casts each stage's velocity to float64 and keeps
+    its state and accumulation in float64."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -488,15 +455,13 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
         return np.zeros((0, cfg.input_dim))
     rng = make_rng(seed, "sample")
     x0 = rng.normal(0.0, cfg.source_std, size=(count, cfg.input_dim))
-    workspace = FlowWorkspace(cfg, count, dtype=np.float32)
     # rk4_integrate reports a non-finite field; numpy's overflow warnings on
     # the way there, from the cast or the field, would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         field_model = FlowModel(cfg, model.flat.astype(np.float32, copy=False))
 
         def field(x, t):
-            return flow_forward(field_model, x, np.full(x.shape[0], t),
-                                workspace=workspace)
+            return flow_forward(field_model, x, np.full(x.shape[0], t))
 
         return rk4_integrate(field, x0, cfg.integration_steps)
 

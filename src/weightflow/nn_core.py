@@ -154,8 +154,9 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
     train = mode == "train"
     z = np.asarray(batch, dtype=np.float32)
     caches = []
-    # Arithmetic is in place where the bits allow: an array of a member
-    # block's size is fresh memory, so each one allocated costs page faults.
+    # Arithmetic is in place where the bits allow, which saves an array per
+    # step; the page faults of fresh member-block arrays are the allocator's
+    # business (`weightflow.cli` keeps freed memory in the process).
     for l in range(arch.num_layers):
         a = np.matmul(z, pop.weights[l].swapaxes(-1, -2))
         a += pop.biases[l]
@@ -478,15 +479,15 @@ class Population:
 
     def validate(self) -> None:
         """ShapeError unless every column has the shape `arch` gives it and
-        no running variance or count is negative."""
+        no running variance is negative (counts are unsigned)."""
         n, widths = len(self), self.arch.bn_widths()
         if sorted(self.bn) != list(widths) or self.seeds.shape != (n,) or self.metrics.shape != (n,):
             raise ShapeError(f"population columns do not fit {n} networks of {self.arch}")
         for l, (mean, var, count) in self.bn.items():
             if mean.shape != (n, widths[l]) or var.shape != mean.shape or count.shape != (n,):
                 raise ShapeError(f"BN statistics at layer {l} have the wrong shape")
-            if np.any(var < 0) or np.any(count < 0):
-                raise ShapeError(f"BN layer {l} has negative variance or count")
+            if np.any(var < 0):
+                raise ShapeError(f"BN layer {l} has negative variance")
 
 
 def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,

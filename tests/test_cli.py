@@ -1,9 +1,12 @@
 import configparser
+import ctypes
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
+import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -74,25 +77,100 @@ def full_run(tmp_path):
     return cfg_path, out
 
 
+def _child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(weightflow.__file__).parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _child_minor_faults(args) -> int:
+    """Minor page faults of one child Python process running `args`."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, *args], env=_child_env(), check=True,
+                   capture_output=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
 class TestBlasThreads:
     def test_run_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
         # Two processes, since OpenBLAS reads its thread count at import.
         # Two threads is the fewest that can split a GEMM differently, and
         # asks no more cores than a 2-core runner has.
-        src = str(Path(weightflow.__file__).parents[1])
         runs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"run{threads}"
             cfg_path = tmp_path / f"cfg{threads}.ini"
             cfg_path.write_text(FULL.format(out=out))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "weightflow.cli", "run", "--config",
                             str(cfg_path)], env=env, check=True, capture_output=True)
             runs[threads] = _files(out)
         assert sorted(runs["1"]) == sorted(runs["2"]) and len(runs["1"]) == 14
         differing = [name for name in sorted(runs["1"]) if runs["1"][name] != runs["2"][name]]
         assert not differing, f"{differing[0]} differs between 1 and 2 BLAS threads"
+
+
+HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+
+
+class TestAllocatorSettings:
+    @pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
+    def test_generate_reuses_freed_memory(self, tmp_path):
+        # 400 samples through a 256-wide trunk: each float32 trunk array is
+        # 400 KB, above malloc's initial 128 KiB mmap threshold, and with
+        # glibc's defaults the 20 RK4 field calls map or trim and fault in
+        # their arrays afresh. Counted beyond a child that only imports the
+        # CLI, generate took about 880 minor faults with the CLI's settings
+        # and 8,900 without them.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(QUICK.format(out=tmp_path / "run")
+                            .replace("4,8,3", "4,4,3").replace("hidden_dim = 16", "hidden_dim = 256")
+                            .replace("iterations = 100", "iterations = 20")
+                            .replace("integration_steps = 10", "integration_steps = 5")
+                            .replace("count = 2", "count = 400"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        imports = _child_minor_faults(["-c", "import weightflow.cli, weightflow.pipeline"])
+        generate = _child_minor_faults(["-m", "weightflow.cli", "generate",
+                                        "--config", str(cfg_path)])
+        assert generate - imports <= 3000, (generate, imports)
+
+    @pytest.mark.parametrize("has_mallopt", [False, True])
+    def test_main_sets_the_thresholds_where_it_can(self, quick_cfg, monkeypatch,
+                                                   has_mallopt):
+        calls, library = [], types.SimpleNamespace()
+        if has_mallopt:
+            library.mallopt = lambda param, value: calls.append((param, value))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+        assert main(["make-population", "--config", quick_cfg[0]]) == 0
+        assert calls == ([(-3, 32 << 20), (-1, 64 << 20)] if has_mallopt else [])
+
+    def test_settings_change_no_bits(self, tmp_path):
+        # One process through `weightflow run`, which applies the settings,
+        # and one through `run_pipeline`, which never calls `cli.main` and
+        # so keeps glibc's defaults. Both are children: a `main` call in
+        # this process would already have applied the settings here. The
+        # flow's arrays at 400 samples of a 128-wide trunk exceed the
+        # default mmap threshold.
+        config = (FULL.replace("mode = standard", "mode = dual")
+                  .replace("hidden_dim = 16", "hidden_dim = 128")
+                  .replace("count = 2", "count = 400"))
+        runs = {}
+        for way, args in (("cli", ["-m", "weightflow.cli", "run", "--config"]),
+                          ("library", ["-c", "import sys; from weightflow.config import "
+                                       "parse_config; from weightflow.pipeline import "
+                                       "run_pipeline; cfg = parse_config(sys.argv[1]); "
+                                       "run_pipeline(cfg, cfg.out_dir)"])):
+            out = tmp_path / way
+            cfg_path = tmp_path / f"{way}.ini"
+            cfg_path.write_text(config.format(out=out))
+            subprocess.run([sys.executable, *args, str(cfg_path)], env=_child_env(),
+                           check=True, capture_output=True)
+            runs[way] = _files(out)
+        assert sorted(runs["cli"]) == sorted(runs["library"]) and len(runs["cli"]) == 14
+        differing = [name for name in sorted(runs["cli"])
+                     if runs["cli"][name] != runs["library"][name]]
+        assert not differing, f"{differing[0]} differs with the allocator settings"
 
 
 class TestConfig:

@@ -78,64 +78,37 @@ class TestWorkspace:
         x, t = rng.normal(size=(9, 6)), rng.uniform(size=9)
         ref, _ = reference_forward(model, x, t)
         assert np.array_equal(flow_forward(model, x, t), ref)
-        ws = FlowWorkspace(WIDE, 9)
-        assert np.array_equal(flow_forward(model, x, t, workspace=ws), ref)
+        model32 = FlowModel(WIDE, model.flat.astype(np.float32))
+        ref32, _ = reference_forward(model32, x, t)
+        assert np.array_equal(flow_forward(model32, x, t), ref32)
 
     def test_train_forward_and_gradients_match_reference(self, rng):
         model = init_flow_model(WIDE, seed=4)
         x1, x0 = rng.normal(size=(9, 6)), rng.normal(0, 0.01, size=(9, 6))
         t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
-        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"),
-                               FlowWorkspace(WIDE, 9, training=True))
+        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), FlowWorkspace(WIDE, 9))
         x_t = (1.0 - t[:, None]) * x0 + t[:, None] * x1 + eps
         v_ref, cache = reference_forward(model, x_t, t, masks)
         assert np.array_equal(flow_forward(model, x_t, t, masks), v_ref)
+        v, got_cache = flow_forward(model, x_t, t, masks, want_cache=True)
+        assert np.array_equal(v, v_ref)
+        for got, ref in zip(got_cache[1], cache[1]):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         diff = v_ref - (x1 - x0)
         grads_ref = flow_backward(model, cache, 2.0 * diff / diff.size, masks)
-        ws = FlowWorkspace(WIDE, 9)
-        for workspace in (None, ws, ws):
-            loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, masks,
-                                            workspace=workspace)
+        for out in (None, FlowWorkspace(WIDE, 9).grads):
+            loss, grads = fm_loss_and_grads(model, x1, x0, t, eps, masks, out)
             assert loss == float(np.mean(diff * diff))
             for name in grads_ref:
                 assert np.array_equal(grads[name], grads_ref[name]), name
-
-    def test_reused_workspace_matches_fresh(self, rng):
-        model = init_flow_model(WIDE, seed=5)
-        ws = FlowWorkspace(WIDE, 7)
-        x = rng.normal(size=(7, 6))
-        for t in (0.0, 0.35, 1.0, rng.uniform(size=7)):
-            t_col = np.broadcast_to(t, 7)
-            assert np.array_equal(flow_forward(model, x, t_col, workspace=ws),
-                                  flow_forward(model, x, t_col))
-
-    def test_velocities_do_not_alias(self, rng):
-        model = init_flow_model(WIDE, seed=6)
-        ws = FlowWorkspace(WIDE, 5)
-        buffers = [ws.h0] + ws.act + ws.xhat + ws.ln + ws.cdf
-        x = rng.normal(size=(5, 6))
-        v1 = flow_forward(model, x, np.full(5, 0.2), workspace=ws)
-        kept = v1.copy()
-        v2 = flow_forward(model, x, np.full(5, 0.7), workspace=ws)
-        assert not np.shares_memory(v1, v2)
-        assert not any(np.shares_memory(v, buf) for v in (v1, v2) for buf in buffers)
-        assert np.array_equal(v1, kept)
-
-    def test_batch_mismatch_rejected(self, rng):
-        model = init_flow_model(WIDE, seed=0)
-        with pytest.raises(ArgumentError, match="workspace"):
-            flow_forward(model, rng.normal(size=(4, 6)), np.zeros(4),
-                         workspace=FlowWorkspace(WIDE, 5))
 
     def test_dtype_follows_the_model(self, rng):
         model = init_flow_model(WIDE, seed=0)
         model32 = FlowModel(WIDE, model.flat.astype(np.float32))
         x = rng.normal(size=(4, 6))
         assert flow_forward(model32, x, np.zeros(4)).dtype == np.float32
-        ws = FlowWorkspace(WIDE, 4, dtype=np.float32)
-        assert flow_forward(model32, x, np.zeros(4), workspace=ws).dtype == np.float32
-        with pytest.raises(ArgumentError, match="workspace holds float32"):
-            flow_forward(model, x, np.zeros(4), workspace=ws)
+        assert flow_forward(model32, x.astype(np.float32), np.zeros(4)).dtype == np.float32
+        assert flow_forward(model, x.astype(np.float32), np.zeros(4)).dtype == np.float64
 
     def test_sample_matches_rk4_over_reference(self):
         cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
@@ -167,10 +140,12 @@ class TestWorkspace:
         assert rel.max() <= 1e-4, rel.max()
 
     def test_sample_peak_memory_is_about_one_workspace(self):
+        # Three times the float64 trunk intermediates of one 400-row field
+        # call: the [x, t_emb] input and, per trunk layer, four arrays of
+        # its width (12,556,800 bytes).
         cfg = FlowConfig(input_dim=24, hidden_dim=128, integration_steps=3)
         model = init_flow_model(cfg, seed=0)
-        ws = FlowWorkspace(cfg, 400)
-        budget = 3 * sum(buf.nbytes for buf in [ws.h0] + ws.act + ws.xhat + ws.ln + ws.cdf)
+        budget = 3 * 8 * 400 * (cfg.trunk_input_dim + 4 * sum(cfg.trunk_dims))
         tracemalloc.start()
         try:
             sample(model, 400, seed=0)
@@ -305,7 +280,7 @@ class TestTrain:
 
 class TestDropout:
     def test_mask_values_are_zero_or_inverse_keep(self):
-        ws = FlowWorkspace(WIDE, 9, training=True)
+        ws = FlowWorkspace(WIDE, 9)
         masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
         assert [m.shape for m in masks] == [(9, d) for d in WIDE.trunk_dims]
         keep = 1.0 - WIDE.dropout
@@ -313,7 +288,7 @@ class TestDropout:
             assert set(np.unique(m)) <= {0.0, 1.0 / keep}
 
     def test_kept_fraction_within_binomial_bound(self):
-        ws = FlowWorkspace(WIDE, 50, training=True)
+        ws = FlowWorkspace(WIDE, 50)
         rng = make_rng(1, "flow-dropout")
         keep, kept, total = 1.0 - WIDE.dropout, 0, 0
         for _ in range(200):
@@ -324,7 +299,7 @@ class TestDropout:
         assert abs(kept - keep * total) <= 6.0 * math.sqrt(total * keep * (1.0 - keep))
 
     def test_redrawn_each_step(self):
-        ws = FlowWorkspace(WIDE, 9, training=True)
+        ws = FlowWorkspace(WIDE, 9)
         rng = make_rng(2, "flow-dropout")
         first = [m.copy() for m in _dropout_masks(WIDE, rng, ws)]
         second = _dropout_masks(WIDE, rng, ws)
@@ -333,7 +308,7 @@ class TestDropout:
     def test_no_dropout_gives_none(self):
         cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3, dropout=0.0)
         assert _dropout_masks(cfg, make_rng(0, "flow-dropout"),
-                              FlowWorkspace(cfg, 4, training=True)) is None
+                              FlowWorkspace(cfg, 4)) is None
 
     def test_same_seed_trains_byte_identical_flows(self):
         pop = np.random.default_rng(3).normal(size=(12, 6))
@@ -356,10 +331,10 @@ class TestFloat32Training:
         t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
         results = {}
         for model in (model32, model64):
-            ws = FlowWorkspace(WIDE, 9, training=True, dtype=model.flat.dtype)
+            ws = FlowWorkspace(WIDE, 9, dtype=model.flat.dtype)
             masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
             results[model.flat.dtype.name] = fm_loss_and_grads(
-                model, x1, x0, t, eps, masks, ws.grads, ws)
+                model, x1, x0, t, eps, masks, ws.grads)
         (loss32, g32), (loss64, g64) = results["float32"], results["float64"]
         assert abs(loss32 - loss64) <= 1e-6 * loss64
         for name in g64:
@@ -383,7 +358,7 @@ class TestFloat32Training:
         monkeypatch.setattr(flow, "flow_backward", recording_backward)
         x1 = np.random.default_rng(4).normal(size=(5, 6))
         flats = []
-        for workspace in (FlowWorkspace(WIDE, 5, training=True, dtype=np.float32), None):
+        for workspace in (FlowWorkspace(WIDE, 5, dtype=np.float32), None):
             model = FlowModel(WIDE, init_flow_model(WIDE, seed=9).flat.astype(np.float32))
             optimizer = _Adam([model.flat], (WIDE.beta1, WIDE.beta2),
                               WIDE.weight_decay, decoupled=True)
