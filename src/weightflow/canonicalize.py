@@ -1,10 +1,22 @@
 """Permutation-symmetry resolution.
 
-Contains scipy's exact linear assignment solver with lexicographic tie-breaking,
+Contains an exact linear assignment solver with lexicographic tie-breaking,
 hidden-unit permutation of a `nn_core.Population` as one gather over its
 parameter columns, coordinate-descent weight matching of one network against
 a reference network (both one-member populations), and two-level
 (inter-head / intra-head) alignment for toy attention blocks.
+
+The assignment solver makes one scipy `linear_sum_assignment` call and then
+works in numpy only. Dual potentials from Bellman-Ford shortest paths on
+that optimum's residual graph give every edge a reduced cost, and a
+permutation's loss against the optimum is the sum of the reduced costs
+along the cycles that lead to it. The answer is the lexicographically
+smallest permutation whose loss is within `_TIE_TOL` times the score scale.
+An edge can lead to another such permutation only when it is tight and lies
+on an alternating cycle of tight edges (Uno, ISAAC 1997); usually none
+does, and scipy's optimum is returned as it is. That costs one O(n^3)
+Bellman-Ford in numpy; ties cost one more per row that has a tied smaller
+column. No further LAP solve is made.
 
 Permutation vectors use gather convention: applying p to an axis produces
 new[i] = old[p[i]].
@@ -35,16 +47,51 @@ def _linear_sum_assignment():
     return compiled_scipy("optimize", "_lsap", "linear_sum_assignment")
 
 
-def _lap_max_value(score: np.ndarray) -> float:
-    rows, cols = _linear_sum_assignment()(score, maximize=True)
-    return float(score[rows, cols].sum())
+def _shortest_paths(cost: np.ndarray, dist: np.ndarray):
+    """Bellman-Ford on the dense graph `cost` (cost[k, m] for the edge
+    k -> m, inf for none) toward the nodes whose start `dist` is finite.
+
+    Returns each node's distance, the node after it on its path (-1 where
+    the start value stands) and the round in which its distance last fell
+    (0 where the start value stands). Stops after len(dist) rounds.
+    """
+    n = len(dist)
+    nodes = np.arange(n)
+    nxt = np.full(n, -1)
+    depth = np.zeros(n, dtype=np.int64)
+    for rnd in range(1, n + 1):
+        via = cost + dist
+        best = via.argmin(axis=1)
+        step = via[nodes, best]
+        lower = step < dist
+        if not lower.any():
+            break
+        dist = np.where(lower, step, dist)
+        nxt[lower], depth[lower] = best[lower], rnd
+    return dist, nxt, depth
 
 
 def solve_lap_max(score: np.ndarray) -> np.ndarray:
     """Permutation pi maximizing sum_i score[i, pi[i]], exact.
 
-    Ties are broken toward the lexicographically smallest permutation: row
-    by row, take the first column that still admits an optimal completion.
+    Ties are broken toward the lexicographically smallest permutation whose
+    loss against the optimum is at most _TIE_TOL * max(1, |optimum|,
+    max|score|): row by row, the first column that still admits such a
+    completion.
+
+    One scipy solve gives an optimum o. Over columns, with r the row o puts
+    on column k, moving r to column j costs W[k, j] = score[r, k] -
+    score[r, j]. An optimum leaves no negative cycle, so Bellman-Ford
+    distances phi make the reduced costs R = W + phi[:, None] - phi[None, :]
+    non-negative, and a permutation's loss is the sum of R along the cycles
+    that take o to it. An edge is tight when its R is within the tolerance.
+    When the round in which each distance last fell rises along every tight
+    edge, no tight edge lies on a cycle and o is returned. Otherwise rows
+    are fixed in order: row i takes a smaller column j when the cheapest
+    alternating cycle through i -> j keeps the loss within the tolerance,
+    and o is rotated along that cycle; potentials keep the cycle costs
+    non-negative, as in the Hungarian method. Each Bellman-Ford is O(n^3)
+    numpy work at most; no further LAP solve is made.
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
@@ -54,23 +101,51 @@ def solve_lap_max(score: np.ndarray) -> np.ndarray:
     if not np.isfinite(score).all():
         raise ArgumentError("score contains non-finite entries")
     n = score.shape[0]
-    optimum = _lap_max_value(score)
+    rows, cur = _linear_sum_assignment()(score, maximize=True)
+    optimum = float(score[rows, cur].sum())
     tol = _TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
-    cols = list(range(n))
-    perm = np.empty(n, dtype=np.int64)
-    prefix = 0.0
+    holder = np.argsort(cur)                    # column -> its row in o
+    by_col = score[holder]
+    wt = np.ascontiguousarray((np.diagonal(by_col)[:, None] - by_col).T)  # W.T
+    phi, _, depth = _shortest_paths(wt, np.zeros(n))
+    rt = wt + phi - phi[:, None]                # R.T: rt[j, k] = R[k, j]
+    tight = rt <= tol
+    np.fill_diagonal(tight, False)
+    if not (tight & (depth >= depth[:, None])).any():
+        return cur
+    q = np.maximum(rt[:, cur].T, 0.0)            # q[i, j] = R[o(i), j]
+    usable = q <= tol
+    free = np.ones(n, dtype=bool)               # columns of rows i and below
+    pot = np.zeros(n)
+    loss = 0.0
     for i in range(n):
-        below = score[i + 1:]               # the rows left are a contiguous range
-        for j in cols:
-            rest = below[:, [c for c in cols if c != j]]
-            if prefix + score[i, j] + _lap_max_value(rest) >= optimum - tol:
-                break
-        else:  # numerically unreachable; fall back to the first free column
-            j = cols[0]
-        perm[i] = j
-        prefix += score[i, j]
-        cols.remove(j)
-    return perm
+        t = cur[i]
+        lift = q[i] - q[i, t] + pot[t] - pot    # reduced cost of row i -> j
+        if (free[:t] & usable[i, :t] & (loss + lift[:t] <= tol)).any():
+            f = np.flatnonzero(free)
+            held = holder[f]
+            sub = np.ix_(held, f)
+            g = q[sub] - q[held, f][:, None] + pot[f][:, None] - pot[f]
+            g = np.where(usable[sub], np.maximum(g, 0.0), np.inf)
+            ti = int(np.searchsorted(f, t))
+            start = np.full(len(f), np.inf)
+            start[ti] = 0.0
+            dist, nxt, _ = _shortest_paths(g, start)
+            total = loss + g[ti] + dist
+            admissible = (f < t) & (total <= tol)
+            if admissible.any():
+                k = int(np.argmax(admissible))
+                path = [k]
+                while path[-1] != ti:
+                    path.append(int(nxt[path[-1]]))
+                path = f[path]
+                movers = holder[path[:-1]]
+                cur[movers], holder[path[1:]] = path[1:], movers
+                cur[i], holder[path[0]] = path[0], i
+                loss = float(total[k])
+                pot[f] -= np.minimum(dist, dist[k])
+        free[cur[i]] = False
+    return cur
 
 
 def solve_lap_min(cost: np.ndarray) -> np.ndarray:

@@ -6,19 +6,11 @@ Subcommands run individual pipeline stages (`make-population`,
 `canonicalize`, `fit-pca`, `train-flow`, `generate`, `evaluate`, `report`)
 or the whole pipeline (`run`). Exit codes: 0 success, 2 configuration
 error, 3 data error, 4 numeric failure.
-
-`main` first sets glibc malloc's mmap and trim thresholds (mallopt(3)) to
-the values its own dynamic adjustment ends at on 64-bit. With the defaults
-a freed array above 128 KiB, such as a flow trunk layer at a 400-row
-sampling batch, can go back to the operating system and be page-faulted in
-again on the next allocation; with these the process reuses it. They change
-where memory comes from, not what is computed.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import replace
 
@@ -30,21 +22,6 @@ from .pipeline import STAGES, run_pipeline, run_stage
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, <malloc.h>
-MMAP_THRESHOLD = 32 << 20    # DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
-TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
-
-
-def _keep_freed_memory() -> None:
-    """Raise malloc's mmap and trim thresholds; a no-op where the C
-    library has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-
 
 def exit_code(exc: Exception) -> int:
     """Exit status for an error main catches: config 2, numeric 4, else 3."""
@@ -71,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_freed_memory()
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:

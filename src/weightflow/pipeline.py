@@ -14,11 +14,19 @@ stage to rerun. Each input is then loaded and checked against its
 manifest's `sha256` row. Outputs are saved under temporary names, the
 manifest last, and moved into place with `os.replace` in that order; on
 failure the temporary files are removed. Reruns rewrite byte-identical
-files."""
+files.
+
+`run_stage` first sets glibc malloc's mmap and trim thresholds (mallopt(3))
+to the values its own dynamic adjustment ends at on 64-bit. With the
+defaults a freed array above 128 KiB, such as a flow trunk layer at a
+400-row sampling batch, can go back to the operating system and be
+page-faulted in again on the next allocation; with these the process
+reuses it. They change where memory comes from, not what is computed."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import os
 from typing import Callable, NamedTuple
@@ -382,6 +390,21 @@ TABLE = {
 }
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, <malloc.h>
+MMAP_THRESHOLD = 32 << 20    # DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+def _keep_freed_memory() -> None:
+    """Raise malloc's mmap and trim thresholds; a no-op where the C
+    library has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def _path(out_dir, name, stage: str, producer: str):
     path = os.path.join(out_dir, name)
     if not os.path.exists(path):
@@ -422,6 +445,7 @@ def _check_chain(cfg: RunConfig, out_dir, stage: str, upstream: str, seen: dict)
 def run_stage(cfg: RunConfig, out_dir, stage: str):
     """Run `stage` into `out_dir` once the manifest chain upstream of it
     holds; returns the path of its first file, or of its manifest."""
+    _keep_freed_memory()
     os.makedirs(out_dir, exist_ok=True)
     spec, seen = TABLE[stage], {}
     inputs = spec.inputs(cfg)

@@ -107,6 +107,124 @@ class TestLap:
         assert abs(score[np.arange(n), p].sum() - opt) < 1e-9
 
 
+def _lap_max_value(score):
+    rows, cols = canonicalize._linear_sum_assignment()(score, maximize=True)
+    return float(score[rows, cols].sum())
+
+
+def reference_solve_lap_max(score):
+    """The row-by-row loop `solve_lap_max` used to run, verbatim: for each
+    row, the first column whose prefix admits a completion within the
+    tolerance, found by re-solving the remaining block."""
+    score = np.asarray(score, dtype=np.float64)
+    n = score.shape[0]
+    optimum = _lap_max_value(score)
+    tol = canonicalize._TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
+    cols = list(range(n))
+    perm = np.empty(n, dtype=np.int64)
+    prefix = 0.0
+    for i in range(n):
+        below = score[i + 1:]               # the rows left are a contiguous range
+        for j in cols:
+            rest = below[:, [c for c in cols if c != j]]
+            if prefix + score[i, j] + _lap_max_value(rest) >= optimum - tol:
+                break
+        else:  # numerically unreachable; fall back to the first free column
+            j = cols[0]
+        perm[i] = j
+        prefix += score[i, j]
+        cols.remove(j)
+    return perm
+
+
+def tie_heavy_scores(rng, n):
+    """Integer scores 0..2 with ~30% of rows and columns zeroed, as dead
+    ReLU units leave them."""
+    score = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    score[rng.random(n) < 0.3, :] = 0.0
+    score[:, rng.random(n) < 0.3] = 0.0
+    return score
+
+
+def near_tie_scores(rng, n):
+    """Tie-heavy scores plus a uniform perturbation of up to half a
+    tolerance: alternative optima lose a few tenths of a tolerance each, so
+    whether one is admissible depends on the loss summed along its cycles
+    and on the rotations already made."""
+    score = tie_heavy_scores(rng, n)
+    optimum = _lap_max_value(score)
+    tol = canonicalize._TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
+    return score + rng.uniform(0.0, 0.5 * tol, size=(n, n))
+
+
+def planted_scores(rng, n, gap_in_tols):
+    """Scores u_i + v_j - slack[i, j] whose unique optimum is a random
+    permutation o (slack 0), with a second permutation, o with a subset of
+    its rows shifted cyclically, planted `gap_in_tols` tolerances below it.
+    Every other slack is at least 0.5: only mixes of the two permutations'
+    cycles come near, and each loses at least 2/n of the gap."""
+    u, v = rng.normal(size=n), rng.normal(size=n)
+    o = rng.permutation(n)
+    moved = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    shift = np.roll(moved, int(rng.integers(1, len(moved))))
+    second = o.copy()
+    second[moved] = o[shift]
+    slack = rng.uniform(0.5, 1.5, size=(n, n))
+    slack[np.arange(n), o] = 0.0
+    score = u[:, None] + v[None, :] - slack
+    optimum = float(score[np.arange(n), o].sum())
+    tol = canonicalize._TIE_TOL * max(1.0, abs(optimum), np.abs(score).max())
+    score[moved, second[moved]] = (u[moved] + v[second[moved]]
+                                   - gap_in_tols * tol / len(moved))
+    return score
+
+
+class TestLapOneSolve:
+    """`solve_lap_max` against the loop it replaced, and its solve count."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        solve, calls = canonicalize._linear_sum_assignment(), []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(canonicalize, "_linear_sum_assignment", lambda: counted)
+        return calls
+
+    def test_one_scipy_solve_per_call(self, solves):
+        rng = np.random.default_rng(11)
+        for n in range(1, 65):
+            for score in (rng.normal(size=(n, n)), tie_heavy_scores(rng, n)):
+                solves.clear()
+                solve_lap_max(score)
+                assert solves == [(n, n)], n
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           kind=st.sampled_from(["ties", "normal", "planted 0.1 tol", "planted 10 tol"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_loop(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            score = tie_heavy_scores(rng, n)
+        elif kind == "normal":
+            score = rng.normal(size=(n, n))
+        else:
+            score = planted_scores(rng, max(n, 2), float(kind.split()[1]))
+        expected = reference_solve_lap_max(score)
+        assert solve_lap_max(score).tolist() == expected.tolist(), score
+
+    def test_near_ties_match_row_by_row_loop(self):
+        # A sweep, since a wrong loss budget or potential shows on only a
+        # few percent of these cases.
+        rng = np.random.default_rng(5)
+        for _ in range(1500):
+            score = near_tie_scores(rng, int(rng.integers(2, 9)))
+            expected = reference_solve_lap_max(score)
+            assert solve_lap_max(score).tolist() == expected.tolist(), score
+
+
 def axis_labels(arch):
     """Every tensor of a network mapped to the permutation label acting on
     each of its axes: 'P{l}' for hidden layer l, None for a fixed axis."""

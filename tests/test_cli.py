@@ -21,7 +21,7 @@ from weightflow.config import _KEYS, DataConfig, RunConfig, parse_config, sectio
 from weightflow.errors import ConfigError
 from weightflow.flow import FlowConfig
 from weightflow.nn_core import TrainHyper
-from weightflow.pipeline import STAGES, TABLE, read_manifest, sha256_file
+from weightflow.pipeline import STAGES, TABLE, read_manifest, run_stage, sha256_file
 
 QUICK = """\
 [run]
@@ -115,14 +115,14 @@ HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
 
 
 class TestAllocatorSettings:
-    @pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
-    def test_generate_reuses_freed_memory(self, tmp_path):
-        # 400 samples through a 256-wide trunk: each float32 trunk array is
-        # 400 KB, above malloc's initial 128 KiB mmap threshold, and with
-        # glibc's defaults the 20 RK4 field calls map or trim and fault in
-        # their arrays afresh. Counted beyond a child that only imports the
-        # CLI, generate took about 880 minor faults with the CLI's settings
-        # and 8,900 without them.
+    @pytest.fixture
+    def wide_generate(self, tmp_path):
+        """A finished run whose generate stage samples 400 networks through
+        a 256-wide trunk: each float32 trunk array is 400 KB, above malloc's
+        initial 128 KiB mmap threshold, and with glibc's defaults the 20 RK4
+        field calls map or trim and fault in their arrays afresh. Returns
+        (config path, minor faults of a child that only imports the
+        package)."""
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(QUICK.format(out=tmp_path / "run")
                             .replace("4,8,3", "4,4,3").replace("hidden_dim = 16", "hidden_dim = 256")
@@ -131,36 +131,56 @@ class TestAllocatorSettings:
                             .replace("count = 2", "count = 400"))
         assert main(["run", "--config", str(cfg_path)]) == 0
         imports = _child_minor_faults(["-c", "import weightflow.cli, weightflow.pipeline"])
+        return cfg_path, imports
+
+    @pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
+    def test_generate_reuses_freed_memory(self, wide_generate):
+        # Counted beyond a child that only imports the CLI, generate took
+        # about 880 minor faults with the settings and 8,900 without them.
+        cfg_path, imports = wide_generate
         generate = _child_minor_faults(["-m", "weightflow.cli", "generate",
                                         "--config", str(cfg_path)])
         assert generate - imports <= 3000, (generate, imports)
 
+    @pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
+    def test_library_generate_reuses_freed_memory(self, wide_generate):
+        # A caller of `run_stage` that never enters through `cli.main`
+        # gets the same settings.
+        cfg_path, imports = wide_generate
+        generate = _child_minor_faults(
+            ["-c", "import sys; from weightflow.config import parse_config; "
+                   "from weightflow.pipeline import run_stage; cfg = parse_config(sys.argv[1]); "
+                   "run_stage(cfg, cfg.out_dir, 'generate')", str(cfg_path)])
+        assert generate - imports <= 3000, (generate, imports)
+
     @pytest.mark.parametrize("has_mallopt", [False, True])
-    def test_main_sets_the_thresholds_where_it_can(self, quick_cfg, monkeypatch,
-                                                   has_mallopt):
+    def test_run_stage_sets_the_thresholds_where_it_can(self, quick_cfg, monkeypatch,
+                                                        has_mallopt):
         calls, library = [], types.SimpleNamespace()
         if has_mallopt:
             library.mallopt = lambda param, value: calls.append((param, value))
         monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
-        assert main(["make-population", "--config", quick_cfg[0]]) == 0
+        cfg = parse_config(quick_cfg[0])
+        run_stage(cfg, quick_cfg[1], "make-population")
         assert calls == ([(-3, 32 << 20), (-1, 64 << 20)] if has_mallopt else [])
 
     def test_settings_change_no_bits(self, tmp_path):
         # One process through `weightflow run`, which applies the settings,
-        # and one through `run_pipeline`, which never calls `cli.main` and
-        # so keeps glibc's defaults. Both are children: a `main` call in
-        # this process would already have applied the settings here. The
-        # flow's arrays at 400 samples of a 128-wide trunk exceed the
-        # default mmap threshold.
+        # and one through `run_pipeline` with `_keep_freed_memory` made a
+        # no-op first, so that it keeps glibc's defaults. Both are children:
+        # a `run_stage` call in this process would already have applied the
+        # settings here. The flow's arrays at 400 samples of a 128-wide
+        # trunk exceed the default mmap threshold.
         config = (FULL.replace("mode = standard", "mode = dual")
                   .replace("hidden_dim = 16", "hidden_dim = 128")
                   .replace("count = 2", "count = 400"))
         runs = {}
         for way, args in (("cli", ["-m", "weightflow.cli", "run", "--config"]),
-                          ("library", ["-c", "import sys; from weightflow.config import "
-                                       "parse_config; from weightflow.pipeline import "
-                                       "run_pipeline; cfg = parse_config(sys.argv[1]); "
-                                       "run_pipeline(cfg, cfg.out_dir)"])):
+                          ("library", ["-c", "import sys; import weightflow.pipeline as p; "
+                                       "p._keep_freed_memory = lambda: None; "
+                                       "from weightflow.config import parse_config; "
+                                       "cfg = parse_config(sys.argv[1]); "
+                                       "p.run_pipeline(cfg, cfg.out_dir)"])):
             out = tmp_path / way
             cfg_path = tmp_path / f"{way}.ini"
             cfg_path.write_text(config.format(out=out))
