@@ -1,8 +1,8 @@
 """Permutation-symmetry resolution.
 
 Contains an exact linear assignment solver with lexicographic tie-breaking,
-hidden-unit permutation of a `nn_core.Population` as one gather over its
-parameter columns, coordinate-descent weight matching of one network against
+hidden-unit permutation of a `nn_core.Population` in place through its
+stacked views, coordinate-descent weight matching of one network against
 a reference network (both one-member populations), and two-level
 (inter-head / intra-head) alignment for toy attention blocks.
 
@@ -181,28 +181,22 @@ class PermutationAssignment:
         return all((p == np.arange(len(p))).all() for p in self.layer_perms)
 
 
-def _column_index(arch: ArchitectureSpec, perms) -> np.ndarray:
-    """Gather index over the P columns of the flat vector that permutes the
-    hidden units by `perms`: W_l takes rows perms[l] and columns
-    perms[l - 1], and b_l, gamma_l and beta_l take entries perms[l]. The
-    input and output layers are never permuted."""
-    index, pos = [], 0
-    for l in range(arch.num_layers):
-        d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-        rows = perms[l] if l < arch.num_hidden else np.arange(d_out)
-        cols = perms[l - 1] if l > 0 else np.arange(d_in)
-        index.append(pos + (rows[:, None] * d_in + cols).ravel())
-        pos += d_out * d_in
-        for _ in range(3 if arch.has_bn(l) else 1):  # b, then gamma and beta
-            index.append(pos + rows)
-            pos += d_out
-    return np.concatenate(index)
+def _permute(pop: Population, perms) -> None:
+    """Reorder the hidden units of every member of `pop` in place through its
+    stacked views, unit i of layer l taking unit perms[l][i]: the rows of
+    W_l, the columns of W_(l+1), and the entries of b_l and of BN layer l's
+    gamma, beta, running means and variances. The input and output layers
+    are never permuted."""
+    for l, p in enumerate(perms):
+        pop.weights[l][:] = pop.weights[l][:, p]
+        pop.weights[l + 1][:] = pop.weights[l + 1][..., p]
+        for v in (pop.biases[l], *pop.bn_views.get(l, ())[:4]):
+            v[:] = v[..., p]
 
 
 def apply_permutation(pop: Population, perm: PermutationAssignment) -> Population:
-    """Functionally invariant reindexing of the hidden units of every member:
-    one gather over the parameter columns and one of each BN layer's running
-    means and variances. Counts, seeds and metrics are unchanged."""
+    """Functionally invariant reindexing of the hidden units of every member,
+    on a copy of `pop`. Counts, seeds and metrics are unchanged."""
     arch = pop.arch
     if len(perm.layer_perms) != arch.num_hidden:
         raise ShapeError(
@@ -212,11 +206,11 @@ def apply_permutation(pop: Population, perm: PermutationAssignment) -> Populatio
         if len(p) != arch.layer_dims[l + 1]:
             raise ShapeError(f"permutation {l} has length {len(p)}, "
                              f"expected {arch.layer_dims[l + 1]}")
-    perms = perm.layer_perms
-    bn = {l: (mean[:, perms[l]], var[:, perms[l]], count.copy())
-          for l, (mean, var, count) in pop.bn.items()}
-    return Population(arch, pop.params[:, _column_index(arch, perms)], bn,
-                      pop.seeds.copy(), pop.metrics.copy())
+    out = Population(arch, pop.params.copy(),
+                     {l: tuple(c.copy() for c in cols) for l, cols in pop.bn.items()},
+                     pop.seeds.copy(), pop.metrics.copy())
+    _permute(out, perm.layer_perms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ def _unit_vectors(net: Population, l: int):
     vectors = [net.biases[l]]
     if l in net.bn_views:
         vectors += net.bn_views[l][:2]
-    return [v[0, 0].astype(np.float64) for v in vectors]
+    return [v[0, 0] for v in vectors]
 
 
 def weight_match(theta_a: Population, theta_ref: Population,
@@ -247,7 +241,8 @@ def weight_match(theta_a: Population, theta_ref: Population,
     from the reference network's seed) and stops early once a full sweep
     changes no permutation. The objective is the inner product of the
     reference's flat vector with the permuted one: weight matrices, biases
-    and BN gamma/beta. It is non-decreasing per sweep.
+    and BN gamma/beta. It is non-decreasing per sweep. Scores and objective
+    are float64, read from float64 copies of both networks.
     """
     if theta_a.arch != theta_ref.arch:
         raise ArgumentError("weight_match requires identical architectures")
@@ -257,34 +252,35 @@ def weight_match(theta_a: Population, theta_ref: Population,
         raise ArgumentError("max_iter must be >= 1")
     arch = theta_a.arch
     n_hidden = arch.num_hidden
-    ref_vec = theta_ref.params[0].astype(np.float64)
-    a_vec = theta_a.params[0].astype(np.float64)
-    wa_all = [w[0] for w in theta_a.weights]
-    wr_all = [w[0] for w in theta_ref.weights]
+    a64, ref64 = (Population(arch, net.params.astype(np.float64))
+                  for net in (theta_a, theta_ref))
+    work = Population(arch, a64.params.copy())  # a64 permuted, for the trace
+    wa_all = [w[0] for w in a64.weights]
+    wr_all = [w[0] for w in ref64.weights]
     perms = [np.arange(arch.layer_dims[l + 1]) for l in range(n_hidden)]
     trace = []
-    if n_hidden == 0:
-        trace.append(float(ref_vec @ a_vec))
-    for sweep in range(max_iter if n_hidden else 0):
+    for sweep in range(max_iter):
         order_rng = make_rng(int(theta_ref.seeds[0]), "match", sweep)
         changed = False
         for l in order_rng.permutation(n_hidden):
             l = int(l)
-            wa = wa_all[l].astype(np.float64)
+            wa = wa_all[l]
             if l - 1 >= 0:
                 wa = wa[:, perms[l - 1]]
-            score = wr_all[l].astype(np.float64) @ wa.T
-            wa_next = wa_all[l + 1].astype(np.float64)
+            score = wr_all[l] @ wa.T
+            wa_next = wa_all[l + 1]
             if l + 1 < n_hidden:
                 wa_next = wa_next[perms[l + 1], :]
-            score += wr_all[l + 1].astype(np.float64).T @ wa_next
-            for vr, va in zip(_unit_vectors(theta_ref, l), _unit_vectors(theta_a, l)):
+            score += wr_all[l + 1].T @ wa_next
+            for vr, va in zip(_unit_vectors(ref64, l), _unit_vectors(a64, l)):
                 score += np.outer(vr, va)
             new_p = solve_lap_max(score)
             if not np.array_equal(new_p, perms[l]):
                 changed = True
             perms[l] = new_p
-        trace.append(float(ref_vec @ a_vec[_column_index(arch, perms)]))
+        work.params[:] = a64.params
+        _permute(work, perms)
+        trace.append(float(ref64.params[0] @ work.params[0]))
         if not changed:
             break
     assignment = PermutationAssignment(tuple(perms))

@@ -15,8 +15,7 @@ import sys
 from dataclasses import replace
 
 from .config import parse_config
-from .errors import (ConfigError, IntegrationError, NumericError,
-                     TrainingDivergedError, WeightFlowError)
+from .errors import ConfigError, NumericError, WeightFlowError
 from .pipeline import STAGES, run_pipeline, run_stage
 
 EXIT_CONFIG = 2
@@ -27,7 +26,7 @@ def exit_code(exc: Exception) -> int:
     """Exit status for an error main catches: config 2, numeric 4, else 3."""
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, (NumericError, TrainingDivergedError, IntegrationError)):
+    if isinstance(exc, NumericError):
         return EXIT_NUMERIC
     return EXIT_DATA
 

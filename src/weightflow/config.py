@@ -9,7 +9,8 @@ rows that stage manifests record. The schema is closed — unknown sections
 instead of silently using a default. Values are plain scalars or
 comma-separated lists; booleans are 0/1. A key left out takes the default
 of the dataclass field it sets; the defaults are stated there and nowhere
-else.
+else. Each dataclass checks its own fields, choices included, so a
+`RunConfig` built in code is checked as a parsed one is.
 
 Keys by section (choices after a colon):
 
@@ -42,8 +43,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .flow import TIME_DISTRIBUTIONS, FlowConfig
-from .nn_core import INIT_SCHEMES, OPTIMIZERS, ArchitectureSpec, TrainHyper
+from .flow import FlowConfig
+from .nn_core import INIT_SCHEMES, ArchitectureSpec, TrainHyper
 from .pca import default_latent_dim
 
 TASKS = ("iris", "mnist", "blobs")
@@ -103,6 +104,11 @@ class RunConfig:
     metrics_distances: bool = True
 
     def __post_init__(self):
+        for name, choices in (("task", TASKS), ("init_scheme", INIT_SCHEMES),
+                              ("canonicalize_mode", CANON_MODES), ("pca_mode", PCA_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
+                                  f"expected one of {', '.join(choices)}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.population_size < 1:
@@ -160,14 +166,6 @@ def _float_list(raw: str) -> tuple:
     return tuple(float(v) for v in raw.split(","))
 
 
-def _choice(options):
-    def conv(raw):
-        if raw not in options:
-            raise ValueError(f"must be one of {options}")
-        return raw
-    return conv
-
-
 def _same_names(cls, *skip) -> dict:
     return {f.name: (cls, f.name) for f in fields(cls) if f.name not in skip}
 
@@ -181,7 +179,7 @@ _PARTS = {"data": DataConfig, "arch": ArchitectureSpec, "train_hyper": TrainHype
           "flow": FlowConfig}
 
 # The schema: [section] key -> (dataclass, field the key sets). A key's
-# parser follows the field's annotation, or its choices below.
+# parser follows the field's annotation; the dataclass checks the value.
 _KEYS = {
     "run": _run_fields(task="task", out_dir="out_dir", seed="seed"),
     "data": _same_names(DataConfig),
@@ -202,16 +200,11 @@ _KEYS = {
                             calib_fraction="calib_fraction"),
     "metrics": _run_fields(iou="metrics_iou", distances="metrics_distances"),
 }
-_CHOICES = {"task": TASKS, "optimizer": OPTIMIZERS, "init_scheme": INIT_SCHEMES,
-            "canonicalize_mode": CANON_MODES, "pca_mode": PCA_MODES,
-            "time_distribution": TIME_DISTRIBUTIONS}
 _PARSERS = {"bool": _bool, "int": int, "float": float, "str": _line,
             "tuple": _float_list, "tuple[int, ...]": _int_list}
 
 
 def _parser(cls, name):
-    if name in _CHOICES:
-        return _choice(_CHOICES[name])
     return _PARSERS[next(f.type for f in fields(cls) if f.name == name)]
 
 

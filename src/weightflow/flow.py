@@ -39,8 +39,8 @@ temporary-elision size, `a @ w.T + b` would allocate and stream one array
 more. At a sampling batch of hundreds of rows the arrays are above glibc
 malloc's default mmap threshold, so a freed one can go back to the
 operating system and be page-faulted in again on the next RK4 field call;
-the CLI raises the thresholds once per process (`weightflow.cli`), and
-freed arrays are reused. A `FlowWorkspace` holds only what every
+`pipeline.run_stage` raises the thresholds before every stage, and freed
+arrays are reused. A `FlowWorkspace` holds only what every
 training step reuses: the dropout masks, views of one flat buffer that each
 step refills from one float64 uniform draw turned into 0 and 1/keep
 entries, and the flat gradient buffer with its name -> view dict, built

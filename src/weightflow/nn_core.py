@@ -156,7 +156,7 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
     caches = []
     # Arithmetic is in place where the bits allow, which saves an array per
     # step; the page faults of fresh member-block arrays are the allocator's
-    # business (`weightflow.cli` keeps freed memory in the process).
+    # business (`pipeline.run_stage` keeps freed memory in the process).
     for l in range(arch.num_layers):
         a = np.matmul(z, pop.weights[l].swapaxes(-1, -2))
         a += pop.biases[l]

@@ -370,6 +370,31 @@ class TestWeightMatch:
         trace = weight_match(a, ref).objective_trace
         assert all(t2 >= t1 - 1e-9 for t1, t2 in zip(trace, trace[1:]))
 
+    def test_no_hidden_layer(self):
+        arch = ArchitectureSpec((4, 3))
+        a, ref = init_population(arch, [5]), init_population(arch, [6])
+        result = weight_match(a, ref)
+        assert result.assignment.layer_perms == ()
+        assert result.aligned.params.tobytes() == a.params.tobytes()
+        expected = float(ref.params[0].astype(np.float64) @ a.params[0].astype(np.float64))
+        assert result.objective_trace == [expected]
+
+    @given(hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           bn=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_final_objective_is_aligned_inner_product(self, hidden, bn, seed):
+        """The last trace entry is, bit for bit, the float64 inner product of
+        the reference's flat vector with the aligned one."""
+        arch = ArchitectureSpec((3, *hidden, 2), "relu", (bn,))
+        gen = np.random.default_rng(seed)
+        a, ref = (Population(arch, gen.normal(size=(1, arch.param_count())).astype(np.float32),
+                             seeds=gen.integers(0, 1000, size=1))
+                  for _ in range(2))
+        result = weight_match(a, ref)
+        expected = float(ref.params[0].astype(np.float64)
+                         @ result.aligned.params[0].astype(np.float64))
+        assert result.objective_trace[-1] == expected
+
     def test_arch_mismatch(self):
         a = init_population(ArchitectureSpec((4, 8, 3)), [0])
         b = init_population(ArchitectureSpec((4, 9, 3)), [0])

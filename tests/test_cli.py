@@ -256,6 +256,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("field,value", [
+        ("task", "bogus"), ("pca_mode", "kernel"), ("canonicalize_mode", "on"),
+        ("init_scheme", "zeros")])
+    def test_run_config_rejects_unknown_choice(self, field, value):
+        # A library caller builds RunConfig without parse_config, so the
+        # dataclass itself checks its choices, naming the value.
+        with pytest.raises(ConfigError, match=repr(value)):
+            RunConfig(**{field: value})
+
+    def test_unknown_choice_in_config_exits_2(self, quick_cfg, capsys):
+        cfg_path, out = quick_cfg
+        with open(cfg_path, "a", encoding="utf-8") as f:
+            f.write("\n[pca]\nmode = kernel\n")
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kernel" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "population.dwfc"))
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):

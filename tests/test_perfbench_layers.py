@@ -1,8 +1,9 @@
 """The benchmark's per-layer metrics read spans by name; a span is named
 ``<layer>.<function>`` after a public function defined in a wrapped
 weightflow module. A name that no function carries reads as zero calls
-rather than failing, so this test reads `perfbench/layers.py` as text and
-checks every literal span name it looks up."""
+rather than failing, and a `NOTES` entry under such a name is never
+called, so this test reads `perfbench/layers.py` as text and checks every
+literal span name it looks up or notes."""
 
 import ast
 import importlib
@@ -24,11 +25,15 @@ def _source():
         return f.read()
 
 
-def _layers(source):
+def _assignment(source, name):
     for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/layers.py defines no LAYERS")
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return node.value
+    raise AssertionError(f"perfbench/layers.py defines no {name}")
+
+
+def _layers(source):
+    return ast.literal_eval(_assignment(source, "LAYERS"))
 
 
 def _span_exists(name, layers):
@@ -40,10 +45,21 @@ def _span_exists(name, layers):
     return inspect.isfunction(obj) and obj.__module__ == module.__name__
 
 
-def test_literal_span_names_resolve_to_wrapped_functions():
-    source = _source()
+def _assert_resolve(names, source):
     layers = _layers(source)
-    names = set(re.findall(r'by_name\["([A-Za-z_]\w*\.\w+)"\]', source))
-    assert "bn_recalib.recalibrate" in names
     missing = {name for name in names if not _span_exists(name, layers)}
     assert missing == STALE & names, sorted(missing ^ (STALE & names))
+
+
+def test_literal_span_names_resolve_to_wrapped_functions():
+    source = _source()
+    names = set(re.findall(r'by_name\["([A-Za-z_]\w*\.\w+)"\]', source))
+    assert "bn_recalib.recalibrate" in names
+    _assert_resolve(names, source)
+
+
+def test_note_keys_resolve_to_wrapped_functions():
+    source = _source()
+    names = {ast.literal_eval(key) for key in _assignment(source, "NOTES").keys}
+    assert "canonicalize.weight_match" in names
+    _assert_resolve(names, source)
