@@ -56,11 +56,12 @@ def gelu_grad(x, cdf=None):
     return cdf + x * pdf
 
 
-def gelu_tanh_cdf(x):
+def gelu_tanh_cdf(x, out=None):
     """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))) with
     c = sqrt(2/pi) and k = 0.044715, its argument computed as
-    x (c k x^2 + c). gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
-    out = x * x
+    x (c k x^2 + c), into `out` (a new array when None; not `x`).
+    gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
+    out = np.multiply(x, x, out=out)
     np.multiply(out, _TANH_CK, out=out)
     np.add(out, _TANH_C, out=out)
     np.multiply(out, x, out=out)

@@ -123,6 +123,9 @@ class RunConfig:
             raise ConfigError("canonicalize max_iter must be >= 1")
         if min(self.pca_micro_batch, self.pca_batch_rows) < 1 or self.latent_dim < 0:
             raise ConfigError("pca micro_batch and batch_rows must be >= 1, latent_dim >= 0")
+        if self.pca_mode != "off" and self.population_size < 2:
+            raise ConfigError(f"pca needs a population of at least 2 networks, "
+                              f"got size {self.population_size}")
         k = self.latent_dim or default_latent_dim(self.population_size)
         rank = min(self.population_size - 1, self.arch.param_count())
         if self.pca_mode != "off" and not 1 <= k <= rank:

@@ -31,20 +31,26 @@ gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one write or read of the whole buffer.
 
-`flow_forward` allocates its trunk intermediates afresh on every call and
-keeps them only when a backward pass needs them (`want_cache`). Its
-arithmetic is in place on those new arrays where the bits allow, in the
-operation order of the plain expressions: below numpy's 256 KiB
-temporary-elision size, `a @ w.T + b` would allocate and stream one array
-more. At a sampling batch of hundreds of rows the arrays are above glibc
-malloc's default mmap threshold, so a freed one can go back to the
-operating system and be page-faulted in again on the next RK4 field call;
-`pipeline.run_stage` raises the thresholds before every stage, and freed
-arrays are reused. A `FlowWorkspace` holds only what every
-training step reuses: the dropout masks, views of one flat buffer that each
-step refills from one float64 uniform draw turned into 0 and 1/keep
-entries, and the flat gradient buffer with its name -> view dict, built
-once and filled by every backward pass.
+`flow_forward` is the one forward pass, for training and sampling alike.
+With a cache for a backward pass it allocates every trunk intermediate
+afresh and keeps it. Without one, the LayerNorm output overwrites its
+normalized input and the activation its cdf, in the operation order of the
+plain expressions. A `_FrozenField`, built once per `sample` call, then
+also supplies contiguous copies of the weight transposes, on which OpenBLAS
+multiplies faster than on the transposed views that training reads, and
+two flat buffers whose views hold every trunk array of every field call.
+OpenBLAS picks its kernel by operand layout, so at some shapes (batches of
+one or two rows, for one) a product on the copy differs from one on the
+view in the last bit. `rk4_integrate` keeps its float64 state, stages,
+stage input and increment in five arrays. So a sampling batch of hundreds
+of rows, whose arrays are above glibc malloc's default mmap threshold,
+faults its pages in once per call to `sample`, not once per field call,
+with or without the raised thresholds that `pipeline.run_stage` sets
+before every stage. A `FlowWorkspace` holds
+what every training step reuses: the dropout masks, views of one flat
+buffer that each step refills from one float64 uniform draw turned into 0
+and 1/keep entries, and the flat gradient buffer with its name -> view
+dict, built once and filled by every backward pass.
 """
 
 from __future__ import annotations
@@ -217,14 +223,44 @@ class FlowWorkspace:
         self.grads = _views(self.grad, cfg)
 
 
+class _FrozenField:
+    """What every sampling field call at one batch of `rows` reuses, in the
+    model's dtype: a contiguous copy of each weight transpose, and two flat
+    buffers shared by every layer. Layer i's pre-activation, then its
+    LayerNorm output, lives in `pre[i]`, a view of the first; its square,
+    cdf and activation in `scratch[i]`, a view of the second, which also
+    holds the layer's input (the [x, t_emb] rows in `input`, or the last
+    activation), dead once the layer's product is formed. `out`, the field
+    value, is a view of the first."""
+
+    def __init__(self, model: FlowModel, rows: int):
+        cfg = model.config
+        names = [f"trunk.w{i}" for i in range(len(cfg.trunk_dims))] + ["out.w"]
+        self.weights_t = [np.ascontiguousarray(model.params[name].T) for name in names]
+        widths = (cfg.trunk_input_dim, *cfg.trunk_dims, cfg.input_dim)
+        first = np.empty(rows * max(widths), model.flat.dtype)
+        second = np.empty_like(first)
+
+        def view(buf, width):
+            return buf[:rows * width].reshape(rows, width)
+
+        self.input = view(second, cfg.trunk_input_dim)
+        self.pre = [view(first, width) for width in cfg.trunk_dims]
+        self.scratch = [view(second, width) for width in cfg.trunk_dims]
+        self.out = view(first, cfg.input_dim)
+
+
 def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
                  dropout_masks: list | None = None,
-                 want_cache: bool = False):
+                 want_cache: bool = False, frozen: _FrozenField | None = None):
     """Evaluate the vector field v(x, t) in the dtype of `model.flat`.
 
     `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
     training mode; None means deterministic evaluation. With `want_cache`
-    it returns (v, cache), the intermediates `flow_backward` reads.
+    it returns (v, cache), the intermediates `flow_backward` reads. Without
+    it, `frozen` (a `_FrozenField` of this model at x's batch) supplies
+    the weight transposes and every trunk array, and v is its `out`
+    buffer, overwritten by the next call.
     """
     cfg = model.config
     p = model.params
@@ -235,29 +271,39 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
+    if frozen is not None and (want_cache or frozen.input.shape[0] != x.shape[0]):
+        raise ArgumentError("a frozen field serves evaluation at its own batch size")
 
     t_emb, t_cache = _time_embed_forward(p, t)
-    h = np.concatenate([x, t_emb], axis=1)
+    h = np.concatenate([x, t_emb], axis=1, out=None if frozen is None else frozen.input)
     trunk_caches = []
     for i, width in enumerate(cfg.trunk_dims):
-        xhat = h @ p[f"trunk.w{i}"].T             # pre-activation, normalized in place
+        if frozen is None:
+            w_t, pre, scratch = p[f"trunk.w{i}"].T, None, None
+        else:
+            w_t, pre, scratch = frozen.weights_t[i], frozen.pre[i], frozen.scratch[i]
+        xhat = np.matmul(h, w_t, out=pre)         # pre-activation, normalized in place
         xhat += p[f"trunk.b{i}"]
         mu = np.add.reduce(xhat, axis=1, keepdims=True) / width
         xhat -= mu
         # ndarray.var's own steps on the centred values.
-        var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / width
+        var = np.add.reduce(np.multiply(xhat, xhat, out=scratch), axis=1, keepdims=True) / width
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat *= inv_std
-        ln = p[f"trunk.ln_g{i}"] * xhat
+        # Without a cache, ln overwrites xhat and the activation its cdf.
+        ln = np.multiply(p[f"trunk.ln_g{i}"], xhat, out=None if want_cache else xhat)
         ln += p[f"trunk.ln_b{i}"]
-        cdf = gelu_tanh_cdf(ln)
-        act = ln * cdf                            # gelu_tanh(ln); cdf serves the backward
+        cdf = gelu_tanh_cdf(ln, out=scratch)
+        act = np.multiply(ln, cdf, out=None if want_cache else cdf)  # gelu_tanh(ln)
         if dropout_masks is not None:
             act *= dropout_masks[i]
         if want_cache:
             trunk_caches.append((h, xhat, inv_std, ln, cdf))
         h = act
-    v = h @ p["out.w"].T
+    if frozen is None:
+        v = h @ p["out.w"].T
+    else:
+        v = np.matmul(h, frozen.weights_t[-1], out=frozen.out)
     v += p["out.b"]
     if not want_cache:
         return v
@@ -420,25 +466,38 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
 
 def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
     """Fixed-step RK4 from t=0 to t=1 for dx/dt = fn(x, t). The state and
-    every stage are float64, whatever dtype `fn` returns."""
+    every stage are float64, whatever dtype `fn` returns, and `fn` may
+    return a buffer it overwrites on its next call.
+
+    The state, two stage buffers, the stage input and the increment are
+    allocated once and filled in place, in the operation order of
+    x + h (k1 + 2 k2 + 2 k3 + k4) / 6: each stage is copied into a stage
+    buffer as soon as it is returned, and the increment is summed as the
+    stages come, so k1 and k2 are dead when k3 and k4 take their buffers.
+    IEEE multiplication and addition commute, so writing 2 k2 + k1 for
+    k1 + 2 k2 keeps the bits."""
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
     h = 1.0 / steps
-
-    def stage(x, t):
-        return np.asarray(fn(x, t), dtype=np.float64)
+    k_a, k_b, x_in, incr = (np.empty_like(x) for _ in range(4))
 
     for step in range(steps):
         t = step * h
-        k1 = stage(x, t)
-        k2 = stage(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = stage(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = stage(x + h * k3, t + h)
-        incr = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        np.copyto(k_a, fn(x, t))                            # k1
+        np.add(x, np.multiply(k_a, 0.5 * h, out=x_in), out=x_in)
+        np.copyto(k_b, fn(x_in, t + 0.5 * h))               # k2
+        np.add(np.multiply(k_b, 2.0, out=incr), k_a, out=incr)
+        np.add(x, np.multiply(k_b, 0.5 * h, out=x_in), out=x_in)
+        np.copyto(k_a, fn(x_in, t + 0.5 * h))               # k3
+        incr += np.multiply(k_a, 2.0, out=k_b)
+        np.add(x, np.multiply(k_a, h, out=x_in), out=x_in)
+        np.copyto(k_b, fn(x_in, t + h))                     # k4
+        incr += k_b
+        incr /= 6.0
         if not np.all(np.isfinite(incr)):
             raise IntegrationError(f"non-finite vector field at step {step}")
-        x = x + h * incr
+        x += np.multiply(incr, h, out=incr)
     return x
 
 
@@ -446,8 +505,10 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` vectors by integrating the field from Gaussian noise.
 
     The field runs on the float32 parameters (a float64 model is cast to
-    float32 first); RK4 casts each stage's velocity to float64 and keeps
-    its state and accumulation in float64."""
+    float32 first), through one `_FrozenField` built for the call: its
+    weight transposes and trunk buffers serve every field evaluation.
+    RK4 casts each stage's velocity to float64 and keeps its state and
+    accumulation in float64; the returned array is its own."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -459,9 +520,10 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     # the way there, from the cast or the field, would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         field_model = FlowModel(cfg, model.flat.astype(np.float32, copy=False))
+        frozen = _FrozenField(field_model, count)
 
         def field(x, t):
-            return flow_forward(field_model, x, np.full(x.shape[0], t))
+            return flow_forward(field_model, x, np.full(x.shape[0], t), frozen=frozen)
 
         return rk4_integrate(field, x0, cfg.integration_steps)
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightflow import flow
 from weightflow.activations import gelu_tanh
@@ -13,7 +15,8 @@ from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
                              fm_loss_and_grads, fm_training_step,
                              flow_backward, flow_forward, init_flow_model,
                              load_flow, rk4_integrate, sample, save_flow,
-                             train_flow, _dropout_masks, _param_layout)
+                             train_flow, _dropout_masks, _FrozenField,
+                             _param_layout)
 from weightflow.nn_core import _Adam
 from weightflow.rng import make_rng
 
@@ -51,6 +54,41 @@ def reference_forward(model, x, t, dropout_masks=None):
         h = dropped
     v = h @ p["out.w"].T + p["out.b"]
     return v, ((t, h1, a1), trunk_caches, h)
+
+
+def reference_rk4(fn, x0, steps):
+    """Fixed-step RK4 written out as expressions, a new array per term."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    h = 1.0 / steps
+    for step in range(steps):
+        t = step * h
+        k1 = np.asarray(fn(x, t), dtype=np.float64)
+        k2 = np.asarray(fn(x + 0.5 * h * k1, t + 0.5 * h), dtype=np.float64)
+        k3 = np.asarray(fn(x + 0.5 * h * k2, t + 0.5 * h), dtype=np.float64)
+        k4 = np.asarray(fn(x + h * k3, t + h), dtype=np.float64)
+        incr = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not np.all(np.isfinite(incr)):
+            raise IntegrationError(f"non-finite vector field at step {step}")
+        x = x + h * incr
+    return x
+
+
+def bounded_field(dim, dtype, seed, reuse=False):
+    """A bounded field a x + b t + c x / (1 + x^2) of per-coordinate
+    coefficients, evaluated in float64 and returned in `dtype`; with
+    `reuse`, always into one buffer, as `sample`'s field returns its
+    frozen output buffer."""
+    a, b, c = np.random.default_rng(seed).normal(size=(3, dim))
+    out = {}
+
+    def fn(x, t):
+        v = (a * x + b * t + c * x / (1.0 + x * x)).astype(dtype)
+        if not reuse:
+            return v
+        buf = out.setdefault("v", np.empty_like(v))
+        buf[...] = v
+        return buf
+    return fn
 
 
 class TestForward:
@@ -120,6 +158,24 @@ class TestWorkspace:
             lambda x, t: reference_forward(model32, x, np.full(x.shape[0], t))[0],
             x0, cfg.integration_steps)
         assert np.array_equal(sample(model, 12, seed=11), ref)
+
+    def test_frozen_forward_matches_reference(self, rng):
+        model32 = FlowModel(WIDE, init_flow_model(WIDE, seed=5).flat.astype(np.float32))
+        x, t = rng.normal(size=(9, 6)), rng.uniform(size=9)
+        frozen = _FrozenField(model32, 9)
+        ref, _ = reference_forward(model32, x, t)
+        for _ in range(2):  # the second call runs on the first call's buffers
+            v = flow_forward(model32, x, t, frozen=frozen)
+            assert np.array_equal(v, ref) and np.shares_memory(v, frozen.out)
+
+    def test_frozen_forward_rejects_a_cache_or_another_batch(self, rng):
+        model = init_flow_model(WIDE, seed=0)
+        frozen = _FrozenField(model, 4)
+        with pytest.raises(ArgumentError):
+            flow_forward(model, rng.normal(size=(4, 6)), np.zeros(4), want_cache=True,
+                         frozen=frozen)
+        with pytest.raises(ArgumentError):
+            flow_forward(model, rng.normal(size=(5, 6)), np.zeros(5), frozen=frozen)
 
     def test_sample_agrees_with_float64_rk4(self):
         # sample's float32 field against the same field in float64, over a
@@ -408,6 +464,33 @@ class TestRk4:
         with pytest.raises(ArgumentError):
             rk4_integrate(lambda x, t: x, np.ones(2), steps=0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 64), dim=st.integers(1, 40), steps=st.integers(1, 12),
+           dtype=st.sampled_from([np.float32, np.float64]), reuse=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_buffered_matches_expressions(self, rows, dim, steps, dtype, reuse, seed):
+        # The reference keeps each stage's array, so it gets a new one per call.
+        x0 = np.random.default_rng(seed).normal(size=(rows, dim))
+        got = rk4_integrate(bounded_field(dim, dtype, seed, reuse), x0, steps)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_rk4(bounded_field(dim, dtype, seed), x0, steps))
+
+    @pytest.mark.parametrize("bad_step", [0, 1, 4])
+    @pytest.mark.parametrize("bad_stage", [0, 1, 2, 3])
+    def test_non_finite_field_names_its_step(self, bad_step, bad_stage):
+        # The field turns NaN from stage `bad_stage` of step `bad_step` on.
+        steps, field = 6, bounded_field(3, np.float32, 0)
+        calls = []
+
+        def fn(x, t):
+            calls.append(t)
+            v = field(x, t)
+            return v * np.nan if len(calls) > 4 * bad_step + bad_stage else v
+        for integrate in (rk4_integrate, reference_rk4):
+            calls.clear()
+            with pytest.raises(IntegrationError, match=f"at step {bad_step}$"):
+                integrate(fn, np.ones((2, 3)), steps)
+
 
 class TestSample:
     def test_same_seed_identical(self):
@@ -426,6 +509,13 @@ class TestSample:
     def test_count_zero(self):
         model = init_flow_model(TINY, seed=0)
         assert sample(model, 0, seed=0).shape == (0, 4)
+
+    def test_calls_return_arrays_of_their_own(self):
+        model = init_flow_model(TINY, seed=0)
+        a = sample(model, 4, seed=9)
+        a_bytes = a.tobytes()
+        b = sample(model, 4, seed=9)
+        assert not np.shares_memory(a, b) and a.tobytes() == a_bytes
 
     @pytest.mark.parametrize("bias", [np.inf, 1e300], ids=["inf", "float32-overflow"])
     def test_non_finite_field_raises_without_warnings(self, bias):
