@@ -35,22 +35,33 @@ loading the model is one write or read of the whole buffer.
 With a cache for a backward pass it allocates every trunk intermediate
 afresh and keeps it. Without one, the LayerNorm output overwrites its
 normalized input and the activation its cdf, in the operation order of the
-plain expressions. A `_FrozenField`, built once per `sample` call, then
-also supplies contiguous copies of the weight transposes, on which OpenBLAS
-multiplies faster than on the transposed views that training reads, and
-two flat buffers whose views hold every trunk array of every field call.
-OpenBLAS picks its kernel by operand layout, so at some shapes (batches of
-one or two rows, for one) a product on the copy differs from one on the
-view in the last bit. `rk4_integrate` keeps its float64 state, stages,
-stage input and increment in five arrays. So a sampling batch of hundreds
-of rows, whose arrays are above glibc malloc's default mmap threshold,
-faults its pages in once per call to `sample`, not once per field call,
-with or without the raised thresholds that `pipeline.run_stage` sets
-before every stage. A `FlowWorkspace` holds
-what every training step reuses: the dropout masks, views of one flat
-buffer that each step refills from one float64 uniform draw turned into 0
-and 1/keep entries, and the flat gradient buffer with its name -> view
-dict, built once and filled by every backward pass.
+plain expressions. Without a frozen field, as in training, each trunk
+product h W^T is formed as (W h^T)^T, copied to C order: at training's
+batch of a few rows OpenBLAS computes that faster than the product on the
+transposed view W.T, with the same bits, and the copy keeps LayerNorm's
+row sums on contiguous rows, where they round as they do on h W^T (on the
+strided result they do not). A `_FrozenField`, built once per `sample`
+call, instead supplies contiguous copies of the weight transposes, on
+which OpenBLAS multiplies faster at sampling's batches, and two flat
+buffers whose views hold every trunk array of every field call; x is cast
+straight into the [x, t_emb] input view. OpenBLAS picks its kernel by
+operand layout, so at some shapes (batches of one or two rows, for one) a
+product on the copy differs from h W^T in the last bit. `rk4_integrate`
+keeps its float64 state, stages, stage input and increment in five
+arrays. So a sampling batch of hundreds of rows, whose arrays are above
+glibc malloc's default mmap threshold, faults its pages in once per call
+to `sample`, not once per field call, with or without the raised
+thresholds that `pipeline.run_stage` sets before every stage.
+
+`train_flow` makes the random draws of `DRAW_BLOCK` steps at once, one
+call per stream: batch rows, times, source, noise and dropout. Philox
+fills a draw in sequence, so a block holds exactly the values of its
+steps' own calls, and the per-call cost of the draws, the row gather and
+the mask build is paid once per block. A `FlowWorkspace` holds what every
+training step reuses: the dropout masks of one block, views of one buffer
+refilled per block from one float64 uniform draw turned into 0 and 1/keep
+entries, and the flat gradient buffer with its name -> view dict, built
+once and filled by every backward pass.
 """
 
 from __future__ import annotations
@@ -71,6 +82,8 @@ LN_EPS = 1e-5
 FLOW_MAGIC = b"DWFF"
 FLOW_VERSION = 3
 TIME_DISTRIBUTIONS = ("uniform", "beta")
+# Training steps whose random draws `train_flow` makes in one call per stream.
+DRAW_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,10 @@ class FlowConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if self.lr_min > self.learning_rate:
+            # The cosine schedule would climb from learning_rate to lr_min.
+            raise ConfigError(f"lr_min must be <= learning_rate ({self.learning_rate}), "
+                              f"got {self.lr_min}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -209,16 +226,18 @@ def _time_embed_backward(p, cache, d_out, grads):
 
 class FlowWorkspace:
     """What every training step at one batch size reuses, in `dtype` (the
-    model's; float32 in `train_flow`): the dropout masks, per trunk layer
-    a view of one flat buffer `mask` that `_dropout_masks` fills from one
-    float64 draw into `mask_draw`, and the flat gradient buffer `grad`
-    with its `_views`, `grads`, which `flow_backward` fills."""
+    model's; float32 in `train_flow`): the dropout masks of up to
+    `DRAW_BLOCK` consecutive steps and the flat gradient buffer `grad` with
+    its `_views`, `grads`, which `flow_backward` fills. `masks[j]` holds
+    step j's masks, per trunk layer a view of row j of one buffer `mask`,
+    which `_dropout_masks` fills from one float64 draw into `mask_draw`."""
 
     def __init__(self, cfg: FlowConfig, batch: int, dtype=np.float64):
-        self.mask_draw = np.empty(batch * sum(cfg.trunk_dims))
+        self.mask_draw = np.empty((DRAW_BLOCK, batch * sum(cfg.trunk_dims)))
         self.mask = np.empty_like(self.mask_draw, dtype=dtype)
         ends = np.cumsum(cfg.trunk_dims[:-1]) * batch
-        self.masks = [block.reshape(batch, -1) for block in np.split(self.mask, ends)]
+        self.masks = [[layer.reshape(batch, -1) for layer in np.split(row, ends)]
+                      for row in self.mask]
         self.grad = np.empty(_param_count(cfg), dtype)
         self.grads = _views(self.grad, cfg)
 
@@ -259,13 +278,13 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
     training mode; None means deterministic evaluation. With `want_cache`
     it returns (v, cache), the intermediates `flow_backward` reads. Without
     it, `frozen` (a `_FrozenField` of this model at x's batch) supplies
-    the weight transposes and every trunk array, and v is its `out`
-    buffer, overwritten by the next call.
+    the weight transposes and every trunk array, x is cast into its
+    `input`, and v is its `out` buffer, overwritten by the next call.
     """
     cfg = model.config
     p = model.params
     dtype = model.flat.dtype
-    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    x = np.atleast_2d(np.asarray(x))
     t = np.asarray(t, dtype=dtype).reshape(-1, 1)
     if x.shape[1] != cfg.input_dim:
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
@@ -275,14 +294,22 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
         raise ArgumentError("a frozen field serves evaluation at its own batch size")
 
     t_emb, t_cache = _time_embed_forward(p, t)
-    h = np.concatenate([x, t_emb], axis=1, out=None if frozen is None else frozen.input)
+    if frozen is None:
+        h = np.concatenate([x.astype(dtype, copy=False), t_emb], axis=1)
+    else:  # x is cast straight into the input buffer, as astype rounds
+        h = frozen.input
+        h[:, :cfg.input_dim] = x
+        h[:, cfg.input_dim:] = t_emb
     trunk_caches = []
     for i, width in enumerate(cfg.trunk_dims):
+        # The pre-activation, normalized in place.
         if frozen is None:
-            w_t, pre, scratch = p[f"trunk.w{i}"].T, None, None
+            # h W^T's bits, faster at training's few rows (module docstring).
+            xhat = np.ascontiguousarray((p[f"trunk.w{i}"] @ h.T).T)
+            scratch = None
         else:
-            w_t, pre, scratch = frozen.weights_t[i], frozen.pre[i], frozen.scratch[i]
-        xhat = np.matmul(h, w_t, out=pre)         # pre-activation, normalized in place
+            xhat = np.matmul(h, frozen.weights_t[i], out=frozen.pre[i])
+            scratch = frozen.scratch[i]
         xhat += p[f"trunk.b{i}"]
         mu = np.add.reduce(xhat, axis=1, keepdims=True) / width
         xhat -= mu
@@ -371,7 +398,8 @@ def fm_loss_and_grads(model: FlowModel, x1: np.ndarray, x0: np.ndarray,
     u = x1 - x0
     v, cache = flow_forward(model, x_t, t, dropout_masks, want_cache=True)
     diff = v - u
-    loss = float(np.mean(diff * diff))
+    sq = diff * diff
+    loss = float(np.add.reduce(sq, axis=None) / sq.size)  # np.mean's own steps
     dv = (2.0 * diff / diff.size).astype(model.flat.dtype, copy=False)
     grads = flow_backward(model, cache, dv, dropout_masks, out)
     return loss, grads
@@ -384,42 +412,41 @@ def _cosine_lr(cfg: FlowConfig, step: int) -> float:
         1.0 + np.cos(np.pi * min(1.0, frac)))
 
 
-def _sample_time(cfg: FlowConfig, rng, size: int) -> np.ndarray:
+def _sample_time(cfg: FlowConfig, rng, size) -> np.ndarray:
     if cfg.time_distribution == "uniform":
         return rng.uniform(0.0, 1.0, size)
     a, b = cfg.time_beta
     return rng.beta(a, b, size)
 
 
-def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace):
-    """The workspace's dropout masks, redrawn: each entry is 1/keep with
-    probability keep, else 0. One float64 uniform draw, the same for every
-    mask dtype, fills them. None without dropout."""
+def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace, steps: int = 1):
+    """The workspace's dropout masks of the next `steps` training steps,
+    redrawn: each entry is 1/keep with probability keep, else 0. One
+    float64 uniform draw, the same for every mask dtype, fills them. A
+    list of `steps` per-step mask lists; None without dropout."""
     if cfg.dropout == 0.0:
         return None
     keep = 1.0 - cfg.dropout
-    draw = rng.random(out=workspace.mask_draw)
-    mask = np.less(draw, keep, out=workspace.mask)
+    draw = rng.random(out=workspace.mask_draw[:steps])
+    mask = np.less(draw, keep, out=workspace.mask[:steps])
     mask *= 1.0 / keep
-    return workspace.masks
+    return workspace.masks[:steps]
 
 
 def fm_training_step(model: FlowModel, optimizer: _Adam, x1: np.ndarray,
-                     rngs: dict, workspace: FlowWorkspace | None = None) -> float:
-    """One optimizer step on a batch of target vectors; returns the loss.
-    The step runs in `workspace` (a new one when None): its masks are
-    redrawn and its gradient buffer overwritten."""
+                     x0: np.ndarray, t: np.ndarray, eps: np.ndarray,
+                     dropout_masks: list | None = None,
+                     workspace: FlowWorkspace | None = None) -> float:
+    """One optimizer step on a batch of target vectors x1 with its draws
+    (x0, t, eps and the dropout masks, as `fm_loss_and_grads` takes them);
+    returns the loss. The gradients overwrite `workspace`'s buffer (a new
+    workspace's when None)."""
     cfg = model.config
     if x1.ndim != 2 or x1.shape[0] == 0:
         raise ArgumentError("x1 must be a nonempty (batch, d) matrix")
-    b, d = x1.shape
     if workspace is None:
-        workspace = FlowWorkspace(cfg, b, model.flat.dtype)
-    t = _sample_time(cfg, rngs["time"], b)
-    x0 = rngs["source"].normal(0.0, cfg.source_std, size=(b, d))
-    eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(b, d))
-    masks = _dropout_masks(cfg, rngs["dropout"], workspace)
-    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, masks, workspace.grads)
+        workspace = FlowWorkspace(cfg, x1.shape[0], model.flat.dtype)
+    loss, _ = fm_loss_and_grads(model, x1, x0, t, eps, dropout_masks, workspace.grads)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite flow-matching loss at step {optimizer.t}")
@@ -431,8 +458,13 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     """Train the vector field on a population of flat vectors.
 
     Deterministic given seed. The model starts from `init_flow_model`'s
-    float64 draws cast to float32 and trains in float32. The returned model
-    is in evaluation mode (dropout only applies during training).
+    float64 draws cast to float32 and trains in float32. The random draws
+    of every `DRAW_BLOCK` steps are made at once, one call per stream
+    (batch rows, times, source, noise, dropout), each shaped (steps, ...);
+    Philox fills a draw in sequence, so step j of a block gets exactly the
+    values its own per-step calls would draw. Then `fm_training_step` runs
+    once per step on that step's slice of the block. The returned model is
+    in evaluation mode (dropout only applies during training).
     """
     population = np.asarray(population, dtype=np.float64)
     if population.ndim != 2 or population.shape[0] < 1:
@@ -444,7 +476,7 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     model = FlowModel(cfg, init_flow_model(cfg, seed).flat.astype(np.float32))
     optimizer = _Adam([model.flat], (cfg.beta1, cfg.beta2), cfg.weight_decay,
                       decoupled=True)
-    n = population.shape[0]
+    n, d = population.shape
     batch = min(cfg.batch_size, n)
     workspace = FlowWorkspace(cfg, batch, model.flat.dtype)
     rngs = {
@@ -457,10 +489,17 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     # fm_training_step reports a non-finite loss; numpy's overflow warnings
     # on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.iterations):
-            idx = rngs["batch"].integers(0, n, size=batch)
-            loss = fm_training_step(model, optimizer, population[idx], rngs, workspace)
-            model.loss_history.append(loss)
+        for start in range(0, cfg.iterations, DRAW_BLOCK):
+            k = min(DRAW_BLOCK, cfg.iterations - start)
+            x1 = population[rngs["batch"].integers(0, n, size=(k, batch))]
+            t = _sample_time(cfg, rngs["time"], (k, batch))
+            x0 = rngs["source"].normal(0.0, cfg.source_std, size=(k, batch, d))
+            eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(k, batch, d))
+            masks = _dropout_masks(cfg, rngs["dropout"], workspace, k) or [None] * k
+            for j in range(k):
+                loss = fm_training_step(model, optimizer, x1[j], x0[j], t[j], eps[j],
+                                        masks[j], workspace)
+                model.loss_history.append(loss)
     return model
 
 

@@ -652,6 +652,7 @@ class TestDegenerateFlowConfig:
         {**BN, "generate.calib_fraction": "nan"},
         {"population.learning_rate": "nan"}, {"population.learning_rate": "inf"},
         {"population.weight_decay": "-1"}, {"population.weight_decay": "nan"},
+        {"lr_min": "10"},
     ], ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys.items()))
     def test_run_exits_2_without_traceback(self, quick_cfg, capsys, keys):
         cfg_path, _ = quick_cfg
@@ -686,6 +687,7 @@ class TestDegenerateFlowConfig:
         ("time_beta", (2.0,)), ("lr_min", -1e-6), ("lr_min", math.nan),
         ("weight_decay", -1.0), ("weight_decay", math.inf),
         ("beta1", 1.0), ("beta2", -0.1), ("beta2", math.nan),
+        ("lr_min", 1e-3),
     ])
     def test_flow_config_rejects(self, field, value):
         with pytest.raises(ConfigError):
@@ -693,7 +695,8 @@ class TestDegenerateFlowConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("hidden_dim", 2), ("time_embed_dim", 1), ("batch_size", 1),
-        ("lr_min", 0.0), ("weight_decay", 0.0), ("beta1", 0.0), ("beta2", 0.0),
+        ("lr_min", 0.0), ("lr_min", 5e-4), ("weight_decay", 0.0), ("beta1", 0.0),
+        ("beta2", 0.0),
     ])
     def test_flow_config_accepts_edges(self, field, value):
         FlowConfig(input_dim=4, **{field: value})

@@ -73,7 +73,7 @@ VALUES = {
              "learning_rate": (pick(1e-3, 1.0), pick(0, NAN, 1e30)),
              "weight_decay": (pick(0, 1e-5), pick(-1, INF)),
              "beta1": (pick(0, 0.9), pick(1, NAN)), "beta2": (pick(0, 0.95), pick(-0.1)),
-             "lr_min": (pick(0, 1e-6), pick(-1, NAN)),
+             "lr_min": (pick(0, 1e-6), pick(-1, NAN, 10)),
              "integration_steps": (ints(1, 5), pick(0))},
     "generate": {"count": (ints(0, 4), pick(-1)), "recalibrate_bn": (pick(0, 1), pick(2)),
                  "calib_fraction": (pick(0.5, 1), pick(0, 2, NAN))},

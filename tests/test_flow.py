@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from weightflow import flow
 from weightflow.activations import gelu_tanh
-from weightflow.errors import ArgumentError, DataError, IntegrationError
+from weightflow.errors import (ArgumentError, DataError, IntegrationError,
+                               TrainingDivergedError)
 from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
                              fm_loss_and_grads, fm_training_step,
                              flow_backward, flow_forward, init_flow_model,
@@ -54,6 +55,40 @@ def reference_forward(model, x, t, dropout_masks=None):
         h = dropped
     v = h @ p["out.w"].T + p["out.b"]
     return v, ((t, h1, a1), trunk_caches, h)
+
+
+def reference_train_flow(population, cfg, seed=0):
+    """`train_flow` as one draw per stream per step, each step's loss and
+    gradients from `reference_forward` and `np.mean`."""
+    population = np.asarray(population, dtype=np.float64)
+    model = FlowModel(cfg, init_flow_model(cfg, seed).flat.astype(np.float32))
+    optimizer = _Adam([model.flat], (cfg.beta1, cfg.beta2), cfg.weight_decay,
+                      decoupled=True)
+    n, d = population.shape
+    batch = min(cfg.batch_size, n)
+    workspace = FlowWorkspace(cfg, batch, np.float32)
+    rngs = {name: make_rng(seed, f"flow-{name}")
+            for name in ("batch", "time", "source", "noise", "dropout")}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            x1 = population[rngs["batch"].integers(0, n, size=batch)]
+            t = flow._sample_time(cfg, rngs["time"], batch)
+            x0 = rngs["source"].normal(0.0, cfg.source_std, size=(batch, d))
+            eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(batch, d))
+            masks = _dropout_masks(cfg, rngs["dropout"], workspace)
+            masks = None if masks is None else masks[0]
+            x_t = (1.0 - t[:, None]) * x0 + t[:, None] * x1 + eps
+            v, cache = reference_forward(model, x_t, t, masks)
+            diff = v - (x1 - x0)
+            loss = float(np.mean(diff * diff))
+            dv = (2.0 * diff / diff.size).astype(np.float32)
+            flow_backward(model, cache, dv, masks, workspace.grads)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite flow-matching loss at step {optimizer.t}")
+            optimizer.step([workspace.grad], flow._cosine_lr(cfg, optimizer.t))
+            model.loss_history.append(loss)
+    return model
 
 
 def reference_rk4(fn, x0, steps):
@@ -124,7 +159,7 @@ class TestWorkspace:
         model = init_flow_model(WIDE, seed=4)
         x1, x0 = rng.normal(size=(9, 6)), rng.normal(0, 0.01, size=(9, 6))
         t, eps = rng.uniform(size=9), rng.normal(0, 1e-3, size=(9, 6))
-        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), FlowWorkspace(WIDE, 9))
+        masks, = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), FlowWorkspace(WIDE, 9))
         x_t = (1.0 - t[:, None]) * x0 + t[:, None] * x1 + eps
         v_ref, cache = reference_forward(model, x_t, t, masks)
         assert np.array_equal(flow_forward(model, x_t, t, masks), v_ref)
@@ -294,6 +329,73 @@ class TestLoss:
         assert first / last >= 10.0
 
 
+# Each Generator call the flow's training makes, at a shape of (k, *s)
+# (k training steps) or s (one step).
+FLOW_DRAWS = {
+    "integers": lambda rng, shape: rng.integers(0, 37, size=shape),
+    "uniform": lambda rng, shape: flow._sample_time(TINY, rng, shape),
+    "beta": lambda rng, shape: flow._sample_time(
+        FlowConfig(input_dim=4, time_distribution="beta"), rng, shape),
+    "normal": lambda rng, shape: rng.normal(0.0, 0.01, size=shape),
+    "random": lambda rng, shape: rng.random(out=np.empty(shape)),
+}
+
+BLOCK = flow.DRAW_BLOCK
+
+
+class TestBlockDraws:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 9), s=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1), call=st.sampled_from(sorted(FLOW_DRAWS)))
+    def test_one_call_of_k_steps_equals_k_calls(self, k, s, seed, call):
+        draw = FLOW_DRAWS[call]
+        per_step, block = make_rng(seed, "test"), make_rng(seed, "test")
+        steps = np.stack([draw(per_step, tuple(s)) for _ in range(k)])
+        assert draw(block, (k, *s)).tobytes() == steps.tobytes()
+        # Both generators are left at the same point of the stream.
+        assert draw(block, tuple(s)).tobytes() == draw(per_step, tuple(s)).tobytes()
+
+    @pytest.mark.parametrize("iterations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("variant", [
+        {"dropout": 0.0},
+        {"dropout": 0.3, "time_distribution": "beta"},
+        {"dropout": 0.3, "batch_size": 16},  # larger than the population
+    ], ids=["no-dropout", "dropout-beta", "batch-over-population"])
+    def test_train_flow_equals_per_step_reference(self, iterations, variant):
+        cfg = FlowConfig(**{"input_dim": 6, "hidden_dim": 16, "time_embed_dim": 3,
+                            "batch_size": 5, "iterations": iterations, **variant})
+        pop = np.random.default_rng(iterations).normal(size=(12, 6))
+        got, ref = train_flow(pop, cfg, seed=4), reference_train_flow(pop, cfg, seed=4)
+        assert got.flat.tobytes() == ref.flat.tobytes()
+        assert got.loss_history == ref.loss_history
+        assert len(got.loss_history) == iterations
+
+    def test_divergence_inside_a_block_names_the_same_step(self):
+        # One population row is too large for float32: the first step whose
+        # batch draws it has a non-finite loss. Pick a row that is first
+        # drawn inside a later block.
+        n, seed = 20, 6
+        rows = make_rng(seed, "flow-batch").integers(0, n, size=4 * BLOCK)
+        step = next(s for s in range(BLOCK + 1, 4 * BLOCK)
+                    if s % BLOCK and rows[s] not in rows[:s])
+        pop = np.random.default_rng(0).normal(size=(n, 6))
+        pop[rows[step]] = 1e200
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3, batch_size=1,
+                         iterations=4 * BLOCK)
+        for train in (train_flow, reference_train_flow):
+            with pytest.raises(TrainingDivergedError, match=f"at step {step}$"):
+                train(pop, cfg, seed=seed)
+
+    def test_cached_trunk_arrays_are_c_contiguous(self, rng):
+        model32 = FlowModel(WIDE, init_flow_model(WIDE, seed=1).flat.astype(np.float32))
+        masks, = _dropout_masks(WIDE, make_rng(0, "flow-dropout"),
+                                FlowWorkspace(WIDE, 8, np.float32))
+        _, (_, trunk_caches, last_h) = flow_forward(
+            model32, rng.normal(size=(8, 6)), rng.uniform(size=8), masks, want_cache=True)
+        arrays = [last_h, *(a for c in trunk_caches for a in c)]
+        assert all(a.flags.c_contiguous and a.dtype == np.float32 for a in arrays)
+
+
 class TestTrain:
     def test_deterministic(self):
         pop = np.random.default_rng(1).normal(size=(10, 4))
@@ -337,7 +439,7 @@ class TestTrain:
 class TestDropout:
     def test_mask_values_are_zero_or_inverse_keep(self):
         ws = FlowWorkspace(WIDE, 9)
-        masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
+        masks, = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
         assert [m.shape for m in masks] == [(9, d) for d in WIDE.trunk_dims]
         keep = 1.0 - WIDE.dropout
         for m in masks:
@@ -348,7 +450,7 @@ class TestDropout:
         rng = make_rng(1, "flow-dropout")
         keep, kept, total = 1.0 - WIDE.dropout, 0, 0
         for _ in range(200):
-            masks = _dropout_masks(WIDE, rng, ws)
+            masks, = _dropout_masks(WIDE, rng, ws)
             kept += sum(int(np.count_nonzero(m)) for m in masks)
             total += sum(m.size for m in masks)
         # Six standard deviations of a Binomial(total, keep) count.
@@ -357,8 +459,8 @@ class TestDropout:
     def test_redrawn_each_step(self):
         ws = FlowWorkspace(WIDE, 9)
         rng = make_rng(2, "flow-dropout")
-        first = [m.copy() for m in _dropout_masks(WIDE, rng, ws)]
-        second = _dropout_masks(WIDE, rng, ws)
+        first = [m.copy() for m in _dropout_masks(WIDE, rng, ws)[0]]
+        second, = _dropout_masks(WIDE, rng, ws)
         assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_no_dropout_gives_none(self):
@@ -388,7 +490,7 @@ class TestFloat32Training:
         results = {}
         for model in (model32, model64):
             ws = FlowWorkspace(WIDE, 9, dtype=model.flat.dtype)
-            masks = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
+            masks, = _dropout_masks(WIDE, make_rng(0, "flow-dropout"), ws)
             results[model.flat.dtype.name] = fm_loss_and_grads(
                 model, x1, x0, t, eps, masks, ws.grads)
         (loss32, g32), (loss64, g64) = results["float32"], results["float64"]
@@ -412,20 +514,22 @@ class TestFloat32Training:
             return backward(model, cache, dv, *args)
 
         monkeypatch.setattr(flow, "flow_backward", recording_backward)
-        x1 = np.random.default_rng(4).normal(size=(5, 6))
+        draw = np.random.default_rng(4)
+        x1, x0 = draw.normal(size=(5, 6)), draw.normal(0, 0.01, size=(5, 6))
+        t, eps = draw.uniform(size=5), draw.normal(0, 1e-3, size=(5, 6))
+        mask_ws = FlowWorkspace(WIDE, 5, dtype=np.float32)
+        masks, = _dropout_masks(WIDE, make_rng(1, "flow-dropout"), mask_ws)
         flats = []
-        for workspace in (FlowWorkspace(WIDE, 5, dtype=np.float32), None):
+        for workspace in (mask_ws, None):
             model = FlowModel(WIDE, init_flow_model(WIDE, seed=9).flat.astype(np.float32))
             optimizer = _Adam([model.flat], (WIDE.beta1, WIDE.beta2),
                               WIDE.weight_decay, decoupled=True)
-            rngs = {name: make_rng(1, f"flow-{name}")
-                    for name in ("time", "source", "noise", "dropout")}
-            loss = fm_training_step(model, optimizer, x1, rngs, workspace)
+            loss = fm_training_step(model, optimizer, x1, x0, t, eps, masks, workspace)
             assert np.isfinite(loss)
             flats.append(model.flat)
-            arrays = [model.flat, *optimizer.m, *optimizer.v, *received]
+            arrays = [model.flat, *optimizer.m, *optimizer.v, *received, *masks]
             if workspace is not None:
-                arrays += [workspace.grad, workspace.mask, *workspace.masks]
+                arrays += [workspace.grad, workspace.mask]
             assert all(a.dtype == np.float32 for a in arrays)
             received.clear()
             assert set(optimizer._scratch) == {np.dtype(np.float32)}
