@@ -1,8 +1,10 @@
 """Elementwise activations and their derivatives.
 
 GELU comes in two forms. The exact one, x * Phi(x) with Phi from scipy's
-erf, serves `[arch] activation = gelu` networks. The tanh form of Hendrycks
-and Gimpel (arXiv 1606.08415, Section 2) replaces Phi by
+erf, serves `[arch] activation = gelu` networks; erf's compiled module is
+loaded on the first call of `erf`, so a process that runs no exact GELU
+never loads it. The tanh form of Hendrycks and Gimpel (arXiv 1606.08415,
+Section 2) replaces Phi by
 0.5 (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), within 2e-4 of it. It is
 several times cheaper than erf, and more so in float32, where erf gains
 nothing; the flow's vector field uses it. It is not in `ACTIVATIONS`, so
@@ -13,13 +15,24 @@ They keep the input's dtype: float32 in, float32 out.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ._scipy import compiled_scipy
 
-erf = compiled_scipy("special", "_special_ufuncs", "erf")
+
+@functools.cache
+def _erf():
+    """scipy's erf ufunc, without importing scipy.special."""
+    return compiled_scipy("special", "_special_ufuncs", "erf")
+
+
+def erf(x, out=None):
+    """scipy.special.erf(x, out=out), its module loaded on the first call."""
+    return _erf()(x, out=out)
+
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -10,7 +10,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it on first call; load it at start-up
 
 from ._iris_data import IRIS_ROWS
 from .checkpoint_io import _read_exact
@@ -45,10 +44,14 @@ class LabeledDataset:
 
 def _stratified_split(features, labels, test_fraction, seed):
     """Deterministic per-class split; test gets round(frac * class size).
-    ConfigError if that leaves a class no train or no test point."""
+    ConfigError if that leaves a class no train or no test point.
+
+    Labels are non-negative int64, so the classes present are the nonzero
+    bins of `np.bincount`, in ascending order as `np.unique` gives them;
+    `np.unique` would load `numpy.ma` into the process."""
     rng = make_rng(seed, "split")
     train_idx, test_idx = [], []
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(len(idx))]
         n_test = int(round(test_fraction * len(idx)))

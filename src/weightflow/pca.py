@@ -110,12 +110,12 @@ def fit_incremental(batches, k: int) -> PcaModel:
         sv, basis = s[:r], vt[:r]
     if mean is None:
         raise ArgumentError("empty batch stream")
-    if n_seen < 2 or not 0 <= k <= n_seen - 1:
-        raise ArgumentError(f"k={k} out of range for n={n_seen}")
-    comps = _fix_signs(basis[:k].T)
-    eig = np.zeros(k)
-    eig[:min(k, len(sv))] = sv[:k] ** 2
-    return PcaModel(mean=mean, components=comps, eigenvalues=eig, n_samples=n_seen)
+    d = mean.shape[0]
+    if n_seen < 2 or not 0 <= k <= min(n_seen - 1, d):
+        raise ArgumentError(f"k={k} out of range for n={n_seen}, d={d}")
+    # Each update keeps min(n_seen - 1, d) directions, so there are k of them.
+    return PcaModel(mean=mean, components=_fix_signs(basis[:k].T),
+                    eigenvalues=sv[:k] ** 2, n_samples=n_seen)
 
 
 def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
@@ -150,11 +150,11 @@ def fit_dual(x: np.ndarray, k: int, micro_batch: int = 16,
         raise ArgumentError("x must be a 2-D sample matrix")
 
     # pass 1: mean (x.sum adds the rows in order)
-    n = x.shape[0]
+    n, d = x.shape
     if n < 2:
         raise ArgumentError("need at least 2 rows")
-    if not 0 <= k <= n - 1:
-        raise ArgumentError(f"k={k} exceeds the rank bound n-1={n - 1}")
+    if not 0 <= k <= min(n - 1, d):
+        raise ArgumentError(f"k={k} out of range for n={n}, d={d}")
     mean = x.sum(axis=0) / n
 
     def centered_blocks():

@@ -1,7 +1,9 @@
 import importlib.machinery
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,95 @@ from weightflow.nn_core import ArchitectureSpec, TrainHyper, forward, train_popu
 GRID = np.linspace(-12.0, 12.0, 20001)
 
 
+# A child interpreter that runs every stage of a small ReLU config with
+# Re-Basin and dual PCA through the CLI, then trains and runs a GELU
+# population. It prints which of scipy, scipy.special and numpy.ma are
+# loaded and how often erf's loader ran: after the stages, then after the
+# GELU population's first forward pass.
+STAGES_THEN_GELU = """\
+import sys
+from weightflow import activations
+from weightflow.cli import main
+from weightflow.pipeline import STAGES
+
+def state():
+    loaded = [m for m in ("scipy", "scipy.special", "numpy.ma") if m in sys.modules]
+    print(loaded, activations._erf.cache_info().misses)
+
+for stage in STAGES:
+    assert main([stage, "--config", sys.argv[1]]) == 0, stage
+state()
+
+import numpy as np
+from weightflow.nn_core import ArchitectureSpec, Population, forward
+arch = ArchitectureSpec((4, 8, 3), "gelu")
+forward(Population(arch, np.full((1, arch.param_count()), 0.1, np.float32)),
+        np.ones((5, 4), np.float32))
+state()
+"""
+
+RELU_REBASIN_DUAL = """\
+[run]
+task = blobs
+out_dir = {out}
+seed = 1
+
+[arch]
+layer_dims = 4,8,6,3
+bn = 1
+
+[population]
+size = 3
+base_seed = 10
+epochs = 2
+
+[canonicalize]
+mode = rebasin
+
+[pca]
+mode = dual
+
+[flow]
+hidden_dim = 16
+iterations = 20
+integration_steps = 4
+
+[generate]
+count = 2
+"""
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(activations.__file__).parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestErfLoader:
-    def test_import_leaves_out_scipy_special(self):
-        code = "import sys, weightflow; print('scipy.special' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
+    def test_import_leaves_out_scipy_special(self, tmp_path):
+        # No stage of a ReLU run loads the scipy package, scipy.special or
+        # numpy.ma, nor erf; the first exact GELU loads erf, once.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(RELU_REBASIN_DUAL.format(out=tmp_path / "run"))
+        out = subprocess.run([sys.executable, "-c", STAGES_THEN_GELU, str(cfg_path)],
+                             env=_child_env(), check=True, capture_output=True,
+                             text=True).stdout
+        assert out.splitlines()[-2:] == ["[] 0", "[] 1"]
+
+    def test_missing_scipy_raises_on_first_use(self):
+        # With scipy not found on the path, weightflow still imports; the
+        # first erf raises ModuleNotFoundError naming scipy.
+        code = ("from importlib import machinery\n"
+                "find = machinery.PathFinder.find_spec\n"
+                "machinery.PathFinder.find_spec = classmethod(lambda cls, name, *rest:\n"
+                "    None if name == 'scipy' else find(name, *rest))\n"
+                "from weightflow import activations\n"
+                "try:\n    activations.erf(0.5)\n"
+                "except ModuleNotFoundError as exc:\n    print(exc.name)")
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "scipy"
 
     def test_fallback_to_public_import(self, monkeypatch):
         # Without a compiled scipy/special/_special_ufuncs module the loader

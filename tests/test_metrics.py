@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weightflow import metrics
 from weightflow.errors import ArgumentError
 from weightflow.metrics import (W1_BLOCK, _tree_sum, distribution_distances, iou,
                                 jensen_shannon, max_iou, wasserstein_1d,
@@ -130,6 +131,39 @@ class TestWasserstein:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, peak
+
+    def test_peak_memory_holds_knots_per_block(self, rng):
+        # The same shapes: each block reads only its own knots, so no
+        # full-size knot array sits next to the two sorted samples.
+        a, b = rng.normal(size=(25, 531)), rng.normal(size=(400, 531))
+        tracemalloc.start()
+        try:
+            wasserstein_1d(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+    @given(na=st.integers(1, 3000), nb=st.integers(1, 3000), block=st.integers(128, 400),
+           levels=st.sampled_from([0, 2, 7]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(na=1, nb=3000, block=128, levels=0, seed=0)
+    @example(na=2999, nb=3000, block=400, levels=2, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_with_small_blocks(self, na, nb, block, levels, seed):
+        # Blocks of 128-400 grid points start and end inside knot windows
+        # and at both ends of the grid; `levels` > 0 draws ties.
+        gen = np.random.default_rng(seed)
+
+        def draw(size):
+            if levels:
+                return gen.integers(0, levels, size).astype(np.float64)
+            return gen.standard_cauchy(size)
+
+        a, b = draw(na), draw(nb)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "W1_BLOCK", block)
+            assert wasserstein_1d(a, b) == reference_wasserstein_1d(a, b)
+            assert wasserstein_1d(b, a) == reference_wasserstein_1d(b, a)
 
     @given(blocks=st.integers(0, 3), offset=st.integers(-9, 9), start=st.integers(0, 16),
            seed=st.integers(0, 2 ** 32 - 1))

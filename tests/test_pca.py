@@ -66,8 +66,8 @@ class TestIncremental:
 
     def test_full_rank_captures_all_variance(self, rng):
         x = rng.normal(size=(100, 40))
-        model = fit_incremental(np.array_split(x, 10), 99)
-        # k capped by data rank (min(n-1, d) nonzero directions)
+        model = fit_incremental(np.array_split(x, 10), 40)
+        # k at the data rank, min(n-1, d)
         assert abs(model.explained_variance_ratio().sum() - 1.0) <= 1e-6
 
     def test_empty_stream(self):
@@ -125,6 +125,20 @@ class TestDual:
         b = fit_dual(x, k, exact_eigen=True)
         scale = max(a.eigenvalues.max(), 1e-12)
         assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("fit", [
+    fit_standard, fit_dual, lambda x, k: fit_incremental(np.array_split(x, 3), k)],
+    ids=["standard", "dual", "incremental"])
+def test_k_above_input_dim_rejected(rng, fit):
+    # Two dimensions hold at most two orthonormal components.
+    with pytest.raises(ArgumentError, match=r"^k=5 out of range for n=10, d=2$"):
+        fit(rng.normal(size=(10, 2)), 5)
+    # At k = min(n - 1, d), bound by d or by n, there are k of each.
+    for n, d in [(10, 2), (3, 10)]:
+        model = fit(rng.normal(size=(n, d)), min(n - 1, d))
+        assert model.components.shape == (d, min(n - 1, d))
+        assert model.eigenvalues.shape == (min(n - 1, d),)
 
 
 class TestTransform:
