@@ -4,8 +4,9 @@
 
 Hashes every file under both directories with `pipeline.sha256_file` and
 prints each path (relative to its run directory) that is missing from B,
-extra in B, or whose bytes differ. Exits 0 when the two trees are
-byte-identical and 1 otherwise.
+extra in B, or whose bytes differ; under a differing `metrics.txt`, one
+indented `key: a -> b` line per key whose value differs. Exits 0 when the
+two trees are byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from weightflow.checkpoint_io import parse_pairs  # noqa: E402
 from weightflow.pipeline import sha256_file  # noqa: E402
 
 
@@ -29,18 +31,35 @@ def tree_hashes(root) -> dict:
     return out
 
 
-def compare(a, b) -> list[str]:
-    """One line per missing, extra or differing path, sorted by path."""
+def compare(a, b) -> list[tuple[str, str]]:
+    """(status, path) per missing, extra or differing path, sorted by path."""
     ha, hb = tree_hashes(a), tree_hashes(b)
-    lines = []
+    out = []
     for path in sorted(ha.keys() | hb.keys()):
         if path not in hb:
-            lines.append(f"missing  {path}")
+            out.append(("missing", path))
         elif path not in ha:
-            lines.append(f"extra    {path}")
+            out.append(("extra", path))
         elif ha[path] != hb[path]:
-            lines.append(f"differs  {path}")
-    return lines
+            out.append(("differs", path))
+    return out
+
+
+def metric_moves(path_a, path_b) -> list[str]:
+    """`key: a -> b` per key whose value differs between two metrics.txt
+    files, in file order, `-` for a missing key; none when either file is
+    not `key=value` text."""
+    try:
+        values = []
+        for path in (path_a, path_b):
+            with open(path, encoding="utf-8") as f:
+                values.append(parse_pairs(f.read()))
+    except ValueError:
+        return []
+    va, vb = values
+    keys = list(va) + [key for key in vb if key not in va]
+    return [f"{key}: {va.get(key, '-')} -> {vb.get(key, '-')}"
+            for key in keys if va.get(key) != vb.get(key)]
 
 
 def main(argv=None) -> int:
@@ -51,12 +70,16 @@ def main(argv=None) -> int:
     for d in (args.run_a, args.run_b):
         if not os.path.isdir(d):
             ap.error(f"{d} is not a directory")
-    lines = compare(args.run_a, args.run_b)
-    for line in lines:
-        print(line)
+    differences = compare(args.run_a, args.run_b)
+    for status, path in differences:
+        print(f"{status:<8} {path}")
+        if status == "differs" and os.path.basename(path) == "metrics.txt":
+            for move in metric_moves(os.path.join(args.run_a, path),
+                                     os.path.join(args.run_b, path)):
+                print(f"    {move}")
     n = len(tree_hashes(args.run_a))
-    print(f"{len(lines)} difference(s) over {n} file(s) in {args.run_a}")
-    return 1 if lines else 0
+    print(f"{len(differences)} difference(s) over {n} file(s) in {args.run_a}")
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

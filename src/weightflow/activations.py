@@ -69,17 +69,22 @@ def gelu_grad(x, cdf=None):
     return cdf + x * pdf
 
 
-def gelu_tanh_cdf(x, out=None):
-    """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))) with
-    c = sqrt(2/pi) and k = 0.044715, its argument computed as
-    x (c k x^2 + c), into `out` (a new array when None; not `x`).
-    gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
+def gelu_tanh_twice_cdf(x, out=None):
+    """1 + tanh(c (x + k x^3)) with c = sqrt(2/pi) and k = 0.044715, its
+    argument computed as x (c k x^2 + c), into `out` (a new array when
+    None; not `x`): twice `gelu_tanh_cdf(x)`, without its last multiply."""
     out = np.multiply(x, x, out=out)
     np.multiply(out, _TANH_CK, out=out)
     np.add(out, _TANH_C, out=out)
     np.multiply(out, x, out=out)
     np.tanh(out, out=out)
-    np.add(1.0, out, out=out)
+    return np.add(1.0, out, out=out)
+
+
+def gelu_tanh_cdf(x, out=None):
+    """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))), into `out`
+    (a new array when None; not `x`). gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
+    out = gelu_tanh_twice_cdf(x, out)
     return np.multiply(0.5, out, out=out)
 
 

@@ -17,9 +17,9 @@ stream depends on the dtype, and are cast to float32 where they enter the
 field. The optimizer's moments, the gradient buffer and the dropout masks
 are float32 too. `_Adam` adds the decoupled weight decay to the update as
 lr wd p, which float32 keeps: the factor 1 - lr wd rounds to 1 in float32
-at the flow's rates. `sample` evaluates the field on the float32 parameters
-(a float64 model is cast first); its RK4 state and accumulation stay
-float64. `flow_forward`, `flow_backward` and `fm_loss_and_grads` compute in
+at the flow's rates. `sample` evaluates the field folded from the float32
+parameters (a float64 model is cast first); its RK4 state and accumulation
+stay float64. `flow_forward`, `flow_backward` and `fm_loss_and_grads` compute in
 the dtype of `FlowModel.flat`, one code path for both, so analytic
 gradients are checked against central finite differences on a float64
 model from `init_flow_model`.
@@ -31,27 +31,45 @@ gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one write or read of the whole buffer.
 
-`flow_forward` is the one forward pass, for training and sampling alike.
-With a cache for a backward pass it allocates every trunk intermediate
-afresh and keeps it. Without one, the LayerNorm output overwrites its
-normalized input and the activation its cdf, in the operation order of the
-plain expressions. Without a frozen field, as in training, each trunk
-product h W^T is formed as (W h^T)^T, copied to C order: at training's
-batch of a few rows OpenBLAS computes that faster than the product on the
-transposed view W.T, with the same bits, and the copy keeps LayerNorm's
-row sums on contiguous rows, where they round as they do on h W^T (on the
-strided result they do not). A `_FrozenField`, built once per `sample`
-call, instead supplies contiguous copies of the weight transposes, on
-which OpenBLAS multiplies faster at sampling's batches, and two flat
-buffers whose views hold every trunk array of every field call; x is cast
-straight into the [x, t_emb] input view. OpenBLAS picks its kernel by
-operand layout, so at some shapes (batches of one or two rows, for one) a
-product on the copy differs from h W^T in the last bit. `rk4_integrate`
-keeps its float64 state, stages, stage input and increment in five
-arrays. So a sampling batch of hundreds of rows, whose arrays are above
-glibc malloc's default mmap threshold, faults its pages in once per call
-to `sample`, not once per field call, with or without the raised
-thresholds that `pipeline.run_stage` sets before every stage.
+`flow_forward` is the one forward pass of the trained field. With a cache
+for a backward pass it allocates every trunk intermediate afresh and keeps
+it. Without one, the LayerNorm output overwrites its normalized input and
+the activation its cdf, in the operation order of the plain expressions.
+Each trunk product h W^T is formed as (W h^T)^T, copied to C order: at
+training's batch of a few rows OpenBLAS computes that faster than the
+product on the transposed view W.T, with the same bits, and the copy keeps
+LayerNorm's row sums on contiguous rows, where they round as they do on
+h W^T (on the strided result they do not).
+
+`sample` integrates the trained field folded: a `_FrozenField`, built once
+per call, does once the algebra that depends only on the frozen
+parameters, in float64 from the model's parameters, casting each result
+once to the model's dtype. Each trunk layer's weights and bias are centred
+over its output units, so a pre-activation has zero mean by construction
+and LayerNorm computes only the variance, as one row dot. Each activation
+is ln (1 + tanh(...)), twice GELU's, and the 1/2 multiplies the next
+layer's weights, exactly. Layer 0's product takes x alone: the time
+embedding through W0's centred time columns, plus the centred b0, is one
+bias row per distinct time, kept for the call (RK4 asks for at most
+3 steps + 1 of them). In exact arithmetic the folded field is the trained
+field; in float32 it moves only rounding. On the benchmark workloads'
+trained flows at pipeline seeds 7000-7003, the per-sample relative L2
+distance between `sample` on the folded and on the unfolded float32 field
+was at most 3.3e-5 (median 1.7e-7; 1,600 samples of bn-pca-sample) and
+4.7e-7 (median 9.9e-8; 200 of iris-flagship), against a median 100-step
+RK4 error of 6.7e-3 on bn-pca-sample. `tests/test_flow.py` checks the
+field against a plain-expression folded reference bit for bit, and the
+folding against the unfolded field in float64 within 1e-12.
+
+The frozen field also holds contiguous copies of the folded weight
+transposes, on which OpenBLAS multiplies faster at sampling's batches, and
+two flat buffers whose views hold every trunk array of every field call; x
+is cast straight into the input view. `rk4_integrate` keeps its float64
+state, stages, stage input and increment in five arrays. So a sampling
+batch of hundreds of rows, whose arrays are above glibc malloc's default
+mmap threshold, faults its pages in once per call to `sample`, not once
+per field call, with or without the raised thresholds that
+`pipeline.run_stage` sets before every stage.
 
 `train_flow` makes the random draws of `DRAW_BLOCK` steps at once, one
 call per stream: batch rows, times, source, noise and dropout. Philox
@@ -71,7 +89,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .activations import gelu_tanh, gelu_tanh_cdf, gelu_tanh_grad
+from .activations import (gelu_tanh, gelu_tanh_cdf, gelu_tanh_grad,
+                          gelu_tanh_twice_cdf)
 from .checkpoint_io import load_container, save_container
 from .errors import (ArgumentError, ConfigError, IntegrationError,
                      TrainingDivergedError)
@@ -243,94 +262,143 @@ class FlowWorkspace:
 
 
 class _FrozenField:
-    """What every sampling field call at one batch of `rows` reuses, in the
-    model's dtype: a contiguous copy of each weight transpose, and two flat
-    buffers shared by every layer. Layer i's pre-activation, then its
-    LayerNorm output, lives in `pre[i]`, a view of the first; its square,
-    cdf and activation in `scratch[i]`, a view of the second, which also
-    holds the layer's input (the [x, t_emb] rows in `input`, or the last
-    activation), dead once the layer's product is formed. `out`, the field
-    value, is a view of the first."""
+    """The field of one model folded for evaluation at a batch of `rows`,
+    in the model's dtype (see the module docstring). Folding runs in
+    float64 on the model's parameters and casts each result once: trunk
+    layer i's weights and bias centred over its output units, its weights
+    then halved for i > 0 (the previous GELU's 1/2), and `out.w` halved.
+    `weights_t` holds contiguous copies of the folded weight transposes,
+    layer 0's only for the x columns; `biases` the folded biases of layers
+    1, 2 and `out.b`; `time_row(t)` layer 0's bias row at time t. Two
+    flat buffers are shared by every layer: layer i's pre-activation, then
+    its LayerNorm output, lives in `pre[i]`, a view of the first; its
+    twice-cdf and activation in `scratch[i]`, a view of the second, which
+    also holds the layer's input (x in `input`, or the last activation),
+    dead once the layer's product is formed. `out`, the field value, is a
+    view of the first."""
 
     def __init__(self, model: FlowModel, rows: int):
         cfg = model.config
-        names = [f"trunk.w{i}" for i in range(len(cfg.trunk_dims))] + ["out.w"]
-        self.weights_t = [np.ascontiguousarray(model.params[name].T) for name in names]
-        widths = (cfg.trunk_input_dim, *cfg.trunk_dims, cfg.input_dim)
-        first = np.empty(rows * max(widths), model.flat.dtype)
+        p = model.params
+        d = cfg.input_dim
+        self.dtype = model.flat.dtype
+        self.widths = cfg.trunk_dims
+
+        def centred(name):  # float64, centred over the output units (axis 0)
+            a = p[name].astype(np.float64)
+            return a - a.mean(axis=0)
+
+        w0 = centred("trunk.w0")
+        self._time = [w0[:, d:].copy(), centred("trunk.b0")]
+        self._time += [p[name].astype(np.float64) for name in
+                       ("time.w1", "time.b1", "time.w2", "time.b2")]
+        self._rows = {}  # time -> layer 0's bias row, one per distinct RK4 time
+        weights = [w0[:, :d]] + [0.5 * centred(f"trunk.w{i}")
+                                 for i in range(1, len(self.widths))]
+        weights.append(0.5 * p["out.w"].astype(np.float64))
+        self.weights_t = [w.T.astype(self.dtype, order="C") for w in weights]
+        self.biases = [centred(f"trunk.b{i}").astype(self.dtype)
+                       for i in range(1, len(self.widths))] + [p["out.b"]]
+        self.ln = [(p[f"trunk.ln_g{i}"], p[f"trunk.ln_b{i}"])
+                   for i in range(len(self.widths))]
+        first = np.empty(rows * max(d, *self.widths), self.dtype)
         second = np.empty_like(first)
 
         def view(buf, width):
             return buf[:rows * width].reshape(rows, width)
 
-        self.input = view(second, cfg.trunk_input_dim)
-        self.pre = [view(first, width) for width in cfg.trunk_dims]
-        self.scratch = [view(second, width) for width in cfg.trunk_dims]
-        self.out = view(first, cfg.input_dim)
+        self.input = view(second, d)
+        self.pre = [view(first, width) for width in self.widths]
+        self.scratch = [view(second, width) for width in self.widths]
+        self.out = view(first, d)
+
+    def time_row(self, t: float) -> np.ndarray:
+        """Layer 0's folded bias row at time t: the time embedding through
+        W0's centred time columns, plus the centred b0; computed once per
+        distinct t."""
+        row = self._rows.get(t)
+        if row is None:
+            w0_time, b0, w1, b1, w2, b2 = self._time
+            t_emb = w2 @ gelu_tanh(w1[:, 0] * t + b1) + b2
+            row = self._rows[t] = (w0_time @ t_emb + b0).astype(self.dtype)
+        return row
+
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """The field at (x, t), into `out`, overwritten by the next call.
+        A pre-activation has zero mean by construction, so LayerNorm needs
+        only its variance; each activation is twice GELU's."""
+        h = self.input
+        h[...] = x  # cast as astype rounds
+        for i, width in enumerate(self.widths):
+            pre = np.matmul(h, self.weights_t[i], out=self.pre[i])
+            pre += self.time_row(t) if i == 0 else self.biases[i - 1]
+            var = np.einsum("ij,ij->i", pre, pre)[:, None] / width
+            pre *= 1.0 / np.sqrt(var + LN_EPS)
+            gain, shift = self.ln[i]
+            ln = np.multiply(gain, pre, out=pre)
+            ln += shift
+            twice_cdf = gelu_tanh_twice_cdf(ln, out=self.scratch[i])
+            h = np.multiply(ln, twice_cdf, out=twice_cdf)
+        v = np.matmul(h, self.weights_t[-1], out=self.out)
+        v += self.biases[-1]
+        return v
 
 
-def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray,
+def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray | float,
                  dropout_masks: list | None = None,
                  want_cache: bool = False, frozen: _FrozenField | None = None):
     """Evaluate the vector field v(x, t) in the dtype of `model.flat`.
 
-    `dropout_masks` (one pre-scaled mask per hidden trunk layer) enables
-    training mode; None means deterministic evaluation. With `want_cache`
-    it returns (v, cache), the intermediates `flow_backward` reads. Without
-    it, `frozen` (a `_FrozenField` of this model at x's batch) supplies
-    the weight transposes and every trunk array, x is cast into its
-    `input`, and v is its `out` buffer, overwritten by the next call.
+    `t` holds one time per row of x. `dropout_masks` (one pre-scaled mask
+    per hidden trunk layer) enables training mode; None means
+    deterministic evaluation. With `want_cache` it returns (v, cache), the
+    intermediates `flow_backward` reads. With `frozen`, a `_FrozenField`
+    of this model at x's batch, it evaluates the folded field instead, at
+    one time `t` (a scalar) for every row, and returns the field's `out`
+    buffer, overwritten by the next call: the trained field up to
+    rounding, which the folding moves (module docstring).
     """
     cfg = model.config
     p = model.params
     dtype = model.flat.dtype
     x = np.atleast_2d(np.asarray(x))
-    t = np.asarray(t, dtype=dtype).reshape(-1, 1)
     if x.shape[1] != cfg.input_dim:
         raise ArgumentError(f"x has dim {x.shape[1]}, expected {cfg.input_dim}")
+    if frozen is not None:
+        if (want_cache or dropout_masks is not None or np.ndim(t) != 0
+                or frozen.input.shape[0] != x.shape[0]):
+            raise ArgumentError("a frozen field evaluates one time t at its own "
+                                "batch size, without dropout or a cache")
+        return frozen.evaluate(x, float(t))
+    t = np.asarray(t, dtype=dtype).reshape(-1, 1)
     if t.shape[0] != x.shape[0]:
         raise ArgumentError("t and x batch sizes differ")
-    if frozen is not None and (want_cache or frozen.input.shape[0] != x.shape[0]):
-        raise ArgumentError("a frozen field serves evaluation at its own batch size")
 
     t_emb, t_cache = _time_embed_forward(p, t)
-    if frozen is None:
-        h = np.concatenate([x.astype(dtype, copy=False), t_emb], axis=1)
-    else:  # x is cast straight into the input buffer, as astype rounds
-        h = frozen.input
-        h[:, :cfg.input_dim] = x
-        h[:, cfg.input_dim:] = t_emb
+    h = np.concatenate([x.astype(dtype, copy=False), t_emb], axis=1)
     trunk_caches = []
     for i, width in enumerate(cfg.trunk_dims):
-        # The pre-activation, normalized in place.
-        if frozen is None:
-            # h W^T's bits, faster at training's few rows (module docstring).
-            xhat = np.ascontiguousarray((p[f"trunk.w{i}"] @ h.T).T)
-            scratch = None
-        else:
-            xhat = np.matmul(h, frozen.weights_t[i], out=frozen.pre[i])
-            scratch = frozen.scratch[i]
+        # The pre-activation, normalized in place; h W^T's bits, faster at
+        # training's few rows as (W h^T)^T (module docstring).
+        xhat = np.ascontiguousarray((p[f"trunk.w{i}"] @ h.T).T)
         xhat += p[f"trunk.b{i}"]
         mu = np.add.reduce(xhat, axis=1, keepdims=True) / width
         xhat -= mu
         # ndarray.var's own steps on the centred values.
-        var = np.add.reduce(np.multiply(xhat, xhat, out=scratch), axis=1, keepdims=True) / width
+        var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / width
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat *= inv_std
         # Without a cache, ln overwrites xhat and the activation its cdf.
         ln = np.multiply(p[f"trunk.ln_g{i}"], xhat, out=None if want_cache else xhat)
         ln += p[f"trunk.ln_b{i}"]
-        cdf = gelu_tanh_cdf(ln, out=scratch)
+        cdf = gelu_tanh_cdf(ln)
         act = np.multiply(ln, cdf, out=None if want_cache else cdf)  # gelu_tanh(ln)
         if dropout_masks is not None:
             act *= dropout_masks[i]
         if want_cache:
             trunk_caches.append((h, xhat, inv_std, ln, cdf))
         h = act
-    if frozen is None:
-        v = h @ p["out.w"].T
-    else:
-        v = np.matmul(h, frozen.weights_t[-1], out=frozen.out)
+    v = h @ p["out.w"].T
     v += p["out.b"]
     if not want_cache:
         return v
@@ -543,11 +611,14 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
 def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` vectors by integrating the field from Gaussian noise.
 
-    The field runs on the float32 parameters (a float64 model is cast to
-    float32 first), through one `_FrozenField` built for the call: its
-    weight transposes and trunk buffers serve every field evaluation.
-    RK4 casts each stage's velocity to float64 and keeps its state and
-    accumulation in float64; the returned array is its own."""
+    The field is the trained field folded (module docstring) from the
+    float32 parameters (a float64 model is cast to float32 first), through
+    one `_FrozenField` built for the call: its folded weights, time rows
+    and trunk buffers serve every field evaluation. It moves a sample by
+    rounding only, a relative L2 distance of at most 3.3e-5 from RK4 over
+    the unfolded float32 field on the benchmark workloads. RK4 casts each
+    stage's velocity to float64 and keeps its state and accumulation in
+    float64; the returned array is its own."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -562,7 +633,7 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
         frozen = _FrozenField(field_model, count)
 
         def field(x, t):
-            return flow_forward(field_model, x, np.full(x.shape[0], t), frozen=frozen)
+            return flow_forward(field_model, x, t, frozen=frozen)
 
         return rk4_integrate(field, x0, cfg.integration_steps)
 

@@ -147,11 +147,14 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
     float64 `mean` and `var` of the pre-activations, bit for bit), which
     train mode folds into the running ones by EMA with momentum 0.1 and
     calibrate mode stores as them (count = rows), so that an eval pass then
-    computes the calibrate pass's bits.
+    computes the calibrate pass's bits. Nothing after the last BN layer
+    reaches a statistic, so calibrate mode returns (None, []) once that
+    layer's are stored.
     """
     arch = pop.arch
     act, _ = ACTIVATIONS[arch.activation]
     train = mode == "train"
+    last_bn = max(arch.bn_widths(), default=None)
     z = np.asarray(batch, dtype=np.float32)
     caches = []
     # Arithmetic is in place where the bits allow, which saves an array per
@@ -182,6 +185,8 @@ def _forward_cached(pop: "Population", batch: np.ndarray, mode: str):
                         running_mean[:] = mu
                         running_var[:] = var
                         count[:] = n
+                        if l == last_bn:
+                            return None, caches
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 centred *= inv_std
                 xhat = centred.astype(np.float32)

@@ -12,7 +12,8 @@ import scipy.special
 from weightflow import activations
 from weightflow._scipy import compiled_scipy
 from weightflow.activations import (gelu, gelu_cdf, gelu_grad, gelu_tanh,
-                                    gelu_tanh_cdf, gelu_tanh_grad)
+                                    gelu_tanh_cdf, gelu_tanh_grad,
+                                    gelu_tanh_twice_cdf)
 from weightflow.data import make_blobs
 from weightflow.nn_core import ArchitectureSpec, TrainHyper, forward, train_population
 
@@ -155,7 +156,9 @@ class TestGeluTanh:
         # 0.5 (1 + tanh(c (x + k x^3))) with c distributed over the bracket,
         # in the operation order of gelu_tanh_cdf's in-place chain.
         x = GRID
-        textbook = 0.5 * (1.0 + np.tanh(x * ((self.C * self.K) * (x * x) + self.C)))
+        twice = 1.0 + np.tanh(x * ((self.C * self.K) * (x * x) + self.C))
+        textbook = 0.5 * twice
+        assert np.array_equal(gelu_tanh_twice_cdf(x), twice)
         assert np.array_equal(gelu_tanh_cdf(x), textbook)
         assert np.array_equal(gelu_tanh(x), x * textbook)
         assert np.array_equal(gelu_tanh_grad(x, gelu_tanh_cdf(x)), gelu_tanh_grad(x))
@@ -171,6 +174,7 @@ class TestGeluTanh:
         x = GRID.astype(dtype)
         assert gelu_tanh(x).dtype == dtype
         assert gelu_tanh_cdf(x).dtype == dtype
+        assert gelu_tanh_twice_cdf(x).dtype == dtype
         assert gelu_tanh_grad(x).dtype == dtype
 
     def test_within_2e_4_of_the_normal_cdf(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ class TestRecalibrate:
         blocked = recalibrated(pop, data)
         assert_same_statistics(blocked, whole)
         assert_numpy_bn_statistics(blocked, data.features)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_layers_after_the_last_bn_layer_are_not_run(self, rng, activation, value):
+        # No statistic depends on them: hostile weights there change no
+        # bit and, never multiplied, raise no inf * 0 warning.
+        arch = ArchitectureSpec((4, 6, 5, 3), activation, (True, False))
+        pop = init_population(arch, [1, 2, 3])
+        data = dataset(rng.normal(size=(30, 4)))
+        clean = recalibrated(pop, data)
+        for l in (1, 2):
+            pop.weights[l][...] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_statistics(recalibrated(pop, data), clean)
 
     def test_weights_untouched(self, rng):
         net = init_population(self.ARCH, [3])

@@ -30,5 +30,20 @@ def test_missing_extra_and_differing_paths_exit_1(tmp_path, capsys):
                                   "generated/gen_0000.dwfc": b"abc"})
     assert compare_runs.main([a, b]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["differs  metrics.txt", "missing  only_a", "extra    only_b"]
-    assert lines[3].startswith("3 difference(s)")
+    assert lines[:4] == ["differs  metrics.txt", "    x: 1 -> 2", "missing  only_a",
+                         "extra    only_b"]
+    assert lines[4].startswith("3 difference(s)")
+
+
+def test_differing_metrics_list_each_moved_key(tmp_path, capsys):
+    # Keys in file order, then those only in B; equal values are not listed.
+    a = make_run(tmp_path / "a", {"metrics.txt": b"acc=0.70\niou=0.5\nold=1\n",
+                                  "sub/metrics.txt": b"x=1\n",
+                                  "other.txt": b"acc=0.70\n"})
+    b = make_run(tmp_path / "b", {"metrics.txt": b"acc=0.71\niou=0.5\nnew=2\n",
+                                  "sub/metrics.txt": b"no pairs\n",
+                                  "other.txt": b"acc=0.71\n"})
+    assert compare_runs.main([a, b]) == 1
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        "differs  metrics.txt", "    acc: 0.70 -> 0.71", "    old: 1 -> -",
+        "    new: - -> 2", "differs  other.txt", "differs  sub/metrics.txt"]

@@ -17,7 +17,7 @@ from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
                              flow_backward, flow_forward, init_flow_model,
                              load_flow, rk4_integrate, sample, save_flow,
                              train_flow, _dropout_masks, _FrozenField,
-                             _param_layout)
+                             _param_count, _param_layout)
 from weightflow.nn_core import _Adam
 from weightflow.rng import make_rng
 
@@ -55,6 +55,40 @@ def reference_forward(model, x, t, dropout_masks=None):
         h = dropped
     v = h @ p["out.w"].T + p["out.b"]
     return v, ((t, h1, a1), trunk_caches, h)
+
+
+def reference_folded_field(model, x, t):
+    """`sample`'s field at rows x and one time t, written out with a new
+    array per step in the model's dtype. The parameters are folded in
+    float64 and cast once: each trunk layer's weights and bias centred
+    over its output units, the weights after a GELU halved, and layer 0's
+    time columns and bias turned into one bias row at t. LayerNorm then
+    needs no mean, and each activation is twice GELU's."""
+    p64 = {name: view.astype(np.float64) for name, view in model.params.items()}
+    p, dtype, d = model.params, model.flat.dtype, model.config.input_dim
+    depth = len(model.config.trunk_dims)
+
+    def centred(a):
+        return a - a.mean(axis=0)
+
+    weights = [centred(p64["trunk.w0"])]
+    weights += [0.5 * centred(p64[f"trunk.w{i}"]) for i in range(1, depth)]
+    weights.append(0.5 * p64["out.w"])
+    t_emb = p64["time.w2"] @ gelu_tanh(p64["time.w1"][:, 0] * t + p64["time.b1"]) + p64["time.b2"]
+    biases = [weights[0][:, d:] @ t_emb + centred(p64["trunk.b0"])]
+    biases += [centred(p64[f"trunk.b{i}"]) for i in range(1, depth)]
+    biases.append(p64["out.b"])
+    weights[0] = weights[0][:, :d]
+    # The field multiplies on C-order copies of the folded transposes.
+    weights_t = [np.ascontiguousarray(w.astype(dtype).T) for w in weights]
+    h = np.atleast_2d(np.asarray(x)).astype(dtype)
+    for i in range(depth):
+        pre = h @ weights_t[i] + biases[i].astype(dtype)
+        var = np.einsum("ij,ij->i", pre, pre)[:, None] / pre.shape[1]
+        xhat = pre * (1.0 / np.sqrt(var + LN_EPS))
+        ln = p[f"trunk.ln_g{i}"] * xhat + p[f"trunk.ln_b{i}"]
+        h = ln * (1.0 + np.tanh(ln * ((TANH_C * TANH_K) * (ln * ln) + TANH_C)))
+    return h @ weights_t[-1] + biases[-1].astype(dtype)
 
 
 def reference_train_flow(population, cfg, seed=0):
@@ -183,34 +217,57 @@ class TestWorkspace:
         assert flow_forward(model32, x.astype(np.float32), np.zeros(4)).dtype == np.float32
         assert flow_forward(model, x.astype(np.float32), np.zeros(4)).dtype == np.float64
 
-    def test_sample_matches_rk4_over_reference(self):
-        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=3,
+    @pytest.mark.parametrize("time_embed_dim", [1, 4])
+    @pytest.mark.parametrize("rows", range(1, 10))
+    def test_sample_matches_rk4_over_reference(self, rows, time_embed_dim):
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=time_embed_dim,
                          integration_steps=7)
         model = init_flow_model(cfg, seed=7)
+        # Nonzero biases and LayerNorm shifts, which the folding moves.
+        model.flat += np.random.default_rng(7).normal(0.0, 0.1, model.flat.size)
         model32 = FlowModel(cfg, model.flat.astype(np.float32))
-        x0 = make_rng(11, "sample").normal(0.0, cfg.source_std, size=(12, 6))
-        ref = rk4_integrate(
-            lambda x, t: reference_forward(model32, x, np.full(x.shape[0], t))[0],
-            x0, cfg.integration_steps)
-        assert np.array_equal(sample(model, 12, seed=11), ref)
+        x0 = make_rng(11, "sample").normal(0.0, cfg.source_std, size=(rows, 6))
+        ref = rk4_integrate(lambda x, t: reference_folded_field(model32, x, t),
+                            x0, cfg.integration_steps)
+        assert np.array_equal(sample(model, rows, seed=11), ref)
 
-    def test_frozen_forward_matches_reference(self, rng):
-        model32 = FlowModel(WIDE, init_flow_model(WIDE, seed=5).flat.astype(np.float32))
-        x, t = rng.normal(size=(9, 6)), rng.uniform(size=9)
-        frozen = _FrozenField(model32, 9)
-        ref, _ = reference_forward(model32, x, t)
-        for _ in range(2):  # the second call runs on the first call's buffers
+    @pytest.mark.parametrize("time_embed_dim", [1, 4])
+    @pytest.mark.parametrize("rows", range(1, 10))
+    def test_frozen_forward_matches_reference(self, rng, rows, time_embed_dim):
+        cfg = FlowConfig(input_dim=6, hidden_dim=16, time_embed_dim=time_embed_dim)
+        flat = init_flow_model(cfg, seed=5).flat + rng.normal(0.0, 0.1, _param_count(cfg))
+        model32 = FlowModel(cfg, flat.astype(np.float32))
+        x = rng.normal(size=(rows, 6))
+        frozen = _FrozenField(model32, rows)
+        for t in (0.0, 0.375, 0.375, 1.0):  # repeats run on earlier calls' buffers
             v = flow_forward(model32, x, t, frozen=frozen)
-            assert np.array_equal(v, ref) and np.shares_memory(v, frozen.out)
+            assert np.array_equal(v, reference_folded_field(model32, x, t))
+            assert np.shares_memory(v, frozen.out)
+
+    def test_folded_field_is_the_field_in_float64(self, rng):
+        # Folding is exact algebra, so in float64 it moves only rounding,
+        # even with a common offset that LayerNorm's mean would remove.
+        model = init_flow_model(WIDE, seed=6)
+        for i in range(len(WIDE.trunk_dims)):
+            model.params[f"trunk.b{i}"][...] = rng.normal(size=WIDE.trunk_dims[i]) + 1e3
+        x = rng.normal(size=(9, 6))
+        frozen = _FrozenField(model, 9)
+        for t in (0.0, 0.3, 1.0):
+            ref = flow_forward(model, x, np.full(9, t))
+            v = flow_forward(model, x, t, frozen=frozen)
+            assert v.dtype == np.float64
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_frozen_forward_rejects_a_cache_or_another_batch(self, rng):
         model = init_flow_model(WIDE, seed=0)
         frozen = _FrozenField(model, 4)
+        x = rng.normal(size=(4, 6))
         with pytest.raises(ArgumentError):
-            flow_forward(model, rng.normal(size=(4, 6)), np.zeros(4), want_cache=True,
-                         frozen=frozen)
+            flow_forward(model, x, 0.5, want_cache=True, frozen=frozen)
         with pytest.raises(ArgumentError):
-            flow_forward(model, rng.normal(size=(5, 6)), np.zeros(5), frozen=frozen)
+            flow_forward(model, x, np.zeros(4), frozen=frozen)  # one time per call
+        with pytest.raises(ArgumentError):
+            flow_forward(model, rng.normal(size=(5, 6)), 0.5, frozen=frozen)
 
     def test_sample_agrees_with_float64_rk4(self):
         # sample's float32 field against the same field in float64, over a
@@ -621,11 +678,14 @@ class TestSample:
         b = sample(model, 4, seed=9)
         assert not np.shares_memory(a, b) and a.tobytes() == a_bytes
 
-    @pytest.mark.parametrize("bias", [np.inf, 1e300], ids=["inf", "float32-overflow"])
-    def test_non_finite_field_raises_without_warnings(self, bias):
-        # 1e300 is finite in float64 but overflows the float32 cast.
+    @pytest.mark.parametrize("name", ["out.b", "trunk.b0", "trunk.w1", "trunk.ln_g2",
+                                      "time.w1"])
+    @pytest.mark.parametrize("value", [np.inf, 1e300], ids=["inf", "float32-overflow"])
+    def test_non_finite_field_raises_without_warnings(self, value, name):
+        # 1e300 is finite in float64 but overflows the float32 cast; either
+        # way the folding meets inf - inf or inf * 0.
         model = init_flow_model(TINY, seed=0)
-        model.params["out.b"][...] = bias
+        model.params[name][...] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="step 0"):
