@@ -10,7 +10,6 @@ Usage: python scripts/run_iris_pipeline.py [--out DIR] [--quick]
 import argparse
 import os
 import sys
-import tempfile
 
 from weightflow.cli import main as cli_main
 

@@ -23,9 +23,8 @@ from .metrics import (distribution_distances, iou, jensen_shannon, max_iou,
 from .nn_core import (ArchitectureSpec, AttentionSpec, EvalResult, Population,
                       TrainHyper, evaluate, forward, init_population,
                       mha_forward, train_population)
-from .pca import (PcaModel, default_latent_dim, fit_dual, fit_incremental,
-                  fit_standard, inverse_transform, load_pca, save_pca,
-                  transform)
+from .pca import (PcaModel, default_latent_dim, fit_dual, fit_standard,
+                  inverse_transform, load_pca, save_pca, transform)
 from .pipeline import run_pipeline
 from .rng import make_rng
 

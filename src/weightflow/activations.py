@@ -81,10 +81,10 @@ def gelu_tanh_twice_cdf(x, out=None):
     return np.add(1.0, out, out=out)
 
 
-def gelu_tanh_cdf(x, out=None):
-    """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))), into `out`
-    (a new array when None; not `x`). gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
-    out = gelu_tanh_twice_cdf(x, out)
+def gelu_tanh_cdf(x):
+    """The tanh form of Phi(x), 0.5 (1 + tanh(c (x + k x^3))).
+    gelu_tanh(x) = x * gelu_tanh_cdf(x)."""
+    out = gelu_tanh_twice_cdf(x)
     return np.multiply(0.5, out, out=out)
 
 

@@ -25,9 +25,8 @@ Keys by section (choices after a colon):
                  learning_rate; weight_decay; batch_size; epochs;
                  init: kaiming | xavier | normal | uniform | kaiming_zero_bias
     [canonicalize] mode: rebasin | off; reference_index; max_iter
-    [pca]        mode: off | standard | incremental | dual;
-                 latent_dim (0 = min(n-1, 99)); micro_batch; exact_eigen;
-                 batch_rows
+    [pca]        mode: off | standard | dual; latent_dim (0 = min(n-1, 99));
+                 exact_eigen
     [flow]       hidden_dim; time_embed_dim; dropout; noise_scale;
                  source_std; time_distribution: uniform | beta; time_beta;
                  iterations; batch_size; learning_rate; weight_decay; beta1;
@@ -49,7 +48,7 @@ from .pca import default_latent_dim
 
 TASKS = ("iris", "mnist", "blobs")
 CANON_MODES = ("off", "rebasin")
-PCA_MODES = ("off", "standard", "incremental", "dual")
+PCA_MODES = ("off", "standard", "dual")
 SEED_LIMIT = 2 ** 63  # seeds are stored as i64
 
 
@@ -93,9 +92,7 @@ class RunConfig:
     canonicalize_max_iter: int = 100
     pca_mode: str = "off"
     latent_dim: int = 0
-    pca_micro_batch: int = 16
     pca_exact_eigen: bool = False
-    pca_batch_rows: int = 16
     flow: FlowConfig = field(default_factory=FlowConfig)
     generate_count: int = 50
     recalibrate_bn: bool = True
@@ -121,8 +118,8 @@ class RunConfig:
             raise ConfigError("reference_index out of population range")
         if self.canonicalize_max_iter < 1:
             raise ConfigError("canonicalize max_iter must be >= 1")
-        if min(self.pca_micro_batch, self.pca_batch_rows) < 1 or self.latent_dim < 0:
-            raise ConfigError("pca micro_batch and batch_rows must be >= 1, latent_dim >= 0")
+        if self.latent_dim < 0:
+            raise ConfigError("pca latent_dim must be >= 0")
         if self.pca_mode != "off" and self.population_size < 2:
             raise ConfigError(f"pca needs a population of at least 2 networks, "
                               f"got size {self.population_size}")
@@ -196,8 +193,7 @@ _KEYS = {
                                 reference_index="reference_index",
                                 max_iter="canonicalize_max_iter"),
     "pca": _run_fields(mode="pca_mode", latent_dim="latent_dim",
-                       micro_batch="pca_micro_batch",
-                       exact_eigen="pca_exact_eigen", batch_rows="pca_batch_rows"),
+                       exact_eigen="pca_exact_eigen"),
     "flow": _same_names(FlowConfig, "input_dim"),
     "generate": _run_fields(count="generate_count", recalibrate_bn="recalibrate_bn",
                             calib_fraction="calib_fraction"),

@@ -31,15 +31,12 @@ gradient buffer of the same layout, so training takes one optimizer step
 over one array, reuses one gradient buffer for every step, and saving or
 loading the model is one write or read of the whole buffer.
 
-`flow_forward` is the one forward pass of the trained field. With a cache
-for a backward pass it allocates every trunk intermediate afresh and keeps
-it. Without one, the LayerNorm output overwrites its normalized input and
-the activation its cdf, in the operation order of the plain expressions.
-Each trunk product h W^T is formed as (W h^T)^T, copied to C order: at
-training's batch of a few rows OpenBLAS computes that faster than the
-product on the transposed view W.T, with the same bits, and the copy keeps
-LayerNorm's row sums on contiguous rows, where they round as they do on
-h W^T (on the strided result they do not).
+`flow_forward` is the one forward pass of the trained field. Each trunk
+product h W^T is formed as (W h^T)^T, copied to C order: at training's
+batch of a few rows OpenBLAS computes that faster than the product on the
+transposed view W.T, with the same bits, and the copy keeps LayerNorm's
+row sums on contiguous rows, where they round as they do on h W^T (on
+the strided result they do not).
 
 `sample` integrates the trained field folded: a `_FrozenField`, built once
 per call, does once the algebra that depends only on the frozen
@@ -388,11 +385,10 @@ def flow_forward(model: FlowModel, x: np.ndarray, t: np.ndarray | float,
         var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / width
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat *= inv_std
-        # Without a cache, ln overwrites xhat and the activation its cdf.
-        ln = np.multiply(p[f"trunk.ln_g{i}"], xhat, out=None if want_cache else xhat)
+        ln = p[f"trunk.ln_g{i}"] * xhat
         ln += p[f"trunk.ln_b{i}"]
         cdf = gelu_tanh_cdf(ln)
-        act = np.multiply(ln, cdf, out=None if want_cache else cdf)  # gelu_tanh(ln)
+        act = ln * cdf  # gelu_tanh(ln)
         if dropout_masks is not None:
             act *= dropout_masks[i]
         if want_cache:

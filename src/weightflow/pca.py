@@ -1,11 +1,10 @@
 """Linear dimensionality reduction over population weight matrices.
 
-Three fitting routes share one model type: exact SVD of the centered data,
-single-pass batched (incremental) updates, and the dual/Gram-matrix route
-that never holds more than a micro-batch of rows next to the n x n Gram
-matrix. Eigenvalues are squared singular values of the centered data matrix
-(equal to Gram eigenvalues), not variance-normalized. Accumulation is
-float64 throughout.
+Two fitting routes share one model type: exact SVD of the centered data,
+and the dual/Gram-matrix route that never holds more than `ROW_BLOCK`
+centered rows next to the n x n Gram matrix. Eigenvalues are squared
+singular values of the centered data matrix (equal to Gram eigenvalues),
+not variance-normalized. Accumulation is float64 throughout.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ PCA_VERSION = 2
 
 RSVD_POWER_ITERS = 5
 RSVD_OVERSAMPLE = 10
+# Centered rows that `fit_dual` and `explained_variance_ratio` form at once.
+ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,6 @@ class PcaModel:
     @property
     def input_dim(self) -> int:
         return self.mean.shape[0]
-
-    def explained_variance_ratio(self) -> np.ndarray:
-        total = self.eigenvalues.sum()
-        if total == 0:
-            return np.zeros_like(self.eigenvalues)
-        return self.eigenvalues / total
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -78,46 +73,6 @@ def fit_standard(x: np.ndarray, k: int) -> PcaModel:
                     eigenvalues=(s[:k] ** 2), n_samples=n)
 
 
-def fit_incremental(batches, k: int) -> PcaModel:
-    """Single-pass PCA over a stream of row blocks.
-
-    Maintains the running mean and a rank-k factorization; each batch update
-    stacks the current scaled basis, the centered batch, and a
-    mean-correction row, then re-truncates via SVD.
-    """
-    mean = None
-    n_seen = 0
-    sv = None   # current singular values
-    basis = None  # (r, d) rows = components scaled implicitly via sv
-    for batch in batches:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[0] == 0:
-            raise ArgumentError("each batch must be a nonempty 2-D block")
-        m = batch.shape[0]
-        bmean = batch.mean(axis=0)
-        if mean is None:
-            mean = bmean
-            n_seen = m
-            stack = batch - bmean
-        else:
-            new_n = n_seen + m
-            corr = np.sqrt(n_seen * m / new_n) * (mean - bmean)
-            stack = np.vstack([sv[:, None] * basis, batch - bmean, corr[None, :]])
-            mean = (n_seen * mean + m * bmean) / new_n
-            n_seen = new_n
-        _, s, vt = np.linalg.svd(stack, full_matrices=False)
-        r = min(len(s), n_seen - 1) if n_seen > 1 else len(s)
-        sv, basis = s[:r], vt[:r]
-    if mean is None:
-        raise ArgumentError("empty batch stream")
-    d = mean.shape[0]
-    if n_seen < 2 or not 0 <= k <= min(n_seen - 1, d):
-        raise ArgumentError(f"k={k} out of range for n={n_seen}, d={d}")
-    # Each update keeps min(n_seen - 1, d) directions, so there are k of them.
-    return PcaModel(mean=mean, components=_fix_signs(basis[:k].T),
-                    eigenvalues=sv[:k] ** 2, n_samples=n_seen)
-
-
 def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
     """Top-k eigenpairs of a symmetric PSD matrix via randomized subspace
     iteration (fixed 5 power iterations, oversampling 10, seeded Gaussian)."""
@@ -134,17 +89,21 @@ def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
     return evals[order], q @ evecs[:, order]
 
 
-def fit_dual(x: np.ndarray, k: int, micro_batch: int = 16,
-             exact_eigen: bool = False, seed: int = 0) -> PcaModel:
+def _centered_blocks(x: np.ndarray, mean: np.ndarray):
+    """(first row, centered block of `ROW_BLOCK` rows) over the rows of x."""
+    for start in range(0, x.shape[0], ROW_BLOCK):
+        yield start, x[start:start + ROW_BLOCK] - mean
+
+
+def fit_dual(x: np.ndarray, k: int, exact_eigen: bool = False,
+             seed: int = 0) -> PcaModel:
     """Gram-matrix PCA of an (n, d) sample matrix in four passes: mean,
     Gram blocks, eigendecomposition (exact or randomized), unit-norm
     back-projection.
 
-    At most `micro_batch` centered rows are materialized at once besides
+    At most `ROW_BLOCK` centered rows are materialized at once besides
     the n x n Gram matrix.
     """
-    if micro_batch < 1:
-        raise ArgumentError("micro_batch must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ArgumentError("x must be a 2-D sample matrix")
@@ -157,14 +116,10 @@ def fit_dual(x: np.ndarray, k: int, micro_batch: int = 16,
         raise ArgumentError(f"k={k} out of range for n={n}, d={d}")
     mean = x.sum(axis=0) / n
 
-    def centered_blocks():
-        for start in range(0, n, micro_batch):
-            yield start, x[start:start + micro_batch] - mean
-
     # pass 2: Gram matrix, block by block
     gram = np.empty((n, n))
-    for i0, bi in centered_blocks():
-        for j0, bj in centered_blocks():
+    for i0, bi in _centered_blocks(x, mean):
+        for j0, bj in _centered_blocks(x, mean):
             if j0 < i0:
                 continue
             block = bi @ bj.T
@@ -182,13 +137,22 @@ def fit_dual(x: np.ndarray, k: int, micro_batch: int = 16,
 
     # pass 4: back-projection, normalized to unit length
     comps = np.zeros((mean.shape[0], k))
-    for i0, bi in centered_blocks():
+    for i0, bi in _centered_blocks(x, mean):
         comps += bi.T @ evecs[i0:i0 + len(bi), :]
     norms = np.linalg.norm(comps, axis=0)
     norms[norms == 0] = 1.0
     comps /= norms
     return PcaModel(mean=mean, components=_fix_signs(comps),
                     eigenvalues=evals, n_samples=n)
+
+
+def explained_variance_ratio(model: PcaModel, x: np.ndarray) -> float:
+    """The share of the variance of x, centered on the model's mean, that
+    the model's eigenvalues keep (0 when x has none). The float64 sum of
+    squares is formed `ROW_BLOCK` rows at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    total = sum(float(np.vdot(b, b)) for _, b in _centered_blocks(x, model.mean))
+    return float(model.eigenvalues.sum()) / total if total > 0 else 0.0
 
 
 def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

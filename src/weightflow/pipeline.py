@@ -138,14 +138,10 @@ def stage_fit_pca(cfg: RunConfig, population: Population | None = None):
     n, k = matrix.shape[0], cfg.latent_dim or default_latent_dim(cfg.population_size)
     if cfg.pca_mode == "standard":
         model = pca_mod.fit_standard(matrix, k)
-    elif cfg.pca_mode == "incremental":
-        blocks = [matrix[s:s + cfg.pca_batch_rows] for s in range(0, n, cfg.pca_batch_rows)]
-        model = pca_mod.fit_incremental(blocks, k)
     else:
-        model = pca_mod.fit_dual(matrix, k, micro_batch=cfg.pca_micro_batch,
-                                 exact_eigen=cfg.pca_exact_eigen, seed=cfg.seed)
-    evr = model.explained_variance_ratio()
-    return (model,), [("n_samples", n), ("explained_variance_ratio", f"{evr.sum():.6f}")]
+        model = pca_mod.fit_dual(matrix, k, exact_eigen=cfg.pca_exact_eigen, seed=cfg.seed)
+    evr = pca_mod.explained_variance_ratio(model, matrix)
+    return (model,), [("n_samples", n), ("explained_variance_ratio", f"{evr:.6f}")]
 
 
 def stage_train_flow(cfg: RunConfig, population: Population, pca=None):

@@ -288,3 +288,25 @@ def test_only_the_container_and_idx_readers_use_struct():
             if "struct" in names:
                 users.add(path.stem)
     assert users == {"checkpoint_io", "data"}
+
+
+def test_every_module_level_import_is_used():
+    # Of src/weightflow (but `__init__`, whose imports are its exports) and
+    # scripts/: an import no name in the module refers to is dead, unless
+    # its line says `# noqa: F401` (an import made for its side effect).
+    package = pathlib.Path(weightflow.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += pathlib.Path(__file__).parents[1].joinpath("scripts").glob("*.py")
+    unused = []
+    for path in paths:
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            unused += [f"{path.name}: {alias.name}" for alias in node.names
+                       if (alias.asname or alias.name.partition(".")[0]) not in names]
+    assert unused == []

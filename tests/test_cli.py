@@ -450,8 +450,8 @@ class TestExitCodes:
         ({"canonicalize.max_iter": "1"}, [], "fit-pca",
          "aligned.dwfc has canonicalize.max_iter 100, but the config asks for 1",
          "canonicalize"),
-        ({"pca.batch_rows": "2"}, [], "train-flow",
-         "pca.dwfp has pca.batch_rows 16, but the config asks for 2", "fit-pca"),
+        ({"pca.latent_dim": "1"}, [], "train-flow",
+         "pca.dwfp has pca.latent_dim 0, but the config asks for 1", "fit-pca"),
         ({"data.blobs_spread": "3.0"}, [], "generate",
          "population.dwfc has data.blobs_spread 1.0, but the config asks for 3.0",
          "make-population"),
@@ -460,7 +460,7 @@ class TestExitCodes:
          "generate"),
         ({"metrics.iou": "0"}, [], "report",
          "metrics.txt has metrics.iou True, but the config asks for False", "evaluate")],
-        ids=["seed", "epochs", "max_iter", "batch_rows", "blobs_spread",
+        ids=["seed", "epochs", "max_iter", "latent_dim", "blobs_spread",
              "recalibrate_bn", "iou"])
     def test_stale_upstream_is_3(self, full_run, capsys, keys, flags, stage,
                                  expected, rerun):
@@ -614,8 +614,7 @@ OTHER_VALUES = {
     "population.weight_decay": "0.1", "population.batch_size": "8",
     "population.epochs": "1",
     "canonicalize.reference_index": "1", "canonicalize.max_iter": "1",
-    "pca.latent_dim": "1", "pca.micro_batch": "2", "pca.exact_eigen": "1",
-    "pca.batch_rows": "2",
+    "pca.latent_dim": "1", "pca.exact_eigen": "1",
     "flow.hidden_dim": "8", "flow.time_embed_dim": "2", "flow.dropout": "0.2",
     "flow.noise_scale": "0.01", "flow.source_std": "0.1",
     "flow.time_distribution": "beta", "flow.time_beta": "2,3", "flow.iterations": "50",
@@ -642,8 +641,6 @@ class TestDegenerateFlowConfig:
         {"data.blobs_per_class": "2", "data.test_fraction": "0.2"},
         {"data.blobs_per_class": "1"}, {"data.limit": "-1"},
         {"arch.layer_dims": "5,8,3"}, {"arch.layer_dims": "4,8,2"},
-        {"pca.mode": "incremental", "pca.batch_rows": "0"},
-        {"pca.mode": "dual", "pca.micro_batch": "0"},
         {"pca.mode": "standard", "pca.latent_dim": "-1"},
         {"pca.mode": "standard", "pca.latent_dim": "5"},
         {"pca.mode": "dual", "population.size": "1"},
@@ -662,7 +659,22 @@ class TestDegenerateFlowConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("mode", ["standard", "incremental", "dual"])
+    @pytest.mark.parametrize("keys,error", [
+        ({"pca.mode": "incremental"},
+         "unknown pca_mode 'incremental', expected one of off, standard, dual"),
+        ({"pca.mode": "dual", "pca.batch_rows": "16"},
+         "unknown key 'batch_rows' in section [pca]"),
+        ({"pca.mode": "dual", "pca.micro_batch": "16"},
+         "unknown key 'micro_batch' in section [pca]"),
+    ], ids=["incremental", "batch_rows", "micro_batch"])
+    def test_removed_pca_choice_and_keys_exit_2(self, quick_cfg, capsys, keys, error):
+        cfg_path, _ = quick_cfg
+        text = open(cfg_path).read()
+        open(cfg_path, "w").write(_set_keys(text, **keys))
+        assert main(["run", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("mode", ["standard", "dual"])
     def test_pca_on_one_network_says_it_needs_two(self, quick_cfg, capsys, mode):
         # PCA of one network has no direction to keep: the error says so,
         # rather than stating the empty range 1 <= latent_dim <= 0.

@@ -59,9 +59,8 @@ VALUES = {
     "canonicalize": {"mode": (pick("rebasin", "off"), pick("on")),
                      "reference_index": (ints(0, 3), pick(-1, 4)),
                      "max_iter": (ints(1, 4), pick(0))},
-    "pca": {"mode": (pick("off", "standard", "incremental", "dual"), pick("kernel")),
-            "latent_dim": (ints(0, 3), pick(-1, 5)), "micro_batch": (ints(1, 4), pick(0)),
-            "exact_eigen": (pick(0, 1), pick(2)), "batch_rows": (ints(1, 4), pick(0))},
+    "pca": {"mode": (pick("off", "standard", "dual"), pick("kernel", "incremental")),
+            "latent_dim": (ints(0, 3), pick(-1, 5)), "exact_eigen": (pick(0, 1), pick(2))},
     "flow": {"hidden_dim": (ints(2, 16), ints(0, 1)),
              "time_embed_dim": (ints(1, 4), pick(0)),
              "dropout": (pick(0, 0.1, 0.9), pick(1, -0.1, NAN)),

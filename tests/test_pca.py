@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightflow import pca
 from weightflow.errors import ArgumentError, DataError, ShapeError
-from weightflow.pca import (default_latent_dim, fit_dual, fit_incremental,
-                            fit_standard, inverse_transform, load_pca,
-                            save_pca, transform)
+from weightflow.pca import (default_latent_dim, explained_variance_ratio,
+                            fit_dual, fit_standard, inverse_transform,
+                            load_pca, save_pca, transform)
 
 
 def match_up_to_sign(a, b, atol):
@@ -49,32 +50,6 @@ class TestStandard:
             fit_standard(rng.normal(size=(5, 3)), 5)
 
 
-class TestIncremental:
-    def test_single_batch_matches_standard(self, rng):
-        x = rng.normal(size=(15, 8))
-        a = fit_standard(x, 5)
-        b = fit_incremental([x], 5)
-        assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-8)
-        match_up_to_sign(a.components, b.components, 1e-8)
-
-    def test_five_batches_match(self, rng):
-        x = rng.normal(size=(25, 12))
-        a = fit_standard(x, 6)
-        b = fit_incremental(np.array_split(x, 5), 6)
-        assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-4)
-        assert np.allclose(a.mean, b.mean, atol=1e-10)
-
-    def test_full_rank_captures_all_variance(self, rng):
-        x = rng.normal(size=(100, 40))
-        model = fit_incremental(np.array_split(x, 10), 40)
-        # k at the data rank, min(n-1, d)
-        assert abs(model.explained_variance_ratio().sum() - 1.0) <= 1e-6
-
-    def test_empty_stream(self):
-        with pytest.raises(ArgumentError):
-            fit_incremental([], 2)
-
-
 class TestDual:
     def test_exact_matches_standard(self, rng):
         for _ in range(5):
@@ -96,18 +71,21 @@ class TestDual:
         assert abs(model.eigenvalues[0] - 2.0) < 1e-10
 
     @pytest.mark.parametrize("n,d", [(25, 531), (50, 67), (400, 531)])
-    def test_mean_equals_row_loop(self, rng, n, d):
+    def test_mean_equals_row_loop(self, rng, monkeypatch, n, d):
         x = rng.normal(size=(n, d))
         mean = x[0].copy()
         for row in x[1:]:
             mean = mean + row
         mean /= n
-        assert fit_dual(x, 1, micro_batch=7, exact_eigen=True).mean.tobytes() == mean.tobytes()
+        monkeypatch.setattr(pca, "ROW_BLOCK", 7)
+        assert fit_dual(x, 1, exact_eigen=True).mean.tobytes() == mean.tobytes()
 
-    def test_micro_batch_independent(self, rng):
+    def test_row_block_independent(self, rng, monkeypatch):
         x = rng.normal(size=(17, 40))
-        a = fit_dual(x, 6, micro_batch=1, exact_eigen=True)
-        b = fit_dual(x, 6, micro_batch=16, exact_eigen=True)
+        monkeypatch.setattr(pca, "ROW_BLOCK", 1)
+        a = fit_dual(x, 6, exact_eigen=True)
+        monkeypatch.setattr(pca, "ROW_BLOCK", 16)
+        b = fit_dual(x, 6, exact_eigen=True)
         assert np.allclose(a.components, b.components, atol=1e-10)
 
     def test_seeded_randomized_deterministic(self, rng):
@@ -127,9 +105,7 @@ class TestDual:
         assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("fit", [
-    fit_standard, fit_dual, lambda x, k: fit_incremental(np.array_split(x, 3), k)],
-    ids=["standard", "dual", "incremental"])
+@pytest.mark.parametrize("fit", [fit_standard, fit_dual], ids=["standard", "dual"])
 def test_k_above_input_dim_rejected(rng, fit):
     # Two dimensions hold at most two orthonormal components.
     with pytest.raises(ArgumentError, match=r"^k=5 out of range for n=10, d=2$"):
@@ -139,6 +115,19 @@ def test_k_above_input_dim_rejected(rng, fit):
         model = fit(rng.normal(size=(n, d)), min(n - 1, d))
         assert model.components.shape == (d, min(n - 1, d))
         assert model.eigenvalues.shape == (min(n - 1, d),)
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_explained_variance_ratio_is_the_kept_share(rng, monkeypatch, block):
+    # s[:k]^2 / sum s^2 of the centred data, at every row block size.
+    monkeypatch.setattr(pca, "ROW_BLOCK", block)
+    x = rng.normal(size=(40, 30)) + 5.0
+    s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    for k in (1, 5, 30):
+        share = (s[:k] ** 2).sum() / (s ** 2).sum()
+        for model in (fit_standard(x, k), fit_dual(x, k, exact_eigen=True)):
+            assert explained_variance_ratio(model, x) == pytest.approx(share, rel=1e-12)
+    assert explained_variance_ratio(fit_standard(np.ones((4, 3)), 2), np.ones((4, 3))) == 0.0
 
 
 class TestTransform:

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from weightflow import checkpoint_io, flow, pca, pipeline
 from weightflow.cli import main
+from weightflow.config import RunConfig
+from weightflow.nn_core import ArchitectureSpec, Population
 
 CONFIG = """\
 [run]
@@ -128,6 +130,23 @@ def test_rerun_leaves_no_temporary_file(finished_run):
     before = _tree(out)
     assert _run(cfg_path, "run")[0] == 0
     assert _tree(out) == before
+
+
+@pytest.mark.parametrize("mode", ["standard", "dual"])
+def test_explained_variance_ratio_is_the_kept_share_of_the_total(rng, mode):
+    # The manifest row is the share of the centred population's variance
+    # that the kept directions hold: below 1 at latent_dim = 1, 1 at the
+    # default latent_dim n - 1.
+    arch = ArchitectureSpec((4, 8, 3))
+    population = Population(arch, rng.normal(size=(6, arch.param_count())).astype(np.float32))
+    matrix = population.params.astype(np.float64)
+    s = np.linalg.svd(matrix - matrix.mean(axis=0), compute_uv=False)
+    for latent_dim, share in [(1, s[0] ** 2 / (s ** 2).sum()), (0, 1.0)]:
+        cfg = RunConfig(task="blobs", arch=arch, population_size=6, pca_mode=mode,
+                        latent_dim=latent_dim, pca_exact_eigen=True)
+        rows = dict(pipeline.stage_fit_pca(cfg, population)[1])
+        assert rows["explained_variance_ratio"] == f"{share:.6f}"
+        assert latent_dim == 0 or share < 0.5
 
 
 def _min_norm(m):
