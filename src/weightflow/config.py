@@ -21,18 +21,15 @@ Keys by section (choices after a colon):
                  blobs_spread
     [arch]       layer_dims; activation; bn (one 0/1 flag per hidden layer;
                  a single value broadcasts)
-    [population] size; base_seed; optimizer: adam | adamw | sgd;
-                 learning_rate; weight_decay; batch_size; epochs;
-                 init: kaiming | xavier | normal | uniform | kaiming_zero_bias
+    [population] size; base_seed; optimizer: adam | adamw;
+                 learning_rate; weight_decay; batch_size; epochs
     [canonicalize] mode: rebasin | off; reference_index; max_iter
     [pca]        mode: off | standard | dual; latent_dim (0 = min(n-1, 99));
                  exact_eigen
     [flow]       hidden_dim; time_embed_dim; dropout; noise_scale;
-                 source_std; time_distribution: uniform | beta; time_beta;
-                 iterations; batch_size; learning_rate; weight_decay; beta1;
-                 beta2; lr_min; integration_steps
-    [generate]   count; recalibrate_bn; calib_fraction
-    [metrics]    iou; distances
+                 source_std; iterations; batch_size; learning_rate;
+                 weight_decay; beta1; beta2; lr_min; integration_steps
+    [generate]   count; calib_fraction
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .flow import FlowConfig
-from .nn_core import INIT_SCHEMES, ArchitectureSpec, TrainHyper
+from .nn_core import ArchitectureSpec, TrainHyper
 from .pca import default_latent_dim
 
 TASKS = ("iris", "mnist", "blobs")
@@ -86,7 +83,6 @@ class RunConfig:
     population_size: int = 50
     base_seed: int = 100
     train_hyper: TrainHyper = field(default_factory=TrainHyper)
-    init_scheme: str = "kaiming"
     canonicalize_mode: str = "rebasin"
     reference_index: int = 0
     canonicalize_max_iter: int = 100
@@ -95,14 +91,11 @@ class RunConfig:
     pca_exact_eigen: bool = False
     flow: FlowConfig = field(default_factory=FlowConfig)
     generate_count: int = 50
-    recalibrate_bn: bool = True
     calib_fraction: float = 1.0
-    metrics_iou: bool = True
-    metrics_distances: bool = True
 
     def __post_init__(self):
-        for name, choices in (("task", TASKS), ("init_scheme", INIT_SCHEMES),
-                              ("canonicalize_mode", CANON_MODES), ("pca_mode", PCA_MODES)):
+        for name, choices in (("task", TASKS), ("canonicalize_mode", CANON_MODES),
+                              ("pca_mode", PCA_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
                                   f"expected one of {', '.join(choices)}")
@@ -162,10 +155,6 @@ def _int_list(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split(","))
 
 
-def _float_list(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split(","))
-
-
 def _same_names(cls, *skip) -> dict:
     return {f.name: (cls, f.name) for f in fields(cls) if f.name not in skip}
 
@@ -186,8 +175,7 @@ _KEYS = {
     "arch": {"layer_dims": (ArchitectureSpec, "layer_dims"),
              "activation": (ArchitectureSpec, "activation"),
              "bn": (ArchitectureSpec, "bn_layers")},
-    "population": {**_run_fields(size="population_size", base_seed="base_seed",
-                                 init="init_scheme"),
+    "population": {**_run_fields(size="population_size", base_seed="base_seed"),
                    **_same_names(TrainHyper)},
     "canonicalize": _run_fields(mode="canonicalize_mode",
                                 reference_index="reference_index",
@@ -195,12 +183,10 @@ _KEYS = {
     "pca": _run_fields(mode="pca_mode", latent_dim="latent_dim",
                        exact_eigen="pca_exact_eigen"),
     "flow": _same_names(FlowConfig, "input_dim"),
-    "generate": _run_fields(count="generate_count", recalibrate_bn="recalibrate_bn",
-                            calib_fraction="calib_fraction"),
-    "metrics": _run_fields(iou="metrics_iou", distances="metrics_distances"),
+    "generate": _run_fields(count="generate_count", calib_fraction="calib_fraction"),
 }
 _PARSERS = {"bool": _bool, "int": int, "float": float, "str": _line,
-            "tuple": _float_list, "tuple[int, ...]": _int_list}
+            "tuple[int, ...]": _int_list}
 
 
 def _parser(cls, name):

@@ -7,7 +7,8 @@ in an affine map back to the state dimension. Every GELU here is the tanh
 form (`activations.gelu_tanh`), in training and in sampling alike, so the
 field that is sampled is the field that was trained. Training regresses
 the field onto straight-line displacements between Gaussian source draws
-and population vectors; sampling integrates the learned field with
+and population vectors at times drawn uniformly from [0, 1) (Lipman et
+al., arXiv 2210.02747); sampling integrates the learned field with
 fixed-step RK4.
 
 The model is trained, stored and sampled in float32. `init_flow_model`
@@ -97,7 +98,6 @@ from .rng import make_rng
 LN_EPS = 1e-5
 FLOW_MAGIC = b"DWFF"
 FLOW_VERSION = 3
-TIME_DISTRIBUTIONS = ("uniform", "beta")
 # Training steps whose random draws `train_flow` makes in one call per stream.
 DRAW_BLOCK = 4
 
@@ -110,8 +110,6 @@ class FlowConfig:
     dropout: float = 0.1
     noise_scale: float = 0.001       # sigma: jitter added to the interpolant
     source_std: float = 0.01         # sigma_s: scale of the Gaussian source
-    time_distribution: str = "uniform"
-    time_beta: tuple = (2.0, 5.0)
     iterations: int = 30000
     batch_size: int = 8
     learning_rate: float = 5e-4
@@ -128,12 +126,9 @@ class FlowConfig:
             raise ConfigError("iterations, integration_steps and batch_size must be >= 1")
         positive = {"learning_rate": self.learning_rate, "noise_scale": self.noise_scale,
                     "source_std": self.source_std}
-        positive.update((f"time_beta[{i}]", v) for i, v in enumerate(self.time_beta))
         for name, value in positive.items():
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if len(self.time_beta) != 2:
-            raise ConfigError(f"time_beta needs 2 values, got {len(self.time_beta)}")
         for name in ("lr_min", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -146,8 +141,6 @@ class FlowConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.time_distribution not in TIME_DISTRIBUTIONS:
-            raise ConfigError(f"unknown time distribution {self.time_distribution!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
 
@@ -476,13 +469,6 @@ def _cosine_lr(cfg: FlowConfig, step: int) -> float:
         1.0 + np.cos(np.pi * min(1.0, frac)))
 
 
-def _sample_time(cfg: FlowConfig, rng, size) -> np.ndarray:
-    if cfg.time_distribution == "uniform":
-        return rng.uniform(0.0, 1.0, size)
-    a, b = cfg.time_beta
-    return rng.beta(a, b, size)
-
-
 def _dropout_masks(cfg: FlowConfig, rng, workspace: FlowWorkspace, steps: int = 1):
     """The workspace's dropout masks of the next `steps` training steps,
     redrawn: each entry is 1/keep with probability keep, else 0. One
@@ -556,7 +542,7 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
         for start in range(0, cfg.iterations, DRAW_BLOCK):
             k = min(DRAW_BLOCK, cfg.iterations - start)
             x1 = population[rngs["batch"].integers(0, n, size=(k, batch))]
-            t = _sample_time(cfg, rngs["time"], (k, batch))
+            t = rngs["time"].uniform(0.0, 1.0, (k, batch))
             x0 = rngs["source"].normal(0.0, cfg.source_std, size=(k, batch, d))
             eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(k, batch, d))
             masks = _dropout_masks(cfg, rngs["dropout"], workspace, k) or [None] * k
@@ -636,21 +622,19 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Serialization: a DWFF container (see `checkpoint_io`), version 3 (version 2
-# files hold a field trained with the exact-erf GELU). Header:
-# one line per FlowConfig field, scalars first as repr, then the pair
-# `time_beta` as comma-separated reprs. Array: the flat parameter buffer as
-# float32, in layout order.
+# files hold a field trained with the exact-erf GELU). Header: one line per
+# FlowConfig field, in field order, its value as repr. Loading reads only
+# those fields' lines, so a version-3 file that also holds the retired
+# `time_distribution` and `time_beta` lines loads as well. Array: the flat
+# parameter buffer as float32, in layout order.
 
 
 # FlowConfig field type -> parser of the header value save_flow writes.
-_FROM_TEXT = {"int": int, "float": float, "str": lambda v: v.strip("'\""),
-              "tuple": lambda v: tuple(float(x) for x in v.split(","))}
+_FROM_TEXT = {"int": int, "float": float}
 
 
 def save_flow(model: FlowModel, path) -> None:
-    values = {f.name: getattr(model.config, f.name) for f in fields(FlowConfig)}
-    header = [(k, repr(v)) for k, v in values.items() if not isinstance(v, tuple)]
-    header += [(k, ",".join(map(repr, v))) for k, v in values.items() if isinstance(v, tuple)]
+    header = [(f.name, repr(getattr(model.config, f.name))) for f in fields(FlowConfig)]
     save_container(path, FLOW_MAGIC, FLOW_VERSION, header, [(model.flat, "<f4")])
 
 

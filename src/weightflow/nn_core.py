@@ -68,7 +68,8 @@ class ArchitectureSpec:
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ConfigError(f"layer_dims must have >=2 entries >=1, got {dims}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}, "
+                              f"expected one of {', '.join(ACTIVATIONS)}")
         n_hidden = len(dims) - 2
         bn = (False,) if self.bn_layers is None else tuple(self.bn_layers)
         if len(bn) == 1:
@@ -104,35 +105,20 @@ class ArchitectureSpec:
         return total
 
 
-INIT_SCHEMES = ("kaiming", "xavier", "normal", "uniform", "kaiming_zero_bias")
-
-
-def init_population(arch: ArchitectureSpec, seeds, scheme: str = "kaiming") -> "Population":
+def init_population(arch: ArchitectureSpec, seeds) -> "Population":
     """Deterministically initialize one network per seed, each from its own
-    (seed, "init") stream: BN gamma 1, beta 0 and fresh running statistics.
-    The normal scheme draws weights with sigma 0.01, the uniform scheme
-    from [-0.1, 0.1]."""
-    if scheme not in INIT_SCHEMES:
-        raise ConfigError(f"unknown init scheme {scheme!r}")
+    (seed, "init") stream, layer by layer: Kaiming-normal weights, then
+    biases uniform in +-1/sqrt(d_in); BN gamma 1, beta 0 and fresh running
+    statistics."""
     pop = Population(arch, np.zeros((len(seeds), arch.param_count()), np.float32),
                      seeds=np.array(seeds, dtype=np.int64))
     for i, seed in enumerate(seeds):
         rng = make_rng(seed, "init")
         for l in range(arch.num_layers):
             d_in, d_out = arch.layer_dims[l], arch.layer_dims[l + 1]
-            w, b = pop.weights[l][i], pop.biases[l][i, 0]  # biases stay 0 unless drawn
-            if scheme in ("kaiming", "kaiming_zero_bias"):
-                w[...] = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
-                if scheme == "kaiming":
-                    bound = 1.0 / np.sqrt(d_in)
-                    b[...] = rng.uniform(-bound, bound, size=d_out)
-            elif scheme == "xavier":
-                bound = np.sqrt(6.0 / (d_in + d_out))
-                w[...] = rng.uniform(-bound, bound, size=(d_out, d_in))
-            elif scheme == "normal":
-                w[...] = rng.normal(0.0, 0.01, size=(d_out, d_in))
-            else:  # uniform
-                w[...] = rng.uniform(-0.1, 0.1, size=(d_out, d_in))
+            pop.weights[l][i] = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
+            bound = 1.0 / np.sqrt(d_in)
+            pop.biases[l][i, 0] = rng.uniform(-bound, bound, size=d_out)
     for gamma, *_ in pop.bn_views.values():
         gamma[...] = 1.0
     return pop
@@ -303,7 +289,7 @@ def _backward(pop: "Population", caches, logits, labels, grads) -> None:
             delta = np.matmul(delta, pop.weights[l])
 
 
-OPTIMIZERS = ("adam", "adamw", "sgd")
+OPTIMIZERS = ("adam", "adamw")
 
 
 @dataclass(frozen=True)
@@ -316,7 +302,8 @@ class TrainHyper:
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}, "
+                              f"expected one of {', '.join(OPTIMIZERS)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -396,18 +383,6 @@ class _Adam:
                 if decay is not None:                # update += lr * wd * p
                     update += np.multiply(pc, decay, out=a)
                 pc -= update
-
-
-class _SGD:
-    def __init__(self, params, weight_decay):
-        self.params = params
-        self.wd = weight_decay
-
-    def step(self, grads, lr):
-        for p, g in zip(self.params, grads):
-            if self.wd:
-                g = g + self.wd * p
-            p -= (lr * g).astype(p.dtype)
 
 
 def _param_views(mat: np.ndarray, arch: ArchitectureSpec):
@@ -496,7 +471,7 @@ class Population:
 
 
 def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
-                     holdout=None, init_scheme: str = "kaiming") -> Population:
+                     holdout=None) -> Population:
     """Train one freshly initialized network per seed with mini-batch
     cross-entropy, all members in one stacked pass per minibatch.
 
@@ -521,15 +496,12 @@ def train_population(arch: ArchitectureSpec, data, hyper: TrainHyper, seeds,
     if data.labels.min() < 0 or data.labels.max() >= n_classes:
         raise ArgumentError("labels out of range for output dimension")
 
-    pop = init_population(arch, seeds, init_scheme)
+    pop = init_population(arch, seeds)
     params = pop.params
     grads = np.empty_like(params)
     grad_views = _param_views(grads, arch)
-    if hyper.optimizer == "sgd":
-        opt = _SGD([params], hyper.weight_decay)
-    else:
-        opt = _Adam([params], (0.9, 0.999), hyper.weight_decay,
-                    decoupled=(hyper.optimizer == "adamw"))
+    opt = _Adam([params], (0.9, 0.999), hyper.weight_decay,
+                decoupled=(hyper.optimizer == "adamw"))
 
     rngs = [make_rng(s, "shuffle") for s in seeds]
     x, y = data.features.astype(np.float32), data.labels

@@ -105,8 +105,7 @@ def stage_make_population(cfg: RunConfig):
     """Train one network per seed, as one population."""
     train, test = load_task_data(cfg)
     seeds = [cfg.base_seed + i for i in range(cfg.population_size)]
-    pop = train_population(cfg.arch, train, cfg.train_hyper, seeds,
-                           holdout=test, init_scheme=cfg.init_scheme)
+    pop = train_population(cfg.arch, train, cfg.train_hyper, seeds, holdout=test)
     rows = []
     for i, (seed, accuracy) in enumerate(zip(pop.seeds.tolist(), pop.metrics.tolist())):
         rows += [(f"seed_{i:04d}", seed), (f"accuracy_{i:04d}", f"{accuracy:.6f}")]
@@ -162,7 +161,7 @@ def stage_generate(cfg: RunConfig, flow, pca=None):
         vectors = pca_mod.inverse_transform(pca, vectors)
     params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
     pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
-    if pop.bn and cfg.recalibrate_bn:
+    if pop.bn:
         recalibrate(pop, train, calib_fraction=cfg.calib_fraction)
     pop.metrics[:] = [result.accuracy for result in evaluate(pop, test)]
     return (pop,), [(f"accuracy_{i:04d}", f"{accuracy:.6f}")
@@ -184,24 +183,22 @@ def stage_evaluate(cfg: RunConfig, population: Population, generated: Population
         gen_acc = np.array([r.accuracy for r in gen_evals])
         rows += [("generated_accuracy_mean", f"{gen_acc.mean():.6f}"),
                  ("generated_accuracy_std", f"{gen_acc.std():.6f}")]
-        if cfg.metrics_iou:
-            orig_sets = [wrong_set(r.predictions, test.labels) for r in orig_evals]
-            gen_sets = [wrong_set(r.predictions, test.labels) for r in gen_evals]
-            result = max_iou(gen_sets, orig_sets)
-            rows += [("max_iou_mean", f"{result.mean:.6f}"),
-                     ("max_iou_std", f"{result.std:.6f}")]
-            for i, (v, a) in enumerate(zip(result.per_query, gen_acc)):
-                rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
-        if cfg.metrics_distances:
-            gen_matrix = generated.params.astype(np.float64)
-            dd = distribution_distances(population.params.astype(np.float64), gen_matrix)
-            rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
-                     ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
-                     ("cosine", f"{dd.cosine:.6f}"), ("l2", f"{dd.l2:.6f}"),
-                     ("nn_mean", f"{dd.nn_mean:.6f}"), ("nn_std", f"{dd.nn_std:.6f}")]
-            if len(generated) > 1:
-                rows.append(("generated_min_pairwise_l2",
-                             f"{_min_pairwise_l2(gen_matrix):.6e}"))
+        orig_sets = [wrong_set(r.predictions, test.labels) for r in orig_evals]
+        gen_sets = [wrong_set(r.predictions, test.labels) for r in gen_evals]
+        result = max_iou(gen_sets, orig_sets)
+        rows += [("max_iou_mean", f"{result.mean:.6f}"),
+                 ("max_iou_std", f"{result.std:.6f}")]
+        for i, (v, a) in enumerate(zip(result.per_query, gen_acc)):
+            rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
+        gen_matrix = generated.params.astype(np.float64)
+        dd = distribution_distances(population.params.astype(np.float64), gen_matrix)
+        rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
+                 ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
+                 ("cosine", f"{dd.cosine:.6f}"), ("l2", f"{dd.l2:.6f}"),
+                 ("nn_mean", f"{dd.nn_mean:.6f}"), ("nn_std", f"{dd.nn_std:.6f}")]
+        if len(generated) > 1:
+            rows.append(("generated_min_pairwise_l2",
+                         f"{_min_pairwise_l2(gen_matrix):.6e}"))
     else:
         rows.append(("note", "no generated networks; diversity metrics skipped"))
     return (), rows
@@ -299,13 +296,12 @@ def stage_report(cfg: RunConfig, metrics: dict):
                  "ensemble            mean      std      n", ensemble("original")]
         if int(m["generated_count"]) > 0:
             lines.append(ensemble("generated"))
-            if "max_iou_mean" in m:
-                lines += ["",
-                          f"max-IoU (generated vs original): {m['max_iou_mean']}"
-                          f" +/- {m['max_iou_std']}",
-                          "published reference max-IoU: "
-                          f"{REFERENCE_MAX_IOU[0]} +/- {REFERENCE_MAX_IOU[1]}"
-                          " (reported for context, not asserted)"]
+            lines += ["",
+                      f"max-IoU (generated vs original): {m['max_iou_mean']}"
+                      f" +/- {m['max_iou_std']}",
+                      "published reference max-IoU: "
+                      f"{REFERENCE_MAX_IOU[0]} +/- {REFERENCE_MAX_IOU[1]}"
+                      " (reported for context, not asserted)"]
             if "generated_min_pairwise_l2" in m:
                 lines.append("min pairwise L2 among generated: "
                              + m["generated_min_pairwise_l2"])
@@ -378,8 +374,7 @@ TABLE = {
         lambda cfg: _with_pca(cfg, {"flow": "train-flow"}), ("generate",)),
     "evaluate": Stage(
         "metrics.txt", (), read_manifest,
-        lambda cfg: {"population": "make-population", "generated": "generate"},
-        ("metrics",)),
+        lambda cfg: {"population": "make-population", "generated": "generate"}),
     "report": Stage(
         "report.manifest", (("report.txt", _save_text), ("diversity.csv", _save_text)),
         None, lambda cfg: {"metrics": "evaluate"}),

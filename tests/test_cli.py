@@ -273,8 +273,7 @@ class TestConfig:
             parse_config(tmp_path / "absent.ini")
 
     @pytest.mark.parametrize("field,value", [
-        ("task", "bogus"), ("pca_mode", "kernel"), ("canonicalize_mode", "on"),
-        ("init_scheme", "zeros")])
+        ("task", "bogus"), ("pca_mode", "kernel"), ("canonicalize_mode", "on")])
     def test_run_config_rejects_unknown_choice(self, field, value):
         # A library caller builds RunConfig without parse_config, so the
         # dataclass itself checks its choices, naming the value.
@@ -455,13 +454,11 @@ class TestExitCodes:
         ({"data.blobs_spread": "3.0"}, [], "generate",
          "population.dwfc has data.blobs_spread 1.0, but the config asks for 3.0",
          "make-population"),
-        ({"generate.recalibrate_bn": "0"}, [], "evaluate",
-         "generated.dwfc has generate.recalibrate_bn True, but the config asks for False",
-         "generate"),
-        ({"metrics.iou": "0"}, [], "report",
-         "metrics.txt has metrics.iou True, but the config asks for False", "evaluate")],
+        ({"generate.calib_fraction": "0.5"}, [], "evaluate",
+         "generated.dwfc has generate.calib_fraction 1.0, but the config asks for 0.5",
+         "generate")],
         ids=["seed", "epochs", "max_iter", "latent_dim", "blobs_spread",
-             "recalibrate_bn", "iou"])
+             "calib_fraction"])
     def test_stale_upstream_is_3(self, full_run, capsys, keys, flags, stage,
                                  expected, rerun):
         cfg_path, out = full_run
@@ -491,7 +488,8 @@ class TestExitCodes:
         assert "flow.manifest" in err and "rerun `train-flow`" in err
 
     @pytest.mark.parametrize("old,new", [("original_count=", "original_counts="),
-                                         ("generated_count=2", "generated_count=x")])
+                                         ("generated_count=2", "generated_count=x"),
+                                         ("max_iou_mean=", "max_iou_means=")])
     def test_malformed_metrics_is_3(self, quick_cfg, capsys, old, new):
         cfg_path, out = quick_cfg
         assert main(["run", "--config", cfg_path]) == 0
@@ -609,28 +607,25 @@ OTHER_VALUES = {
     "data.blobs_classes": "2", "data.blobs_per_class": "20", "data.blobs_dim": "5",
     "data.blobs_spread": "3.0",
     "arch.layer_dims": "4,8,5,3", "arch.activation": "gelu", "arch.bn": "0",
-    "population.size": "4", "population.base_seed": "11", "population.init": "xavier",
-    "population.optimizer": "sgd", "population.learning_rate": "0.01",
+    "population.size": "4", "population.base_seed": "11",
+    "population.optimizer": "adamw", "population.learning_rate": "0.01",
     "population.weight_decay": "0.1", "population.batch_size": "8",
     "population.epochs": "1",
     "canonicalize.reference_index": "1", "canonicalize.max_iter": "1",
     "pca.latent_dim": "1", "pca.exact_eigen": "1",
     "flow.hidden_dim": "8", "flow.time_embed_dim": "2", "flow.dropout": "0.2",
     "flow.noise_scale": "0.01", "flow.source_std": "0.1",
-    "flow.time_distribution": "beta", "flow.time_beta": "2,3", "flow.iterations": "50",
+    "flow.iterations": "50",
     "flow.batch_size": "4", "flow.learning_rate": "0.001", "flow.weight_decay": "0.001",
     "flow.beta1": "0.8", "flow.beta2": "0.9", "flow.lr_min": "0",
     "flow.integration_steps": "5",
-    "generate.count": "3", "generate.recalibrate_bn": "0",
-    "generate.calib_fraction": "0.5",
-    "metrics.iou": "0", "metrics.distances": "0",
+    "generate.count": "3", "generate.calib_fraction": "0.5",
 }
 
 
 class TestDegenerateFlowConfig:
     @pytest.mark.parametrize("keys", [
         {"hidden_dim": "0"}, {"hidden_dim": "1"}, {"time_embed_dim": "0"},
-        {"time_distribution": "beta", "time_beta": "0,1"},
         {"batch_size": "0"}, {"learning_rate": "-1"}, {"learning_rate": "nan"},
         {"run.seed": "-1"}, {"run.seed": str(2 ** 63)},
         {"population.base_seed": "-5"}, {"population.base_seed": str(2 ** 63 - 2)},
@@ -666,8 +661,18 @@ class TestDegenerateFlowConfig:
          "unknown key 'batch_rows' in section [pca]"),
         ({"pca.mode": "dual", "pca.micro_batch": "16"},
          "unknown key 'micro_batch' in section [pca]"),
-    ], ids=["incremental", "batch_rows", "micro_batch"])
-    def test_removed_pca_choice_and_keys_exit_2(self, quick_cfg, capsys, keys, error):
+        ({"population.init": "kaiming"}, "unknown key 'init' in section [population]"),
+        ({"population.optimizer": "sgd"},
+         "unknown optimizer 'sgd', expected one of adam, adamw"),
+        ({"time_distribution": "uniform"},
+         "unknown key 'time_distribution' in section [flow]"),
+        ({"time_beta": "2,5"}, "unknown key 'time_beta' in section [flow]"),
+        ({"generate.recalibrate_bn": "1"},
+         "unknown key 'recalibrate_bn' in section [generate]"),
+        ({"metrics.iou": "1"}, "unknown section [metrics]"),
+    ], ids=["incremental", "batch_rows", "micro_batch", "init", "sgd",
+            "time_distribution", "time_beta", "recalibrate_bn", "metrics"])
+    def test_removed_choices_and_keys_exit_2(self, quick_cfg, capsys, keys, error):
         cfg_path, _ = quick_cfg
         text = open(cfg_path).read()
         open(cfg_path, "w").write(_set_keys(text, **keys))
@@ -695,8 +700,7 @@ class TestDegenerateFlowConfig:
         ("hidden_dim", 1), ("time_embed_dim", 0), ("batch_size", 0),
         ("learning_rate", 0.0), ("learning_rate", math.inf),
         ("noise_scale", math.nan), ("source_std", -1.0),
-        ("time_beta", (2.0, 0.0)), ("time_beta", (math.inf, 5.0)),
-        ("time_beta", (2.0,)), ("lr_min", -1e-6), ("lr_min", math.nan),
+        ("lr_min", -1e-6), ("lr_min", math.nan),
         ("weight_decay", -1.0), ("weight_decay", math.inf),
         ("beta1", 1.0), ("beta2", -0.1), ("beta2", math.nan),
         ("lr_min", 1e-3),

@@ -9,13 +9,16 @@ Python traceback.
 
 import contextlib
 import io
+import re
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightflow import config
 from weightflow.cli import main
 from weightflow.config import _KEYS
+from weightflow.nn_core import OPTIMIZERS
 
 def ints(lo, hi):
     return st.integers(lo, hi).map(str)
@@ -50,12 +53,10 @@ VALUES = {
              "activation": (pick("relu", "gelu", "identity"), pick("tanh")),
              "bn": (pick(0, 1), int_list(0, 2, 2, 3))},
     "population": {"size": (ints(1, 4), pick(0)), "base_seed": (ints(0, 3), pick(-1)),
-                   "optimizer": (pick("adam", "adamw", "sgd"), pick("rmsprop")),
+                   "optimizer": (pick("adam", "adamw"), pick("rmsprop", "sgd")),
                    "learning_rate": (pick(1e-3, 1e-2, 1.0), pick(0, -1, NAN, INF, 1e30)),
                    "weight_decay": (pick(0, 1e-2), pick(-1, NAN, INF)),
-                   "batch_size": (ints(1, 20), pick(0)), "epochs": (ints(0, 4), pick(-1)),
-                   "init": (pick("kaiming", "xavier", "normal", "uniform",
-                                 "kaiming_zero_bias"), pick("zeros"))},
+                   "batch_size": (ints(1, 20), pick(0)), "epochs": (ints(0, 4), pick(-1))},
     "canonicalize": {"mode": (pick("rebasin", "off"), pick("on")),
                      "reference_index": (ints(0, 3), pick(-1, 4)),
                      "max_iter": (ints(1, 4), pick(0))},
@@ -66,17 +67,14 @@ VALUES = {
              "dropout": (pick(0, 0.1, 0.9), pick(1, -0.1, NAN)),
              "noise_scale": (pick(1e-3, 0.5), pick(0, NAN)),
              "source_std": (pick(0.01, 1.0), pick(0, -1, INF)),
-             "time_distribution": (pick("uniform", "beta"), pick("normal")),
-             "time_beta": (pick("2,5", "0.5,0.5"), pick("0,1", "1", "nan,2", "2,5,1")),
              "iterations": (ints(1, 20), pick(0)), "batch_size": (ints(1, 8), pick(0)),
              "learning_rate": (pick(1e-3, 1.0), pick(0, NAN, 1e30)),
              "weight_decay": (pick(0, 1e-5), pick(-1, INF)),
              "beta1": (pick(0, 0.9), pick(1, NAN)), "beta2": (pick(0, 0.95), pick(-0.1)),
              "lr_min": (pick(0, 1e-6), pick(-1, NAN, 10)),
              "integration_steps": (ints(1, 5), pick(0))},
-    "generate": {"count": (ints(0, 4), pick(-1)), "recalibrate_bn": (pick(0, 1), pick(2)),
+    "generate": {"count": (ints(0, 4), pick(-1)),
                  "calib_fraction": (pick(0.5, 1), pick(0, 2, NAN))},
-    "metrics": {"iou": (pick(0, 1), pick(2)), "distances": (pick(0, 1), pick(-1))},
 }
 # Sizes the schema leaves open are kept small here; a key left out would
 # take a default sized for real runs (50 members, 30000 flow iterations).
@@ -89,6 +87,37 @@ SMALL_DEFAULTS = {"population": {"size": "3", "epochs": "2"},
 def test_values_cover_the_schema():
     assert {s: set(keys) for s, keys in VALUES.items()} == \
         {s: set(keys) for s, keys in _KEYS.items()}
+
+
+def documented_schema() -> tuple:
+    """From the "Keys by section" block of the `config` docstring: section
+    -> the keys its entry names, and (section, key) -> the choices it lists
+    after a colon. Parenthesized notes are dropped first."""
+    block = config.__doc__.split("Keys by section")[1].split("\n", 1)[1]
+    entries = re.split(r"^    (?=\[)", block, flags=re.M)[1:]
+    keys, choices = {}, {}
+    for entry in entries:
+        section, text = re.match(r"\[(\w+)\](.*)", entry, re.S).groups()
+        while re.search(r"\([^()]*\)", text):
+            text = re.sub(r"\([^()]*\)", "", text)
+        keys[section] = set()
+        for item in text.split(";"):
+            names, _, listed = item.partition(":")
+            names = {name.strip() for name in names.split(",")}
+            keys[section] |= names
+            if listed:
+                key, = names
+                choices[section, key] = {c.strip() for c in listed.split("|")}
+    return keys, choices
+
+
+def test_config_docstring_matches_the_schema():
+    keys, choices = documented_schema()
+    assert keys == {s: set(k) for s, k in _KEYS.items()}
+    code = {("run", "task"): config.TASKS, ("population", "optimizer"): OPTIMIZERS,
+            ("canonicalize", "mode"): config.CANON_MODES, ("pca", "mode"): config.PCA_MODES}
+    for name, values in code.items():
+        assert choices.get(name) == set(values), name
 
 
 BAD_KEYS = sorted((section, key) for section, keys in VALUES.items()

@@ -106,7 +106,7 @@ def reference_train_flow(population, cfg, seed=0):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
             x1 = population[rngs["batch"].integers(0, n, size=batch)]
-            t = flow._sample_time(cfg, rngs["time"], batch)
+            t = rngs["time"].uniform(0.0, 1.0, batch)
             x0 = rngs["source"].normal(0.0, cfg.source_std, size=(batch, d))
             eps = rngs["noise"].normal(0.0, cfg.noise_scale, size=(batch, d))
             masks = _dropout_masks(cfg, rngs["dropout"], workspace)
@@ -390,9 +390,7 @@ class TestLoss:
 # (k training steps) or s (one step).
 FLOW_DRAWS = {
     "integers": lambda rng, shape: rng.integers(0, 37, size=shape),
-    "uniform": lambda rng, shape: flow._sample_time(TINY, rng, shape),
-    "beta": lambda rng, shape: flow._sample_time(
-        FlowConfig(input_dim=4, time_distribution="beta"), rng, shape),
+    "uniform": lambda rng, shape: rng.uniform(0.0, 1.0, shape),
     "normal": lambda rng, shape: rng.normal(0.0, 0.01, size=shape),
     "random": lambda rng, shape: rng.random(out=np.empty(shape)),
 }
@@ -415,9 +413,9 @@ class TestBlockDraws:
     @pytest.mark.parametrize("iterations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     @pytest.mark.parametrize("variant", [
         {"dropout": 0.0},
-        {"dropout": 0.3, "time_distribution": "beta"},
+        {"dropout": 0.3},
         {"dropout": 0.3, "batch_size": 16},  # larger than the population
-    ], ids=["no-dropout", "dropout-beta", "batch-over-population"])
+    ], ids=["no-dropout", "dropout", "batch-over-population"])
     def test_train_flow_equals_per_step_reference(self, iterations, variant):
         cfg = FlowConfig(**{"input_dim": 6, "hidden_dim": 16, "time_embed_dim": 3,
                             "batch_size": 5, "iterations": iterations, **variant})
@@ -692,7 +690,7 @@ class TestSample:
                 sample(model, 3, seed=0)
 
 
-# The DWFF header of TINY: its FlowConfig, scalars first, then the pair.
+# The DWFF header of TINY: its FlowConfig, one line per field.
 TINY_HEADER = """\
 input_dim=4
 hidden_dim=8
@@ -700,7 +698,6 @@ time_embed_dim=4
 dropout=0.0
 noise_scale=0.001
 source_std=0.01
-time_distribution='uniform'
 iterations=50
 batch_size=4
 learning_rate=0.0005
@@ -709,13 +706,18 @@ beta1=0.9
 beta2=0.95
 lr_min=1e-06
 integration_steps=100
-time_beta=2.0,5.0
 """
 
+# TINY's header as version 3 files written before the flow's training
+# times became uniform-only: it also held `time_distribution` and the
+# pair `time_beta`.
+TINY_HEADER_WITH_TIME_KEYS = TINY_HEADER.replace(
+    "iterations=", "time_distribution='uniform'\niterations=") + "time_beta=2.0,5.0\n"
 
-def tiny_bytes(model, version=3) -> bytes:
+
+def tiny_bytes(model, version=3, header=TINY_HEADER) -> bytes:
     """The DWFF file of a TINY model, written by hand."""
-    header = TINY_HEADER.encode()
+    header = header.encode()
     blob = b"DWFF" + struct.pack("<II", version, len(header)) + header
     for name, _ in _param_layout(TINY):
         blob += b"".join(struct.pack("<f", v) for v in model.params[name].ravel())
@@ -728,6 +730,14 @@ class TestSerialization:
         path = tmp_path / "m.dwff"
         save_flow(model, path)
         assert path.read_bytes() == tiny_bytes(model)
+
+    def test_file_with_retired_time_keys_loads(self, tmp_path):
+        model = train_flow(np.random.default_rng(0).normal(size=(6, 4)), TINY, seed=0)
+        path = tmp_path / "m.dwff"
+        path.write_bytes(tiny_bytes(model, header=TINY_HEADER_WITH_TIME_KEYS))
+        loaded = load_flow(path)
+        assert loaded.config == model.config
+        assert loaded.flat.tobytes() == model.flat.tobytes()
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "v1.dwff"

@@ -14,7 +14,7 @@ from weightflow.errors import (ArgumentError, ConfigError, ShapeError,
                                TrainingDivergedError)
 from weightflow.nn_core import (BN_EPS, BN_MOMENTUM, ArchitectureSpec,
                                 ADAM_CHUNK, AttentionSpec, Population, TrainHyper,
-                                _Adam, _SGD, cross_entropy, evaluate, forward,
+                                _Adam, cross_entropy, evaluate, forward,
                                 init_population, mha_forward, train_population)
 from weightflow.rng import make_rng
 
@@ -47,15 +47,22 @@ class TestInit:
 
     def test_deterministic(self):
         arch = ArchitectureSpec((4, 16, 3))
-        a = init_population(arch, [3], "kaiming").params
-        b = init_population(arch, [3], "kaiming").params
+        a = init_population(arch, [3]).params
+        b = init_population(arch, [3]).params
         assert np.array_equal(a, b)
-        c = init_population(arch, [4], "kaiming").params
+        c = init_population(arch, [4]).params
         assert not np.array_equal(a, c)
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ConfigError):
-            init_population(ArchitectureSpec((4, 4, 3)), [0], "bogus")
+    @pytest.mark.parametrize("make,error", [
+        (lambda: TrainHyper(optimizer="sgd"),
+         "unknown optimizer 'sgd', expected one of adam, adamw"),
+        (lambda: ArchitectureSpec((4, 3), "tanh"),
+         "unknown activation 'tanh', expected one of relu, gelu, identity"),
+    ], ids=["optimizer", "activation"])
+    def test_unknown_choice_names_the_choices(self, make, error):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == error
 
     def test_single_bn_flag_broadcasts(self):
         assert ArchitectureSpec((4, 8, 8, 3), bn_layers=(1,)).bn_layers == (True, True)
@@ -67,7 +74,7 @@ class TestInit:
 
     def test_kaiming_scale(self):
         arch = ArchitectureSpec((200, 300, 3))
-        net = init_population(arch, [0], "kaiming")
+        net = init_population(arch, [0])
         std = net.weights[0].std()
         assert abs(std - np.sqrt(2.0 / 200)) < 0.01
 
@@ -234,11 +241,8 @@ def serial_reference(arch, data, hyper, seed):
           for l, (gamma, beta, *_) in net.bn_views.items()}
     act, act_grad = ACTIVATIONS[arch.activation]
     params = weights + biases + [t for l in sorted(bn) for t in bn[l][:2]]
-    if hyper.optimizer == "sgd":
-        opt = _SGD(params, hyper.weight_decay)
-    else:
-        opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
-                    decoupled=hyper.optimizer == "adamw")
+    opt = _Adam(params, (0.9, 0.999), hyper.weight_decay,
+                decoupled=hyper.optimizer == "adamw")
     rng = make_rng(seed, "shuffle")
     x, y = data.features, data.labels
     for _ in range(hyper.epochs):
@@ -309,7 +313,7 @@ class TestTrainPopulation:
 
     @pytest.mark.parametrize("activation,bn,optimizer", [
         ("relu", (True, True), "adam"), ("gelu", (False, True), "adamw"),
-        ("gelu", (False, False), "sgd")])
+        ("gelu", (False, False), "adam")])
     def test_matches_serial_reference(self, blobs, activation, bn, optimizer):
         train, _ = blobs
         arch = ArchitectureSpec((4, 8, 6, 3), activation, bn)
@@ -321,7 +325,7 @@ class TestTrainPopulation:
                 trained[i:i + 1], serial_reference(arch, train, hyper, seed))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    @pytest.mark.parametrize("optimizer", ["adam", "adamw", "sgd"])
+    @pytest.mark.parametrize("optimizer", ["adam", "adamw"])
     def test_optimizers(self, blobs, optimizer, weight_decay):
         train, test = blobs
         arch = ArchitectureSpec((4, 8, 6, 3), bn_layers=(True, False))
@@ -359,8 +363,8 @@ class TestTrainPopulation:
     def test_divergence_names_the_diverging_members_seed(self, blobs, monkeypatch):
         # Only member 1 goes non-finite: an inf output bias makes its
         # logits inf and its loss nan, while the others train on.
-        def init_with_inf(arch, seeds, scheme):
-            pop = init_population(arch, seeds, scheme)
+        def init_with_inf(arch, seeds):
+            pop = init_population(arch, seeds)
             pop.biases[-1][1, 0, 0] = np.inf
             return pop
 
