@@ -4,9 +4,9 @@
 
 Hashes every file under both directories with `pipeline.sha256_file` and
 prints each path (relative to its run directory) that is missing from B,
-extra in B, or whose bytes differ; under a differing `metrics.txt`, one
-indented `key: a -> b` line per key whose value differs. Exits 0 when the
-two trees are byte-identical and 1 otherwise.
+extra in B, or whose bytes differ; under a differing `metrics.txt` or
+`*.manifest`, one indented `key: a -> b` line per key whose value
+differs. Exits 0 when the two trees are byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ def compare(a, b) -> list[tuple[str, str]]:
     return out
 
 
-def metric_moves(path_a, path_b) -> list[str]:
-    """`key: a -> b` per key whose value differs between two metrics.txt
-    files, in file order, `-` for a missing key; none when either file is
-    not `key=value` text."""
+def row_moves(path_a, path_b) -> list[str]:
+    """`key: a -> b` per key whose value differs between two `key=value`
+    files (metrics.txt, manifests), in file order, `-` for a missing key;
+    none when either file is not `key=value` text."""
     try:
         values = []
         for path in (path_a, path_b):
@@ -73,9 +73,10 @@ def main(argv=None) -> int:
     differences = compare(args.run_a, args.run_b)
     for status, path in differences:
         print(f"{status:<8} {path}")
-        if status == "differs" and os.path.basename(path) == "metrics.txt":
-            for move in metric_moves(os.path.join(args.run_a, path),
-                                     os.path.join(args.run_b, path)):
+        if status == "differs" and (path.endswith(".manifest")
+                                    or os.path.basename(path) == "metrics.txt"):
+            for move in row_moves(os.path.join(args.run_a, path),
+                                  os.path.join(args.run_b, path)):
                 print(f"    {move}")
     n = len(tree_hashes(args.run_a))
     print(f"{len(differences)} difference(s) over {n} file(s) in {args.run_a}")

@@ -5,7 +5,7 @@
 Subcommands run individual pipeline stages (`make-population`,
 `canonicalize`, `fit-pca`, `train-flow`, `generate`, `evaluate`, `report`)
 or the whole pipeline (`run`). Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric failure.
+error, 3 data, I/O or out-of-memory error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 def exit_code(exc: Exception) -> int:
-    """Exit status for an error main catches: config 2, numeric 4, else 3."""
+    """Exit status for an error main catches: config 2, numeric 4, else 3
+    (data, I/O, out of memory)."""
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, NumericError):
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
         else:
             print(run_stage(cfg, out_dir, args.command))
         return 0
-    except (WeightFlowError, OSError) as exc:
+    except (WeightFlowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
 

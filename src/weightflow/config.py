@@ -116,7 +116,7 @@ class RunConfig:
         if self.pca_mode != "off" and self.population_size < 2:
             raise ConfigError(f"pca needs a population of at least 2 networks, "
                               f"got size {self.population_size}")
-        k = self.latent_dim or default_latent_dim(self.population_size)
+        k = self.pca_latent_dim
         rank = min(self.population_size - 1, self.arch.param_count())
         if self.pca_mode != "off" and not 1 <= k <= rank:
             raise ConfigError(f"pca needs 1 <= latent_dim <= {rank} (size - 1 and "
@@ -125,6 +125,11 @@ class RunConfig:
             raise ConfigError(f"calib_fraction must be in (0, 1], got {self.calib_fraction}")
         if self.task == "mnist" and not self.data.mnist_train_images:
             raise ConfigError("mnist task requires [data] mnist_* paths")
+
+    @property
+    def pca_latent_dim(self) -> int:
+        """`latent_dim`, or when it is 0 the default for the population size."""
+        return self.latent_dim or default_latent_dim(self.population_size)
 
     def flow_config(self, input_dim: int) -> FlowConfig:
         return replace(self.flow, input_dim=input_dim)

@@ -24,7 +24,6 @@ IDX_LABELS_MAGIC = 0x00000801
 class LabeledDataset:
     features: np.ndarray  # (n, d) float32
     labels: np.ndarray    # (n,) int64
-    split: str = "train"
 
     def __post_init__(self):
         if self.features.shape[0] == 0:
@@ -63,8 +62,8 @@ def _stratified_split(features, labels, test_fraction, seed):
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
     return (
-        LabeledDataset(features[train_idx], labels[train_idx], "train"),
-        LabeledDataset(features[test_idx], labels[test_idx], "test"),
+        LabeledDataset(features[train_idx], labels[train_idx]),
+        LabeledDataset(features[test_idx], labels[test_idx]),
     )
 
 
@@ -82,10 +81,8 @@ def load_iris(test_fraction: float = 0.2, seed: int = 0):
     span = train.features.max(axis=0) - lo
     span = np.where(span == 0.0, 1.0, span)
     return (
-        LabeledDataset(((train.features - lo) / span).astype(np.float32),
-                       train.labels, "train"),
-        LabeledDataset(((test.features - lo) / span).astype(np.float32),
-                       test.labels, "test"),
+        LabeledDataset(((train.features - lo) / span).astype(np.float32), train.labels),
+        LabeledDataset(((test.features - lo) / span).astype(np.float32), test.labels),
     )
 
 

@@ -1,10 +1,10 @@
 """Linear dimensionality reduction over population weight matrices.
 
-Two fitting routes share one model type: exact SVD of the centered data,
-and the dual/Gram-matrix route that never holds more than `ROW_BLOCK`
-centered rows next to the n x n Gram matrix. Eigenvalues are squared
-singular values of the centered data matrix (equal to Gram eigenvalues),
-not variance-normalized. Accumulation is float64 throughout.
+Two fitting routes share one model type and one centered float64 copy
+of the data: exact SVD of that copy, and the dual/Gram-matrix route that
+eigendecomposes its n x n Gram matrix. Eigenvalues are squared singular
+values of the centered data matrix (equal to Gram eigenvalues), not
+variance-normalized. Accumulation is float64 throughout.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ PCA_VERSION = 2
 
 RSVD_POWER_ITERS = 5
 RSVD_OVERSAMPLE = 10
-# Centered rows that `fit_dual` and `explained_variance_ratio` form at once.
-ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -52,25 +50,31 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components * signs
 
 
-def default_latent_dim(n_samples: int, cap: int = 99) -> int:
+def default_latent_dim(n_samples: int) -> int:
     """Rank bound: at most n-1 meaningful directions, capped at 99."""
-    return min(n_samples - 1, cap)
+    return min(n_samples - 1, 99)
 
 
-def fit_standard(x: np.ndarray, k: int) -> PcaModel:
-    """Exact PCA via SVD of the centered sample matrix."""
+def _centered(x, k: int):
+    """(mean, x - mean) of a 2-D sample matrix as float64, the mean summed
+    over rows in order; ArgumentError unless 0 <= k <= min(n - 1, d)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ArgumentError("x must be a 2-D sample matrix")
     n, d = x.shape
     if not 0 <= k <= min(n - 1, d):
         raise ArgumentError(f"k={k} out of range for n={n}, d={d}")
-    mean = x.mean(axis=0)
-    centered = x - mean
+    mean = x.sum(axis=0) / n
+    return mean, x - mean
+
+
+def fit_standard(x: np.ndarray, k: int) -> PcaModel:
+    """Exact PCA via SVD of the centered sample matrix."""
+    mean, centered = _centered(x, k)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     comps = _fix_signs(vt[:k].T)
     return PcaModel(mean=mean, components=comps,
-                    eigenvalues=(s[:k] ** 2), n_samples=n)
+                    eigenvalues=(s[:k] ** 2), n_samples=centered.shape[0])
 
 
 def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
@@ -89,44 +93,16 @@ def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
     return evals[order], q @ evecs[:, order]
 
 
-def _centered_blocks(x: np.ndarray, mean: np.ndarray):
-    """(first row, centered block of `ROW_BLOCK` rows) over the rows of x."""
-    for start in range(0, x.shape[0], ROW_BLOCK):
-        yield start, x[start:start + ROW_BLOCK] - mean
-
-
 def fit_dual(x: np.ndarray, k: int, exact_eigen: bool = False,
              seed: int = 0) -> PcaModel:
-    """Gram-matrix PCA of an (n, d) sample matrix in four passes: mean,
-    Gram blocks, eigendecomposition (exact or randomized), unit-norm
-    back-projection.
-
-    At most `ROW_BLOCK` centered rows are materialized at once besides
-    the n x n Gram matrix.
-    """
+    """Gram-matrix PCA of an (n, d) sample matrix: eigendecomposition
+    (exact or randomized) of the n x n Gram matrix of the centered rows,
+    then back-projection onto the rows, normalized to unit length."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ArgumentError("x must be a 2-D sample matrix")
-
-    # pass 1: mean (x.sum adds the rows in order)
-    n, d = x.shape
-    if n < 2:
+    if x.ndim == 2 and x.shape[0] < 2:
         raise ArgumentError("need at least 2 rows")
-    if not 0 <= k <= min(n - 1, d):
-        raise ArgumentError(f"k={k} out of range for n={n}, d={d}")
-    mean = x.sum(axis=0) / n
-
-    # pass 2: Gram matrix, block by block
-    gram = np.empty((n, n))
-    for i0, bi in _centered_blocks(x, mean):
-        for j0, bj in _centered_blocks(x, mean):
-            if j0 < i0:
-                continue
-            block = bi @ bj.T
-            gram[i0:i0 + len(bi), j0:j0 + len(bj)] = block
-            gram[j0:j0 + len(bj), i0:i0 + len(bi)] = block.T
-
-    # pass 3: eigendecomposition of G
+    mean, centered = _centered(x, k)
+    gram = centered @ centered.T
     if exact_eigen:
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1][:k]
@@ -134,24 +110,19 @@ def fit_dual(x: np.ndarray, k: int, exact_eigen: bool = False,
     else:
         evals, evecs = _randomized_eigh(gram, k, seed=seed)
     evals = np.clip(evals, 0.0, None)
-
-    # pass 4: back-projection, normalized to unit length
-    comps = np.zeros((mean.shape[0], k))
-    for i0, bi in _centered_blocks(x, mean):
-        comps += bi.T @ evecs[i0:i0 + len(bi), :]
+    comps = centered.T @ evecs
     norms = np.linalg.norm(comps, axis=0)
     norms[norms == 0] = 1.0
     comps /= norms
     return PcaModel(mean=mean, components=_fix_signs(comps),
-                    eigenvalues=evals, n_samples=n)
+                    eigenvalues=evals, n_samples=centered.shape[0])
 
 
 def explained_variance_ratio(model: PcaModel, x: np.ndarray) -> float:
     """The share of the variance of x, centered on the model's mean, that
-    the model's eigenvalues keep (0 when x has none). The float64 sum of
-    squares is formed `ROW_BLOCK` rows at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    total = sum(float(np.vdot(b, b)) for _, b in _centered_blocks(x, model.mean))
+    the model's eigenvalues keep (0 when x has none)."""
+    centered = np.asarray(x, dtype=np.float64) - model.mean
+    total = float(np.vdot(centered, centered))
     return float(model.eigenvalues.sum()) / total if total > 0 else 0.0
 
 

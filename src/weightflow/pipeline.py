@@ -43,7 +43,7 @@ from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
 from .metrics import distribution_distances, max_iou, wrong_set
 from .nn_core import Population, evaluate, train_population
-from .pca import default_latent_dim, load_pca, save_pca
+from .pca import load_pca, save_pca
 
 # Published reference values, reported in stage outputs for context but
 # never asserted (desk-scale estimator conditions differ).
@@ -134,7 +134,7 @@ def stage_fit_pca(cfg: RunConfig, population: Population | None = None):
     if cfg.pca_mode == "off":
         return (None,), []
     matrix = population.params.astype(np.float64)
-    n, k = matrix.shape[0], cfg.latent_dim or default_latent_dim(cfg.population_size)
+    n, k = matrix.shape[0], cfg.pca_latent_dim
     if cfg.pca_mode == "standard":
         model = pca_mod.fit_standard(matrix, k)
     else:

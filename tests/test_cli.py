@@ -544,6 +544,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.idx" in err
 
+    def test_unallocatable_generate_is_3(self, quick_cfg, capsys):
+        # numpy refuses a request this size before it touches any memory.
+        cfg_path, _ = quick_cfg
+        assert main(["run", "--config", cfg_path]) == 0
+        text = open(cfg_path).read()
+        open(cfg_path, "w").write(text.replace("count = 2", "count = 1000000000000"))
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_diverged_training_is_4(self, quick_cfg, capsys):
         cfg_path, _ = quick_cfg
         text = open(cfg_path).read()

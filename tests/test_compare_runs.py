@@ -47,3 +47,16 @@ def test_differing_metrics_list_each_moved_key(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:6] == [
         "differs  metrics.txt", "    acc: 0.70 -> 0.71", "    old: 1 -> -",
         "    new: - -> 2", "differs  other.txt", "differs  sub/metrics.txt"]
+
+
+def test_differing_manifests_list_each_moved_key(tmp_path, capsys):
+    a = make_run(tmp_path / "a", {"pca.manifest": b"stage=fit-pca\nsha256=aa\nevr=1.0\n",
+                                  "flow.manifest": b"stage=train-flow\ninput.pca=aa\n",
+                                  "pca.dwfp": b"DWFP\x01"})
+    b = make_run(tmp_path / "b", {"pca.manifest": b"stage=fit-pca\nsha256=bb\nevr=1.0\n",
+                                  "flow.manifest": b"\xff\xfe not text",
+                                  "pca.dwfp": b"DWFP\x02"})
+    assert compare_runs.main([a, b]) == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "differs  flow.manifest", "differs  pca.dwfp", "differs  pca.manifest",
+        "    sha256: aa -> bb"]

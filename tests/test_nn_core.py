@@ -498,7 +498,7 @@ class TestReductionsBitIdentity:
 
 class TestEvaluate:
     def test_perfect(self):
-        data = LabeledDataset(np.eye(3, dtype=np.float32), np.arange(3), "test")
+        data = LabeledDataset(np.eye(3, dtype=np.float32), np.arange(3))
         net = identity_net((3, 3, 3))
         assert evaluate(net, data)[0].accuracy == 1.0
 
@@ -506,7 +506,7 @@ class TestEvaluate:
         feats = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.float32)
         labels = np.array([0, 0, 1, 0])
         net = identity_net((2, 2, 2))
-        assert evaluate(net, LabeledDataset(feats, labels, "test"))[0].accuracy == 0.75
+        assert evaluate(net, LabeledDataset(feats, labels))[0].accuracy == 0.75
 
     def test_chance_level_constant_predictor(self):
         arch = ArchitectureSpec((4, 4, 3), "identity")
@@ -515,7 +515,7 @@ class TestEvaluate:
         net.biases[1][0] = [1, 0, 0]
         feats = np.zeros((30, 4), dtype=np.float32)
         labels = np.repeat(np.arange(3), 10)
-        acc = evaluate(net, LabeledDataset(feats, labels, "test"))[0].accuracy
+        acc = evaluate(net, LabeledDataset(feats, labels))[0].accuracy
         assert abs(acc - 1 / 3) < 1e-12
 
 

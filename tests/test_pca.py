@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightflow import pca
 from weightflow.errors import ArgumentError, DataError, ShapeError
-from weightflow.pca import (default_latent_dim, explained_variance_ratio,
+from weightflow.pca import (PcaModel, default_latent_dim, explained_variance_ratio,
                             fit_dual, fit_standard, inverse_transform,
                             load_pca, save_pca, transform)
 
@@ -49,6 +48,21 @@ class TestStandard:
         with pytest.raises(ArgumentError):
             fit_standard(rng.normal(size=(5, 3)), 5)
 
+    @pytest.mark.parametrize("n,d", [(25, 531), (50, 67), (12, 4)])
+    def test_bytes_equal_an_inline_svd(self, rng, tmp_path, n, d):
+        # The bits of the standard fit are those of a plain SVD of
+        # x - x.mean(axis=0), each component's largest entry made positive.
+        x, k = rng.normal(size=(n, d)), min(n - 1, d) // 2
+        centered = x - x.mean(axis=0)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        comps = vt[:k].T
+        comps = comps * np.sign(comps[np.abs(comps).argmax(axis=0), np.arange(k)])
+        inline = PcaModel(mean=x.mean(axis=0), components=comps,
+                          eigenvalues=s[:k] ** 2, n_samples=n)
+        save_pca(fit_standard(x, k), tmp_path / "fit.dwfp")
+        save_pca(inline, tmp_path / "inline.dwfp")
+        assert (tmp_path / "fit.dwfp").read_bytes() == (tmp_path / "inline.dwfp").read_bytes()
+
 
 class TestDual:
     def test_exact_matches_standard(self, rng):
@@ -71,22 +85,15 @@ class TestDual:
         assert abs(model.eigenvalues[0] - 2.0) < 1e-10
 
     @pytest.mark.parametrize("n,d", [(25, 531), (50, 67), (400, 531)])
-    def test_mean_equals_row_loop(self, rng, monkeypatch, n, d):
+    def test_mean_equals_row_loop(self, rng, n, d):
+        # Both fits share one centring, so both means are this loop's bits.
         x = rng.normal(size=(n, d))
         mean = x[0].copy()
         for row in x[1:]:
             mean = mean + row
         mean /= n
-        monkeypatch.setattr(pca, "ROW_BLOCK", 7)
         assert fit_dual(x, 1, exact_eigen=True).mean.tobytes() == mean.tobytes()
-
-    def test_row_block_independent(self, rng, monkeypatch):
-        x = rng.normal(size=(17, 40))
-        monkeypatch.setattr(pca, "ROW_BLOCK", 1)
-        a = fit_dual(x, 6, exact_eigen=True)
-        monkeypatch.setattr(pca, "ROW_BLOCK", 16)
-        b = fit_dual(x, 6, exact_eigen=True)
-        assert np.allclose(a.components, b.components, atol=1e-10)
+        assert fit_standard(x, 1).mean.tobytes() == mean.tobytes()
 
     def test_seeded_randomized_deterministic(self, rng):
         x = rng.normal(size=(15, 60))
@@ -117,10 +124,8 @@ def test_k_above_input_dim_rejected(rng, fit):
         assert model.eigenvalues.shape == (min(n - 1, d),)
 
 
-@pytest.mark.parametrize("block", [1, 7, 16])
-def test_explained_variance_ratio_is_the_kept_share(rng, monkeypatch, block):
-    # s[:k]^2 / sum s^2 of the centred data, at every row block size.
-    monkeypatch.setattr(pca, "ROW_BLOCK", block)
+def test_explained_variance_ratio_is_the_kept_share(rng):
+    # s[:k]^2 / sum s^2 of the centred data.
     x = rng.normal(size=(40, 30)) + 5.0
     s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
     for k in (1, 5, 30):
