@@ -4,6 +4,10 @@ Behavioral diversity uses the intersection-over-union of wrong-prediction
 index sets; distributional distances compare pooled scalar weight values
 (1-D Wasserstein, Jensen-Shannon over shared histograms) and vector
 geometry (mean pairwise cosine similarity and L2, nearest-neighbor L2).
+
+The distances take float32 populations as they are and compute in float64
+one block at a time: each float32 value's cast to float64 is exact, so the
+results are the bits of the same functions on whole float64 copies.
 """
 
 from __future__ import annotations
@@ -67,11 +71,25 @@ def max_iou(queries, references) -> MaxIouResult:
     return MaxIouResult(per_query, float(per_query.mean()), float(per_query.std()))
 
 
-# Most quantile-grid points wasserstein_1d interpolates at a time. `_tree_sum`
+# Most values one block of a distance holds: the quantile-grid points
+# wasserstein_1d interpolates at a time, the values jensen_shannon bins at a
+# time, and the float64 values of one row block (`block_rows`). `_tree_sum`
 # equals numpy's sum only when W1_BLOCK >= 128, numpy's unsplit pairwise
 # block: numpy adds a run of at most 128 as 8 interleaved partial sums, and
 # splitting such a run into smaller leaves adds in another order.
-W1_BLOCK = 1 << 16
+W1_BLOCK = 1 << 15
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` values in one block of at most W1_BLOCK values, at
+    least one."""
+    return max(1, W1_BLOCK // max(1, width))
+
+
+def _values(x) -> np.ndarray:
+    """x as an array: float32 as it is, anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _tree_sum(leaf, start: int, count: int) -> float:
@@ -95,9 +113,9 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     Equal sizes reduce to the mean absolute difference of sorted samples;
     unequal sizes integrate |F_a^-1 - F_b^-1| with linear interpolation on
     the midpoints of n = 4 max(|a|, |b|) equal cells of [0, 1]. The n values
-    |qa - qb| are never held at once: `_tree_sum` evaluates them W1_BLOCK
-    grid points at a time and adds the blocks along numpy's pairwise-sum
-    tree, so the result is `np.mean` of the whole grid's array bit for bit.
+    (|a - b| or |qa - qb|) are never held at once: `_tree_sum` evaluates
+    them W1_BLOCK at a time and adds the blocks along numpy's pairwise-sum
+    tree, so the result is `np.mean` of the whole array bit for bit.
     Nor are the knots (j + 0.5) / m of a sorted sample of size m: each block
     interpolates on the knots j = lo..hi-1 that its span [g0, g1] reads,
     lo = int(g0 m - 0.5) - 1 and hi = int(g1 m - 0.5) + 3 clipped to 0..m,
@@ -105,13 +123,25 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     that holds the point and the two knots that bound it, and the knots are
     formed by the same operations as the whole array's, so the values are
     the same bits.
+
+    It holds the two sorted samples in their own dtype (float32 samples
+    are sorted as float32: the cast to float64 is exact and monotone, so it
+    commutes with the sort, and zeros of either sign, which the sorts may
+    order differently, give the same |differences|), plus one block's
+    float64 values: `np.interp` casts a block's float32 knots itself, and
+    the equal-size differences are taken in float64.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    a = np.sort(_values(a).ravel())
+    b = np.sort(_values(b).ravel())
     if a.size == 0 or b.size == 0:
         raise ArgumentError("empty sample set")
     if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
+        def diff(start, size):
+            out = np.subtract(a[start:start + size], b[start:start + size],
+                              dtype=np.float64)
+            return np.abs(out, out=out)
+
+        return float(_tree_sum(diff, 0, a.size) / a.size)
     n = 4 * max(a.size, b.size)
     step, half = 1.0 / n, 0.5 / n     # grid k = k * step + half, as linspace
 
@@ -134,15 +164,25 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 def jensen_shannon(a: np.ndarray, b: np.ndarray, bins: int = 100) -> float:
     """JS distance (sqrt of base-2 JS divergence) between histogram
-    estimates over the pooled min/max range."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
+    estimates over the pooled min/max range.
+
+    Each sample is binned W1_BLOCK values at a time, each block cast to
+    float64 first (`np.histogram` takes its bin edges' dtype from its
+    input), and the blocks' integer counts are added: a value's bin depends
+    on it and the range alone, so the counts are those of the whole float64
+    array. Beyond its inputs it holds one block and its histogram."""
+    a, b = _values(a).ravel(), _values(b).ravel()
+    lo = float(min(a.min(), b.min()))
+    hi = float(max(a.max(), b.max()))
     if lo == hi:
         hi = lo + 1.0
-    pa, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    pb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+
+    def counts(v):
+        return sum(np.histogram(v[s:s + W1_BLOCK].astype(np.float64), bins=bins,
+                                range=(lo, hi))[0]
+                   for s in range(0, v.size, W1_BLOCK))
+
+    pa, pb = counts(a), counts(b)
     pa = pa / pa.sum()
     pb = pb / pb.sum()
     m = 0.5 * (pa + pb)
@@ -165,10 +205,25 @@ class DistributionDistances:
     nn_std: float
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of m cast to float64, bit for bit (each
+    row is reduced alone), from `block_rows` rows at a time."""
+    rows = block_rows(m.shape[1])
+    return np.concatenate([np.linalg.norm(m[s:s + rows].astype(np.float64, copy=False), axis=1)
+                           for s in range(0, m.shape[0], rows)])
+
+
 def distribution_distances(a: np.ndarray, b: np.ndarray) -> DistributionDistances:
-    """Distances between two sets of flat vectors (rows are samples)."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    """Distances between two sets of flat vectors (rows are samples).
+
+    float32 sets are read as they are; every value is that of the same
+    computation on float64 copies. Beyond its inputs it holds, one after
+    the other: W1's sorted copies of both sets; blocks (see
+    `jensen_shannon` and `_row_norms`); float64 copies of both sets for the
+    one product a @ b.T, which stays whole, as OpenBLAS gives a row block
+    of it other bits than the same rows of the whole product."""
+    a = np.atleast_2d(_values(a))
+    b = np.atleast_2d(_values(b))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ArgumentError("empty vector set")
     if a.shape[1] != b.shape[1]:
@@ -176,9 +231,8 @@ def distribution_distances(a: np.ndarray, b: np.ndarray) -> DistributionDistance
     w1 = wasserstein_1d(a.ravel(), b.ravel())
     js = jensen_shannon(a.ravel(), b.ravel())
 
-    norms_a = np.linalg.norm(a, axis=1)
-    norms_b = np.linalg.norm(b, axis=1)
-    dots = a @ b.T
+    norms_a, norms_b = _row_norms(a), _row_norms(b)
+    dots = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False).T
     denom = np.outer(norms_a, norms_b)
     denom[denom == 0] = 1.0
     cosine = float((dots / denom).mean())

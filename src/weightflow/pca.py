@@ -1,10 +1,12 @@
 """Linear dimensionality reduction over population weight matrices.
 
 Two fitting routes share one model type and one centered float64 copy
-of the data: exact SVD of that copy, and the dual/Gram-matrix route that
-eigendecomposes its n x n Gram matrix. Eigenvalues are squared singular
-values of the centered data matrix (equal to Gram eigenvalues), not
-variance-normalized. Accumulation is float64 throughout.
+of the data, made straight from the data's own values (a float32
+population is not cast to a float64 copy first): exact SVD of that copy,
+and the dual/Gram-matrix route that eigendecomposes its n x n Gram matrix.
+Eigenvalues are squared singular values of the centered data matrix (equal
+to Gram eigenvalues), not variance-normalized. Accumulation is float64
+throughout.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ class PcaModel:
     components: np.ndarray   # (d, k), orthonormal columns
     eigenvalues: np.ndarray  # (k,), descending, >= 0
     n_samples: int
+    # The sum of every eigenvalue of the fit data, kept or not: set by a fit,
+    # not saved, so None for a loaded model.
+    total: float | None = None
 
     @property
     def latent_dim(self) -> int:
@@ -56,16 +61,18 @@ def default_latent_dim(n_samples: int) -> int:
 
 
 def _centered(x, k: int):
-    """(mean, x - mean) of a 2-D sample matrix as float64, the mean summed
-    over rows in order; ArgumentError unless 0 <= k <= min(n - 1, d)."""
-    x = np.asarray(x, dtype=np.float64)
+    """(mean, x - mean) of a 2-D sample matrix in float64, the mean summed
+    over rows in order; ArgumentError unless 0 <= k <= min(n - 1, d).
+    Both cast x's values as they read them, which is exact, so a float32 x
+    gives the bits of its float64 copy without that copy."""
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ArgumentError("x must be a 2-D sample matrix")
     n, d = x.shape
     if not 0 <= k <= min(n - 1, d):
         raise ArgumentError(f"k={k} out of range for n={n}, d={d}")
-    mean = x.sum(axis=0) / n
-    return mean, x - mean
+    mean = x.sum(axis=0, dtype=np.float64) / n
+    return mean, np.subtract(x, mean, dtype=np.float64)
 
 
 def fit_standard(x: np.ndarray, k: int) -> PcaModel:
@@ -73,8 +80,8 @@ def fit_standard(x: np.ndarray, k: int) -> PcaModel:
     mean, centered = _centered(x, k)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     comps = _fix_signs(vt[:k].T)
-    return PcaModel(mean=mean, components=comps,
-                    eigenvalues=(s[:k] ** 2), n_samples=centered.shape[0])
+    return PcaModel(mean=mean, components=comps, eigenvalues=(s[:k] ** 2),
+                    n_samples=centered.shape[0], total=float((s ** 2).sum()))
 
 
 def _randomized_eigh(g: np.ndarray, k: int, seed: int = 0):
@@ -98,7 +105,7 @@ def fit_dual(x: np.ndarray, k: int, exact_eigen: bool = False,
     """Gram-matrix PCA of an (n, d) sample matrix: eigendecomposition
     (exact or randomized) of the n x n Gram matrix of the centered rows,
     then back-projection onto the rows, normalized to unit length."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim == 2 and x.shape[0] < 2:
         raise ArgumentError("need at least 2 rows")
     mean, centered = _centered(x, k)
@@ -114,32 +121,38 @@ def fit_dual(x: np.ndarray, k: int, exact_eigen: bool = False,
     norms = np.linalg.norm(comps, axis=0)
     norms[norms == 0] = 1.0
     comps /= norms
-    return PcaModel(mean=mean, components=_fix_signs(comps),
-                    eigenvalues=evals, n_samples=centered.shape[0])
+    return PcaModel(mean=mean, components=_fix_signs(comps), eigenvalues=evals,
+                    n_samples=centered.shape[0], total=float(np.trace(gram)))
 
 
-def explained_variance_ratio(model: PcaModel, x: np.ndarray) -> float:
-    """The share of the variance of x, centered on the model's mean, that
-    the model's eigenvalues keep (0 when x has none)."""
-    centered = np.asarray(x, dtype=np.float64) - model.mean
-    total = float(np.vdot(centered, centered))
-    return float(model.eigenvalues.sum()) / total if total > 0 else 0.0
+def explained_variance_ratio(model: PcaModel) -> float:
+    """The share of its fit data's variance, centered on the model's mean,
+    that a fitted model's eigenvalues keep (0 when the data has none).
+    ArgumentError for a loaded model, which does not hold that total."""
+    if model.total is None:
+        raise ArgumentError("only a fitted model holds its data's total variance")
+    return float(model.eigenvalues.sum()) / model.total if model.total > 0 else 0.0
 
 
 def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project onto the latent space: P^T (x - mean). Accepts 1- or 2-D x."""
-    x = np.asarray(x, dtype=np.float64)
+    """Project onto the latent space: P^T (x - mean). Accepts 1- or 2-D x;
+    a float32 x is centered into float64 as it is read, with the bits of
+    its float64 copy."""
+    x = np.asarray(x)
     if x.shape[-1] != model.input_dim:
         raise ShapeError(f"x has dim {x.shape[-1]}, model expects {model.input_dim}")
-    return (x - model.mean) @ model.components
+    return np.subtract(x, model.mean, dtype=np.float64) @ model.components
 
 
 def inverse_transform(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Back to input space: P z + mean."""
+    """Back to input space: P z + mean, the mean added in place, so the
+    float64 result is the one whole array it holds."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != model.latent_dim:
         raise ShapeError(f"z has dim {z.shape[-1]}, model expects {model.latent_dim}")
-    return z @ model.components.T + model.mean
+    out = z @ model.components.T
+    out += model.mean
+    return out
 
 
 def save_pca(model: PcaModel, path) -> None:

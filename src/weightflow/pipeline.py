@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 from typing import Callable, NamedTuple
 
@@ -41,7 +42,7 @@ from .config import RunConfig, section_rows
 from .data import load_idx, load_iris, make_blobs
 from .errors import ConfigError, DataError
 from .flow import load_flow, sample, save_flow, train_flow
-from .metrics import distribution_distances, max_iou, wrong_set
+from .metrics import block_rows, distribution_distances, max_iou, wrong_set
 from .nn_core import Population, evaluate, train_population
 from .pca import load_pca, save_pca
 
@@ -130,22 +131,25 @@ def stage_canonicalize(cfg: RunConfig, population: Population):
 
 
 def stage_fit_pca(cfg: RunConfig, population: Population | None = None):
-    """Fit the configured PCA over the population's flat vectors, if any."""
+    """Fit the configured PCA over the population's flat vectors, if any.
+    The fit centres the float32 parameters into its one float64 copy, and
+    the explained share's total comes from the fit."""
     if cfg.pca_mode == "off":
         return (None,), []
-    matrix = population.params.astype(np.float64)
+    matrix = population.params
     n, k = matrix.shape[0], cfg.pca_latent_dim
     if cfg.pca_mode == "standard":
         model = pca_mod.fit_standard(matrix, k)
     else:
         model = pca_mod.fit_dual(matrix, k, exact_eigen=cfg.pca_exact_eigen, seed=cfg.seed)
-    evr = pca_mod.explained_variance_ratio(model, matrix)
+    evr = pca_mod.explained_variance_ratio(model)
     return (model,), [("n_samples", n), ("explained_variance_ratio", f"{evr:.6f}")]
 
 
 def stage_train_flow(cfg: RunConfig, population: Population, pca=None):
-    """Train the flow-matching model over (possibly PCA-projected) weights."""
-    matrix = population.params.astype(np.float64)
+    """Train the flow-matching model over (possibly PCA-projected) weights;
+    the projection centres the float32 parameters into float64 itself."""
+    matrix = population.params
     if pca is not None:
         matrix = pca_mod.transform(pca, matrix)
     model = train_flow(matrix, cfg.flow_config(matrix.shape[1]), seed=cfg.seed)
@@ -154,12 +158,19 @@ def stage_train_flow(cfg: RunConfig, population: Population, pca=None):
 
 
 def stage_generate(cfg: RunConfig, flow, pca=None):
-    """Sample networks from the flow and recalibrate their BN statistics."""
+    """Sample networks from the flow and recalibrate their BN statistics.
+
+    The float64 samples (after the inverse transform, if any) are cast to
+    the population's float32 parameters and dropped before recalibration,
+    so from then on the float32 population is the one whole copy. The
+    inverse transform stays one product: OpenBLAS gives a row block of it
+    other bits than the same rows of the whole product."""
     train, test = load_task_data(cfg)
     vectors = sample(flow, cfg.generate_count, seed=cfg.seed)
     if pca is not None:
         vectors = pca_mod.inverse_transform(pca, vectors)
     params = vectors.astype(np.float32).reshape(-1, cfg.arch.param_count())
+    del vectors
     pop = Population(cfg.arch, params, seeds=np.full(len(params), cfg.seed, np.int64))
     if pop.bn:
         recalibrate(pop, train, calib_fraction=cfg.calib_fraction)
@@ -169,7 +180,10 @@ def stage_generate(cfg: RunConfig, flow, pca=None):
 
 
 def stage_evaluate(cfg: RunConfig, population: Population, generated: Population):
-    """Accuracy and diversity metrics for original vs generated networks."""
+    """Accuracy and diversity metrics for original vs generated networks.
+    The distances read both populations' float32 parameters as they are
+    (see `distribution_distances` and `_min_pairwise_l2` for what each
+    holds beyond them)."""
     _, test = load_task_data(cfg)
     orig_evals = evaluate(population, test)
     orig_acc = np.array([r.accuracy for r in orig_evals])
@@ -190,37 +204,33 @@ def stage_evaluate(cfg: RunConfig, population: Population, generated: Population
                  ("max_iou_std", f"{result.std:.6f}")]
         for i, (v, a) in enumerate(zip(result.per_query, gen_acc)):
             rows.append((f"scatter_{i:04d}", f"{a:.6f},{v:.6f}"))
-        gen_matrix = generated.params.astype(np.float64)
-        dd = distribution_distances(population.params.astype(np.float64), gen_matrix)
+        dd = distribution_distances(population.params, generated.params)
         rows += [("wasserstein", f"{dd.wasserstein:.6e}"),
                  ("jensen_shannon", f"{dd.jensen_shannon:.6f}"),
                  ("cosine", f"{dd.cosine:.6f}"), ("l2", f"{dd.l2:.6f}"),
                  ("nn_mean", f"{dd.nn_mean:.6f}"), ("nn_std", f"{dd.nn_std:.6f}")]
         if len(generated) > 1:
             rows.append(("generated_min_pairwise_l2",
-                         f"{_min_pairwise_l2(gen_matrix):.6e}"))
+                         f"{_min_pairwise_l2(generated.params):.6e}"))
     else:
         rows.append(("note", "no generated networks; diversity metrics skipped"))
     return (), rows
 
 
-# Fewest estimates in one row block of `_min_pairwise_l2`: 32 KiB, plus as
-# much again for numpy's buffer of the broadcast adds into the block.
-ESTIMATE_BLOCK_FLOOR = 1 << 12
-
-
 def _min_pairwise_l2(m: np.ndarray) -> float:
-    """Smallest L2 distance between two rows of m, bit-equal to the smallest
-    of the per-row `np.linalg.norm(m[i] - m[i + 1:], axis=1)` distances.
+    """Smallest L2 distance between two rows of m (float32 or float64),
+    bit-equal to the smallest of the per-row `np.linalg.norm(m[i] - m[i +
+    1:], axis=1)` distances over m cast to float64.
 
-    Every squared distance s_ij is first estimated from one Gram product per
-    row block, as |a_i|^2 + |a_j|^2 - 2 a_i.a_j. Only candidate pairs are
-    then summed exactly, as the norm does: d = m[i] - m[J] squared in place
-    and `np.add.reduce`d along each row, then one sqrt of the smallest sum
-    (sqrt is monotone and correctly rounded). A pair stops being a candidate
-    only when its estimate less its error bound exceeds another pair's
-    estimate plus that pair's bound, so the pair with the smallest exact sum
-    always stays one, and the estimate's bits never reach the result.
+    Every squared distance s_ij is first estimated from a Gram product per
+    tile of row pairs, as |a_i|^2 + |a_j|^2 - 2 a_i.a_j. Only candidate pairs
+    are then summed exactly, as the norm does: d = m[i] - m[J] in float64,
+    squared in place and `np.add.reduce`d along each row, then one sqrt of
+    the smallest sum (sqrt is monotone and correctly rounded). A pair stops
+    being a candidate only when its estimate less its error bound exceeds
+    another pair's estimate plus that pair's bound, so the pair with the
+    smallest exact sum always stays one, and the estimate's bits never
+    reach the result, whatever the tiling.
 
     The bound: with unit roundoff u, g_k = k u / (1 - k u) and eta the
     smallest subnormal, the estimate lies within g_(P+3) (|a_i| + |a_j|)^2
@@ -230,28 +240,44 @@ def _min_pairwise_l2(m: np.ndarray) -> float:
     |a_j|^2) + (4P + 16) eta on the computed squared norms, covers both
     errors, as (|a_i| + |a_j|)^2 <= 2 (|a_i|^2 + |a_j|^2), and the rounding
     of the norms and of its own arithmetic; the comparisons need no margin,
-    as rounding is monotone. A non-finite or near-overflowing squared norm
-    makes every pair a candidate, in row order: that is the per-row loop
-    itself, its NaN handling included.
+    as rounding is monotone. All of it is float64 arithmetic. A non-finite
+    or near-overflowing squared norm makes every pair a candidate, in row
+    order: that is the per-row loop itself, its NaN handling included.
 
-    A block of float64 estimates with its boolean candidate mask, and a
-    block of differences with that mask, each take at most the (n - 1) x P
-    buffer the per-row loop allocated, so peak memory does not grow, but
-    an estimate block holds at least ESTIMATE_BLOCK_FLOOR values, so that
-    where rows far outnumber columns it is not one row per pass."""
+    A tile pairs rows s..e-1 with rows t..t+R-1, R = sqrt(W1_BLOCK): the
+    first tile of a row block starts at t = s + 1, as the per-row loop's
+    columns do. Beyond m it holds at most four float64 arrays of
+    `metrics.W1_BLOCK` values each, whatever n and P: a tile's estimates
+    with one column slab's product added into them, and that slab of the
+    tile's two row blocks (views, for a float64 m); or one exact pass's
+    `block_rows(P)` rows of differences, with their float32 gather for a
+    float32 m."""
     n, p = m.shape
-    info = np.finfo(m.dtype)
+    info = np.finfo(np.float64)
     k = 4 * p + 16
     gamma = k * (info.eps / 2) / (1 - k * info.eps / 2)
     tiny = k * info.smallest_subnormal
-    sq = np.einsum("ij,ij->i", m, m)
+    rows = math.isqrt(block_rows(1))            # R, rows of a tile
+    width = block_rows(rows)                    # columns of a slab
+    step = block_rows(p)                        # difference rows at a time
+    sq = np.einsum("ij,ij->i", m, m, dtype=np.float64)
     slack = 2 * gamma * sq
-    step = max(1, 8 * (n - 1) // 9)             # difference rows at a time
+
+    def gram(s, e, t):
+        est = None
+        for c in range(0, p, width):
+            a = m[s:e, c:c + width].astype(np.float64, copy=False)
+            b = m[t:t + rows, c:c + width].astype(np.float64, copy=False)
+            if est is None:
+                est = a @ b.T
+            else:
+                est += a @ b.T
+        return est
 
     def exact_min(i, cols):
         mins = []
         for c in range(0, len(cols), step):
-            d = m.take(cols[c:c + step], axis=0)
+            d = m[cols[c:c + step]].astype(np.float64, copy=False)
             np.subtract(m[i], d, out=d)
             mins.append(np.add.reduce(np.multiply(d, d, out=d), axis=1).min())
         return np.min(mins)
@@ -261,23 +287,24 @@ def _min_pairwise_l2(m: np.ndarray) -> float:
             yield from ((i, np.arange(i + 1, n)) for i in range(n - 1))
             return
         upper = np.inf
-        rows = max(-(-ESTIMATE_BLOCK_FLOOR // n), 8 * (n - 1) * p // (9 * n))
         for s in range(0, n - 1, rows):
             e = min(s + rows, n - 1)
-            est = m[s:e] @ m[s + 1:].T      # pair (i, j) at [i - s, j - s - 1]
-            est *= -2
-            est += sq[s:e, None]
-            est += sq[s + 1:]
-            for t in range(1, e - s):
-                est[t, :t] = np.inf                 # pairs j <= i
-            t, c = np.unravel_index(np.argmin(est), est.shape)
-            upper = min(upper, est[t, c] + slack[s + t] + slack[s + 1 + c] + tiny)
-            est -= slack[s:e, None]
-            est -= slack[s + 1:]
-            hit = est <= upper + tiny
-            del est
-            for t in np.flatnonzero(hit.any(axis=1)):
-                yield s + t, s + 1 + np.flatnonzero(hit[t])
+            for t in range(s + 1, n, rows):
+                est = gram(s, e, t)             # pair (s + i, t + j) at [i, j]
+                est *= -2
+                est += sq[s:e, None]
+                est += sq[t:t + rows]
+                if t == s + 1:
+                    for i in range(1, e - s):
+                        est[i, :i] = np.inf             # pairs j <= i
+                i, j = np.unravel_index(np.argmin(est), est.shape)
+                upper = min(upper, est[i, j] + slack[s + i] + slack[t + j] + tiny)
+                est -= slack[s:e, None]
+                est -= slack[t:t + rows]
+                hit = est <= upper + tiny
+                del est
+                for i in np.flatnonzero(hit.any(axis=1)):
+                    yield s + i, t + np.flatnonzero(hit[i])
 
     return float(np.sqrt(min(exact_min(i, cols) for i, cols in candidates())))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,92 @@ def reference_wasserstein_1d(a, b):
     qa = np.interp(grid, (np.arange(a.size) + 0.5) / a.size, a)
     qb = np.interp(grid, (np.arange(b.size) + 0.5) / b.size, b)
     return float(np.mean(np.abs(qa - qb)))
+
+
+def reference_jensen_shannon(a, b, bins=100):
+    """JS with both samples cast and binned whole."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if lo == hi:
+        hi = lo + 1.0
+    pa, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    pb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    pa = pa / pa.sum()
+    pb = pb / pb.sum()
+    m = 0.5 * (pa + pb)
+
+    def kl(p, q):
+        mask = p > 0
+        return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+
+    return float(np.sqrt(max(0.0, 0.5 * kl(pa, m) + 0.5 * kl(pb, m))))
+
+
+def reference_distribution_distances(a, b):
+    """Every distance from whole float64 copies of both sets."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    norms_a = np.linalg.norm(a, axis=1)
+    norms_b = np.linalg.norm(b, axis=1)
+    dots = a @ b.T
+    denom = np.outer(norms_a, norms_b)
+    denom[denom == 0] = 1.0
+    sq = (norms_a[:, None] ** 2 + norms_b[None, :] ** 2 - 2 * dots)
+    dist = np.sqrt(np.clip(sq, 0.0, None))
+    l2 = float(dist.mean())
+    if a.shape == b.shape and np.array_equal(a, b):
+        np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
+    return metrics.DistributionDistances(
+        wasserstein=reference_wasserstein_1d(a.ravel(), b.ravel()),
+        jensen_shannon=reference_jensen_shannon(a.ravel(), b.ravel()),
+        cosine=float((dots / denom).mean()), l2=l2,
+        nn_mean=float(nn.mean()), nn_std=float(nn.std()))
+
+
+def _bits(distances):
+    """The bytes of every field (a lone row's nn_std is NaN)."""
+    return np.array(dataclasses.astuple(distances)).tobytes()
+
+
+def float32_sets(gen, shapes, levels):
+    """float32 samples: heavy-tailed, or small integers of both zero signs
+    (ties, and +0 and -0 that sort in either order) when `levels` > 0."""
+    def draw(shape):
+        if levels:
+            v = gen.integers(-levels, levels + 1, size=shape) * gen.choice([-1.0, 1.0], shape)
+        else:
+            v = gen.standard_cauchy(shape)
+        return v.astype(np.float32)
+    return [draw(shape) for shape in shapes]
+
+
+@given(na=st.integers(1, 40), nb=st.integers(1, 40), p=st.integers(1, 30),
+       equal=st.booleans(), levels=st.sampled_from([0, 1, 3]),
+       block=st.sampled_from([128, 300, W1_BLOCK]), seed=st.integers(0, 2 ** 32 - 1))
+@example(na=1, nb=1, p=1, equal=True, levels=0, block=128, seed=0)
+@example(na=1, nb=2, p=5, equal=False, levels=1, block=128, seed=1)
+@example(na=2, nb=2, p=200, equal=True, levels=3, block=128, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_float32_sets_give_the_bits_of_their_float64_copies(na, nb, p, equal, levels,
+                                                            block, seed):
+    # W1 (both paths), JS and every distance read float32 sets a block at a
+    # time; blocks of 128-300 values and rows split the sets at many points.
+    # The references cast each float32 argument to its own float64 copy, as
+    # the evaluate stage once did (so a @ a.T is a general product there too);
+    # float64 sets must keep their bits as well.
+    sets = float32_sets(np.random.default_rng(seed), [(na, p), (na if equal else nb, p)],
+                        levels)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(metrics, "W1_BLOCK", block)      # a lone row's nn_std is NaN
+        for a, b in (sets, [v.astype(np.float64) for v in sets]):
+            assert wasserstein_1d(a, b) == reference_wasserstein_1d(a, b)
+            assert jensen_shannon(a, b) == reference_jensen_shannon(a, b)
+            for x, y in ((a, b), (a, a)):
+                assert (_bits(distribution_distances(x, y))
+                        == _bits(reference_distribution_distances(x, y)))
 
 
 class TestWrongSet:
@@ -132,6 +219,20 @@ class TestWasserstein:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
+    def test_float32_peak_memory_is_the_sorted_samples_and_blocks(self, rng):
+        # 25 and 400 float32 networks of 531 weights: the two sorted float32
+        # samples (0.9 MB) and three float64 blocks of W1_BLOCK values, not
+        # float64 copies of the samples.
+        a, b = (rng.normal(size=(n, 531)).astype(np.float32) for n in (25, 400))
+        for x, y in ((a, b), (b, b)):
+            tracemalloc.start()
+            try:
+                wasserstein_1d(x, y)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= x.nbytes + y.nbytes + 3 * 8 * W1_BLOCK + 2 ** 16, peak
+
     def test_peak_memory_holds_knots_per_block(self, rng):
         # The same shapes: each block reads only its own knots, so no
         # full-size knot array sits next to the two sorted samples.
@@ -200,7 +301,33 @@ class TestJensenShannon:
         assert abs(jensen_shannon(a, b) - jensen_shannon(b, a)) <= 1e-12
 
 
+class TestJensenShannonMemory:
+    def test_float32_peak_memory_is_one_block(self, rng):
+        # np.histogram's temporaries of one W1_BLOCK block, and the block's
+        # float64 cast, not a float64 copy of either sample (1.7 MB here).
+        a, b = (rng.normal(size=(n, 531)).astype(np.float32) for n in (25, 400))
+        tracemalloc.start()
+        try:
+            jensen_shannon(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * W1_BLOCK, peak
+
+
 class TestDistributionDistances:
+    def test_float32_peak_memory_is_the_product_copies(self, rng):
+        # 10 and 200 float32 networks of 5,187 weights (4.4 MB): float64
+        # copies of both for the one product a @ b.T, and blocks.
+        a, b = (rng.normal(size=(n, 5187)).astype(np.float32) for n in (10, 200))
+        tracemalloc.start()
+        try:
+            distribution_distances(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (a.nbytes + b.nbytes) + 6 * 8 * W1_BLOCK, peak
+
     def test_identical_sets(self, rng):
         x = rng.normal(size=(8, 12))
         d = distribution_distances(x, x)

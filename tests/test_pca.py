@@ -124,15 +124,53 @@ def test_k_above_input_dim_rejected(rng, fit):
         assert model.eigenvalues.shape == (min(n - 1, d),)
 
 
-def test_explained_variance_ratio_is_the_kept_share(rng):
-    # s[:k]^2 / sum s^2 of the centred data.
+def test_explained_variance_ratio_is_the_kept_share(rng, tmp_path):
+    # s[:k]^2 / sum s^2 of the centred data, the total taken from the fit.
     x = rng.normal(size=(40, 30)) + 5.0
-    s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    centered = x - x.mean(axis=0)
+    s = np.linalg.svd(centered, compute_uv=False)
     for k in (1, 5, 30):
         share = (s[:k] ** 2).sum() / (s ** 2).sum()
         for model in (fit_standard(x, k), fit_dual(x, k, exact_eigen=True)):
-            assert explained_variance_ratio(model, x) == pytest.approx(share, rel=1e-12)
-    assert explained_variance_ratio(fit_standard(np.ones((4, 3)), 2), np.ones((4, 3))) == 0.0
+            assert model.total == pytest.approx(np.vdot(centered, centered), rel=1e-12)
+            assert explained_variance_ratio(model) == pytest.approx(share, rel=1e-12)
+    for fit in (fit_standard, fit_dual):
+        assert explained_variance_ratio(fit(np.ones((4, 3)), 2)) == 0.0
+    # A DWFP file holds no total, so a loaded model has no share to give.
+    save_pca(fit_standard(x, 5), tmp_path / "fit.dwfp")
+    with pytest.raises(ArgumentError, match="only a fitted model"):
+        explained_variance_ratio(load_pca(tmp_path / "fit.dwfp"))
+
+
+@given(n=st.integers(2, 40), d=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.sampled_from([0.0, 5.0]), levels=st.sampled_from([0, 3]))
+@settings(max_examples=60, deadline=None)
+def test_float32_input_gives_the_bits_of_its_float64_copy(tmp_path_factory, n, d, seed,
+                                                          offset, levels):
+    # Both fits centre float32 rows straight into float64 and `transform`
+    # centres them as it projects: every saved byte, the total and the
+    # projection equal those of the float64 copy. `levels` draws ties.
+    gen = np.random.default_rng(seed)
+    x = (gen.integers(-levels, levels + 1, size=(n, d)) if levels
+         else gen.normal(size=(n, d)) + offset).astype(np.float32)
+    k = min(n - 1, d)
+    out = tmp_path_factory.mktemp("fits")
+    for name, fit in (("standard", fit_standard),
+                      ("dual", lambda v, k: fit_dual(v, k, exact_eigen=True))):
+        model, want = fit(x, k), fit(x.astype(np.float64), k)
+        save_pca(model, out / f"{name}.dwfp")
+        save_pca(want, out / f"{name}-f64.dwfp")
+        assert (out / f"{name}.dwfp").read_bytes() == (out / f"{name}-f64.dwfp").read_bytes()
+        assert model.total == want.total
+        assert transform(model, x).tobytes() == transform(want, x.astype(np.float64)).tobytes()
+
+
+def test_inverse_transform_adds_the_mean_in_place_with_the_same_bits(rng):
+    model = fit_standard(rng.normal(size=(30, 50)), 7)
+    z = rng.normal(size=(400, 7))
+    for v in (z, z[0]):
+        want = v @ model.components.T + model.mean
+        assert inverse_transform(model, v).tobytes() == want.tobytes()
 
 
 class TestTransform:

@@ -1,6 +1,7 @@
 """The stage runner: only it writes, and a failed write leaves the previous
 outputs as they were. Also the evaluate stage's pairwise-distance helper,
-against the per-row norm loop it replaced."""
+against the per-row norm loop it replaced, and the peak memory of the
+stages that hold whole populations."""
 
 import ast
 import contextlib
@@ -10,12 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightflow import checkpoint_io, flow, pca, pipeline
+from weightflow import checkpoint_io, flow, metrics, pca, pipeline
 from weightflow.cli import main
-from weightflow.config import RunConfig
+from weightflow.config import DataConfig, RunConfig
+from weightflow.flow import FlowConfig
 from weightflow.nn_core import ArchitectureSpec, Population
 
 CONFIG = """\
@@ -167,12 +169,20 @@ def test_min_pairwise_l2_equals_the_norm_form_bit_for_bit(shape):
 
 @given(n=st.integers(2, 60), p=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1.0, 1e-160, 1e160]), offset=st.sampled_from([0.0, 5.0]),
-       plant=st.sampled_from(["none", "duplicate", "ulp", "inf", "nan"]))
+       plant=st.sampled_from(["none", "duplicate", "ulp", "inf", "nan"]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       block=st.sampled_from([128, 1000, metrics.W1_BLOCK]))
+@example(n=2, p=1, seed=0, scale=1.0, offset=0.0, plant="none", dtype=np.float32, block=128)
+@example(n=2, p=300, seed=1, scale=1.0, offset=5.0, plant="duplicate", dtype=np.float32,
+         block=128)
 @settings(max_examples=300, deadline=None)
-def test_min_pairwise_l2_equals_the_norm_form_on_hard_input(n, p, seed, scale, offset, plant):
+def test_min_pairwise_l2_equals_the_norm_form_on_hard_input(n, p, seed, scale, offset, plant,
+                                                            dtype, block):
     # Offset rows make the Gram estimate cancel; 1e-160 and 1e160 underflow
     # and overflow its squares; a planted pair one ulp from another is a tie
-    # the estimate cannot see.
+    # the estimate cannot see. A float32 m is compared with the norm form
+    # over its float64 copy; blocks of 128 and 1000 values split m into
+    # many tiles and column slabs.
     rng = np.random.default_rng(seed)
     m = (rng.normal(size=(n, p)) + offset) * scale
     if plant == "duplicate":
@@ -185,25 +195,91 @@ def test_min_pairwise_l2_equals_the_norm_form_on_hard_input(n, p, seed, scale, o
     elif plant in ("inf", "nan"):
         m[rng.integers(n), rng.integers(p)] = np.inf if plant == "inf" else np.nan
     with np.errstate(all="ignore"):
-        got, want = pipeline._min_pairwise_l2(m), _min_norm(m)
+        m = m.astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "W1_BLOCK", block)
+            got = pipeline._min_pairwise_l2(m)
+        want = _min_norm(m.astype(np.float64))
     assert got == want or (np.isnan(got) and np.isnan(want))
 
 
-@pytest.mark.parametrize("case", ["random", "tall", "one-column", "all-tied", "nan"])
-def test_min_pairwise_l2_peak_memory_within_the_row_loop_buffer(case):
+@pytest.mark.parametrize("case", ["random", "float32", "tall", "one-column", "all-tied",
+                                  "float32-tied", "nan"])
+def test_min_pairwise_l2_peak_memory_within_its_blocks(case):
     rng = np.random.default_rng(0)
     m = {"random": lambda: rng.normal(size=(400, 531)),
+         # 8 MB of float32 rows, whose float64 copy would be 16 MB
+         "float32": lambda: rng.normal(size=(400, 5000)).astype(np.float32),
          "tall": lambda: rng.normal(size=(1000, 20)),
-         "one-column": lambda: rng.normal(size=(500, 1)),   # the estimate block's floor
+         "one-column": lambda: rng.normal(size=(500, 1)),
          "all-tied": lambda: np.eye(300),          # every pair is a candidate
+         "float32-tied": lambda: np.zeros((300, 3000), np.float32),   # and wide rows
          "nan": lambda: np.where(np.eye(200, 100) > 0, np.nan, 1.0)}[case]()
-    n, p = m.shape
+    n = len(m)
     tracemalloc.start()
     try:
         pipeline._min_pairwise_l2(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The per-row loop's (n - 1) x P float64 buffer, plus numpy's ufunc
-    # buffers and a few length-n vectors.
-    assert peak <= (n - 1) * p * 8 + 2 ** 17, peak
+    # Four float64 arrays of W1_BLOCK values and a candidate mask of as many
+    # booleans, a few length-n vectors, and numpy's ufunc buffers.
+    assert peak <= 4 * 8 * metrics.W1_BLOCK + metrics.W1_BLOCK + 8 * 8 * n + 2 ** 17, peak
+
+
+def _peak(fn, *args):
+    """(fn's result, the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStagePeakMemory:
+    """At 200 networks of 5,187 parameters, where count x P outweighs every
+    block, each stage holds a stated number of whole copies of them."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        arch = ArchitectureSpec((8, 64, 64, 3), bn_layers=(1, 1))
+        cfg = RunConfig(task="blobs", seed=3, data=DataConfig(blobs_dim=8), arch=arch,
+                        population_size=200, canonicalize_mode="off", pca_mode="dual",
+                        latent_dim=5, pca_exact_eigen=True,
+                        flow=FlowConfig(hidden_dim=16, iterations=5, integration_steps=2),
+                        generate_count=200)
+        rng = np.random.default_rng(0)
+        population = Population(arch, rng.normal(0.0, 0.3, (200, arch.param_count()))
+                                .astype(np.float32))
+        (model,), _ = pipeline.stage_fit_pca(cfg, population)
+        (flow_model,), _ = pipeline.stage_train_flow(cfg, population, model)
+        return cfg, population, model, flow_model
+
+    def test_fit_pca_holds_one_float64_copy(self, run):
+        cfg, population, model, _ = run
+        _, peak = _peak(pipeline.stage_fit_pca, cfg, population)
+        n, d = population.params.shape
+        # The centred float64 copy, its n x n Gram matrix, and the
+        # components with the temporaries of their normalization and signs.
+        assert peak <= n * d * 8 + n * n * 8 + 4 * model.components.nbytes + 2 ** 18, peak
+
+    def test_generate_holds_the_inverse_transform_and_its_float32_cast(self, run):
+        cfg, _, model, flow_model = run
+        ((generated,), _), peak = _peak(pipeline.stage_generate, cfg, flow_model, model)
+        # The float64 inverse transform, kept whole for its bits, and the
+        # float32 parameters cast from it (three float32 copies in all),
+        # the PCA model's size again and 1 MiB for the flow's samples,
+        # recalibration and evaluation.
+        model_bytes = model.mean.nbytes + model.components.nbytes
+        assert peak <= 3 * generated.params.nbytes + model_bytes + 2 ** 20, peak
+
+    def test_evaluate_holds_two_float64_copies_for_the_product(self, run):
+        cfg, population, model, flow_model = run
+        (generated,), _ = pipeline.stage_generate(cfg, flow_model, model)
+        original = population[slice(0, 10)]
+        _, peak = _peak(pipeline.stage_evaluate, cfg, original, generated)
+        # Float64 copies of both populations for the one product a @ b.T,
+        # kept whole for its bits (twice the float32 inputs), and 1.5 MiB
+        # for the evaluation passes, predictions, and metric blocks.
+        inputs = original.params.nbytes + generated.params.nbytes
+        assert peak <= 2 * inputs + 3 * 2 ** 19, peak
