@@ -9,7 +9,14 @@ field that is sampled is the field that was trained. Training regresses
 the field onto straight-line displacements between Gaussian source draws
 and population vectors at times drawn uniformly from [0, 1) (Lipman et
 al., arXiv 2210.02747); sampling integrates the learned field with
-fixed-step RK4.
+fixed-step RK4 on a power-law time grid.
+
+`sample` takes its `integration_steps` (N, 25 by default) RK4 steps at the
+times t_i = (i/N)^GRID_POWER, GRID_POWER = 2, packed near t = 0 as Karras et
+al. (arXiv 2206.00364, Section 3) pack their sampler's steps. The field is
+stiff only there, where the source is nearly one point (`source_std`
+0.01) and the targets are not, and smooth after. README's "Sampling
+error" section gives the measured error against uniform steps.
 
 The model is trained, stored and sampled in float32. `init_flow_model`
 draws float64 parameters, which `train_flow` casts once to float32; the
@@ -35,8 +42,10 @@ loading the model is one write or read of the whole buffer.
 `flow_forward` is the one forward pass of the trained field. Each trunk
 product h W^T is formed as (W h^T)^T, copied to C order: at training's
 batch of a few rows OpenBLAS computes that faster than the product on the
-transposed view W.T, with the same bits, and the copy keeps LayerNorm's
-row sums on contiguous rows, where they round as they do on h W^T (on
+transposed view W.T. On its SkylakeX kernels the two have the same bits;
+on others (Haswell) they agree only to rounding, so the tests' references
+form the product the same way. The copy keeps LayerNorm's row sums on
+contiguous rows, where they round as they do on a C-order product (on
 the strided result they do not).
 
 `sample` integrates the trained field folded: a `_FrozenField`, built once
@@ -48,16 +57,20 @@ and LayerNorm computes only the variance, as one row dot. Each activation
 is ln (1 + tanh(...)), twice GELU's, and the 1/2 multiplies the next
 layer's weights, exactly. Layer 0's product takes x alone: the time
 embedding through W0's centred time columns, plus the centred b0, is one
-bias row per distinct time, kept for the call (RK4 asks for at most
-3 steps + 1 of them). In exact arithmetic the folded field is the trained
-field; in float32 it moves only rounding. On the benchmark workloads'
-trained flows at pipeline seeds 7000-7003, the per-sample relative L2
-distance between `sample` on the folded and on the unfolded float32 field
-was at most 3.3e-5 (median 1.7e-7; 1,600 samples of bn-pca-sample) and
-4.7e-7 (median 9.9e-8; 200 of iris-flagship), against a median 100-step
-RK4 error of 6.7e-3 on bn-pca-sample. `tests/test_flow.py` checks the
-field against a plain-expression folded reference bit for bit, and the
-folding against the unfolded field in float64 within 1e-12.
+bias row per distinct time, kept for the call: RK4 on the grid asks for
+2 steps + 1 of them, the grid times and their midpoints, since a step's
+last stage and the next step's first read the same grid time. In exact
+arithmetic the folded field is the trained field; in float32 it moves
+only rounding. On the benchmark workloads' trained flows at pipeline
+seeds 7000-7003, the per-sample relative L2 distance between `sample` on
+the folded and on the unfolded float32 field was at most 3.3e-5 (median
+1.7e-7; 1,600 samples of bn-pca-sample) and 4.7e-7 (median 9.9e-8; 200
+of iris-flagship), measured with 100 uniform steps, far below the
+integration error at the default 25 grid steps (README, "Sampling
+error").
+`tests/test_flow.py` checks the field against a plain-expression folded
+reference bit for bit, and the folding against the unfolded field in
+float64 within 1e-12.
 
 The frozen field also holds contiguous copies of the folded weight
 transposes, on which OpenBLAS multiplies faster at sampling's batches, and
@@ -100,6 +113,9 @@ FLOW_MAGIC = b"DWFF"
 FLOW_VERSION = 3
 # Training steps whose random draws `train_flow` makes in one call per stream.
 DRAW_BLOCK = 4
+# `sample` integrates on the times t_i = (i / N) ** GRID_POWER, packed near
+# t = 0, where the field is stiff (module docstring).
+GRID_POWER = 2
 
 
 @dataclass(frozen=True)
@@ -117,7 +133,9 @@ class FlowConfig:
     beta1: float = 0.9               # Adam's moment decays
     beta2: float = 0.95
     lr_min: float = 1e-6
-    integration_steps: int = 100
+    # RK4 steps, on `sample_grid`'s times. 25 was measured against 100
+    # uniform steps only at source_std 0.01 (README, "Sampling error").
+    integration_steps: int = 25
 
     def __post_init__(self):
         if self.hidden_dim < 2 or self.time_embed_dim < 1:
@@ -553,10 +571,13 @@ def train_flow(population: np.ndarray, cfg: FlowConfig, seed: int = 0) -> FlowMo
     return model
 
 
-def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
-    """Fixed-step RK4 from t=0 to t=1 for dx/dt = fn(x, t). The state and
-    every stage are float64, whatever dtype `fn` returns, and `fn` may
-    return a buffer it overwrites on its next call.
+def rk4_integrate(fn, x0: np.ndarray, grid) -> np.ndarray:
+    """Fixed-step RK4 for dx/dt = fn(x, t) over the increasing times
+    `grid`: step i runs from grid[i] to grid[i+1], h = grid[i+1] - grid[i],
+    and its last stage and the next step's first stage both read grid[i+1]
+    itself, so a field that memoizes per time sees 2 steps + 1 of them.
+    The state and every stage are float64, whatever dtype `fn` returns,
+    and `fn` may return a buffer it overwrites on its next call.
 
     The state, two stage buffers, the stage input and the increment are
     allocated once and filled in place, in the operation order of
@@ -565,14 +586,15 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
     stages come, so k1 and k2 are dead when k3 and k4 take their buffers.
     IEEE multiplication and addition commute, so writing 2 k2 + k1 for
     k1 + 2 k2 keeps the bits."""
-    if steps < 1:
-        raise ArgumentError("steps must be >= 1")
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ArgumentError(f"grid must be 1-D with at least 2 times, got shape {grid.shape}")
+    times = grid.tolist()  # Python floats: the field's per-time memo keys
     x = np.array(x0, dtype=np.float64)
-    h = 1.0 / steps
     k_a, k_b, x_in, incr = (np.empty_like(x) for _ in range(4))
 
-    for step in range(steps):
-        t = step * h
+    for step, (t, t_end) in enumerate(zip(times[:-1], times[1:])):
+        h = t_end - t
         np.copyto(k_a, fn(x, t))                            # k1
         np.add(x, np.multiply(k_a, 0.5 * h, out=x_in), out=x_in)
         np.copyto(k_b, fn(x_in, t + 0.5 * h))               # k2
@@ -581,13 +603,18 @@ def rk4_integrate(fn, x0: np.ndarray, steps: int) -> np.ndarray:
         np.copyto(k_a, fn(x_in, t + 0.5 * h))               # k3
         incr += np.multiply(k_a, 2.0, out=k_b)
         np.add(x, np.multiply(k_a, h, out=x_in), out=x_in)
-        np.copyto(k_b, fn(x_in, t + h))                     # k4
+        np.copyto(k_b, fn(x_in, t_end))                     # k4
         incr += k_b
         incr /= 6.0
         if not np.all(np.isfinite(incr)):
             raise IntegrationError(f"non-finite vector field at step {step}")
         x += np.multiply(incr, h, out=incr)
     return x
+
+
+def sample_grid(steps: int) -> np.ndarray:
+    """`sample`'s RK4 times, t_i = (i / steps) ** GRID_POWER for i = 0..steps."""
+    return (np.arange(steps + 1) / steps) ** GRID_POWER
 
 
 def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
@@ -598,9 +625,10 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
     one `_FrozenField` built for the call: its folded weights, time rows
     and trunk buffers serve every field evaluation. It moves a sample by
     rounding only, a relative L2 distance of at most 3.3e-5 from RK4 over
-    the unfolded float32 field on the benchmark workloads. RK4 casts each
-    stage's velocity to float64 and keeps its state and accumulation in
-    float64; the returned array is its own."""
+    the unfolded float32 field on the benchmark workloads. RK4 takes
+    `integration_steps` steps on `sample_grid`'s times, casts each stage's
+    velocity to float64 and keeps its state and accumulation in float64;
+    the returned array is its own."""
     cfg = model.config
     if count < 0:
         raise ArgumentError("count must be >= 0")
@@ -617,7 +645,7 @@ def sample(model: FlowModel, count: int, seed: int = 0) -> np.ndarray:
         def field(x, t):
             return flow_forward(field_model, x, t, frozen=frozen)
 
-        return rk4_integrate(field, x0, cfg.integration_steps)
+        return rk4_integrate(field, x0, sample_grid(cfg.integration_steps))
 
 
 # ---------------------------------------------------------------------------

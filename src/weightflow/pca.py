@@ -46,13 +46,15 @@ class PcaModel:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    """Make each component's largest-magnitude entry positive."""
-    if components.shape[1] == 0:
-        return components
-    idx = np.abs(components).argmax(axis=0)
-    signs = np.sign(components[idx, np.arange(components.shape[1])])
-    signs[signs == 0] = 1.0
-    return components * signs
+    """Make each component's largest-magnitude entry positive, in place;
+    returns `components`. The entry is the first of largest magnitude, as
+    `np.abs(col).argmax()` picks it; a column is scaled by its sign (1 for
+    a zero column), +-1, so in place it gets the bits a product would. One
+    column at a time holds a d-vector of magnitudes, not a d x k copy."""
+    for col in components.T:
+        sign = np.sign(col[np.abs(col).argmax()])
+        col *= 1.0 if sign == 0 else sign
+    return components
 
 
 def default_latent_dim(n_samples: int) -> int:
@@ -79,7 +81,7 @@ def fit_standard(x: np.ndarray, k: int) -> PcaModel:
     """Exact PCA via SVD of the centered sample matrix."""
     mean, centered = _centered(x, k)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = _fix_signs(vt[:k].T)
+    comps = _fix_signs(vt[:k].copy().T)  # not a view: the model keeps no vt
     return PcaModel(mean=mean, components=comps, eigenvalues=(s[:k] ** 2),
                     n_samples=centered.shape[0], total=float((s ** 2).sum()))
 

@@ -368,11 +368,11 @@ def test_criterion_09_bn_recalibration_exactness(monkeypatch):
 
 def test_criterion_10_rk4():
     u = np.array([2.0, -1.0, 0.5])
-    const = rk4_integrate(lambda x, t: u, np.zeros(3), steps=7)
+    const = rk4_integrate(lambda x, t: u, np.zeros(3), np.linspace(0.0, 1.0, 8))
     const_err = float(np.max(np.abs(const - u)))
     assert const_err <= 1e-6
     x0 = np.array([1.0, -0.5, 2.0])
-    out = rk4_integrate(lambda x, t: x, x0, steps=100)
+    out = rk4_integrate(lambda x, t: x, x0, np.linspace(0.0, 1.0, 101))
     rel = float(np.max(np.abs(out - np.e * x0) / np.abs(np.e * x0)))
     assert rel <= 1e-8
     print(f"PASS criterion 10: constant field {const_err:.2e}, "

@@ -1,7 +1,11 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,9 @@ from weightflow.errors import (ArgumentError, DataError, IntegrationError,
 from weightflow.flow import (LN_EPS, FlowConfig, FlowModel, FlowWorkspace,
                              fm_loss_and_grads, fm_training_step,
                              flow_backward, flow_forward, init_flow_model,
-                             load_flow, rk4_integrate, sample, save_flow,
-                             train_flow, _dropout_masks, _FrozenField,
-                             _param_count, _param_layout)
+                             load_flow, rk4_integrate, sample, sample_grid,
+                             save_flow, train_flow, _dropout_masks,
+                             _FrozenField, _param_count, _param_layout)
 from weightflow.nn_core import _Adam
 from weightflow.rng import make_rng
 
@@ -26,6 +30,14 @@ TINY = FlowConfig(input_dim=4, hidden_dim=8, time_embed_dim=4, dropout=0.0,
 
 
 TANH_C, TANH_K = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def trunk_product(h, w):
+    """h W^T formed as `flow_forward` forms it, (W h^T)^T in C order. On
+    OpenBLAS's SkylakeX kernels that has the bits of h @ W.T; on others
+    (Haswell) it need not, so a reference that is to match the field bit
+    for bit under any kernel multiplies this way too."""
+    return np.ascontiguousarray((w @ h.T).T)
 
 
 def reference_forward(model, x, t, dropout_masks=None):
@@ -41,7 +53,7 @@ def reference_forward(model, x, t, dropout_masks=None):
     h = np.concatenate([x, t_emb], axis=1)
     trunk_caches = []
     for i in range(len(model.config.trunk_dims)):
-        pre = h @ p[f"trunk.w{i}"].T + p[f"trunk.b{i}"]
+        pre = trunk_product(h, p[f"trunk.w{i}"]) + p[f"trunk.b{i}"]
         mu = pre.mean(axis=1, keepdims=True)
         var = pre.var(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
@@ -125,21 +137,27 @@ def reference_train_flow(population, cfg, seed=0):
     return model
 
 
-def reference_rk4(fn, x0, steps):
-    """Fixed-step RK4 written out as expressions, a new array per term."""
+def reference_rk4(fn, x0, grid):
+    """Fixed-step RK4 written out as expressions, a new array per term:
+    step i from grid[i] to grid[i+1]."""
     x = np.asarray(x0, dtype=np.float64).copy()
-    h = 1.0 / steps
-    for step in range(steps):
-        t = step * h
+    for step in range(len(grid) - 1):
+        t, t_end = float(grid[step]), float(grid[step + 1])
+        h = t_end - t
         k1 = np.asarray(fn(x, t), dtype=np.float64)
         k2 = np.asarray(fn(x + 0.5 * h * k1, t + 0.5 * h), dtype=np.float64)
         k3 = np.asarray(fn(x + 0.5 * h * k2, t + 0.5 * h), dtype=np.float64)
-        k4 = np.asarray(fn(x + h * k3, t + h), dtype=np.float64)
+        k4 = np.asarray(fn(x + h * k3, t_end), dtype=np.float64)
         incr = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not np.all(np.isfinite(incr)):
             raise IntegrationError(f"non-finite vector field at step {step}")
         x = x + h * incr
     return x
+
+
+def uniform_grid(steps):
+    """`steps` equal RK4 steps from t = 0 to t = 1."""
+    return np.linspace(0.0, 1.0, steps + 1)
 
 
 def bounded_field(dim, dtype, seed, reuse=False):
@@ -209,6 +227,17 @@ class TestWorkspace:
             for name in grads_ref:
                 assert np.array_equal(grads[name], grads_ref[name]), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, d_in, d_out", [(9, 9, 16), (8, 135, 256), (8, 256, 128),
+                                                   (8, 128, 256), (400, 24, 128)])
+    def test_trunk_product_agrees_with_h_w_t_to_rounding(self, rng, dtype, rows, d_in, d_out):
+        # (W h^T)^T and h W^T are the same sums in some order; whatever the
+        # BLAS kernel, they differ by at most d_in roundings of |h| |W|^T.
+        h = rng.normal(size=(rows, d_in)).astype(dtype)
+        w = rng.normal(size=(d_out, d_in)).astype(dtype)
+        bound = d_in * np.finfo(dtype).eps * (np.abs(h) @ np.abs(w).T)
+        assert np.all(np.abs(trunk_product(h, w) - h @ w.T) <= bound)
+
     def test_dtype_follows_the_model(self, rng):
         model = init_flow_model(WIDE, seed=0)
         model32 = FlowModel(WIDE, model.flat.astype(np.float32))
@@ -227,8 +256,9 @@ class TestWorkspace:
         model.flat += np.random.default_rng(7).normal(0.0, 0.1, model.flat.size)
         model32 = FlowModel(cfg, model.flat.astype(np.float32))
         x0 = make_rng(11, "sample").normal(0.0, cfg.source_std, size=(rows, 6))
-        ref = rk4_integrate(lambda x, t: reference_folded_field(model32, x, t),
-                            x0, cfg.integration_steps)
+        steps = cfg.integration_steps
+        ref = reference_rk4(lambda x, t: reference_folded_field(model32, x, t),
+                            x0, (np.arange(steps + 1) / steps) ** 2)
         assert np.array_equal(sample(model, rows, seed=11), ref)
 
     @pytest.mark.parametrize("time_embed_dim", [1, 4])
@@ -281,7 +311,7 @@ class TestWorkspace:
         x0 = make_rng(5, "sample").normal(0.0, cfg.source_std, size=(40, 6))
         ref = rk4_integrate(
             lambda x, t: flow_forward(model64, x, np.full(x.shape[0], t)),
-            x0, cfg.integration_steps)
+            x0, sample_grid(cfg.integration_steps))
         got = sample(model, 40, seed=5)
         assert got.dtype == np.float64
         rel = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
@@ -451,6 +481,43 @@ class TestBlockDraws:
         assert all(a.flags.c_contiguous and a.dtype == np.float32 for a in arrays)
 
 
+def _cpu_has(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get(feature))
+
+
+# The tests that hold the field, its training and RK4 to a reference bit for
+# bit, and the product agreement test: each must hold under every BLAS
+# kernel, not only under the one this CPU picks.
+BIT_FOR_BIT = [
+    "TestWorkspace::test_eval_forward_matches_reference",
+    "TestWorkspace::test_train_forward_and_gradients_match_reference",
+    "TestWorkspace::test_trunk_product_agrees_with_h_w_t_to_rounding",
+    "TestWorkspace::test_sample_matches_rk4_over_reference",
+    "TestWorkspace::test_frozen_forward_matches_reference",
+    "TestBlockDraws::test_train_flow_equals_per_step_reference",
+    "TestRk4::test_buffered_matches_expressions",
+]
+
+
+@pytest.mark.skipif(not _cpu_has("AVX2"),
+                    reason="OpenBLAS's Haswell kernels need AVX2, which this CPU lacks")
+def test_bit_for_bit_tests_pass_under_haswell_blas_kernels():
+    # numpy's OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE forces
+    # the ones an AVX2 CPU without AVX-512 runs, so a bit-for-bit test that
+    # holds on one kernel only fails here too.
+    here = Path(__file__).resolve()
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(f"{here}::{test}" for test in BIT_FOR_BIT)],
+        cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+
+
 class TestTrain:
     def test_deterministic(self):
         pop = np.random.default_rng(1).normal(size=(10, 4))
@@ -595,44 +662,69 @@ class TestFloat32Training:
 class TestRk4:
     def test_constant_field(self):
         u = np.array([1.0, -2.0, 0.5])
-        out = rk4_integrate(lambda x, t: u, np.zeros(3), steps=10)
+        out = rk4_integrate(lambda x, t: u, np.zeros(3), uniform_grid(10))
         assert np.max(np.abs(out - u)) <= 1e-6
 
     def test_exponential_field(self):
         x0 = np.array([1.0, -0.5, 2.0])
-        out = rk4_integrate(lambda x, t: x, x0, steps=100)
+        out = rk4_integrate(lambda x, t: x, x0, uniform_grid(100))
         assert np.max(np.abs(out - np.e * x0) / np.abs(np.e * x0)) <= 1e-8
 
     def test_zero_field(self):
         x0 = np.array([3.0, 4.0])
         assert np.array_equal(rk4_integrate(lambda x, t: np.zeros_like(x),
-                                            x0, steps=5), x0)
+                                            x0, uniform_grid(5)), x0)
 
     def test_affine_field_closed_form(self):
         # dx/dt = x + 1 -> x(1) = (x0 + 1) e - 1
         x0 = np.array([0.3])
-        out = rk4_integrate(lambda x, t: x + 1.0, x0, steps=100)
+        out = rk4_integrate(lambda x, t: x + 1.0, x0, uniform_grid(100))
         expected = (x0 + 1.0) * np.e - 1.0
         assert abs(out[0] - expected[0]) / abs(expected[0]) <= 1e-6
 
     def test_non_finite_field(self):
         with pytest.raises(IntegrationError, match="step"):
-            rk4_integrate(lambda x, t: x * np.inf, np.ones(2), steps=3)
+            rk4_integrate(lambda x, t: x * np.inf, np.ones(2), uniform_grid(3))
 
-    def test_bad_steps(self):
-        with pytest.raises(ArgumentError):
-            rk4_integrate(lambda x, t: x, np.ones(2), steps=0)
+    @pytest.mark.parametrize("grid", [[0.0], [], np.zeros((5, 1))])
+    def test_bad_steps(self, grid):
+        with pytest.raises(ArgumentError, match="at least 2 times"):
+            rk4_integrate(lambda x, t: x, np.ones(2), grid)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rows=st.integers(1, 64), dim=st.integers(1, 40), steps=st.integers(1, 12),
            dtype=st.sampled_from([np.float32, np.float64]), reuse=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_buffered_matches_expressions(self, rows, dim, steps, dtype, reuse, seed):
-        # The reference keeps each stage's array, so it gets a new one per call.
-        x0 = np.random.default_rng(seed).normal(size=(rows, dim))
-        got = rk4_integrate(bounded_field(dim, dtype, seed, reuse), x0, steps)
+           seed=st.integers(0, 2 ** 32 - 1), power=st.sampled_from([None, 1, 1.5, 2, 3]))
+    def test_buffered_matches_expressions(self, rows, dim, steps, dtype, reuse, seed, power):
+        # On a power grid (i/N)^p, uniform at p = 1, or (None) on random
+        # increasing times from 0 to 1. The reference keeps each stage's
+        # array, so it gets a new one per call.
+        draw = np.random.default_rng(seed)
+        if power is None:
+            grid = np.concatenate([[0.0], np.sort(draw.uniform(size=steps - 1)), [1.0]])
+        else:
+            grid = (np.arange(steps + 1) / steps) ** power
+        x0 = draw.normal(size=(rows, dim))
+        got = rk4_integrate(bounded_field(dim, dtype, seed, reuse), x0, grid)
         assert got.dtype == np.float64
-        assert np.array_equal(got, reference_rk4(bounded_field(dim, dtype, seed), x0, steps))
+        assert np.array_equal(got, reference_rk4(bounded_field(dim, dtype, seed), x0, grid))
+
+    @pytest.mark.parametrize("steps", [25, 50, 100])
+    def test_linear_field_on_the_squared_grid(self, steps):
+        # dx/dt = a x has x(1) = x0 e^a. An RK4 step of size h multiplies by
+        # e^(a h) (1 - (a h)^5 / 120 + ...), so the relative error is
+        # sum_i |a h_i|^5 / 120 to leading order; on the squared grid,
+        # h_i = (2i + 1) / N^2, that sum is |a|^5 (2N)^6 / (12 120 N^10)
+        # = 4 |a|^5 / (90 N^4). It is 5.3 times the uniform grid's
+        # |a|^5 / (120 N^4): a field as smooth at t = 0 as after it gains
+        # nothing from the warp.
+        a = np.array([-3.0, -1.0, 0.5, 1.0, 3.0])
+        x0 = np.array([1.0, -0.5, 2.0, 0.3, -1.2])
+        got = rk4_integrate(lambda x, t: a * x, x0, sample_grid(steps))
+        err = np.abs(got / (x0 * np.exp(a)) - 1.0)
+        leading = 4.0 * np.abs(a) ** 5 / (90.0 * steps ** 4)
+        assert np.all(err <= 1.5 * leading), err / leading
+        assert np.all(err >= 0.5 * leading), err / leading
 
     @pytest.mark.parametrize("bad_step", [0, 1, 4])
     @pytest.mark.parametrize("bad_stage", [0, 1, 2, 3])
@@ -648,7 +740,7 @@ class TestRk4:
         for integrate in (rk4_integrate, reference_rk4):
             calls.clear()
             with pytest.raises(IntegrationError, match=f"at step {bad_step}$"):
-                integrate(fn, np.ones((2, 3)), steps)
+                integrate(fn, np.ones((2, 3)), uniform_grid(steps))
 
 
 class TestSample:
@@ -668,6 +760,26 @@ class TestSample:
     def test_count_zero(self):
         model = init_flow_model(TINY, seed=0)
         assert sample(model, 0, seed=0).shape == (0, 4)
+
+    @pytest.mark.parametrize("steps", [1, 7, 25])
+    def test_one_time_row_per_distinct_rk4_time(self, monkeypatch, steps):
+        # Step i's last stage and step i+1's first read the same grid time,
+        # so 4N field calls need 2N + 1 time rows: the grid and its midpoints.
+        built = []
+
+        class Recording(_FrozenField):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(flow, "_FrozenField", Recording)
+        cfg = FlowConfig(input_dim=4, hidden_dim=8, integration_steps=steps)
+        sample(init_flow_model(cfg, seed=0), 3, seed=0)
+        grid = sample_grid(steps)
+        mids = grid[:-1] + 0.5 * np.diff(grid)
+        frozen, = built
+        assert len(frozen._rows) == 2 * steps + 1
+        assert sorted(frozen._rows) == sorted([*grid.tolist(), *mids.tolist()])
 
     def test_calls_return_arrays_of_their_own(self):
         model = init_flow_model(TINY, seed=0)
@@ -705,7 +817,7 @@ weight_decay=1e-05
 beta1=0.9
 beta2=0.95
 lr_min=1e-06
-integration_steps=100
+integration_steps=25
 """
 
 # TINY's header as version 3 files written before the flow's training

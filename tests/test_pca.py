@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightflow import pca
 from weightflow.errors import ArgumentError, DataError, ShapeError
 from weightflow.pca import (PcaModel, default_latent_dim, explained_variance_ratio,
                             fit_dual, fit_standard, inverse_transform,
@@ -171,6 +172,62 @@ def test_inverse_transform_adds_the_mean_in_place_with_the_same_bits(rng):
     for v in (z, z[0]):
         want = v @ model.components.T + model.mean
         assert inverse_transform(model, v).tobytes() == want.tobytes()
+
+
+def abs_argmax_signs(components):
+    """Each column times the sign of its first largest-|entry|, through a
+    whole |components| copy and a new product."""
+    idx = np.abs(components).argmax(axis=0)
+    signs = np.sign(components[idx, np.arange(components.shape[1])])
+    signs[signs == 0] = 1.0
+    return components * signs
+
+
+class TestFixSigns:
+    # Columns where the largest |entry| is tied between a positive and a
+    # negative entry, in both orders, or repeated with one sign, or zero.
+    TIED = np.array([[0.5, -0.7, 0.7, 0.0, 0.3, -0.2],
+                     [-0.7, 0.7, 0.1, 0.0, -0.3, 0.2],
+                     [0.7, 0.2, 0.7, -0.0, 0.3, -0.2],
+                     [0.1, -0.7, -0.7, 0.0, -0.3, 0.2]])
+
+    def test_tied_columns_keep_the_first_index_rule(self, tmp_path):
+        got = pca._fix_signs(self.TIED.copy())
+        ref = abs_argmax_signs(self.TIED)
+        assert got.tobytes() == ref.tobytes()
+        # The first tied entry decides: -0.7 before 0.7 in column 0.
+        assert got[1, 0] == 0.7 and got[1, 1] == -0.7 and got[0, 2] == 0.7
+        for name, comps in (("fix", got), ("ref", ref)):
+            save_pca(PcaModel(mean=np.zeros(4), components=comps,
+                              eigenvalues=np.ones(6), n_samples=7), tmp_path / name)
+        assert (tmp_path / "fix").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    def test_flips_in_place(self, rng):
+        comps = rng.normal(size=(9, 4))
+        assert pca._fix_signs(comps) is comps
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 12), k=st.integers(0, 6), levels=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_abs_argmax_rule(self, d, k, levels, seed):
+        # Few distinct magnitudes make ties common.
+        draw = np.random.default_rng(seed)
+        comps = draw.integers(-levels, levels + 1, size=(d, k)) / levels
+        assert pca._fix_signs(comps.copy()).tobytes() == abs_argmax_signs(comps).tobytes()
+
+    @pytest.mark.parametrize("fit", ["standard", "dual"])
+    def test_fit_bytes_match_the_abs_argmax_rule(self, rng, tmp_path, monkeypatch, fit):
+        x = rng.normal(size=(30, 80)).astype(np.float32)
+
+        def run(name):
+            model = (fit_standard(x, 12) if fit == "standard"
+                     else fit_dual(x, 12, exact_eigen=True))
+            save_pca(model, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        new = run("new")
+        monkeypatch.setattr(pca, "_fix_signs", abs_argmax_signs)
+        assert run("old") == new
 
 
 class TestTransform:
